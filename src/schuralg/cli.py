@@ -3,26 +3,28 @@
 Every subcommand writes one JSON document (or CSV where the output is
 naturally tabular) to stdout and nothing else; wall time goes to stderr
 so stdout is byte-identical across runs.  Exit codes: 0 success, 1 a
-verification ran and failed, 2 usage error or resource bound.
+verification ran and failed, 2 usage error, invalid value (a ValueError
+from the library) or resource bound.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 import time
 from math import factorial
 from typing import Sequence
 
-from .codet import codet_basis
+from .codet import codet_basis, codet_count
 from .enveloping import pbw_image
 from .errors import ResourceLimitError
 from .schur import SchurElement, schur_multiply, symmetric_group_iso
 from .simples import simple_index_set, simple_index_set_window
 from .udot import UdotElement, gl2_generic_table, udot_basis_upto, udot_multiply
 from .verify import SUITES, run_suite
-from .weights import compositions, is_dominant, kostka, margin_matrices, perm_compose
+from .weights import compositions, dominant_shapes, kostka, margin_matrices
 
 __all__ = ["main", "build_parser"]
 
@@ -40,8 +42,23 @@ def _parse_weight(text: str) -> tuple[int, ...]:
         raise UsageError(f"expected comma-separated integers, got {text!r}")
 
 
+def _parse_element(cls, text: str):
+    try:
+        return cls.from_json(json.loads(text))
+    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+        raise UsageError(f"bad element JSON: {exc}")
+
+
 def _weight_csv(w: Sequence[int]) -> str:
     return " ".join(str(x) for x in w)
+
+
+# suite parameter -> verify flag, read once from the suite table, in its order
+_SUITE_FLAGS = {
+    p: "--lambda" if p == "lam" else "--" + p.replace("_", "-")
+    for suite in SUITES.values()
+    for p in inspect.signature(suite).parameters
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -111,36 +128,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite", choices=sorted(SUITES) + ["all"])
-    p.add_argument("--n-max", dest="n_max", type=int, default=None)
-    p.add_argument("--r-max", dest="r_max", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--lambda", dest="lam", default=None)
-    p.add_argument("--window", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    for name, flag in _SUITE_FLAGS.items():
+        p.add_argument(flag, dest=name, type=None if name == "lam" else int, default=None)
 
     return parser
 
 
-SUITE_PARAMS = {
-    "gbasis": ("n_max", "r_max"),
-    "codet": ("n_max", "r_max"),
-    "zbas": ("n_max", "r_max"),
-    "idem-lemma": ("n_max", "r_max"),
-    "cellular": ("n", "r", "lam"),
-    "relations": ("n_max", "window"),
-    "psi": ("n_max", "r_max", "seed"),
-    "gl2": ("r_max",),
-    "sym-quotient": ("r_max",),
-    "properties": ("seed",),
-}
-
 def _cmd_compositions(args) -> tuple[dict, str, int]:
-    if args.n < 1 or args.r < 0:
-        raise UsageError("need n >= 1 and r >= 0")
-    weights = compositions(args.n, args.r)
-    if args.dominant:
-        weights = [w for w in weights if is_dominant(w)]
+    weights = (dominant_shapes if args.dominant else compositions)(args.n, args.r)
     payload = {
         "n": args.n,
         "r": args.r,
@@ -156,18 +151,10 @@ def _cmd_compositions(args) -> tuple[dict, str, int]:
 def _cmd_dim(args) -> tuple[dict, str, int]:
     lam = _parse_weight(args.lam)
     mu = _parse_weight(args.mu) if args.mu else lam
-    if len(mu) != len(lam):
-        raise UsageError("weights must have the same number of parts")
-    if sum(mu) != sum(lam):
-        raise UsageError("weights must have the same degree")
     if args.r is not None and args.r != sum(lam):
         raise UsageError(f"degree cross-check failed: sum(lambda)={sum(lam)} but --r={args.r}")
     dim = len(margin_matrices(lam, mu))
-    ksum = sum(
-        kostka(nu, lam) * kostka(nu, mu)
-        for nu in compositions(len(lam), sum(lam))
-        if is_dominant(nu)
-    )
+    ksum = codet_count(lam, mu)
     payload = {
         "lambda": list(lam),
         "mu": list(mu),
@@ -183,8 +170,6 @@ def _cmd_dim(args) -> tuple[dict, str, int]:
 def _cmd_basis(args) -> tuple[dict, str, int]:
     lam = _parse_weight(args.lam)
     mu = _parse_weight(args.mu) if args.mu else lam
-    if len(mu) != len(lam) or sum(mu) != sum(lam):
-        raise UsageError("weights must have the same number of parts and degree")
     payload: dict = {"kind": args.kind, "lambda": list(lam), "mu": list(mu)}
     if args.kind == "xi":
         margins = margin_matrices(lam, mu)
@@ -219,23 +204,15 @@ def _cmd_basis(args) -> tuple[dict, str, int]:
 
 
 def _cmd_mul(args) -> tuple[dict, str, int]:
-    try:
-        left = SchurElement.from_json(json.loads(args.left))
-        right = SchurElement.from_json(json.loads(args.right))
-    except (ValueError, KeyError, TypeError) as exc:
-        raise UsageError(f"bad element JSON: {exc}")
-    if (left.n, left.r) != (right.n, right.r):
-        raise UsageError("elements live in different algebras")
+    left = _parse_element(SchurElement, args.left)
+    right = _parse_element(SchurElement, args.right)
     return schur_multiply(left, right).to_json(), "", 0
 
 
 def _cmd_kostka(args) -> tuple[dict, str, int]:
     mu = _parse_weight(args.mu)
     lam = _parse_weight(args.lam)
-    try:
-        value = kostka(mu, lam)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    value = kostka(mu, lam)
     payload = {"shape": list(mu), "weight": list(lam), "kostka": value}
     csv = "shape,weight,kostka\n" + ",".join(
         [_weight_csv(mu), _weight_csv(lam), str(value)]
@@ -246,8 +223,6 @@ def _cmd_kostka(args) -> tuple[dict, str, int]:
 def _cmd_simples(args) -> tuple[dict, str, int]:
     lam = _parse_weight(args.lam)
     if args.window is not None:
-        if args.window < 0:
-            raise UsageError("window must be nonnegative")
         report = simple_index_set_window(lam, args.window)
     else:
         if any(x < 0 for x in lam):
@@ -257,22 +232,11 @@ def _cmd_simples(args) -> tuple[dict, str, int]:
 
 
 def _cmd_sym_iso(args) -> tuple[dict, str, int]:
-    if args.r < 1:
-        raise UsageError("need r >= 1")
     if args.r > 4:
         raise ResourceLimitError(
             f"full table check is bounded at r <= 4 (got r={args.r})"
         )
-    table = symmetric_group_iso(args.r)
-    match = True
-    for p in table.permutations:
-        for q in table.permutations:
-            prod = schur_multiply(table.to_element(p), table.to_element(q))
-            if prod != table.to_element(perm_compose(p, q)):
-                match = False
-                break
-        if not match:
-            break
+    match = symmetric_group_iso(args.r).cayley_mismatch() is None
     order = factorial(args.r)
     payload = {"r": args.r, "group_order": order, "table_match": match}
     csv = f"r,group_order,table_match\n{args.r},{order},{str(match).lower()}\n"
@@ -281,19 +245,12 @@ def _cmd_sym_iso(args) -> tuple[dict, str, int]:
 
 def _cmd_udot(args) -> tuple[dict, str, int]:
     if args.udot_command == "mul":
-        try:
-            left = UdotElement.from_json(json.loads(args.left))
-            right = UdotElement.from_json(json.loads(args.right))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise UsageError(f"bad element JSON: {exc}")
-        if left.n != right.n:
-            raise UsageError("elements live in different algebras")
+        left = _parse_element(UdotElement, args.left)
+        right = _parse_element(UdotElement, args.right)
         return udot_multiply(left, right).to_json(), "", 0
     if args.udot_command == "basis":
         lam = _parse_weight(args.lam)
         mu = _parse_weight(args.mu)
-        if len(lam) != len(mu):
-            raise UsageError("weights must have the same number of parts")
         if args.degree < 0:
             raise UsageError("degree must be nonnegative")
         basis = udot_basis_upto(lam, mu, args.degree)
@@ -307,8 +264,6 @@ def _cmd_udot(args) -> tuple[dict, str, int]:
         return payload, "", 0
     if args.udot_command == "gl2-table":
         lam = _parse_weight(args.lam)
-        if len(lam) != 2:
-            raise UsageError("gl2-table needs a weight with exactly two parts")
         degree = args.degree if args.degree is not None else 4
         if degree < 0:
             raise UsageError("degree must be nonnegative")
@@ -321,9 +276,7 @@ def _cmd_udot(args) -> tuple[dict, str, int]:
 
 def _cmd_verify(args) -> tuple[dict, str, int]:
     provided = {
-        name: getattr(args, name)
-        for name in ("n_max", "r_max", "n", "r", "lam", "window", "seed")
-        if getattr(args, name) is not None
+        name: getattr(args, name) for name in _SUITE_FLAGS if getattr(args, name) is not None
     }
     if args.suite == "all":
         if provided:
@@ -339,15 +292,13 @@ def _cmd_verify(args) -> tuple[dict, str, int]:
                 lines.append(f"{rep.suite},{c.id},{str(c.passed).lower()}")
         csv = "\n".join(lines) + "\n"
         return payload, csv, 0 if payload["passed"] else 1
-    allowed = SUITE_PARAMS[args.suite]
+    allowed = inspect.signature(SUITES[args.suite]).parameters
     for name in provided:
         if name not in allowed:
-            flag = "--lambda" if name == "lam" else "--" + name.replace("_", "-")
-            raise UsageError(f"suite {args.suite!r} does not accept {flag}")
-    kwargs = dict(provided)
-    if "lam" in kwargs:
-        kwargs["lam"] = _parse_weight(kwargs["lam"])
-    report = run_suite(args.suite, **kwargs)
+            raise UsageError(f"suite {args.suite!r} does not accept {_SUITE_FLAGS[name]}")
+    if "lam" in provided:
+        provided["lam"] = _parse_weight(provided["lam"])
+    report = run_suite(args.suite, **provided)
     return report.to_json(), report.to_csv(), 0 if report.passed else 1
 
 
@@ -370,7 +321,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         payload, csv, code = COMMANDS[args.command](args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:

@@ -33,8 +33,8 @@ from .weights import (
     Tableau,
     Weight,
     Word,
-    compositions,
     dominance_lt,
+    dominant_shapes,
     is_composition,
     is_dominant,
     kostka,
@@ -50,7 +50,6 @@ __all__ = [
     "Codeterminant",
     "codet_basis",
     "codet_count",
-    "dominant_shapes",
     "CellReport",
     "cell_datum_check",
 ]
@@ -88,13 +87,6 @@ class Codeterminant:
     left: Tableau
     right: Tableau
     value: SchurElement
-
-
-def dominant_shapes(n: int, r: int) -> list[Weight]:
-    """Partitions of r with at most n parts, stored as n-tuples, listed
-    most dominant first (reverse-lexicographic restricts to dominance-
-    compatible order on partitions)."""
-    return [nu for nu in compositions(n, r) if is_dominant(nu)]
 
 
 def codet_basis(lam: Sequence[int], mu: Sequence[int]) -> list[Codeterminant]:

@@ -39,8 +39,17 @@ from functools import lru_cache
 from math import factorial
 from typing import Mapping, Sequence
 
-from .schur import SchurElement, TensorEndo, check_tensor_scale, element_from_endo
-from .weights import Matrix, Weight, all_words
+from .exact_linalg import SparseCombination
+from .schur import (
+    SchurElement,
+    TensorEndo,
+    _validate_margin_matrix,
+    check_tensor_scale,
+    element_from_endo,
+    endo_of,
+    idempotent,
+)
+from .weights import Matrix, Weight, all_words, col_sums, row_sums
 
 __all__ = [
     "root_pairs",
@@ -164,81 +173,29 @@ def monomial_weight(n: int, m: PBWMonomial) -> Weight:
     return tuple(w)
 
 
-class UElement:
+class UElement(SparseCombination):
     """Exact rational combination of PBW monomials for one n."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n",)
+    _space_attrs = ("n",)
 
     def __init__(self, n: int, terms: Mapping[PBWMonomial, Fraction] | None = None):
         if n < 1:
             raise ValueError("need n >= 1")
         self.n = n
         npairs = len(root_pairs(n))
-        clean: dict[PBWMonomial, Fraction] = {}
-        for m, c in (terms or {}).items():
+        for m in terms or ():
             if len(m[0]) != npairs or len(m[1]) != n or len(m[2]) != npairs:
                 raise ValueError(f"malformed monomial {m} for n={n}")
             if any(x < 0 for part in m for x in part):
                 raise ValueError("exponents must be nonnegative")
-            c = Fraction(c)
-            if c != 0:
-                clean[m] = c
-        self.terms = clean
-
-    def __add__(self, other: "UElement") -> "UElement":
-        self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return UElement(self.n, out)
-
-    def __sub__(self, other: "UElement") -> "UElement":
-        return self + other.scale(-1)
-
-    def scale(self, c: Fraction | int) -> "UElement":
-        c = Fraction(c)
-        return UElement(self.n, {m: v * c for m, v in self.terms.items()})
-
-    def __rmul__(self, c: int) -> "UElement":
-        return self.scale(c)
+        super().__init__(terms)
 
     def __mul__(self, other: "UElement") -> "UElement":
         return u_multiply(self, other)
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, UElement)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        raise TypeError("UElement is not hashable")
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _check(self, other: "UElement") -> None:
-        if self.n != other.n:
-            raise ValueError("elements live in different enveloping algebras")
-
     def __repr__(self) -> str:
         return f"UElement(n={self.n}, {len(self.terms)} terms)"
-
-    def to_json(self) -> dict:
-        pairs = root_pairs(self.n)
-        terms = []
-        for m in sorted(self.terms):
-            fmat = [[0] * self.n for _ in range(self.n)]
-            emat = [[0] * self.n for _ in range(self.n)]
-            for idx, (i, j) in enumerate(pairs):
-                fmat[j - 1][i - 1] = m[0][idx]
-                emat[i - 1][j - 1] = m[2][idx]
-            terms.append(
-                {"f": fmat, "h": list(m[1]), "e": emat, "coeff": str(self.terms[m])}
-            )
-        return {"n": self.n, "terms": terms}
 
 
 def u_one(n: int) -> UElement:
@@ -256,7 +213,7 @@ def matrix_unit(n: int, a: int, b: int) -> UElement:
 
 def u_multiply(x: UElement, y: UElement) -> UElement:
     """Product in the enveloping algebra, straightened to PBW normal form."""
-    x._check(y)
+    x._check_space(y)
     out: dict[PBWMonomial, Fraction] = {}
     for m1, c1 in x.terms.items():
         w1 = _monomial_word(x.n, m1)
@@ -265,7 +222,7 @@ def u_multiply(x: UElement, y: UElement) -> UElement:
             for w, c in _word_product(w1, w2):
                 m = _word_monomial(x.n, w)
                 out[m] = out.get(m, Fraction(0)) + c1 * c2 * c
-    return UElement(x.n, out)
+    return x._new(out)
 
 
 def u_relabel(x: UElement, w: Sequence[int]) -> UElement:
@@ -284,7 +241,7 @@ def u_relabel(x: UElement, w: Sequence[int]) -> UElement:
         for nw, c in _word_product((), word):
             m = _word_monomial(n, nw)
             out[m] = out.get(m, Fraction(0)) + c1 * c
-    return UElement(n, out)
+    return x._new(out)
 
 
 @lru_cache(maxsize=None)
@@ -450,8 +407,6 @@ def _apply_unit(unit: Unit, vec: Mapping[tuple[int, ...], Fraction]) -> dict:
 def verify_weight_idempotent(lam: Sequence[int], r: int | None = None) -> bool:
     """Check that prod_i binom(H_i, lam_i) acts on tensor space exactly as
     the weight idempotent of lam."""
-    from .schur import endo_of, idempotent
-
     lam = tuple(lam)
     if r is None:
         r = sum(lam)
@@ -496,15 +451,8 @@ def pbw_image(a: Matrix, form: str = "fe") -> SchurElement:
     the weight the split forces (minus_weight and plus_weight).  The
     middle forms agree with the outer-truncated ones; tests rely on it.
     """
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("margin matrix must be square")
-    if any(e < 0 for row in a for e in row):
-        raise ValueError("margin matrix entries must be nonnegative")
-    r = sum(sum(row) for row in a)
+    n, r = _validate_margin_matrix(a)
     check_tensor_scale(n, r)
-    from .schur import endo_of, idempotent
-    from .weights import col_sums, row_sums
 
     lam = row_sums(a)
     mu = col_sums(a)

@@ -4,6 +4,10 @@ Vectors are mappings from hashable keys to Fractions (or ints).  Ranks and
 determinants use Bareiss fraction-free elimination on integer matrices
 after clearing denominators, so every answer is exact.  Sizes here are
 desk scale (hundreds of rows at most); nothing is tuned beyond that.
+
+SparseCombination is the shared vector type of the algebra elements: a
+mapping from basis keys to nonzero Fractions inside one fixed space, with
+the linear structure (sums, scaling, equality) defined once here.
 """
 
 from __future__ import annotations
@@ -12,7 +16,82 @@ from fractions import Fraction
 from math import gcd
 from typing import Hashable, Mapping, Sequence
 
-__all__ = ["exact_rank", "unimodular_change", "integer_det", "CoordinateSolver"]
+__all__ = [
+    "SparseCombination",
+    "exact_rank",
+    "unimodular_change",
+    "integer_det",
+    "CoordinateSolver",
+]
+
+
+class SparseCombination:
+    """Exact rational combination of hashable basis keys in one space.
+
+    `terms` maps keys to nonzero Fractions; zero coefficients are dropped
+    on construction, so equality is plain dict equality.  A subclass lists
+    the attributes that fix its space in `_space_attrs`, validates keys
+    where terms enter from outside (its own constructor), and adds its
+    type-specific operations.  Elements are values, but not hashable.
+    """
+
+    __slots__ = ("terms",)
+    _space_attrs: tuple[str, ...] = ()
+
+    def __init__(self, terms: Mapping[Hashable, object] | None = None):
+        clean: dict[Hashable, Fraction] = {}
+        for k, c in (terms or {}).items():
+            if type(c) is not Fraction:
+                c = Fraction(c)
+            if c:
+                clean[k] = c
+        self.terms = clean
+
+    @property
+    def space(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._space_attrs)
+
+    def _new(self, terms: Mapping[Hashable, Fraction]) -> "SparseCombination":
+        """Element of the same space from Fraction terms computed
+        internally (keys already valid); only zeros are dropped."""
+        out = object.__new__(type(self))
+        for name in self._space_attrs:
+            setattr(out, name, getattr(self, name))
+        out.terms = {k: c for k, c in terms.items() if c}
+        return out
+
+    def _check_space(self, other: "SparseCombination") -> None:
+        if type(other) is not type(self) or self.space != other.space:
+            raise ValueError(f"operands do not live in the same {type(self).__name__} space")
+
+    def __add__(self, other: "SparseCombination") -> "SparseCombination":
+        self._check_space(other)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            out[k] = out[k] + c if k in out else c
+        return self._new(out)
+
+    def __sub__(self, other: "SparseCombination") -> "SparseCombination":
+        return self + other.scale(-1)
+
+    def scale(self, c: Fraction | int) -> "SparseCombination":
+        c = Fraction(c)
+        return self._new({k: v * c for k, v in self.terms.items()})
+
+    def __rmul__(self, c: Fraction | int) -> "SparseCombination":
+        return self.scale(c)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self.space == other.space and self.terms == other.terms
+
+    __hash__ = None
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def integral(self) -> bool:
+        return all(c.denominator == 1 for c in self.terms.values())
 
 
 def _canonical_keys(vectors: Sequence[Mapping[Hashable, Fraction]]) -> list:

@@ -28,6 +28,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ResourceLimitError
+from .exact_linalg import SparseCombination
 from .weights import (
     Matrix,
     Perm,
@@ -40,6 +41,7 @@ from .weights import (
     matrix_degree,
     orbit_size,
     pair_to_matrix,
+    perm_compose,
     row_sums,
     transpose,
     weight_of,
@@ -76,71 +78,50 @@ def check_tensor_scale(n: int, r: int) -> None:
         )
 
 
-class TensorEndo:
-    """Sparse endomorphism of degree-r tensor space over n letters.
+class TensorEndo(SparseCombination):
+    """Sparse endomorphism of degree-r tensor space over n letters: its
+    entries map (output word, input word) to a nonzero Fraction."""
 
-    entries maps (output word, input word) to a Fraction.  Zero entries
-    are pruned on construction, so equality is plain dict equality.
-    """
-
-    __slots__ = ("n", "r", "entries")
+    __slots__ = ("n", "r")
+    _space_attrs = ("n", "r")
 
     def __init__(self, n: int, r: int, entries: Mapping[tuple[Word, Word], Fraction]):
         self.n = n
         self.r = r
-        self.entries = {
-            k: Fraction(c) for k, c in entries.items() if Fraction(c) != 0
-        }
+        super().__init__(entries)
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, TensorEndo)
-            and (self.n, self.r) == (other.n, other.r)
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        raise TypeError("TensorEndo is not hashable")
-
-    def __add__(self, other: "TensorEndo") -> "TensorEndo":
-        self._check_compatible(other)
-        out = dict(self.entries)
-        for k, c in other.entries.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return TensorEndo(self.n, self.r, out)
-
-    def scale(self, c: Fraction | int) -> "TensorEndo":
-        c = Fraction(c)
-        return TensorEndo(self.n, self.r, {k: v * c for k, v in self.entries.items()})
+    @property
+    def entries(self) -> dict[tuple[Word, Word], Fraction]:
+        return self.terms
 
     def compose(self, other: "TensorEndo") -> "TensorEndo":
         """self after other (matrix product self . other)."""
-        self._check_compatible(other)
+        self._check_space(other)
         by_input: dict[Word, list[tuple[Word, Fraction]]] = {}
-        for (l, j), c in self.entries.items():
+        for (l, j), c in self.terms.items():
             by_input.setdefault(j, []).append((l, c))
         out: dict[tuple[Word, Word], Fraction] = {}
-        for (j, k), c in other.entries.items():
+        for (j, k), c in other.terms.items():
             for l, d in by_input.get(j, ()):
                 key = (l, k)
                 out[key] = out.get(key, Fraction(0)) + d * c
-        return TensorEndo(self.n, self.r, out)
+        return self._new(out)
 
     def truncate(self, left: Weight | None = None, right: Weight | None = None) -> "TensorEndo":
         """Restrict to entries whose output weight is `left` and input
         weight is `right` (either may be None to keep all)."""
         out = {}
-        for (l, k), c in self.entries.items():
+        for (l, k), c in self.terms.items():
             if left is not None and weight_of(l, self.n) != left:
                 continue
             if right is not None and weight_of(k, self.n) != right:
                 continue
             out[(l, k)] = c
-        return TensorEndo(self.n, self.r, out)
+        return self._new(out)
 
     def apply(self, vec: Mapping[Word, Fraction]) -> dict[Word, Fraction]:
         by_input: dict[Word, list[tuple[Word, Fraction]]] = {}
-        for (l, j), c in self.entries.items():
+        for (l, j), c in self.terms.items():
             by_input.setdefault(j, []).append((l, c))
         out: dict[Word, Fraction] = {}
         for k, c in vec.items():
@@ -148,19 +129,8 @@ class TensorEndo:
                 out[l] = out.get(l, Fraction(0)) + d * c
         return {k: v for k, v in out.items() if v != 0}
 
-    def _check_compatible(self, other: "TensorEndo") -> None:
-        if (self.n, self.r) != (other.n, other.r):
-            raise ValueError("endomorphisms live on different tensor spaces")
-
     def __repr__(self) -> str:
-        return f"TensorEndo(n={self.n}, r={self.r}, {len(self.entries)} entries)"
-
-
-def identity_endo(n: int, r: int) -> TensorEndo:
-    check_tensor_scale(n, r)
-    return TensorEndo(
-        n, r, {(k, k): Fraction(1) for k in itertools.product(range(1, n + 1), repeat=r)}
-    )
+        return f"TensorEndo(n={self.n}, r={self.r}, {len(self.terms)} entries)"
 
 
 def _validate_margin_matrix(a: Matrix) -> tuple[int, int]:
@@ -223,68 +193,24 @@ def orbit_endo(a: Matrix) -> TensorEndo:
     return TensorEndo(n, r, entries)
 
 
-class SchurElement:
+class SchurElement(SparseCombination):
     """Exact rational combination of orbit-basis elements of one Schur
     algebra, stored as a mapping margin matrix -> Fraction."""
 
-    __slots__ = ("n", "r", "terms")
+    __slots__ = ("n", "r")
+    _space_attrs = ("n", "r")
 
     def __init__(self, n: int, r: int, terms: Mapping[Matrix, Fraction] | None = None):
         check_tensor_scale(n, r)
         self.n = n
         self.r = r
-        clean: dict[Matrix, Fraction] = {}
-        for a, c in (terms or {}).items():
-            an, ar = _validate_margin_matrix(a)
-            if an != n or ar != r:
+        for a in terms or ():
+            if _validate_margin_matrix(a) != (n, r):
                 raise ValueError(f"matrix {a} does not index S({n},{r})")
-            c = Fraction(c)
-            if c != 0:
-                clean[a] = c
-        self.terms = clean
-
-    # -- ring structure ------------------------------------------------
-
-    def __add__(self, other: "SchurElement") -> "SchurElement":
-        self._check_compatible(other)
-        out = dict(self.terms)
-        for a, c in other.terms.items():
-            out[a] = out.get(a, Fraction(0)) + c
-        return SchurElement(self.n, self.r, out)
-
-    def __sub__(self, other: "SchurElement") -> "SchurElement":
-        return self + other.scale(-1)
-
-    def scale(self, c: Fraction | int) -> "SchurElement":
-        c = Fraction(c)
-        return SchurElement(self.n, self.r, {a: v * c for a, v in self.terms.items()})
-
-    def __rmul__(self, c: int) -> "SchurElement":
-        return self.scale(c)
+        super().__init__(terms)
 
     def __mul__(self, other: "SchurElement") -> "SchurElement":
         return schur_multiply(self, other)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, SchurElement)
-            and (self.n, self.r) == (other.n, other.r)
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        raise TypeError("SchurElement is not hashable")
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.terms.values())
-
-    def _check_compatible(self, other: "SchurElement") -> None:
-        if (self.n, self.r) != (other.n, other.r):
-            raise ValueError("elements live in different Schur algebras")
 
     def __repr__(self) -> str:
         return f"SchurElement(n={self.n}, r={self.r}, {len(self.terms)} terms)"
@@ -331,7 +257,7 @@ def element_from_endo(endo: TensorEndo) -> SchurElement:
     """
     n = endo.n
     seen: dict[Matrix, tuple[int, Fraction]] = {}
-    for (l, k), c in endo.entries.items():
+    for (l, k), c in endo.terms.items():
         a = pair_to_matrix(l, k, n)
         count, val = seen.get(a, (0, c))
         if val != c:
@@ -348,7 +274,7 @@ def element_from_endo(endo: TensorEndo) -> SchurElement:
 def schur_multiply(x: SchurElement, y: SchurElement) -> SchurElement:
     """Product in the Schur algebra, computed in the faithful tensor
     representation and decoded back into the orbit basis."""
-    x._check_compatible(y)
+    x._check_space(y)
     return element_from_endo(endo_of(x).compose(endo_of(y)))
 
 
@@ -437,11 +363,18 @@ class SymmetricGroupTable:
             p[b] = col.index(1) + 1
         return tuple(p)
 
+    def cayley_mismatch(self) -> tuple[Perm, Perm] | None:
+        """First pair (p, q) whose Schur product differs from the element
+        of p o q, or None when Schur products reproduce the group table."""
+        for p in self.permutations:
+            for q in self.permutations:
+                product = schur_multiply(self.to_element(p), self.to_element(q))
+                if product != self.to_element(perm_compose(p, q)):
+                    return p, q
+        return None
+
     def group_algebra_element(self, coeffs: Mapping[Perm, Fraction]) -> SchurElement:
-        out = SchurElement(self.r, self.r, {})
-        for p, c in coeffs.items():
-            out = out + self.to_element(p).scale(c)
-        return out
+        return SchurElement(self.r, self.r, {perm_matrix(p): c for p, c in coeffs.items()})
 
 
 def symmetric_group_iso(r: int) -> SymmetricGroupTable:

@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .weights import (
     Weight,
-    compositions,
+    dominant_shapes,
     is_composition,
     is_dominant,
     kostka,
@@ -103,9 +103,7 @@ def simple_index_set(lam: Sequence[int]) -> SimpleIndexReport:
     n = len(lam)
     r = sum(lam)
     entries = []
-    for mu in compositions(n, r):
-        if not is_dominant(mu):
-            continue
+    for mu in dominant_shapes(n, r):
         k = kostka(mu, lam)
         if k:
             entries.append((mu, k))

@@ -41,13 +41,15 @@ from typing import Mapping, Sequence
 from .enveloping import (
     UElement,
     divided_monomial,
+    monomial_weight,
     root_pairs,
     tensor_rep,
     u_multiply,
     u_relabel,
 )
 from .errors import ResourceLimitError
-from .schur import SchurElement, element_from_endo, endo_of, idempotent
+from .exact_linalg import SparseCombination
+from .schur import SchurElement, TensorEndo, element_from_endo, endo_of, idempotent
 from .weights import Weight, is_composition
 
 __all__ = [
@@ -55,7 +57,6 @@ __all__ = [
     "pattern_matrix",
     "matrix_pattern",
     "pattern_delta",
-    "pattern_degree",
     "UdotElement",
     "udot_zero",
     "udot_basis_upto",
@@ -102,14 +103,15 @@ def pattern_delta(p: Pattern, n: int) -> Weight:
     )
 
 
-def pattern_degree(p: Pattern) -> int:
-    return sum(p)
+class UdotElement(SparseCombination):
+    """Element of one (left, right) weight block, exact coefficients.
 
+    Zero elements of different blocks are equal, and adding one to an
+    element of any block leaves that element unchanged.
+    """
 
-class UdotElement:
-    """Element of one (left, right) weight block, exact coefficients."""
-
-    __slots__ = ("n", "left", "right", "terms")
+    __slots__ = ("n", "left", "right")
+    _space_attrs = ("n", "left", "right")
 
     def __init__(
         self,
@@ -126,70 +128,36 @@ class UdotElement:
         self.left = tuple(int(x) for x in left)
         self.right = tuple(int(x) for x in right)
         delta = tuple(l - r for l, r in zip(self.left, self.right))
-        clean: dict[Pattern, Fraction] = {}
         ncells = len(offdiag_cells(n))
-        for p, c in (terms or {}).items():
+        for p in terms or ():
             if len(p) != ncells or any(x < 0 for x in p):
                 raise ValueError(f"malformed pattern {p}")
             if pattern_delta(p, n) != delta:
                 raise ValueError(
                     f"pattern {p} moves weight {pattern_delta(p, n)}, block needs {delta}"
                 )
-            c = Fraction(c)
-            if c != 0:
-                clean[p] = c
-        self.terms = clean
+        super().__init__(terms)
 
-    def __add__(self, other: "UdotElement") -> "UdotElement":
-        if self.n != other.n:
-            raise ValueError("different n")
-        if other.is_zero:
-            return self
-        if self.is_zero:
-            return other
-        if (self.left, self.right) != (other.left, other.right):
-            raise ValueError("cannot add elements of different weight blocks")
-        out = dict(self.terms)
-        for p, c in other.terms.items():
-            out[p] = out.get(p, Fraction(0)) + c
-        return UdotElement(self.n, self.left, self.right, out)
-
-    def __sub__(self, other: "UdotElement") -> "UdotElement":
-        return self + other.scale(-1)
-
-    def scale(self, c: Fraction | int) -> "UdotElement":
-        c = Fraction(c)
-        return UdotElement(
-            self.n, self.left, self.right, {p: v * c for p, v in self.terms.items()}
+    def _zero_pair(self, other: object) -> bool:
+        """Same n with a zero on either side: the blocks need not match."""
+        return (
+            isinstance(other, UdotElement)
+            and self.n == other.n
+            and (self.is_zero or other.is_zero)
         )
 
-    def __rmul__(self, c: int) -> "UdotElement":
-        return self.scale(c)
+    def __add__(self, other: "UdotElement") -> "UdotElement":
+        if self._zero_pair(other):
+            return other if self.is_zero else self
+        return super().__add__(other)
+
+    def __eq__(self, other: object) -> bool:
+        if self._zero_pair(other):
+            return self.terms == other.terms
+        return super().__eq__(other)
 
     def __mul__(self, other: "UdotElement") -> "UdotElement":
         return udot_multiply(self, other)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, UdotElement):
-            return NotImplemented
-        if self.n != other.n:
-            return False
-        if self.is_zero and other.is_zero:
-            return True
-        return (
-            (self.left, self.right) == (other.left, other.right)
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        raise TypeError("UdotElement is not hashable")
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.terms.values())
 
     def __repr__(self) -> str:
         return (
@@ -273,18 +241,12 @@ def _from_u_element(x: UElement, left: Weight, right: Weight) -> UdotElement:
     delta = tuple(l - r for l, r in zip(left, right))
     cells = offdiag_cells(n)
     cell_index = {c: k for k, c in enumerate(cells)}
+    no_f = (0,) * len(pairs)
     out: dict[Pattern, Fraction] = {}
     for (f, h, e), coeff in x.terms.items():
-        wt = [0] * n
-        for idx, (i, j) in enumerate(pairs):
-            wt[i - 1] += e[idx] - f[idx]
-            wt[j - 1] += f[idx] - e[idx]
-        if tuple(wt) != delta:
+        if monomial_weight(n, (f, h, e)) != delta:
             continue
-        shift_vec = [0] * n
-        for idx, (i, j) in enumerate(pairs):
-            shift_vec[i - 1] += e[idx]
-            shift_vec[j - 1] -= e[idx]
+        shift_vec = monomial_weight(n, (no_f, h, e))
         scalar = Fraction(1)
         for i in range(n):
             if h[i]:
@@ -309,13 +271,10 @@ def udot_multiply(u: UdotElement, v: UdotElement) -> UdotElement:
         raise ValueError("different n")
     if u.right != v.left:
         return udot_zero(u.n, u.left, v.right)
-    acc: UElement | None = None
+    acc = UElement(u.n)
     for pu, cu in u.terms.items():
         for pv, cv in v.terms.items():
-            z = u_multiply(_lift(u.n, pu), _lift(u.n, pv)).scale(cu * cv)
-            acc = z if acc is None else acc + z
-    if acc is None:
-        return udot_zero(u.n, u.left, v.right)
+            acc = acc + u_multiply(_lift(u.n, pu), _lift(u.n, pv)).scale(cu * cv)
     return _from_u_element(acc, u.left, v.right)
 
 
@@ -358,12 +317,9 @@ def to_schur(u: UdotElement, r: int) -> SchurElement:
         return SchurElement(n, r, {})
     left_proj = endo_of(idempotent(u.left))
     right_proj = endo_of(idempotent(u.right))
-    total = None
+    total = TensorEndo(n, r, {})
     for p, c in u.terms.items():
-        endo = tensor_rep(_lift(n, p), r).scale(c)
-        total = endo if total is None else total + endo
-    if total is None:
-        return SchurElement(n, r, {})
+        total = total + tensor_rep(_lift(n, p), r).scale(c)
     return element_from_endo(left_proj.compose(total).compose(right_proj))
 
 
@@ -399,12 +355,9 @@ def udot_relabel(u: UdotElement, w: Sequence[int]) -> UdotElement:
     for i in range(n):
         left[w[i] - 1] = u.left[i]
         right[w[i] - 1] = u.right[i]
-    acc: UElement | None = None
+    acc = UElement(n)
     for p, c in u.terms.items():
-        z = u_relabel(_lift(n, p), tuple(w)).scale(c)
-        acc = z if acc is None else acc + z
-    if acc is None:
-        return udot_zero(n, tuple(left), tuple(right))
+        acc = acc + u_relabel(_lift(n, p), tuple(w)).scale(c)
     return _from_u_element(acc, tuple(left), tuple(right))
 
 
@@ -462,7 +415,6 @@ def gl2_generic_table(lam: Sequence[int], degree: int) -> Gl2Table:
     lam = (int(lam[0]), int(lam[1]))
     basis = [_gl2_basis_element(lam, a) for a in range(degree + 1)]
     products: dict[tuple[int, int], dict[int, Fraction]] = {}
-    commutative = True
     unit_checks = True
     for a in range(degree + 1):
         for c in range(degree + 1):
@@ -473,10 +425,9 @@ def gl2_generic_table(lam: Sequence[int], degree: int) -> Gl2Table:
                 unit_checks = False
             if c == 0 and prod != basis[a]:
                 unit_checks = False
-    for a in range(degree + 1):
-        for c in range(a):
-            if products[(a, c)] != products[(c, a)]:
-                commutative = False
+    commutative = all(
+        products[(a, c)] == products[(c, a)] for a in range(degree + 1) for c in range(a)
+    )
     # powers of b_1 in basis coordinates, checked for full rank
     from .exact_linalg import exact_rank
 
@@ -534,9 +485,9 @@ def symmetric_group_quotient(r: int) -> SymQuotientReport:
     images = [to_schur(u, r) for u in basis]
     rank = exact_rank([x.terms for x in images])
     integral = all(x.integral() for x in images)
-    multiplicative = True
-    for u, x in zip(basis, images):
-        for v, y in zip(basis, images):
-            if to_schur(udot_multiply(u, v), r) != x * y:
-                multiplicative = False
+    multiplicative = all(
+        to_schur(udot_multiply(u, v), r) == x * y
+        for u, x in zip(basis, images)
+        for v, y in zip(basis, images)
+    )
     return SymQuotientReport(r, len(basis), rank, factorial(r), integral, multiplicative)

@@ -3,10 +3,16 @@
 Each suite cross-checks one structural claim at desk scale against an
 independent oracle: orbit counting by union-find for dimensions, Kostka
 sums for codeterminant counts, exact ranks for spanning, elementwise
-comparisons for identities.  Reports list one check per parameter slice
-with a witness for the first failure; report payloads contain no
-timestamps, so their JSON is byte-identical across runs (wall time rides
-on the object, off the payload).
+comparisons for identities.
+
+The suites form a table: SUITES maps names to suite functions, whose
+keyword parameters and defaults are the suite parameters (and the CLI's
+verify flags).  A suite lists its checks as rows: check id, the cases of
+one parameter slice as lazily generated argument tuples, and a predicate
+returning a witness string or None.  One runner, _run, times the suite
+and records for each row the witness of its first failing case, drawing
+no case after it.  Report payloads contain no timestamps, so their JSON
+is byte-identical across runs (wall time rides on the object).
 """
 
 from __future__ import annotations
@@ -15,8 +21,8 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Callable, Sequence
+from functools import reduce
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import codet as codet_mod
 from . import enveloping as env
@@ -27,10 +33,7 @@ from .weights import (
     col_sums,
     compositions,
     dominance_leq,
-    is_dominant,
-    kostka,
     margin_matrices,
-    perm_compose,
     row_sums,
     words_of_weight,
 )
@@ -92,11 +95,36 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def _timed(fn: Callable[[VerificationReport], None], report: VerificationReport) -> VerificationReport:
+# (check id, argument tuples of the slice's cases, predicate -> witness or None)
+Row = tuple[str, Iterable[tuple], Callable[..., "str | None"]]
+
+
+def _run(suite: str, params: dict, rows: Iterable[Row]) -> VerificationReport:
+    """The one runner: each row becomes a check that fails with the
+    witness of its first failing case."""
+    report = VerificationReport(suite, params)
     start = time.perf_counter()
-    fn(report)
+    for check_id, cases, predicate in rows:
+        witnesses = itertools.starmap(predicate, cases)
+        witness = next((w for w in witnesses if w is not None), None)
+        report.add(check_id, witness is None, witness)
     report.wall_time = time.perf_counter() - start
     return report
+
+
+def _slice_rows(prefix: str, n_max: int, r_max: int, cases: Callable, predicate: Callable) -> Iterator[Row]:
+    """One row per slice (n, r) with 1 <= n <= n_max and 0 <= r <= r_max."""
+    for n, r in itertools.product(range(1, n_max + 1), range(0, r_max + 1)):
+        yield f"{prefix}-n{n}-r{r}", cases(n, r), predicate
+
+
+def _weight_pairs(n: int, r: int) -> Iterator[tuple]:
+    lams = compositions(n, r)
+    return itertools.product(lams, lams)
+
+
+def _weights(n: int, r: int) -> Iterator[tuple]:
+    return ((lam, r) for lam in compositions(n, r))
 
 
 def _orbit_count(lam: Sequence[int], mu: Sequence[int]) -> int:
@@ -132,165 +160,100 @@ def _orbit_count(lam: Sequence[int], mu: Sequence[int]) -> int:
 def suite_gbasis(n_max: int = 3, r_max: int = 3) -> VerificationReport:
     """Orbit-basis blocks: count, independence, and spanning, with the
     dimension confirmed by union-find orbit counting."""
-    report = VerificationReport("gbasis", {"n_max": n_max, "r_max": r_max})
+    rows = _slice_rows("block-dims", n_max, r_max, _weight_pairs, _orbit_block)
+    return _run("gbasis", {"n_max": n_max, "r_max": r_max}, rows)
 
-    def run(rep: VerificationReport) -> None:
-        for n in range(1, n_max + 1):
-            for r in range(0, r_max + 1):
-                ok = True
-                witness = None
-                for lam in compositions(n, r):
-                    for mu in compositions(n, r):
-                        margins = margin_matrices(lam, mu)
-                        basis = schur_mod.hom_basis(lam, mu)
-                        rank = exact_rank(
-                            [schur_mod.endo_of(x).entries for x in basis]
-                        )
-                        orbits = _orbit_count(lam, mu)
-                        if not (len(margins) == len(basis) == rank == orbits):
-                            ok = False
-                            witness = (
-                                f"lam={lam} mu={mu}: margins={len(margins)} "
-                                f"basis={len(basis)} rank={rank} orbits={orbits}"
-                            )
-                            break
-                    if not ok:
-                        break
-                rep.add(f"block-dims-n{n}-r{r}", ok, witness)
 
-    return _timed(run, report)
+def _orbit_block(lam: tuple, mu: tuple) -> str | None:
+    margins = len(margin_matrices(lam, mu))
+    basis = schur_mod.hom_basis(lam, mu)
+    rank = exact_rank([schur_mod.endo_of(x).entries for x in basis])
+    orbits = _orbit_count(lam, mu)
+    if margins == len(basis) == rank == orbits:
+        return None
+    return f"lam={lam} mu={mu}: margins={margins} basis={len(basis)} rank={rank} orbits={orbits}"
 
 
 def suite_codet(n_max: int = 3, r_max: int = 3) -> VerificationReport:
     """Codeterminant bases: Kostka-sum count and exact spanning rank."""
-    report = VerificationReport("codet", {"n_max": n_max, "r_max": r_max})
+    rows = _slice_rows("codet-basis", n_max, r_max, _weight_pairs, _codet_block)
+    return _run("codet", {"n_max": n_max, "r_max": r_max}, rows)
 
-    def run(rep: VerificationReport) -> None:
-        for n in range(1, n_max + 1):
-            for r in range(0, r_max + 1):
-                ok = True
-                witness = None
-                for lam in compositions(n, r):
-                    for mu in compositions(n, r):
-                        cells = codet_mod.codet_basis(lam, mu)
-                        dim = len(margin_matrices(lam, mu))
-                        ksum = codet_mod.codet_count(lam, mu)
-                        rank = exact_rank([c.value.terms for c in cells])
-                        if not (len(cells) == dim == ksum == rank):
-                            ok = False
-                            witness = (
-                                f"lam={lam} mu={mu}: cells={len(cells)} dim={dim} "
-                                f"kostka-sum={ksum} rank={rank}"
-                            )
-                            break
-                    if not ok:
-                        break
-                rep.add(f"codet-basis-n{n}-r{r}", ok, witness)
 
-    return _timed(run, report)
+def _codet_block(lam: tuple, mu: tuple) -> str | None:
+    cells = codet_mod.codet_basis(lam, mu)
+    dim = len(margin_matrices(lam, mu))
+    ksum = codet_mod.codet_count(lam, mu)
+    rank = exact_rank([c.value.terms for c in cells])
+    if len(cells) == dim == ksum == rank:
+        return None
+    return f"lam={lam} mu={mu}: cells={len(cells)} dim={dim} kostka-sum={ksum} rank={rank}"
 
 
 def suite_zbas(n_max: int = 3, r_max: int = 3) -> VerificationReport:
     """Divided-monomial images: both arrangements give bases related to
     the orbit basis by unimodular integer matrices, and the middle-
     idempotent arrangements agree with the outer-truncated ones."""
-    report = VerificationReport("zbas", {"n_max": n_max, "r_max": r_max})
+    rows = _slice_rows("pbw-images", n_max, r_max, _weight_pairs, _pbw_block)
+    return _run("zbas", {"n_max": n_max, "r_max": r_max}, rows)
 
-    def run(rep: VerificationReport) -> None:
-        for n in range(1, n_max + 1):
-            for r in range(0, r_max + 1):
-                ok = True
-                witness = None
-                for lam in compositions(n, r):
-                    for mu in compositions(n, r):
-                        margins = margin_matrices(lam, mu)
-                        xi = [x.terms for x in schur_mod.hom_basis(lam, mu)]
-                        fe = [env.pbw_image(a, "fe") for a in margins]
-                        ef = [env.pbw_image(a, "ef") for a in margins]
-                        for a, x in zip(margins, fe):
-                            if env.pbw_image(a, "fe-middle") != x:
-                                ok = False
-                                witness = f"fe-middle mismatch at {a}"
-                                break
-                        if ok:
-                            for a, x in zip(margins, ef):
-                                if env.pbw_image(a, "ef-middle") != x:
-                                    ok = False
-                                    witness = f"ef-middle mismatch at {a}"
-                                    break
-                        if ok and not all(x.integral() for x in fe + ef):
-                            ok = False
-                            witness = f"non-integer coefficients at lam={lam} mu={mu}"
-                        if ok and not unimodular_change([x.terms for x in fe], xi):
-                            ok = False
-                            witness = f"fe family not unimodular at lam={lam} mu={mu}"
-                        if ok and not unimodular_change([x.terms for x in ef], xi):
-                            ok = False
-                            witness = f"ef family not unimodular at lam={lam} mu={mu}"
-                        if not ok:
-                            break
-                    if not ok:
-                        break
-                rep.add(f"pbw-images-n{n}-r{r}", ok, witness)
 
-    return _timed(run, report)
+def _pbw_block(lam: tuple, mu: tuple) -> str | None:
+    margins = margin_matrices(lam, mu)
+    xi = [x.terms for x in schur_mod.hom_basis(lam, mu)]
+    images = {form: [env.pbw_image(a, form) for a in margins] for form in ("fe", "ef")}
+    for form, family in images.items():
+        for a, x in zip(margins, family):
+            if env.pbw_image(a, f"{form}-middle") != x:
+                return f"{form}-middle mismatch at {a}"
+    if not all(x.integral() for family in images.values() for x in family):
+        return f"non-integer coefficients at lam={lam} mu={mu}"
+    for form, family in images.items():
+        if not unimodular_change([x.terms for x in family], xi):
+            return f"{form} family not unimodular at lam={lam} mu={mu}"
+    return None
 
 
 def suite_idem_lemma(n_max: int = 3, r_max: int = 3) -> VerificationReport:
     """Binomial diagonal products act as weight idempotents."""
-    report = VerificationReport("idem-lemma", {"n_max": n_max, "r_max": r_max})
-
-    def run(rep: VerificationReport) -> None:
-        for n in range(1, n_max + 1):
-            for r in range(0, r_max + 1):
-                ok = True
-                witness = None
-                for lam in compositions(n, r):
-                    if not env.verify_weight_idempotent(lam, r):
-                        ok = False
-                        witness = f"lam={lam}"
-                        break
-                rep.add(f"binomial-idempotent-n{n}-r{r}", ok, witness)
-
-    return _timed(run, report)
+    rows = _slice_rows(
+        "binomial-idempotent", n_max, r_max, _weights,
+        lambda lam, r: None if env.verify_weight_idempotent(lam, r) else f"lam={lam}",
+    )
+    return _run("idem-lemma", {"n_max": n_max, "r_max": r_max}, rows)
 
 
-def suite_cellular(
-    n: int = 3, r: int = 3, lam: Sequence[int] | None = None
-) -> VerificationReport:
+def suite_cellular(n: int = 3, r: int = 3, lam: Sequence[int] | None = None) -> VerificationReport:
     """Cellular axioms for diagonal weight blocks, plus the dominance
     filtration being a two-sided ideal chain."""
     params = {"n": n, "r": r, "lambda": list(lam) if lam is not None else None}
-    report = VerificationReport("cellular", params)
-
-    def run(rep: VerificationReport) -> None:
-        weights_list = [tuple(lam)] if lam is not None else compositions(n, r)
-        for w in weights_list:
-            cell_report = codet_mod.cell_datum_check(w)
-            witness = None
-            if not cell_report.passed:
-                witness = str(cell_report.witnesses[:1])
-            rep.add(f"cell-axioms-{'-'.join(map(str, w))}", cell_report.passed, witness)
-            rep.add(
-                f"cell-filtration-{'-'.join(map(str, w))}",
-                _filtration_is_ideal(w),
-                None,
-            )
-
-    return _timed(run, report)
+    rows = (
+        row
+        for w in ([tuple(lam)] if lam is not None else compositions(n, r))
+        for row in (
+            (f"cell-axioms-{'-'.join(map(str, w))}", [(w,)], _cell_axioms),
+            (f"cell-filtration-{'-'.join(map(str, w))}", [(w,)], _filtration_ideal),
+        )
+    )
+    return _run("cellular", params, rows)
 
 
-def _filtration_is_ideal(lam: Sequence[int]) -> bool:
+def _cell_axioms(lam: tuple) -> str | None:
+    report = codet_mod.cell_datum_check(lam)
+    return None if report.passed else str(report.witnesses[:1])
+
+
+def _filtration_ideal(lam: Sequence[int]) -> str | None:
+    """Witness when the span of the cells whose shapes dominate some shape
+    is not closed under multiplication by the block on either side."""
     cells = codet_mod.codet_basis(lam, lam)
     if not cells:
-        return True
+        return None
     solver = CoordinateSolver([c.value.terms for c in cells])
     shapes = sorted({c.shape for c in cells})
     basis = schur_mod.hom_basis(lam, lam)
     for nu in shapes:
-        inside = [
-            k for k, c in enumerate(cells) if dominance_leq(nu, c.shape)
-        ]
+        inside = [k for k, c in enumerate(cells) if dominance_leq(nu, c.shape)]
         inside_set = set(inside)
         for k in inside:
             for a in basis:
@@ -299,97 +262,49 @@ def _filtration_is_ideal(lam: Sequence[int]) -> bool:
                     schur_mod.schur_multiply(cells[k].value, a),
                 ):
                     coords = solver.coords(prod.terms)
-                    if coords is None:
-                        return False
-                    if any(
+                    if coords is None or any(
                         x != 0 and idx not in inside_set
                         for idx, x in enumerate(coords)
                     ):
-                        return False
-    return True
+                        return f"shape={nu}: a product with cell {k} leaves the ideal"
+    return None
 
 
 def suite_relations(n_max: int = 3, window: int = 3) -> VerificationReport:
     """Chevalley commutator against the Cartan pairing on all integer
     weights with entries in [-window, window]."""
-    report = VerificationReport("relations", {"n_max": n_max, "window": window})
-
-    def run(rep: VerificationReport) -> None:
-        for n in range(2, n_max + 1):
-            ok = True
-            witness = None
-            span = range(-window, window + 1)
-            for lam in itertools.product(span, repeat=n):
-                for i in range(1, n):
-                    for j in range(1, n):
-                        if not _commutator_holds(lam, i, j):
-                            ok = False
-                            witness = f"lam={lam} i={i} j={j}"
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            rep.add(f"commutator-n{n}", ok, witness)
-
-    return _timed(run, report)
+    span = range(-window, window + 1)
+    rows = (
+        (
+            f"commutator-n{n}",
+            itertools.product(itertools.product(span, repeat=n), range(1, n), range(1, n)),
+            _commutator,
+        )
+        for n in range(2, n_max + 1)
+    )
+    return _run("relations", {"n_max": n_max, "window": window}, rows)
 
 
-def _commutator_holds(lam: Sequence[int], i: int, j: int) -> bool:
+def _commutator(lam: tuple, i: int, j: int) -> str | None:
     n = len(lam)
-    lam = tuple(lam)
     fj = udot_mod.divided_generators(j, 1, lam, "f")
     ei_after = udot_mod.divided_generators(i, 1, fj.left, "e")
     t1 = udot_mod.udot_multiply(ei_after, fj)
     ei = udot_mod.divided_generators(i, 1, lam, "e")
     fj_after = udot_mod.divided_generators(j, 1, ei.left, "f")
     t2 = udot_mod.udot_multiply(fj_after, ei)
-    diff = t1 - t2
-    if i != j:
-        return diff.is_zero
-    scalar = lam[i - 1] - lam[i]
-    expected = udot_mod.UdotElement(
-        n, lam, lam, {(0,) * len(udot_mod.offdiag_cells(n)): Fraction(scalar)}
-    )
-    return diff == expected
+    expected = {(0,) * len(udot_mod.offdiag_cells(n)): lam[i - 1] - lam[i]} if i == j else {}
+    holds = t1 - t2 == udot_mod.UdotElement(n, lam, lam, expected)
+    return None if holds else f"lam={lam} i={i} j={j}"
 
 
 def suite_psi(n_max: int = 3, r_max: int = 3, seed: int = 2024) -> VerificationReport:
     """Degree truncation: unit compatibility, surjectivity with the exact
     rank reached by degree r, zero off the composition cone, and
     multiplicativity on random block pairs."""
-    report = VerificationReport("psi", {"n_max": n_max, "r_max": r_max, "seed": seed})
+    rng = random.Random(seed)
 
-    def run(rep: VerificationReport) -> None:
-        rng = random.Random(seed)
-        for n in range(1, n_max + 1):
-            for r in range(0, r_max + 1):
-                ok = True
-                witness = None
-                lams = compositions(n, r)
-                for lam in lams:
-                    u = udot_mod.udot_element(lam, lam, (0,) * n * (n - 1))
-                    if udot_mod.to_schur(u, r) != schur_mod.idempotent(lam):
-                        ok = False
-                        witness = f"unit image at lam={lam}"
-                        break
-                    for mu in lams:
-                        basis = udot_mod.udot_basis_upto(lam, mu, r)
-                        images = [udot_mod.to_schur(x, r).terms for x in basis]
-                        dim = len(margin_matrices(lam, mu))
-                        if exact_rank(images) != dim:
-                            ok = False
-                            witness = f"rank short at lam={lam} mu={mu}"
-                            break
-                    if not ok:
-                        break
-                rep.add(f"psi-surjective-n{n}-r{r}", ok, witness)
-        # negative entries truncate to zero
-        bad = udot_mod.udot_element((2, -1), (1, 0), (1, 0))
-        rep.add("psi-off-cone-zero", udot_mod.to_schur(bad, 1).is_zero)
-        # multiplicativity on random composable pairs
-        ok = True
-        witness = None
+    def random_pairs() -> Iterator[tuple]:
         for _ in range(60):
             n = rng.randint(1, n_max)
             r = rng.randint(0, r_max)
@@ -397,87 +312,95 @@ def suite_psi(n_max: int = 3, r_max: int = 3, seed: int = 2024) -> VerificationR
             lam, mu, nu = (rng.choice(lams) for _ in range(3))
             left = udot_mod.udot_basis_upto(lam, mu, r)
             right = udot_mod.udot_basis_upto(mu, nu, r)
-            if not left or not right:
-                continue
-            u = rng.choice(left).scale(rng.randint(-2, 3))
-            v = rng.choice(right).scale(rng.randint(-2, 3))
-            lhs = udot_mod.to_schur(udot_mod.udot_multiply(u, v), r)
-            rhs = schur_mod.schur_multiply(udot_mod.to_schur(u, r), udot_mod.to_schur(v, r))
-            if lhs != rhs:
-                ok = False
-                witness = f"lam={lam} mu={mu} nu={nu}"
-                break
-        rep.add("psi-multiplicative", ok, witness)
+            if left and right:
+                u = rng.choice(left).scale(rng.randint(-2, 3))
+                v = rng.choice(right).scale(rng.randint(-2, 3))
+                yield u, v, r
 
-    return _timed(run, report)
+    rows = itertools.chain(
+        _slice_rows("psi-surjective", n_max, r_max, _weights, _psi_unit_and_rank),
+        [
+            # negative entries truncate to zero
+            ("psi-off-cone-zero", [((2, -1), (1, 0), (1, 0))], _psi_off_cone),
+            ("psi-multiplicative", random_pairs(), _psi_multiplicative),
+        ],
+    )
+    return _run("psi", {"n_max": n_max, "r_max": r_max, "seed": seed}, rows)
+
+
+def _psi_unit_and_rank(lam: tuple, r: int) -> str | None:
+    n = len(lam)
+    u = udot_mod.udot_element(lam, lam, (0,) * n * (n - 1))
+    if udot_mod.to_schur(u, r) != schur_mod.idempotent(lam):
+        return f"unit image at lam={lam}"
+    for mu in compositions(n, r):
+        basis = udot_mod.udot_basis_upto(lam, mu, r)
+        images = [udot_mod.to_schur(x, r).terms for x in basis]
+        if exact_rank(images) != len(margin_matrices(lam, mu)):
+            return f"rank short at lam={lam} mu={mu}"
+    return None
+
+
+def _psi_off_cone(left: tuple, right: tuple, pattern: tuple) -> str | None:
+    u = udot_mod.udot_element(left, right, pattern)
+    return None if udot_mod.to_schur(u, sum(right)).is_zero else f"{u} truncates to nonzero"
+
+
+def _psi_multiplicative(u: udot_mod.UdotElement, v: udot_mod.UdotElement, r: int) -> str | None:
+    lhs = udot_mod.to_schur(udot_mod.udot_multiply(u, v), r)
+    rhs = schur_mod.schur_multiply(udot_mod.to_schur(u, r), udot_mod.to_schur(v, r))
+    return None if lhs == rhs else f"lam={u.left} mu={u.right} nu={v.right}"
 
 
 def suite_gl2(r_max: int = 8) -> VerificationReport:
     """Diagonal gl_2 blocks: dimension equals 1 + min(lam) by margin
     count, Kostka sum, and exact rank; one generic table spot check."""
-    report = VerificationReport("gl2", {"r_max": r_max})
+    rows = itertools.chain(
+        ((f"gl2-dim-r{r}", [(lam,) for lam in compositions(2, r)], _gl2_dim) for r in range(r_max + 1)),
+        [("gl2-generic-table", [((1, -2), 4)], _gl2_table)],
+    )
+    return _run("gl2", {"r_max": r_max}, rows)
 
-    def run(rep: VerificationReport) -> None:
-        for r in range(0, r_max + 1):
-            ok = True
-            witness = None
-            for lam in compositions(2, r):
-                expected = 1 + min(lam)
-                margins = len(margin_matrices(lam, lam))
-                ksum = sum(
-                    kostka(nu, lam) ** 2
-                    for nu in compositions(2, r)
-                    if is_dominant(nu)
-                )
-                rank = exact_rank(
-                    [
-                        schur_mod.endo_of(x).entries
-                        for x in schur_mod.hom_basis(lam, lam)
-                    ]
-                )
-                if not (expected == margins == ksum == rank):
-                    ok = False
-                    witness = (
-                        f"lam={lam}: expected={expected} margins={margins} "
-                        f"kostka={ksum} rank={rank}"
-                    )
-                    break
-            rep.add(f"gl2-dim-r{r}", ok, witness)
-        table = udot_mod.gl2_generic_table((1, -2), 4)
-        rep.add("gl2-generic-table", table.passed)
 
-    return _timed(run, report)
+def _gl2_dim(lam: tuple) -> str | None:
+    expected = 1 + min(lam)
+    margins = len(margin_matrices(lam, lam))
+    ksum = codet_mod.codet_count(lam, lam)
+    basis = schur_mod.hom_basis(lam, lam)
+    rank = exact_rank([schur_mod.endo_of(x).entries for x in basis])
+    if expected == margins == ksum == rank:
+        return None
+    return f"lam={lam}: expected={expected} margins={margins} kostka={ksum} rank={rank}"
+
+
+def _gl2_table(lam: tuple, degree: int) -> str | None:
+    table = udot_mod.gl2_generic_table(lam, degree)
+    return None if table.passed else str(table.to_json())
 
 
 def suite_sym_quotient(r_max: int = 3) -> VerificationReport:
     """Permutation blocks: the group multiplication table is reproduced by
     Schur products, and the weight-zero modified algebra maps onto the
     integral group algebra with full rank."""
-    report = VerificationReport("sym-quotient", {"r_max": r_max})
+    rows = (
+        row
+        for r in range(1, r_max + 1)
+        for row in (
+            (f"cayley-table-r{r}", [(r,)], _cayley_table),
+            (f"weight-zero-quotient-r{r}", [(r,)], _weight_zero_quotient),
+        )
+    )
+    return _run("sym-quotient", {"r_max": r_max}, rows)
 
-    def run(rep: VerificationReport) -> None:
-        for r in range(1, r_max + 1):
-            table = schur_mod.symmetric_group_iso(r)
-            ok = True
-            witness = None
-            for p in table.permutations:
-                for q in table.permutations:
-                    lhs = schur_mod.schur_multiply(table.to_element(p), table.to_element(q))
-                    if lhs != table.to_element(perm_compose(p, q)):
-                        ok = False
-                        witness = f"p={p} q={q}"
-                        break
-                if not ok:
-                    break
-            rep.add(f"cayley-table-r{r}", ok, witness)
-            quotient = udot_mod.symmetric_group_quotient(r)
-            rep.add(
-                f"weight-zero-quotient-r{r}",
-                quotient.passed,
-                None if quotient.passed else str(quotient.to_json()),
-            )
 
-    return _timed(run, report)
+def _cayley_table(r: int) -> str | None:
+    mismatch = schur_mod.symmetric_group_iso(r).cayley_mismatch()
+    return None if mismatch is None else "p={} q={}".format(*mismatch)
+
+
+def _weight_zero_quotient(r: int) -> str | None:
+    quotient = udot_mod.symmetric_group_quotient(r)
+    return None if quotient.passed else str(quotient.to_json())
 
 
 def suite_properties(seed: int = 2024) -> VerificationReport:
@@ -485,179 +408,131 @@ def suite_properties(seed: int = 2024) -> VerificationReport:
     algebras, the anti-automorphism law, weight grading, the tensor
     representation being a homomorphism, integrality closures, and shift
     invariance of modified-algebra structure constants."""
-    report = VerificationReport("properties", {"seed": seed})
+    return _run("properties", {"seed": seed}, _property_rows(random.Random(seed)))
 
-    def run(rep: VerificationReport) -> None:
-        rng = random.Random(seed)
 
-        def random_schur(n: int, r: int) -> schur_mod.SchurElement:
-            matrices = []
-            for lam in compositions(n, r):
-                for mu in compositions(n, r):
-                    matrices.extend(margin_matrices(lam, mu))
-            terms = {}
-            for a in rng.sample(matrices, k=min(3, len(matrices))):
-                terms[a] = Fraction(rng.randint(-3, 3))
-            return schur_mod.SchurElement(n, r, terms)
+def _property_rows(rng: random.Random) -> Iterator[Row]:
+    """The property checks in order.  Each case generator draws from rng
+    only while the runner consumes it, so the draws follow row order."""
 
-        ok = True
-        witness = None
-        for _ in range(60):
+    def random_schur(n: int, r: int) -> schur_mod.SchurElement:
+        lams = compositions(n, r)
+        matrices = [a for lam in lams for mu in lams for a in margin_matrices(lam, mu)]
+        terms = {}
+        for a in rng.sample(matrices, k=min(3, len(matrices))):
+            terms[a] = rng.randint(-3, 3)
+        return schur_mod.SchurElement(n, r, terms)
+
+    def schur_draws(count: int, k: int) -> Iterator[tuple]:
+        for _ in range(count):
             n = rng.randint(1, 3)
             r = rng.randint(0, 3)
-            x, y, z = (random_schur(n, r) for _ in range(3))
-            if (x * y) * z != x * (y * z):
-                ok = False
-                witness = f"n={n} r={r}"
-                break
-        rep.add("schur-associativity", ok, witness)
+            yield (n, r, *(random_schur(n, r) for _ in range(k)))
 
-        ok = True
-        for _ in range(40):
-            n = rng.randint(1, 3)
-            r = rng.randint(0, 3)
-            x, y = (random_schur(n, r) for _ in range(2))
-            if schur_mod.involution(x * y) != schur_mod.involution(y) * schur_mod.involution(x):
-                ok = False
-                break
-        rep.add("involution-anti-automorphism", ok)
+    def graded_draws() -> Iterator[tuple]:
+        for n, r, x in schur_draws(40, 1):
+            lams = compositions(n, r)
+            yield x, rng.choice(lams), rng.choice(lams)
 
-        ok = True
-        for _ in range(40):
-            n = rng.randint(1, 3)
-            r = rng.randint(0, 3)
-            x = random_schur(n, r)
-            lam = rng.choice(compositions(n, r))
-            mu = rng.choice(compositions(n, r))
-            block = schur_mod.idempotent(lam) * x * schur_mod.idempotent(mu)
-            for a in block.terms:
-                if row_sums(a) != tuple(lam) or col_sums(a) != tuple(mu):
-                    ok = False
-                    break
-        rep.add("weight-grading", ok)
+    def random_u(n: int, max_deg: int) -> env.UElement:
+        npairs = len(env.root_pairs(n))
+        terms = {}
+        for _ in range(2):
+            exponents = [[0] * npairs, [0] * n, [0] * npairs]  # f, H, e
+            for _ in range(rng.randint(0, max_deg)):
+                part = exponents[rng.randint(0, 2)]
+                if part:
+                    part[rng.randrange(len(part))] += 1
+            terms[tuple(map(tuple, exponents))] = rng.randint(-2, 3)
+        return env.UElement(n, terms)
 
-        def random_u(n: int, max_deg: int) -> env.UElement:
-            pairs = env.root_pairs(n)
-            terms = {}
-            for _ in range(2):
-                deg = rng.randint(0, max_deg)
-                f = [0] * len(pairs)
-                h = [0] * n
-                e = [0] * len(pairs)
-                for _ in range(deg):
-                    bucket = rng.randint(0, 2)
-                    if bucket == 0 and pairs:
-                        f[rng.randrange(len(pairs))] += 1
-                    elif bucket == 1:
-                        h[rng.randrange(n)] += 1
-                    elif pairs:
-                        e[rng.randrange(len(pairs))] += 1
-                terms[(tuple(f), tuple(h), tuple(e))] = Fraction(rng.randint(-2, 3))
-            return env.UElement(n, terms)
-
-        ok = True
-        witness = None
-        for _ in range(50):
-            x = random_u(3, 4)
-            y = random_u(3, 4)
-            lhs = env.tensor_rep(env.u_multiply(x, y), 3)
-            rhs = env.tensor_rep(x, 3).compose(env.tensor_rep(y, 3))
-            if lhs != rhs:
-                ok = False
-                witness = "tensor representation failed to be multiplicative"
-                break
-        rep.add("tensor-rep-homomorphism", ok, witness)
-
-        ok = True
-        for _ in range(30):
-            x, y, z = (random_u(2, 3) for _ in range(3))
-            if env.u_multiply(env.u_multiply(x, y), z) != env.u_multiply(x, env.u_multiply(y, z)):
-                ok = False
-                break
-        rep.add("enveloping-associativity", ok)
-
-        ok = True
+    def divided_draws() -> Iterator[tuple]:
+        # gl_2 letters as (raising?, divided power)
         for _ in range(20):
-            n = 2
-            zero = tuple(tuple(0 for _ in range(n)) for _ in range(n))
-            factors = []
-            for _ in range(rng.randint(2, 3)):
-                i, j = (1, 2) if rng.random() < 0.5 else (2, 1)
-                a = rng.randint(1, 3)
-                pat = [[0] * n for _ in range(n)]
-                pat[i - 1][j - 1] = a
-                factors.append(
-                    env.divided_monomial(n, tuple(map(tuple, pat)), (), "fe")
-                )
-            prod = factors[0]
-            for fct in factors[1:]:
-                prod = env.u_multiply(prod, fct)
-            _, integral = env.integrality_coords(prod)
-            if not integral:
-                ok = False
-                break
-        rep.add("divided-power-integrality", ok)
+            yield ([(rng.random() < 0.5, rng.randint(1, 3)) for _ in range(rng.randint(2, 3))],)
 
-        ok = True
-        witness = None
+    def shift_draws() -> Iterator[tuple]:
         for _ in range(100):
             n = rng.randint(2, 3)
             cells = udot_mod.offdiag_cells(n)
             mu = tuple(rng.randint(-3, 3) for _ in range(n))
             p1 = tuple(rng.randint(0, 2) for _ in cells)
             p2 = tuple(rng.randint(0, 2) for _ in cells)
-            d1 = udot_mod.pattern_delta(p1, n)
-            d2 = udot_mod.pattern_delta(p2, n)
-            u = udot_mod.udot_element(
-                tuple(m + d for m, d in zip(mu, d1)), mu, p1
-            )
-            v = udot_mod.udot_element(
-                mu, tuple(m - d for m, d in zip(mu, d2)), p2
-            )
-            k = rng.randint(-4, 4)
-            lhs = udot_mod.shift(udot_mod.udot_multiply(u, v), k)
-            rhs = udot_mod.udot_multiply(udot_mod.shift(u, k), udot_mod.shift(v, k))
-            if lhs != rhs:
-                ok = False
-                witness = f"mu={mu} p1={p1} p2={p2} k={k}"
-                break
-        rep.add("shift-invariance", ok, witness)
+            yield mu, p1, p2, rng.randint(-4, 4)
 
-        ok = True
-        for _ in range(30):
-            n = rng.randint(2, 3)
-            lam = tuple(rng.randint(-2, 2) for _ in range(n))
-            us = udot_mod.udot_basis_upto(lam, lam, 2)
-            if not us:
-                continue
-            x, y, z = (rng.choice(us) for _ in range(3))
-            lhs = udot_mod.udot_multiply(udot_mod.udot_multiply(x, y), z)
-            rhs = udot_mod.udot_multiply(x, udot_mod.udot_multiply(y, z))
-            if lhs != rhs:
-                ok = False
-                break
-        rep.add("udot-associativity", ok)
+    def diagonal_block(n: int) -> list[udot_mod.UdotElement]:
+        lam = tuple(rng.randint(-2, 2) for _ in range(n))
+        return udot_mod.udot_basis_upto(lam, lam, 2)
 
-        ok = True
+    def udot_triples() -> Iterator[tuple]:
         for _ in range(30):
-            n = 3
+            us = diagonal_block(rng.randint(2, 3))
+            if us:
+                yield tuple(rng.choice(us) for _ in range(3))
+
+    def relabel_draws() -> Iterator[tuple]:
+        for _ in range(30):
             w = tuple(rng.sample([1, 2, 3], 3))
-            lam = tuple(rng.randint(-2, 2) for _ in range(n))
-            us = udot_mod.udot_basis_upto(lam, lam, 2)
-            if not us:
-                continue
-            u = rng.choice(us)
-            v = rng.choice(us)
-            lhs = udot_mod.udot_relabel(udot_mod.udot_multiply(u, v), w)
-            rhs = udot_mod.udot_multiply(
-                udot_mod.udot_relabel(u, w), udot_mod.udot_relabel(v, w)
-            )
-            if lhs != rhs:
-                ok = False
-                break
-        rep.add("relabel-isomorphism", ok)
+            us = diagonal_block(3)
+            if us:
+                yield w, rng.choice(us), rng.choice(us)
 
-    return _timed(run, report)
+    inv, umul, dmul = schur_mod.involution, env.u_multiply, udot_mod.udot_multiply
+    yield "schur-associativity", schur_draws(60, 3), lambda n, r, x, y, z: (
+        None if (x * y) * z == x * (y * z) else f"n={n} r={r}"
+    )
+    yield "involution-anti-automorphism", schur_draws(40, 2), lambda n, r, x, y: (
+        None if inv(x * y) == inv(y) * inv(x) else f"n={n} r={r}"
+    )
+    yield "weight-grading", graded_draws(), _weight_graded
+    u_pairs = ((random_u(3, 4), random_u(3, 4)) for _ in range(50))
+    u_triples = (tuple(random_u(2, 3) for _ in range(3)) for _ in range(30))
+    yield "tensor-rep-homomorphism", u_pairs, lambda x, y: (
+        None
+        if env.tensor_rep(umul(x, y), 3) == env.tensor_rep(x, 3).compose(env.tensor_rep(y, 3))
+        else "tensor representation failed to be multiplicative"
+    )
+    yield "enveloping-associativity", u_triples, lambda x, y, z: (
+        None if umul(umul(x, y), z) == umul(x, umul(y, z)) else f"x={x} y={y} z={z}"
+    )
+    yield "divided-power-integrality", divided_draws(), _divided_product_integral
+    yield "shift-invariance", shift_draws(), _shift_invariant
+    yield "udot-associativity", udot_triples(), lambda x, y, z: (
+        None if dmul(dmul(x, y), z) == dmul(x, dmul(y, z)) else f"x={x} y={y} z={z}"
+    )
+    yield "relabel-isomorphism", relabel_draws(), _relabel_multiplicative
+
+
+def _weight_graded(x: schur_mod.SchurElement, lam: tuple, mu: tuple) -> str | None:
+    block = schur_mod.idempotent(lam) * x * schur_mod.idempotent(mu)
+    for a in block.terms:
+        if row_sums(a) != tuple(lam) or col_sums(a) != tuple(mu):
+            return f"matrix {a} outside block lam={lam} mu={mu}"
+    return None
+
+
+def _divided_product_integral(letters: list) -> str | None:
+    patterns = (((0, a), (0, 0)) if raising else ((0, 0), (a, 0)) for raising, a in letters)
+    factors = (env.divided_monomial(2, p, (), "fe") for p in patterns)
+    _, integral = env.integrality_coords(reduce(env.u_multiply, factors))
+    return None if integral else f"letters={letters}"
+
+
+def _shift_invariant(mu: tuple, p1: tuple, p2: tuple, k: int) -> str | None:
+    n = len(mu)
+    d1 = udot_mod.pattern_delta(p1, n)
+    d2 = udot_mod.pattern_delta(p2, n)
+    u = udot_mod.udot_element(tuple(m + d for m, d in zip(mu, d1)), mu, p1)
+    v = udot_mod.udot_element(mu, tuple(m - d for m, d in zip(mu, d2)), p2)
+    lhs = udot_mod.shift(udot_mod.udot_multiply(u, v), k)
+    rhs = udot_mod.udot_multiply(udot_mod.shift(u, k), udot_mod.shift(v, k))
+    return None if lhs == rhs else f"mu={mu} p1={p1} p2={p2} k={k}"
+
+
+def _relabel_multiplicative(w: tuple, u: udot_mod.UdotElement, v: udot_mod.UdotElement) -> str | None:
+    lhs = udot_mod.udot_relabel(udot_mod.udot_multiply(u, v), w)
+    rhs = udot_mod.udot_multiply(udot_mod.udot_relabel(u, w), udot_mod.udot_relabel(v, w))
+    return None if lhs == rhs else f"w={w} u={u} v={v}"
 
 
 SUITES: dict[str, Callable[..., VerificationReport]] = {

@@ -34,6 +34,7 @@ __all__ = [
     "Matrix",
     "Perm",
     "compositions",
+    "dominant_shapes",
     "is_composition",
     "weight_of",
     "words_of_weight",
@@ -87,6 +88,27 @@ def compositions(n: int, r: int) -> list[Weight]:
 
     rec((), r, n)
     return out
+
+
+def dominant_shapes(n: int, r: int) -> list[Weight]:
+    """Partitions of r with at most n parts, stored as n-tuples, in the
+    reverse-lexicographic order of compositions, which lists them most
+    dominant first (it restricts to a dominance-compatible order)."""
+    if n < 1 or r < 0:
+        raise ValueError("need n >= 1 and r >= 0")
+    return _shapes_below(n, r, r)
+
+
+def _shapes_below(n: int, r: int, cap: int) -> list[Weight]:
+    # weakly decreasing n-tuples summing to r with entries at most cap, for
+    # r <= n * cap; the first entry is at least the mean r / n
+    if n == 1:
+        return [(r,)]
+    return [
+        (v,) + rest
+        for v in range(min(cap, r), -(-r // n) - 1, -1)
+        for rest in _shapes_below(n - 1, r - v, v)
+    ]
 
 
 def weight_of(word: Sequence[int], n: int) -> Weight:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -91,6 +92,33 @@ def test_mul(capsys):
     assert payload["terms"] == [
         {"matrix": [[1, 0], [0, 1]], "coeff_num": 1, "coeff_den": 1}
     ]
+
+
+def test_mul_zero_denominator(capsys):
+    x = json.dumps(
+        {"n": 2, "r": 1, "terms": [{"matrix": [[1, 0], [0, 0]], "coeff_num": 1, "coeff_den": 0}]}
+    )
+    code, out, err = run_cli(capsys, "mul", "--left", x, "--right", x)
+    assert code == 2
+    assert out == ""
+    assert "bad element JSON" in err
+
+
+def test_udot_mul_zero_denominator(capsys):
+    u = json.dumps(
+        {"n": 2, "left": [1, 1], "right": [1, 1], "terms": [{"pattern": [[0, 1], [1, 0]], "coeff": "1/0"}]}
+    )
+    code, out, err = run_cli(capsys, "udot", "mul", "--left", u, "--right", u)
+    assert code == 2
+    assert out == ""
+    assert "bad element JSON" in err
+
+
+def test_basis_codet_negative_weight(capsys):
+    code, out, err = run_cli(capsys, "basis", "--kind", "codet", "--lambda=1,-1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_mul_bad_json(capsys):
@@ -244,3 +272,20 @@ def test_cellular_with_lambda(capsys):
     payload = json.loads(out)
     assert payload["params"]["lambda"] == [1, 1]
     assert payload["passed"] is True
+
+
+# SHA-256 of `schuralg verify all` stdout, JSON and CSV, pinned so that
+# refactors of the suites, the runner or the element types stay
+# byte-identical.
+VERIFY_ALL_DIGESTS = {
+    "json": ("3f1a0f5af1e85187629dd46918174d7c098a11a75a0cc5c775837f6e6f13ffe4", 7759),
+    "csv": ("8b86e61e4ca0875e54f9b0c6356349982a7a15b182920139f06aaff86b5ed769", 3470),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(VERIFY_ALL_DIGESTS))
+def test_verify_all_stdout_pinned(capsys, fmt):
+    code, out, _ = run_cli(capsys, "--format", fmt, "verify", "all")
+    assert code == 0
+    data = out.encode()
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == VERIFY_ALL_DIGESTS[fmt]

@@ -3,8 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from schuralg.enveloping import UElement
 from schuralg.exact_linalg import (
     CoordinateSolver,
+    SparseCombination,
     exact_rank,
     integer_det,
     unimodular_change,
@@ -153,3 +155,25 @@ def test_unimodular_iff_det(one_matrix):
     ]
     expected = naive_rank(cand) == 3 and abs(integer_det(one_matrix)) == 1
     assert unimodular_change(cand, base) == expected
+
+
+def test_sparse_combination_cleans_terms_once():
+    x = UElement(1, {((), (1,), ()): 2, ((), (2,), ()): "0", ((), (3,), ()): "1/2"})
+    assert x.terms == {((), (1,), ()): Fraction(2), ((), (3,), ()): Fraction(1, 2)}
+    assert all(type(c) is Fraction for c in x.terms.values())
+    assert not x.integral()
+    assert (2 * x).integral()
+
+
+def test_sparse_combination_linear_structure():
+    h = UElement(1, {((), (1,), ()): 1})
+    assert (h + h) == h.scale(2) == 2 * h
+    assert (h - h).is_zero
+    assert (h - h).n == 1
+    assert h.scale(0) == UElement(1)
+    assert h != UElement(2) and h != h.terms
+    with pytest.raises(ValueError):
+        h + UElement(2)
+    with pytest.raises(TypeError):
+        hash(h)
+    assert isinstance(h, SparseCombination)

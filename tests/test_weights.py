@@ -13,6 +13,7 @@ from schuralg.weights import (
     composition_count,
     compositions,
     dominance_leq,
+    dominant_shapes,
     dominance_lt,
     is_composition,
     is_dominant,
@@ -66,6 +67,16 @@ def test_compositions_order_is_reverse_lex():
 
 def test_composition_count_matches():
     assert composition_count(3, 4) == len(compositions(3, 4))
+
+
+def test_dominant_shapes_match_filtered_compositions():
+    for n in range(1, 6):
+        for r in range(0, 9):
+            assert dominant_shapes(n, r) == [w for w in compositions(n, r) if is_dominant(w)]
+    with pytest.raises(ValueError):
+        dominant_shapes(0, 2)
+    with pytest.raises(ValueError):
+        dominant_shapes(2, -1)
 
 
 def test_words_of_weight():
