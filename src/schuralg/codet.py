@@ -41,7 +41,7 @@ from .weights import (
     margin_matrices,
     pair_to_matrix,
     ssyt,
-    tableau_from_word,
+    weight_word,
 )
 
 __all__ = [
@@ -53,16 +53,6 @@ __all__ = [
     "CellReport",
     "cell_datum_check",
 ]
-
-
-def weight_word(nu: Sequence[int]) -> Word:
-    """The weakly increasing word of weight nu: nu_1 ones, nu_2 twos, ..."""
-    if not is_composition(nu):
-        raise ValueError("need a composition")
-    out: list[int] = []
-    for i, m in enumerate(nu):
-        out.extend([i + 1] * m)
-    return tuple(out)
 
 
 def codeterminant(nu: Sequence[int], i: Sequence[int], j: Sequence[int]) -> SchurElement:
@@ -163,16 +153,10 @@ def cell_datum_check(lam: Sequence[int]) -> CellReport:
     dim = len(margin_matrices(lam, lam))
     witnesses: list[dict] = []
 
-    axiom_a = len(cells) == dim and exact_rank([c.value.terms for c in cells]) == dim
+    rank = exact_rank([c.value.terms for c in cells])
+    axiom_a = len(cells) == dim == rank
     if not axiom_a:
-        witnesses.append(
-            {
-                "axiom": "a",
-                "cell_count": len(cells),
-                "dim": dim,
-                "rank": exact_rank([c.value.terms for c in cells]),
-            }
-        )
+        witnesses.append({"axiom": "a", "cell_count": len(cells), "dim": dim, "rank": rank})
 
     axiom_b = True
     index = {

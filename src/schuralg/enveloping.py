@@ -25,15 +25,19 @@ rewrites an element in the divided basis
 by triangular elimination of the H polynomial and reports whether every
 coordinate is an integer.
 
-tensor_rep realizes the action on degree-r tensor space: unit (a, b)
-sends a word to the sum of words obtained by rewriting one letter b to a,
-and diagonal letters act by the letter count.  It is an algebra map and
-is the bridge to the Schur algebra: pbw_image produces the image of a
-divided monomial truncated by weight idempotents, in four arrangements.
+u_act is the action on vectors of words of length r: unit (a, b) sends
+a word to the sum of words obtained by rewriting one letter b to a, and
+diagonal letters act by the letter count.  The action is an algebra map
+that commutes with place permutations, so its image in the Schur algebra
+is fixed by one column per right weight: pbw_image acts on
+weight_word(mu), cuts the result by weight idempotents (project) and
+reads the element off that column, in four arrangements.  tensor_rep,
+the full action on tensor space, is kept as an oracle.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -44,12 +48,21 @@ from .schur import (
     SchurElement,
     TensorEndo,
     _validate_margin_matrix,
+    check_column_scale,
     check_tensor_scale,
-    element_from_endo,
-    endo_of,
-    idempotent,
+    read_column,
 )
-from .weights import Matrix, Weight, all_words, col_sums, row_sums
+from .weights import (
+    Matrix,
+    Weight,
+    Word,
+    all_words,
+    col_sums,
+    compositions,
+    row_sums,
+    weight_of,
+    weight_word,
+)
 
 __all__ = [
     "root_pairs",
@@ -63,7 +76,9 @@ __all__ = [
     "u_relabel",
     "divided_monomial",
     "integrality_coords",
+    "u_act",
     "tensor_rep",
+    "project",
     "verify_weight_idempotent",
     "pbw_image",
     "plus_weight",
@@ -364,27 +379,35 @@ def integrality_coords(
     return coords, integral
 
 
-def tensor_rep(x: UElement, r: int) -> TensorEndo:
-    """Action on degree-r tensor space: an algebra homomorphism.
-
-    unit (a, b) rewrites one letter b to a (summed over positions);
-    diagonal unit (a, a) multiplies by the count of letter a.
-    """
-    n = x.n
-    check_tensor_scale(n, r)
-    entries: dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction] = {}
+def u_act(x: UElement, vec: Mapping[Word, Fraction]) -> dict[Word, Fraction]:
+    """x applied to a vector on words: unit (a, b) rewrites one letter b
+    to a (summed over positions); diagonal unit (a, a) multiplies by the
+    count of letter a.  Nonzero entries only."""
+    out: dict[Word, Fraction] = {}
     for mono, coeff in x.terms.items():
-        word = _monomial_word(n, mono)
-        for k in all_words(n, r):
-            vec: dict[tuple[int, ...], Fraction] = {k: coeff}
-            for unit in reversed(word):
-                vec = _apply_unit(unit, vec)
-                if not vec:
-                    break
-            for l, c in vec.items():
-                key = (l, k)
-                entries[key] = entries.get(key, Fraction(0)) + c
-    return TensorEndo(n, r, entries)
+        v = {k: coeff * c for k, c in vec.items()}
+        for unit in reversed(_monomial_word(x.n, mono)):
+            v = _apply_unit(unit, v)
+            if not v:
+                break
+        for l, c in v.items():
+            out[l] = out[l] + c if l in out else c
+    return {l: c for l, c in out.items() if c}
+
+
+def tensor_rep(x: UElement, r: int) -> TensorEndo:
+    """Action on all of degree-r tensor space: an algebra homomorphism."""
+    check_tensor_scale(x.n, r)
+    one = Fraction(1)
+    return TensorEndo(
+        x.n, r, {(l, k): c for k in all_words(x.n, r) for l, c in u_act(x, {k: one}).items()}
+    )
+
+
+def project(vec: Mapping[Word, Fraction], lam: Sequence[int]) -> dict[Word, Fraction]:
+    """The weight idempotent of lam on a vector: keep words of weight lam."""
+    lam = tuple(lam)
+    return {w: c for w, c in vec.items() if weight_of(w, len(lam)) == lam}
 
 
 def _apply_unit(unit: Unit, vec: Mapping[tuple[int, ...], Fraction]) -> dict:
@@ -406,7 +429,8 @@ def _apply_unit(unit: Unit, vec: Mapping[tuple[int, ...], Fraction]) -> dict:
 
 def verify_weight_idempotent(lam: Sequence[int], r: int | None = None) -> bool:
     """Check that prod_i binom(H_i, lam_i) acts on tensor space exactly as
-    the weight idempotent of lam."""
+    the weight idempotent of lam.  Both commute with place permutations,
+    so one word weight_word(nu) per composition nu of r suffices."""
     lam = tuple(lam)
     if r is None:
         r = sum(lam)
@@ -414,7 +438,11 @@ def verify_weight_idempotent(lam: Sequence[int], r: int | None = None) -> bool:
         raise ValueError("degree must match the weight")
     n = len(lam)
     x = divided_monomial(n, tuple(tuple(0 for _ in range(n)) for _ in range(n)), lam)
-    return tensor_rep(x, r) == endo_of(idempotent(lam))
+    one = Fraction(1)
+    return all(
+        u_act(x, {k: one}) == project({k: one}, lam)
+        for k in map(weight_word, compositions(n, r))
+    )
 
 
 def plus_weight(a: Matrix) -> Weight:
@@ -434,13 +462,6 @@ def minus_weight(a: Matrix) -> Weight:
     )
 
 
-def _offdiag(a: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(0 if i == j else a[i][j] for j in range(n)) for i in range(n)
-    )
-
-
 def pbw_image(a: Matrix, form: str = "fe") -> SchurElement:
     """Image in the Schur algebra of the divided monomial attached to a
     margin matrix, as an orbit-basis element combination.
@@ -450,35 +471,28 @@ def pbw_image(a: Matrix, form: str = "fe") -> SchurElement:
     and "ef-middle" place a single idempotent between the two halves, at
     the weight the split forces (minus_weight and plus_weight).  The
     middle forms agree with the outer-truncated ones; tests rely on it.
+    Each form acts on weight_word(col_sums(a)) and reads the image off
+    that column: the forced middle weight starts from column weight
+    col_sums(a), so no other column contributes.
     """
     n, r = _validate_margin_matrix(a)
-    check_tensor_scale(n, r)
+    lam, mu, minus, plus = row_sums(a), col_sums(a), minus_weight(a), plus_weight(a)
+    for w in (lam, mu, minus, plus):
+        check_column_scale(w)
 
-    lam = row_sums(a)
-    mu = col_sums(a)
-    off = _offdiag(a)
-    fonly = tuple(
-        tuple(a[i][j] if i > j else 0 for j in range(n)) for i in range(n)
-    )
-    eonly = tuple(
-        tuple(a[i][j] if i < j else 0 for j in range(n)) for i in range(n)
-    )
-    if form == "fe":
-        endo = tensor_rep(divided_monomial(n, off, (), "fe"), r)
-        endo = endo.truncate(lam, mu)
-    elif form == "ef":
-        endo = tensor_rep(divided_monomial(n, off, (), "ef"), r)
-        endo = endo.truncate(lam, mu)
+    def part(keep, side: str = "fe") -> UElement:
+        # divided monomial of the entries a[i][j] with keep(i, j)
+        m = tuple(tuple(a[i][j] if keep(i, j) else 0 for j in range(n)) for i in range(n))
+        return divided_monomial(n, m, (), side)
+
+    k = weight_word(mu)
+    column = {k: Fraction(1)}
+    if form in ("fe", "ef"):
+        column = project(u_act(part(operator.ne, form), column), lam)
     elif form == "fe-middle":
-        fend = tensor_rep(divided_monomial(n, fonly, (), "fe"), r)
-        eend = tensor_rep(divided_monomial(n, eonly, (), "fe"), r)
-        mid = endo_of(idempotent(minus_weight(a)))
-        endo = fend.compose(mid).compose(eend)
+        column = u_act(part(operator.gt), project(u_act(part(operator.lt), column), minus))
     elif form == "ef-middle":
-        fend = tensor_rep(divided_monomial(n, fonly, (), "fe"), r)
-        eend = tensor_rep(divided_monomial(n, eonly, (), "fe"), r)
-        mid = endo_of(idempotent(plus_weight(a)))
-        endo = eend.compose(mid).compose(fend)
+        column = u_act(part(operator.lt), project(u_act(part(operator.gt), column), plus))
     else:
         raise ValueError("form must be one of fe, ef, fe-middle, ef-middle")
-    return element_from_endo(endo)
+    return read_column(n, r, column, k)

@@ -172,48 +172,62 @@ class CoordinateSolver:
 
     Basis vectors must be linearly independent (checked).  coords(v)
     returns the Fraction list with v == sum coords[i] * basis[i], or None
-    when v lies outside the span.  Each solve runs a fresh augmented
-    elimination; fine at desk scale.
+    when v lies outside the span.  The basis is factored once: Gauss-Jordan
+    elimination of [basis columns | identity] turns the identity block
+    into an invertible E whose first len(basis) rows map v to its
+    coordinates and whose other rows vanish on v exactly when v is in the
+    span, so each solve is one sparse product.
     """
 
     def __init__(self, basis: Sequence[Mapping[Hashable, Fraction]]):
-        self._basis = list(basis)
-        self._keys = _canonical_keys(self._basis)
-        self._index = {k: i for i, k in enumerate(self._keys)}
-        if exact_rank(self._basis) != len(self._basis):
-            raise ValueError("basis vectors are linearly dependent")
-        self._matrix = [
-            [Fraction(b.get(k, 0)) for b in self._basis] for k in self._keys
-        ]
+        nb = len(basis)
+        keys = _canonical_keys(basis)
+        index = {k: i for i, k in enumerate(keys)}
+        # row i holds the basis entries at keys[i] in columns 0..nb-1 and
+        # the identity in column nb + i
+        rows: list[dict[int, Fraction]] = [{nb + i: Fraction(1)} for i in range(len(keys))]
+        for j, b in enumerate(basis):
+            for k, c in b.items():
+                if c:
+                    rows[index[k]][j] = Fraction(c)
+        for col in range(nb):
+            pivot = next((i for i in range(col, len(rows)) if col in rows[i]), None)
+            if pivot is None:
+                raise ValueError("basis vectors are linearly dependent")
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            inv = 1 / rows[col][col]
+            prow = rows[col] = {j: x * inv for j, x in rows[col].items()}
+            for i, row in enumerate(rows):
+                f = row.get(col)
+                if f is None or i == col:
+                    continue
+                for j, x in prow.items():
+                    y = row.get(j, 0) - f * x
+                    if y:
+                        row[j] = y
+                    else:
+                        del row[j]
+        self._nb = nb
+        self._nrows = len(rows)
+        # the columns of E, by key: (row, entry) pairs
+        self._columns: dict[Hashable, list[tuple[int, Fraction]]] = {k: [] for k in keys}
+        for i, row in enumerate(rows):
+            for j, x in row.items():
+                if j >= nb:
+                    self._columns[keys[j - nb]].append((i, x))
 
     def coords(self, v: Mapping[Hashable, Fraction]) -> list[Fraction] | None:
-        nb = len(self._basis)
-        rhs = [Fraction(0)] * len(self._keys)
+        out = [Fraction(0)] * self._nrows
         for k, c in v.items():
-            c = Fraction(c)
             if c == 0:
                 continue
-            if k not in self._index:
+            if k not in self._columns:
                 return None
-            rhs[self._index[k]] = c
-        rows = [row[:] + [rhs[i]] for i, row in enumerate(self._matrix)]
-        lead = 0
-        for col in range(nb):
-            pivot = next((i for i in range(lead, len(rows)) if rows[i][col] != 0), None)
-            if pivot is None:
-                raise AssertionError("independent basis must pivot every column")
-            rows[lead], rows[pivot] = rows[pivot], rows[lead]
-            pv = rows[lead][col]
-            rows[lead] = [x / pv for x in rows[lead]]
-            for i in range(len(rows)):
-                if i != lead and rows[i][col] != 0:
-                    f = rows[i][col]
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[lead])]
-            lead += 1
-        for i in range(lead, len(rows)):
-            if rows[i][-1] != 0:
-                return None
-        return [rows[i][-1] for i in range(nb)]
+            for i, x in self._columns[k]:
+                out[i] += x * c
+        if any(out[self._nb:]):
+            return None
+        return out[: self._nb]
 
     def in_span(self, v: Mapping[Hashable, Fraction]) -> bool:
         return self.coords(v) is not None

@@ -9,10 +9,18 @@ acting by
     e_k  |->  sum of e_l over words l with pair_to_matrix(l, k) = A,
 
 which is zero unless weight_of(k) equals the column sums of A.  A
-SchurElement is an exact rational combination of orbit-basis elements;
-multiplication composes the endomorphisms and reads the product back off
-the orbits, verifying on the way that coefficients are constant on each
-orbit (a built-in correctness check, not just a decode).
+SchurElement is an exact rational combination of orbit-basis elements.
+
+Every word of weight mu is a place permutation of the weakly increasing
+weight_word(mu), so an element is fixed by its columns at those words,
+one per right weight (Green, Polynomial Representations of GL_n, 2.3).
+act applies an element to a vector on words; read_column reads an
+element back off one column, verifying on the way that coefficients are
+constant on each orbit (a built-in correctness check, not just a
+decode).  Multiplication applies both factors to one word per column
+weight of the right factor and reads the product off the result.  Full
+tensor-space endomorphisms (TensorEndo, orbit_endo, endo_of,
+element_from_endo) remain as an independent oracle.
 
 Weight idempotents are the diagonal matrices: they project onto the span
 of words of one fixed weight.  All arithmetic is exact (Fraction); all
@@ -25,7 +33,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import ResourceLimitError
 from .exact_linalg import SparseCombination
@@ -42,9 +50,11 @@ from .weights import (
     orbit_size,
     pair_to_matrix,
     perm_compose,
+    perm_inverse,
     row_sums,
     transpose,
     weight_of,
+    weight_word,
     words_of_weight,
 )
 
@@ -55,6 +65,8 @@ __all__ = [
     "orbit_endo",
     "endo_of",
     "element_from_endo",
+    "act",
+    "read_column",
     "schur_multiply",
     "idempotent",
     "identity_element",
@@ -75,6 +87,15 @@ def check_tensor_scale(n: int, r: int) -> None:
     if n ** r > TENSOR_SPACE_LIMIT:
         raise ResourceLimitError(
             f"tensor space has {n}^{r} basis words, above the limit {TENSOR_SPACE_LIMIT}"
+        )
+
+
+def check_column_scale(mu: Sequence[int]) -> None:
+    # the words of weight mu: r! / prod mu_j!, the orbit size of one row
+    words = orbit_size((tuple(mu),))
+    if words > TENSOR_SPACE_LIMIT:
+        raise ResourceLimitError(
+            f"weight {tuple(mu)} has {words} words, above the limit {TENSOR_SPACE_LIMIT}"
         )
 
 
@@ -107,28 +128,6 @@ class TensorEndo(SparseCombination):
                 out[key] = out.get(key, Fraction(0)) + d * c
         return self._new(out)
 
-    def truncate(self, left: Weight | None = None, right: Weight | None = None) -> "TensorEndo":
-        """Restrict to entries whose output weight is `left` and input
-        weight is `right` (either may be None to keep all)."""
-        out = {}
-        for (l, k), c in self.terms.items():
-            if left is not None and weight_of(l, self.n) != left:
-                continue
-            if right is not None and weight_of(k, self.n) != right:
-                continue
-            out[(l, k)] = c
-        return self._new(out)
-
-    def apply(self, vec: Mapping[Word, Fraction]) -> dict[Word, Fraction]:
-        by_input: dict[Word, list[tuple[Word, Fraction]]] = {}
-        for (l, j), c in self.terms.items():
-            by_input.setdefault(j, []).append((l, c))
-        out: dict[Word, Fraction] = {}
-        for k, c in vec.items():
-            for l, d in by_input.get(k, ()):
-                out[l] = out.get(l, Fraction(0)) + d * c
-        return {k: v for k, v in out.items() if v != 0}
-
     def __repr__(self) -> str:
         return f"TensorEndo(n={self.n}, r={self.r}, {len(self.terms)} entries)"
 
@@ -142,55 +141,34 @@ def _validate_margin_matrix(a: Matrix) -> tuple[int, int]:
     return n, matrix_degree(a)
 
 
-def _column_fillings(values: Sequence[int], positions: Sequence[int], counts: Sequence[int]):
-    """All assignments of the multiset {values[a] with multiplicity counts[a]}
-    onto the given positions; yields dicts position -> value."""
-    if not positions:
-        yield {}
-        return
-    pos = positions[0]
-    for a, v in enumerate(values):
-        if counts[a] > 0:
-            counts = list(counts)
-            counts[a] -= 1
-            for rest in _column_fillings(values, positions[1:], counts):
-                rest[pos] = v
-                yield rest
-            counts[a] += 1
+def _orbit_images(a: Matrix, k: Word) -> list[Word]:
+    """Words l with pair_to_matrix(l, k) = a: the image of e_k under the
+    orbit element of a (none unless k has weight col_sums(a))."""
+    positions: list[list[int]] = [[] for _ in a]
+    for p, v in enumerate(k):
+        positions[v - 1].append(p)
+    columns = transpose(a)
+    if any(len(ps) != sum(col) for ps, col in zip(positions, columns)):
+        return []
+    out = []
+    l = list(k)
+    for fills in itertools.product(*map(words_of_weight, columns)):
+        for ps, fill in zip(positions, fills):
+            for p, v in zip(ps, fill):
+                l[p] = v
+        out.append(tuple(l))
+    return out
 
 
 @lru_cache(maxsize=None)
 def orbit_endo(a: Matrix) -> TensorEndo:
-    """Endomorphism of the orbit-basis element for margin matrix a.
-
-    Input words of weight col_sums(a) map to the sum of all words pairing
-    with them via matrix a; everything else maps to zero.
-    """
+    """Endomorphism of the orbit-basis element for margin matrix a."""
     n, r = _validate_margin_matrix(a)
     check_tensor_scale(n, r)
-    mu = col_sums(a)
-    entries: dict[tuple[Word, Word], Fraction] = {}
     one = Fraction(1)
-    cols = {b: [a_row[b] for a_row in a] for b in range(n)}
-    for k in words_of_weight(mu):
-        pos_by_letter: dict[int, list[int]] = {b: [] for b in range(n)}
-        for p, v in enumerate(k):
-            pos_by_letter[v - 1].append(p)
-        partial: list[dict[int, int]] = [{}]
-        for b in range(n):
-            nxt = []
-            for assignment in _column_fillings(
-                list(range(1, n + 1)), pos_by_letter[b], cols[b]
-            ):
-                for acc in partial:
-                    merged = dict(acc)
-                    merged.update(assignment)
-                    nxt.append(merged)
-            partial = nxt
-        for placing in partial:
-            l = tuple(placing[p] for p in range(r))
-            entries[(l, k)] = one
-    return TensorEndo(n, r, entries)
+    return TensorEndo(
+        n, r, {(l, k): one for k in words_of_weight(col_sums(a)) for l in _orbit_images(a, k)}
+    )
 
 
 class SchurElement(SparseCombination):
@@ -201,7 +179,8 @@ class SchurElement(SparseCombination):
     _space_attrs = ("n", "r")
 
     def __init__(self, n: int, r: int, terms: Mapping[Matrix, Fraction] | None = None):
-        check_tensor_scale(n, r)
+        if n < 1 or r < 0:
+            raise ValueError("need n >= 1 and r >= 0")
         self.n = n
         self.r = r
         for a in terms or ():
@@ -218,16 +197,10 @@ class SchurElement(SparseCombination):
     # -- serialization ---------------------------------------------------
 
     def to_json(self) -> dict:
-        terms = []
-        for a in sorted(self.terms, key=lambda m: tuple(e for row in m for e in row)):
-            c = self.terms[a]
-            terms.append(
-                {
-                    "matrix": [list(row) for row in a],
-                    "coeff_num": c.numerator,
-                    "coeff_den": c.denominator,
-                }
-            )
+        terms = [
+            {"matrix": [list(row) for row in a], "coeff_num": c.numerator, "coeff_den": c.denominator}
+            for a, c in sorted(self.terms.items(), key=lambda t: sum(t[0], ()))
+        ]
         return {"n": self.n, "r": self.r, "terms": terms}
 
     @staticmethod
@@ -241,6 +214,7 @@ class SchurElement(SparseCombination):
 
 def endo_of(x: SchurElement) -> TensorEndo:
     """Faithful action of an element on tensor space."""
+    check_tensor_scale(x.n, x.r)
     out = TensorEndo(x.n, x.r, {})
     for a, c in x.terms.items():
         out = out + orbit_endo(a).scale(c)
@@ -250,32 +224,77 @@ def endo_of(x: SchurElement) -> TensorEndo:
 def element_from_endo(endo: TensorEndo) -> SchurElement:
     """Read an equivariant endomorphism off in the orbit basis.
 
-    Groups entries by their pair matrix, requiring the coefficient to be
-    constant on each orbit and the orbit to be fully present.  Raises
-    ValueError when the endomorphism is not in the orbit-basis span, so a
-    successful decode doubles as an equivariance check.
+    Reads one column per input weight, then requires the element found to
+    act as endo does on all of tensor space.  Raises ValueError when the
+    endomorphism is not in the orbit-basis span, so a successful decode
+    doubles as an equivariance check.
     """
-    n = endo.n
-    seen: dict[Matrix, tuple[int, Fraction]] = {}
+    columns: dict[Word, dict[Word, Fraction]] = {}
     for (l, k), c in endo.terms.items():
+        columns.setdefault(k, {})[l] = c
+    out = SchurElement(endo.n, endo.r)
+    for mu in dict.fromkeys(weight_of(k, endo.n) for k in columns):
+        k = weight_word(mu)
+        out = out + read_column(endo.n, endo.r, columns.get(k, {}), k)
+    if endo_of(out) != endo:
+        raise ValueError("endomorphism is not in the orbit-basis span")
+    return out
+
+
+def act(x: SchurElement, vec: Mapping[Word, Fraction]) -> dict[Word, Fraction]:
+    """x applied to a vector on words of length x.r, nonzero entries only.
+
+    Raises ResourceLimitError before writing into a weight with more
+    than TENSOR_SPACE_LIMIT words.
+    """
+    by_weight: dict[Weight, list[tuple[Word, Fraction]]] = {}
+    for k, v in vec.items():
+        by_weight.setdefault(weight_of(k, x.n), []).append((k, v))
+    out: dict[Word, Fraction] = {}
+    for a, c in x.terms.items():
+        inputs = by_weight.get(col_sums(a), ())
+        if inputs:
+            check_column_scale(row_sums(a))
+        for k, v in inputs:
+            cv = c * v
+            for l in _orbit_images(a, k):
+                out[l] = out[l] + cv if l in out else cv
+    return {l: c for l, c in out.items() if c}
+
+
+def read_column(n: int, r: int, vec: Mapping[Word, Fraction], k: Word) -> SchurElement:
+    """The element of S(n, r) supported on column weight weight_of(k)
+    that sends e_k to vec.
+
+    Groups the words of vec by their pair matrix with k.  Raises
+    ValueError when a coefficient is not constant on an orbit (a missing
+    word counts as coefficient 0): then no element has this column.
+    """
+    mu = weight_of(k, n)
+    check_column_scale(mu)
+    seen: dict[Matrix, tuple[int, Fraction]] = {}
+    for l, c in vec.items():
         a = pair_to_matrix(l, k, n)
         count, val = seen.get(a, (0, c))
         if val != c:
             raise ValueError(f"coefficient not constant on orbit of {a}")
         seen[a] = (count + 1, val)
-    terms = {}
-    for a, (count, val) in seen.items():
-        if count != orbit_size(a):
-            raise ValueError(f"orbit of {a} only partially present")
-        terms[a] = val
-    return SchurElement(n, endo.r, terms)
+    column_words = orbit_size((mu,))
+    for a, (count, _) in seen.items():
+        if count * column_words != orbit_size(a):
+            raise ValueError(f"coefficient not constant on orbit of {a}")
+    return SchurElement(n, r, {a: val for a, (_, val) in seen.items()})
 
 
 def schur_multiply(x: SchurElement, y: SchurElement) -> SchurElement:
-    """Product in the Schur algebra, computed in the faithful tensor
-    representation and decoded back into the orbit basis."""
+    """Product in the Schur algebra: both factors act on weight_word(mu)
+    for each column weight mu of y, and the product is read off there."""
     x._check_space(y)
-    return element_from_endo(endo_of(x).compose(endo_of(y)))
+    out = SchurElement(x.n, x.r)
+    for mu in dict.fromkeys(col_sums(b) for b in y.terms):
+        k = weight_word(mu)
+        out = out + read_column(x.n, x.r, act(x, act(y, {k: Fraction(1)})), k)
+    return out
 
 
 def idempotent(lam: Sequence[int]) -> SchurElement:
@@ -292,28 +311,19 @@ def idempotent(lam: Sequence[int]) -> SchurElement:
 
 def identity_element(n: int, r: int) -> SchurElement:
     """Sum of all weight idempotents: the unit of S(n, r)."""
-    out = SchurElement(n, r, {})
-    for lam in compositions(n, r):
-        out = out + idempotent(lam)
-    return out
+    return sum((idempotent(lam) for lam in compositions(n, r)), SchurElement(n, r))
 
 
 def hom_basis(lam: Sequence[int], mu: Sequence[int]) -> list[SchurElement]:
     """Orbit-basis elements spanning the (lam, mu) weight block, one per
     margin matrix, in margin-matrix enumeration order."""
-    r = sum(lam)
-    n = len(lam)
-    return [
-        SchurElement(n, r, {a: Fraction(1)}) for a in margin_matrices(lam, mu)
-    ]
+    return [SchurElement(len(lam), sum(lam), {a: Fraction(1)}) for a in margin_matrices(lam, mu)]
 
 
 def involution(x: SchurElement) -> SchurElement:
     """Transpose on margin matrices; an anti-automorphism swapping the
     (lam, mu) and (mu, lam) blocks."""
-    return SchurElement(
-        x.n, x.r, {transpose(a): c for a, c in x.terms.items()}
-    )
+    return SchurElement(x.n, x.r, {transpose(a): c for a, c in x.terms.items()})
 
 
 def weyl_relabel(x: SchurElement, w: Perm) -> SchurElement:
@@ -321,23 +331,17 @@ def weyl_relabel(x: SchurElement, w: Perm) -> SchurElement:
     (lam, mu) block to the (w lam, w mu) block."""
     if len(w) != x.n or sorted(w) != list(range(1, x.n + 1)):
         raise ValueError(f"need a permutation of 1..{x.n}")
-    out = {}
-    for a, c in x.terms.items():
-        b = [[0] * x.n for _ in range(x.n)]
-        for i in range(x.n):
-            for j in range(x.n):
-                b[w[i] - 1][w[j] - 1] = a[i][j]
-        out[tuple(tuple(row) for row in b)] = c
-    return SchurElement(x.n, x.r, out)
+    v = perm_inverse(w)
+    cells = range(x.n)
+    return SchurElement(x.n, x.r, {
+        tuple(tuple(a[v[i] - 1][v[j] - 1] for j in cells) for i in cells): c
+        for a, c in x.terms.items()
+    })
 
 
 def perm_matrix(p: Perm) -> Matrix:
     """Margin matrix of a permutation: entry (a, b) is 1 when a = p(b)."""
-    n = len(p)
-    m = [[0] * n for _ in range(n)]
-    for b in range(1, n + 1):
-        m[p[b - 1] - 1][b - 1] = 1
-    return tuple(tuple(row) for row in m)
+    return tuple(tuple(int(a == p[b]) for b in range(len(p))) for a in range(1, len(p) + 1))
 
 
 @dataclass(frozen=True)
@@ -354,14 +358,10 @@ class SymmetricGroupTable:
         return SchurElement(self.r, self.r, {perm_matrix(p): Fraction(1)})
 
     def from_matrix(self, a: Matrix) -> Perm:
-        n = len(a)
-        p = [0] * n
-        for b in range(n):
-            col = [a[i][b] for i in range(n)]
-            if sorted(col) != [0] * (n - 1) + [1]:
-                raise ValueError("not a permutation matrix")
-            p[b] = col.index(1) + 1
-        return tuple(p)
+        p = tuple(col.index(1) + 1 if 1 in col else 0 for col in zip(*a))
+        if sorted(p) != list(range(1, len(a) + 1)) or perm_matrix(p) != tuple(map(tuple, a)):
+            raise ValueError("not a permutation matrix")
+        return p
 
     def cayley_mismatch(self) -> tuple[Perm, Perm] | None:
         """First pair (p, q) whose Schur product differs from the element

@@ -38,6 +38,7 @@ __all__ = [
     "is_composition",
     "weight_of",
     "words_of_weight",
+    "weight_word",
     "all_words",
     "margin_matrices",
     "row_sums",
@@ -141,6 +142,16 @@ def words_of_weight(lam: Sequence[int]) -> list[Word]:
 
     rec((), list(lam), r)
     return out
+
+
+def weight_word(nu: Sequence[int]) -> Word:
+    """The weakly increasing word of weight nu: nu_1 ones, nu_2 twos, ..."""
+    if not is_composition(nu):
+        raise ValueError("need a composition")
+    out: list[int] = []
+    for i, m in enumerate(nu):
+        out.extend([i + 1] * m)
+    return tuple(out)
 
 
 def all_words(n: int, r: int) -> Iterator[Word]:

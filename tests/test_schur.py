@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from schuralg.errors import ResourceLimitError
 from schuralg.schur import (
     SchurElement,
+    act,
     element_from_endo,
     endo_of,
     hom_basis,
@@ -61,10 +62,10 @@ def test_orbit_endo_hand():
 
 
 def test_orbit_endo_zero_off_weight():
-    e = orbit_endo(((1, 0), (0, 1)))
+    e = xi(((1, 0), (0, 1)))
     # acts as identity exactly on words of weight (1,1)
-    assert e.apply({(1, 2): Fraction(1)}) == {(1, 2): Fraction(1)}
-    assert e.apply({(1, 1): Fraction(1)}) == {}
+    assert act(e, {(1, 2): Fraction(1)}) == {(1, 2): Fraction(1)}
+    assert act(e, {(1, 1): Fraction(1)}) == {}
 
 
 def test_element_from_endo_roundtrip():
