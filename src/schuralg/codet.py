@@ -23,12 +23,21 @@ condition is linear in the multiplier.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .errors import ResourceLimitError
 from .exact_linalg import CoordinateSolver, exact_rank
-from .schur import SchurElement, hom_basis, involution, schur_multiply
+from .schur import (
+    TENSOR_SPACE_LIMIT,
+    SchurElement,
+    check_column_scale,
+    hom_basis,
+    involution,
+    schur_multiply,
+)
 from .weights import (
     Tableau,
     Weight,
@@ -87,18 +96,27 @@ def codet_basis(lam: Sequence[int], mu: Sequence[int]) -> list[Codeterminant]:
         raise ValueError("weights must have equal length and degree")
     n = len(lam)
     r = sum(lam)
-    out: list[Codeterminant] = []
+    # each codeterminant acts on a column of weight mu and lands in lam
+    for w in (lam, mu):
+        check_column_scale(w)
+    cells: list[tuple[Weight, Tableau, Tableau]] = []
     for nu in dominant_shapes(n, r):
         lefts = ssyt(nu, lam)
         if not lefts:
             continue
         rights = ssyt(nu, mu)
-        for s in lefts:
-            for t in rights:
-                out.append(
-                    Codeterminant(nu, s, t, codeterminant(nu, s.row_word, t.row_word))
-                )
-    return out
+        cells.extend((nu, s, t) for s in lefts for t in rights)
+        # the cells are a basis of the block, so each value has at most
+        # len(cells) terms, and the cellular check multiplies all pairs
+        if len(cells) ** 2 > TENSOR_SPACE_LIMIT:
+            raise ResourceLimitError(
+                f"block ({tuple(lam)}, {tuple(mu)}) has more than "
+                f"{math.isqrt(TENSOR_SPACE_LIMIT)} codeterminants"
+            )
+    return [
+        Codeterminant(nu, s, t, codeterminant(nu, s.row_word, t.row_word))
+        for nu, s, t in cells
+    ]
 
 
 def codet_count(lam: Sequence[int], mu: Sequence[int]) -> int:
@@ -153,10 +171,16 @@ def cell_datum_check(lam: Sequence[int]) -> CellReport:
     dim = len(margin_matrices(lam, lam))
     witnesses: list[dict] = []
 
-    rank = exact_rank([c.value.terms for c in cells])
-    axiom_a = len(cells) == dim == rank
+    axiom_a = len(cells) == dim and exact_rank([c.value.terms for c in cells]) == dim
     if not axiom_a:
-        witnesses.append({"axiom": "a", "cell_count": len(cells), "dim": dim, "rank": rank})
+        witnesses.append(
+            {
+                "axiom": "a",
+                "cell_count": len(cells),
+                "dim": dim,
+                "rank": exact_rank([c.value.terms for c in cells]),
+            }
+        )
 
     axiom_b = True
     index = {

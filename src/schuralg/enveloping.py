@@ -45,6 +45,7 @@ from typing import Mapping, Sequence
 
 from .exact_linalg import SparseCombination
 from .schur import (
+    TENSOR_SPACE_LIMIT,
     SchurElement,
     TensorEndo,
     _validate_margin_matrix,
@@ -382,7 +383,20 @@ def integrality_coords(
 def u_act(x: UElement, vec: Mapping[Word, Fraction]) -> dict[Word, Fraction]:
     """x applied to a vector on words: unit (a, b) rewrites one letter b
     to a (summed over positions); diagonal unit (a, a) multiplies by the
-    count of letter a.  Nonzero entries only."""
+    count of letter a.  Nonzero entries only.
+
+    When tensor space has more than TENSOR_SPACE_LIMIT words, every weight
+    that a monomial passes through, one unit at a time, is checked before
+    any unit is applied: ResourceLimitError is raised before the work.
+    """
+    if vec and x.n ** len(next(iter(vec))) > TENSOR_SPACE_LIMIT:
+        start = {weight_of(k, x.n) for k in vec}
+        for mono in x.terms:
+            weights = start
+            for unit in reversed(_monomial_word(x.n, mono)):
+                weights = _unit_weights(unit, weights)
+                for w in weights:
+                    check_column_scale(w)
     out: dict[Word, Fraction] = {}
     for mono, coeff in x.terms.items():
         v = {k: coeff * c for k, c in vec.items()}
@@ -408,6 +422,19 @@ def project(vec: Mapping[Word, Fraction], lam: Sequence[int]) -> dict[Word, Frac
     """The weight idempotent of lam on a vector: keep words of weight lam."""
     lam = tuple(lam)
     return {w: c for w, c in vec.items() if weight_of(w, len(lam)) == lam}
+
+
+def _unit_weights(unit: Unit, weights: set[Weight]) -> set[Weight]:
+    # weights reached by applying unit (a, b) to words of the given weights
+    a, b = unit
+    out = set()
+    for w in weights:
+        if w[b - 1]:
+            moved = list(w)
+            moved[b - 1] -= 1
+            moved[a - 1] += 1
+            out.add(tuple(moved))
+    return out
 
 
 def _apply_unit(unit: Unit, vec: Mapping[tuple[int, ...], Fraction]) -> dict:

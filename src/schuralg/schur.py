@@ -50,7 +50,6 @@ from .weights import (
     orbit_size,
     pair_to_matrix,
     perm_compose,
-    perm_inverse,
     row_sums,
     transpose,
     weight_of,
@@ -91,12 +90,22 @@ def check_tensor_scale(n: int, r: int) -> None:
 
 
 def check_column_scale(mu: Sequence[int]) -> None:
-    # the words of weight mu: r! / prod mu_j!, the orbit size of one row
-    words = orbit_size((tuple(mu),))
-    if words > TENSOR_SPACE_LIMIT:
-        raise ResourceLimitError(
-            f"weight {tuple(mu)} has {words} words, above the limit {TENSOR_SPACE_LIMIT}"
-        )
+    """Refuse a weight with more than TENSOR_SPACE_LIMIT words.
+
+    The words of weight mu number r! / prod mu_j!.  The multinomial is
+    built one letter at a time, largest part first, so every factor is at
+    least 2 and the loop stops within about log2(TENSOR_SPACE_LIMIT) steps.
+    """
+    parts = sorted(mu, reverse=True)
+    words, total = 1, parts[0] if parts else 0
+    for m in parts[1:]:
+        for t in range(1, m + 1):
+            total += 1
+            words = words * total // t
+            if words > TENSOR_SPACE_LIMIT:
+                raise ResourceLimitError(
+                    f"weight {tuple(mu)} has more than {TENSOR_SPACE_LIMIT} words"
+                )
 
 
 class TensorEndo(SparseCombination):
@@ -197,10 +206,16 @@ class SchurElement(SparseCombination):
     # -- serialization ---------------------------------------------------
 
     def to_json(self) -> dict:
-        terms = [
-            {"matrix": [list(row) for row in a], "coeff_num": c.numerator, "coeff_den": c.denominator}
-            for a, c in sorted(self.terms.items(), key=lambda t: sum(t[0], ()))
-        ]
+        terms = []
+        for a in sorted(self.terms, key=lambda m: tuple(e for row in m for e in row)):
+            c = self.terms[a]
+            terms.append(
+                {
+                    "matrix": [list(row) for row in a],
+                    "coeff_num": c.numerator,
+                    "coeff_den": c.denominator,
+                }
+            )
         return {"n": self.n, "r": self.r, "terms": terms}
 
     @staticmethod
@@ -292,6 +307,7 @@ def schur_multiply(x: SchurElement, y: SchurElement) -> SchurElement:
     x._check_space(y)
     out = SchurElement(x.n, x.r)
     for mu in dict.fromkeys(col_sums(b) for b in y.terms):
+        check_column_scale(mu)
         k = weight_word(mu)
         out = out + read_column(x.n, x.r, act(x, act(y, {k: Fraction(1)})), k)
     return out
@@ -311,19 +327,28 @@ def idempotent(lam: Sequence[int]) -> SchurElement:
 
 def identity_element(n: int, r: int) -> SchurElement:
     """Sum of all weight idempotents: the unit of S(n, r)."""
-    return sum((idempotent(lam) for lam in compositions(n, r)), SchurElement(n, r))
+    out = SchurElement(n, r, {})
+    for lam in compositions(n, r):
+        out = out + idempotent(lam)
+    return out
 
 
 def hom_basis(lam: Sequence[int], mu: Sequence[int]) -> list[SchurElement]:
     """Orbit-basis elements spanning the (lam, mu) weight block, one per
     margin matrix, in margin-matrix enumeration order."""
-    return [SchurElement(len(lam), sum(lam), {a: Fraction(1)}) for a in margin_matrices(lam, mu)]
+    r = sum(lam)
+    n = len(lam)
+    return [
+        SchurElement(n, r, {a: Fraction(1)}) for a in margin_matrices(lam, mu)
+    ]
 
 
 def involution(x: SchurElement) -> SchurElement:
     """Transpose on margin matrices; an anti-automorphism swapping the
     (lam, mu) and (mu, lam) blocks."""
-    return SchurElement(x.n, x.r, {transpose(a): c for a, c in x.terms.items()})
+    return SchurElement(
+        x.n, x.r, {transpose(a): c for a, c in x.terms.items()}
+    )
 
 
 def weyl_relabel(x: SchurElement, w: Perm) -> SchurElement:
@@ -331,17 +356,23 @@ def weyl_relabel(x: SchurElement, w: Perm) -> SchurElement:
     (lam, mu) block to the (w lam, w mu) block."""
     if len(w) != x.n or sorted(w) != list(range(1, x.n + 1)):
         raise ValueError(f"need a permutation of 1..{x.n}")
-    v = perm_inverse(w)
-    cells = range(x.n)
-    return SchurElement(x.n, x.r, {
-        tuple(tuple(a[v[i] - 1][v[j] - 1] for j in cells) for i in cells): c
-        for a, c in x.terms.items()
-    })
+    out = {}
+    for a, c in x.terms.items():
+        b = [[0] * x.n for _ in range(x.n)]
+        for i in range(x.n):
+            for j in range(x.n):
+                b[w[i] - 1][w[j] - 1] = a[i][j]
+        out[tuple(tuple(row) for row in b)] = c
+    return SchurElement(x.n, x.r, out)
 
 
 def perm_matrix(p: Perm) -> Matrix:
     """Margin matrix of a permutation: entry (a, b) is 1 when a = p(b)."""
-    return tuple(tuple(int(a == p[b]) for b in range(len(p))) for a in range(1, len(p) + 1))
+    n = len(p)
+    m = [[0] * n for _ in range(n)]
+    for b in range(1, n + 1):
+        m[p[b - 1] - 1][b - 1] = 1
+    return tuple(tuple(row) for row in m)
 
 
 @dataclass(frozen=True)
@@ -358,10 +389,14 @@ class SymmetricGroupTable:
         return SchurElement(self.r, self.r, {perm_matrix(p): Fraction(1)})
 
     def from_matrix(self, a: Matrix) -> Perm:
-        p = tuple(col.index(1) + 1 if 1 in col else 0 for col in zip(*a))
-        if sorted(p) != list(range(1, len(a) + 1)) or perm_matrix(p) != tuple(map(tuple, a)):
-            raise ValueError("not a permutation matrix")
-        return p
+        n = len(a)
+        p = [0] * n
+        for b in range(n):
+            col = [a[i][b] for i in range(n)]
+            if sorted(col) != [0] * (n - 1) + [1]:
+                raise ValueError("not a permutation matrix")
+            p[b] = col.index(1) + 1
+        return tuple(p)
 
     def cayley_mismatch(self) -> tuple[Perm, Perm] | None:
         """First pair (p, q) whose Schur product differs from the element

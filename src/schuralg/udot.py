@@ -50,9 +50,9 @@ from .enveloping import (
     u_relabel,
 )
 from .errors import ResourceLimitError
-from .exact_linalg import SparseCombination, exact_rank
+from .exact_linalg import SparseCombination
 from .schur import SchurElement, check_column_scale, read_column
-from .weights import Weight, compositions, is_composition, weight_word
+from .weights import Weight, is_composition, weight_word
 
 __all__ = [
     "offdiag_cells",
@@ -99,11 +99,10 @@ def matrix_pattern(a: Sequence[Sequence[int]]) -> Pattern:
 
 def pattern_delta(p: Pattern, n: int) -> Weight:
     """Weight moved by the pattern: entry i is sum_j (a_ij - a_ji)."""
-    delta = [0] * n
-    for (i, j), v in zip(offdiag_cells(n), p):
-        delta[i] += v
-        delta[j] -= v
-    return tuple(delta)
+    m = pattern_matrix(p, n)
+    return tuple(
+        sum(m[i][j] - m[j][i] for j in range(n)) for i in range(n)
+    )
 
 
 class UdotElement(SparseCombination):
@@ -211,15 +210,22 @@ def udot_basis_upto(lam: Sequence[int], mu: Sequence[int], degree: int) -> list[
     delta = tuple(l - r for l, r in zip(lam, mu))
     if sum(delta) != 0:
         return []
-    cells = len(offdiag_cells(n))
-    if not cells:
-        return [udot_element(lam, mu, ())] if degree >= 0 else []
-    return [
-        udot_element(lam, mu, p)
-        for total in range(degree + 1)
-        for p in sorted(compositions(cells, total))
-        if pattern_delta(p, n) == delta
-    ]
+    cells = offdiag_cells(n)
+    out: list[UdotElement] = []
+    for total in range(degree + 1):
+        found: list[Pattern] = []
+
+        def rec_total(idx: int, remaining: int, acc: tuple[int, ...]) -> None:
+            if idx == len(cells):
+                if remaining == 0 and pattern_delta(acc, n) == delta:
+                    found.append(acc)
+                return
+            for v in range(remaining + 1):
+                rec_total(idx + 1, remaining - v, acc + (v,))
+
+        rec_total(0, total, ())
+        out.extend(udot_element(lam, mu, p) for p in sorted(found))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -282,14 +288,21 @@ def divided_generators(i: int, a: int, lam: Sequence[int], side: str) -> UdotEle
         raise ValueError("need a simple root index 1 <= i <= n-1")
     if a < 0:
         raise ValueError("need a >= 0")
-    if side not in ("e", "f"):
-        raise ValueError("side must be 'e' or 'f'")
     lam = tuple(lam)
-    sign = 1 if side == "e" else -1
-    left = tuple(x + sign * a * ((k == i - 1) - (k == i)) for k, x in enumerate(lam))
     cells = offdiag_cells(n)
     p = [0] * len(cells)
-    p[cells.index((i - 1, i) if side == "e" else (i, i - 1))] = a
+    if side == "e":
+        left = tuple(
+            x + (a if k == i - 1 else -a if k == i else 0) for k, x in enumerate(lam)
+        )
+        p[cells.index((i - 1, i))] = a
+    elif side == "f":
+        left = tuple(
+            x + (-a if k == i - 1 else a if k == i else 0) for k, x in enumerate(lam)
+        )
+        p[cells.index((i, i - 1))] = a
+    else:
+        raise ValueError("side must be 'e' or 'f'")
     return UdotElement(n, left, lam, {tuple(p): Fraction(1)})
 
 
@@ -297,12 +310,18 @@ def to_schur(u: UdotElement, r: int) -> SchurElement:
     """Truncate to the Schur algebra of degree r; zero when either weight
     is not a composition of r."""
     n = u.n
-    if not (is_composition(u.left + u.right) and sum(u.left) == sum(u.right) == r):
-        return SchurElement(n, r)
+    if (
+        not is_composition(u.left)
+        or not is_composition(u.right)
+        or sum(u.left) != r
+        or sum(u.right) != r
+    ):
+        return SchurElement(n, r, {})
     total = UElement(n)
     for p, c in u.terms.items():
         total = total + _lift(n, p).scale(c)
-    check_column_scale(u.left)
+    for w in (u.left, u.right):
+        check_column_scale(w)
     k = weight_word(u.right)
     return read_column(n, r, project(u_act(total, {k: Fraction(1)}), u.left), k)
 
@@ -382,6 +401,11 @@ class Gl2Table:
         }
 
 
+def _gl2_basis_element(lam: Sequence[int], a: int) -> UdotElement:
+    # pattern cells for n=2: ((0,1), (1,0))
+    return udot_element(tuple(lam), tuple(lam), (a, a))
+
+
 def gl2_generic_table(lam: Sequence[int], degree: int) -> Gl2Table:
     """Multiplication table of the diagonal block at a gl_2 weight.
 
@@ -392,8 +416,7 @@ def gl2_generic_table(lam: Sequence[int], degree: int) -> Gl2Table:
     if len(lam) != 2:
         raise ValueError("gl_2 weights have two entries")
     lam = (int(lam[0]), int(lam[1]))
-    # pattern cells for n=2: ((0,1), (1,0))
-    basis = [udot_element(lam, lam, (a, a)) for a in range(degree + 1)]
+    basis = [_gl2_basis_element(lam, a) for a in range(degree + 1)]
     products: dict[tuple[int, int], dict[int, Fraction]] = {}
     unit_checks = True
     for a in range(degree + 1):
@@ -409,6 +432,8 @@ def gl2_generic_table(lam: Sequence[int], degree: int) -> Gl2Table:
         products[(a, c)] == products[(c, a)] for a in range(degree + 1) for c in range(a)
     )
     # powers of b_1 in basis coordinates, checked for full rank
+    from .exact_linalg import exact_rank
+
     power = basis[0]
     vectors = [{0: Fraction(1)}]
     for _ in range(degree):
@@ -456,6 +481,8 @@ def symmetric_group_quotient(r: int) -> SymQuotientReport:
         raise ValueError("need r >= 1")
     if r > 4:
         raise ResourceLimitError("symmetric-group quotient check is limited to r <= 4")
+    from .exact_linalg import exact_rank
+
     omega = (1,) * r
     basis = udot_basis_upto(omega, omega, r)
     images = [to_schur(u, r) for u in basis]

@@ -74,6 +74,9 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
+    def add(self, check_id: str, passed: bool, witness: str | None = None) -> None:
+        self.checks.append(Check(check_id, passed, witness if not passed else None))
+
     def to_json(self) -> dict:
         return {
             "suite": self.suite,
@@ -104,7 +107,7 @@ def _run(suite: str, params: dict, rows: Iterable[Row]) -> VerificationReport:
     for check_id, cases, predicate in rows:
         witnesses = itertools.starmap(predicate, cases)
         witness = next((w for w in witnesses if w is not None), None)
-        report.checks.append(Check(check_id, witness is None, witness))
+        report.add(check_id, witness is None, witness)
     report.wall_time = time.perf_counter() - start
     return report
 

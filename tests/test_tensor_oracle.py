@@ -9,13 +9,16 @@ pins that the library paths never build a TensorEndo.
 """
 
 import random
+import time
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from test_schur import counting_product_coeff
 
-from schuralg.codet import cell_datum_check, codeterminant
+from schuralg import codet, enveloping
+from schuralg.codet import cell_datum_check, codet_basis, codeterminant
 from schuralg.enveloping import (
     divided_monomial,
     minus_weight,
@@ -26,9 +29,11 @@ from schuralg.enveloping import (
 )
 from schuralg.errors import ResourceLimitError
 from schuralg.schur import (
+    TENSOR_SPACE_LIMIT,
     SchurElement,
     TensorEndo,
     act,
+    check_column_scale,
     element_from_endo,
     endo_of,
     idempotent,
@@ -190,6 +195,68 @@ def test_column_guard():
         pbw_image(((12, 0), (0, 12)))
     with pytest.raises(ResourceLimitError):
         to_schur(udot_element(lam, (24, 0), (0, 12)), 24)
+
+
+def test_column_guard_matches_multinomial():
+    for n in range(1, 4):
+        for r in range(24):
+            for mu in compositions(n, r):
+                words = factorial(r)
+                for m in mu:
+                    words //= factorial(m)
+                if words > TENSOR_SPACE_LIMIT:
+                    with pytest.raises(ResourceLimitError):
+                        check_column_scale(mu)
+                else:
+                    check_column_scale(mu)
+
+
+def test_column_guard_refuses_huge_degree_at_once():
+    big = 10 ** 7
+    x = SchurElement(2, 2 * big, {((big, 0), (0, big)): 1})
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        schur_multiply(x, x)
+    check_column_scale((2 * big,))  # one word
+    assert time.perf_counter() - start < 1.0
+
+
+def refuse_work(*args, **kwargs):
+    raise AssertionError("work started before the resource check")
+
+
+def test_divided_powers_refuse_intermediate_weights(monkeypatch):
+    # every end weight has at most C(30, 5) words, but e^(25) on 1^5 2^25
+    # and e^(15) on 2^30 pass through (7, 23), with C(30, 7) > 10^6 words
+    a = ((0, 25), (5, 0))
+    for w in (row_sums(a), col_sums(a), minus_weight(a), plus_weight(a)):
+        check_column_scale(w)
+    apply_unit = enveloping._apply_unit
+
+    def bounded(unit, vec):
+        # the refusal comes before any vector outgrows the end weights
+        assert len(vec) <= 142506, "vector of an intermediate weight built"
+        return apply_unit(unit, vec)
+
+    monkeypatch.setattr(enveloping, "_apply_unit", bounded)
+    for form in FORMS:
+        with pytest.raises(ResourceLimitError):
+            pbw_image(a, form)
+    with pytest.raises(ResourceLimitError):
+        to_schur(udot_element((0, 30), (0, 30), (15, 15)), 30)
+
+
+def test_codeterminant_blocks_are_bounded(monkeypatch):
+    # every column of weight (1,)*8 has 8! words, within the column limit,
+    # but the block has 8! > 1000 codeterminants
+    check_column_scale((1,) * 8)
+    monkeypatch.setattr(codet, "codeterminant", refuse_work)
+    with pytest.raises(ResourceLimitError):
+        cell_datum_check((1,) * 8)
+    with pytest.raises(ResourceLimitError):
+        codet_basis((1,) * 8, (1,) * 8)
+    with pytest.raises(ResourceLimitError):
+        cell_datum_check((1,) * 20)
 
 
 def test_library_paths_never_build_tensor_space(monkeypatch):
