@@ -225,8 +225,6 @@ def _cmd_simples(args) -> tuple[dict, str, int]:
     if args.window is not None:
         report = simple_index_set_window(lam, args.window)
     else:
-        if any(x < 0 for x in lam):
-            raise UsageError("composition mode needs a nonnegative weight; use --window")
         report = simple_index_set(lam)
     return report.to_json(), report.to_csv(), 0
 
@@ -251,8 +249,6 @@ def _cmd_udot(args) -> tuple[dict, str, int]:
     if args.udot_command == "basis":
         lam = _parse_weight(args.lam)
         mu = _parse_weight(args.mu)
-        if args.degree < 0:
-            raise UsageError("degree must be nonnegative")
         basis = udot_basis_upto(lam, mu, args.degree)
         payload = {
             "lambda": list(lam),
@@ -265,8 +261,6 @@ def _cmd_udot(args) -> tuple[dict, str, int]:
     if args.udot_command == "gl2-table":
         lam = _parse_weight(args.lam)
         degree = args.degree if args.degree is not None else 4
-        if degree < 0:
-            raise UsageError("degree must be nonnegative")
         table = gl2_generic_table(lam, degree)
         return table.to_json(), "", 0 if table.passed else 1
     # verify-psi

@@ -54,7 +54,6 @@ from .weights import (
 )
 
 __all__ = [
-    "weight_word",
     "codeterminant",
     "Codeterminant",
     "codet_basis",

@@ -23,6 +23,7 @@ from typing import Sequence
 
 from .weights import (
     Weight,
+    _shapes_below,
     dominant_shapes,
     is_composition,
     is_dominant,
@@ -123,20 +124,12 @@ def simple_index_set_window(lam: Sequence[int], window: int) -> SimpleIndexRepor
     hi = base[0] + window
     total = sum(lam)
     entries = []
-
-    def rec(prefix: tuple[int, ...], upper: int, remaining: int) -> None:
-        if len(prefix) == n:
-            if remaining == 0:
-                k = shifted_kostka(prefix, lam)
-                if k:
-                    entries.append((prefix, k))
-            return
-        slots_left = n - len(prefix) - 1
-        for v in range(min(upper, remaining - slots_left * lo), lo - 1, -1):
-            # remaining weakly decreasing entries in [lo, v] must sum to remaining - v
-            if remaining - v > slots_left * v:
-                continue
-            rec(prefix + (v,), v, remaining - v)
-
-    rec((), hi, total)
+    # dominant weights with entries in [lo, hi] are partitions with parts at
+    # most hi - lo, shifted by lo; the helper needs total - n*lo <= n*(hi - lo),
+    # which holds because total - n*lo <= n*(max(lam) - lo) and max(lam) <= hi
+    for shape in _shapes_below(n, total - n * lo, hi - lo):
+        mu = tuple(x + lo for x in shape)
+        k = shifted_kostka(mu, lam)
+        if k:
+            entries.append((mu, k))
     return SimpleIndexReport(lam, tuple(entries), "integer-window", window)

@@ -50,9 +50,9 @@ from .enveloping import (
     u_relabel,
 )
 from .errors import ResourceLimitError
-from .exact_linalg import SparseCombination
+from .exact_linalg import SparseCombination, exact_rank
 from .schur import SchurElement, check_column_scale, read_column
-from .weights import Weight, is_composition, weight_word
+from .weights import Weight, compositions, is_composition, weight_word
 
 __all__ = [
     "offdiag_cells",
@@ -99,10 +99,11 @@ def matrix_pattern(a: Sequence[Sequence[int]]) -> Pattern:
 
 def pattern_delta(p: Pattern, n: int) -> Weight:
     """Weight moved by the pattern: entry i is sum_j (a_ij - a_ji)."""
-    m = pattern_matrix(p, n)
-    return tuple(
-        sum(m[i][j] - m[j][i] for j in range(n)) for i in range(n)
-    )
+    w = [0] * n
+    for (i, j), v in zip(offdiag_cells(n), p):
+        w[i] += v
+        w[j] -= v
+    return tuple(w)
 
 
 class UdotElement(SparseCombination):
@@ -207,25 +208,19 @@ def udot_basis_upto(lam: Sequence[int], mu: Sequence[int], degree: int) -> list[
     n = len(lam)
     if len(mu) != n:
         raise ValueError("weights must have equal length")
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
     delta = tuple(l - r for l, r in zip(lam, mu))
     if sum(delta) != 0:
         return []
-    cells = offdiag_cells(n)
-    out: list[UdotElement] = []
-    for total in range(degree + 1):
-        found: list[Pattern] = []
-
-        def rec_total(idx: int, remaining: int, acc: tuple[int, ...]) -> None:
-            if idx == len(cells):
-                if remaining == 0 and pattern_delta(acc, n) == delta:
-                    found.append(acc)
-                return
-            for v in range(remaining + 1):
-                rec_total(idx + 1, remaining - v, acc + (v,))
-
-        rec_total(0, total, ())
-        out.extend(udot_element(lam, mu, p) for p in sorted(found))
-    return out
+    # a pattern of degree at most the bound is a composition of the bound
+    # into one part per cell and a slack part; n = 1 has only ()
+    patterns = [c[:-1] for c in compositions(len(offdiag_cells(n)) + 1, degree)]
+    return [
+        udot_element(lam, mu, p)
+        for p in sorted(patterns, key=lambda p: (sum(p), p))
+        if pattern_delta(p, n) == delta
+    ]
 
 
 @lru_cache(maxsize=None)
@@ -288,22 +283,12 @@ def divided_generators(i: int, a: int, lam: Sequence[int], side: str) -> UdotEle
         raise ValueError("need a simple root index 1 <= i <= n-1")
     if a < 0:
         raise ValueError("need a >= 0")
-    lam = tuple(lam)
-    cells = offdiag_cells(n)
-    p = [0] * len(cells)
-    if side == "e":
-        left = tuple(
-            x + (a if k == i - 1 else -a if k == i else 0) for k, x in enumerate(lam)
-        )
-        p[cells.index((i - 1, i))] = a
-    elif side == "f":
-        left = tuple(
-            x + (-a if k == i - 1 else a if k == i else 0) for k, x in enumerate(lam)
-        )
-        p[cells.index((i, i - 1))] = a
-    else:
+    cell = {"e": (i - 1, i), "f": (i, i - 1)}.get(side)
+    if cell is None:
         raise ValueError("side must be 'e' or 'f'")
-    return UdotElement(n, left, lam, {tuple(p): Fraction(1)})
+    p = tuple(a if c == cell else 0 for c in offdiag_cells(n))
+    left = tuple(x + d for x, d in zip(lam, pattern_delta(p, n)))
+    return UdotElement(n, left, lam, {p: Fraction(1)})
 
 
 def to_schur(u: UdotElement, r: int) -> SchurElement:
@@ -401,11 +386,6 @@ class Gl2Table:
         }
 
 
-def _gl2_basis_element(lam: Sequence[int], a: int) -> UdotElement:
-    # pattern cells for n=2: ((0,1), (1,0))
-    return udot_element(tuple(lam), tuple(lam), (a, a))
-
-
 def gl2_generic_table(lam: Sequence[int], degree: int) -> Gl2Table:
     """Multiplication table of the diagonal block at a gl_2 weight.
 
@@ -415,8 +395,11 @@ def gl2_generic_table(lam: Sequence[int], degree: int) -> Gl2Table:
     """
     if len(lam) != 2:
         raise ValueError("gl_2 weights have two entries")
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
     lam = (int(lam[0]), int(lam[1]))
-    basis = [_gl2_basis_element(lam, a) for a in range(degree + 1)]
+    # pattern cells for n=2: ((0,1), (1,0))
+    basis = [udot_element(lam, lam, (a, a)) for a in range(degree + 1)]
     products: dict[tuple[int, int], dict[int, Fraction]] = {}
     unit_checks = True
     for a in range(degree + 1):
@@ -432,8 +415,6 @@ def gl2_generic_table(lam: Sequence[int], degree: int) -> Gl2Table:
         products[(a, c)] == products[(c, a)] for a in range(degree + 1) for c in range(a)
     )
     # powers of b_1 in basis coordinates, checked for full rank
-    from .exact_linalg import exact_rank
-
     power = basis[0]
     vectors = [{0: Fraction(1)}]
     for _ in range(degree):
@@ -481,8 +462,6 @@ def symmetric_group_quotient(r: int) -> SymQuotientReport:
         raise ValueError("need r >= 1")
     if r > 4:
         raise ResourceLimitError("symmetric-group quotient check is limited to r <= 4")
-    from .exact_linalg import exact_rank
-
     omega = (1,) * r
     basis = udot_basis_upto(omega, omega, r)
     images = [to_schur(u, r) for u in basis]

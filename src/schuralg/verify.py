@@ -250,23 +250,22 @@ def _filtration_ideal(lam: Sequence[int]) -> str | None:
     if not cells:
         return None
     solver = CoordinateSolver([c.value.terms for c in cells])
-    shapes = sorted({c.shape for c in cells})
     basis = schur_mod.hom_basis(lam, lam)
-    for nu in shapes:
-        inside = [k for k, c in enumerate(cells) if dominance_leq(nu, c.shape)]
-        inside_set = set(inside)
-        for k in inside:
-            for a in basis:
-                for prod in (
-                    schur_mod.schur_multiply(a, cells[k].value),
-                    schur_mod.schur_multiply(cells[k].value, a),
+    # the cells dominating nu span an ideal for every shape nu exactly when
+    # each product with a cell lands on cells dominating that cell's shape:
+    # take nu = its shape one way, transitivity of dominance the other way
+    for k, cell in enumerate(cells):
+        for a in basis:
+            for prod in (
+                schur_mod.schur_multiply(a, cell.value),
+                schur_mod.schur_multiply(cell.value, a),
+            ):
+                coords = solver.coords(prod.terms)
+                if coords is None or any(
+                    x != 0 and not dominance_leq(cell.shape, cells[idx].shape)
+                    for idx, x in enumerate(coords)
                 ):
-                    coords = solver.coords(prod.terms)
-                    if coords is None or any(
-                        x != 0 and idx not in inside_set
-                        for idx, x in enumerate(coords)
-                    ):
-                        return f"shape={nu}: a product with cell {k} leaves the ideal"
+                    return f"shape={cell.shape}: a product with cell {k} leaves the ideal"
     return None
 
 

@@ -205,6 +205,20 @@ def test_udot_gl2_table(capsys):
     assert payload["passed"] is True
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("udot", "basis", "--lambda", "1,1", "--mu", "1,1", "--degree", "-1"),
+        ("udot", "gl2-table", "--lambda", "1,-2", "--degree", "-1"),
+    ],
+)
+def test_udot_negative_degree(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "degree must be nonnegative" in err
+
+
 def test_udot_verify_psi(capsys):
     code, out, _ = run_cli(
         capsys, "udot", "verify-psi", "--n-max", "2", "--r-max", "2"

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from schuralg.simples import (
@@ -83,6 +85,22 @@ def test_window_mode_matches_composition_mode_after_shift():
     for (mu, k), (mu2, k2) in zip(report.entries, report_shifted.entries):
         assert tuple(x + 1 for x in mu) == mu2
         assert k == k2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_window_mode_matches_brute_force(n):
+    # every non-increasing tuple in the window with the right degree and a
+    # nonzero multiplicity, most dominant (lexicographically largest) first
+    for lam in itertools.product(range(-3, 4), repeat=n):
+        base = sort_dominant(lam)
+        for window in range(4):
+            lo, hi = base[-1] - window, base[0] + window
+            expected = [
+                (mu, shifted_kostka(mu, lam))
+                for mu in sorted(itertools.product(range(lo, hi + 1), repeat=n), reverse=True)
+                if is_dominant(mu) and sum(mu) == sum(lam) and shifted_kostka(mu, lam)
+            ]
+            assert list(simple_index_set_window(lam, window).entries) == expected
 
 
 def test_kostka_is_shift_invariant():

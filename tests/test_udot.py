@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import comb
@@ -75,6 +76,44 @@ def test_udot_basis_ordering():
     assert degrees == sorted(degrees)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_udot_basis_matches_brute_force(n):
+    top = 4
+    # every exponent pattern up to the top degree, grouped by its moved
+    # weight read off the pattern matrix
+    by_delta = {}
+    for p in itertools.product(range(top + 1), repeat=len(offdiag_cells(n))):
+        m = pattern_matrix(p, n)
+        moved = tuple(sum(m[i][j] - m[j][i] for j in range(n)) for i in range(n))
+        if sum(p) <= top:
+            by_delta.setdefault(moved, []).append(p)
+    weights = list(itertools.product(range(-2, 3), repeat=n))
+    # the block depends on lam - mu only; for n = 3 pair every weight with
+    # two right weights instead of all 125
+    rights = weights if n < 3 else [(0, 0, 0), (2, -1, 1)]
+    for lam in weights:
+        for mu in rights:
+            delta = tuple(l - m for l, m in zip(lam, mu))
+            for degree in range(top + 1):
+                expected = sorted(
+                    (p for p in by_delta.get(delta, []) if sum(p) <= degree),
+                    key=lambda p: (sum(p), p),
+                )
+                basis = udot_basis_upto(lam, mu, degree)
+                assert all((x.left, x.right) == (lam, mu) for x in basis)
+                assert all(c == 1 for x in basis for c in x.terms.values())
+                assert [p for x in basis for p in x.terms] == expected
+
+
+def test_negative_degree_is_rejected():
+    with pytest.raises(ValueError, match="degree must be nonnegative"):
+        udot_basis_upto((1, 1), (1, 1), -1)
+    with pytest.raises(ValueError, match="degree must be nonnegative"):
+        udot_basis_upto((1, 0), (0, 0), -1)
+    with pytest.raises(ValueError, match="degree must be nonnegative"):
+        gl2_generic_table((1, -2), -1)
+
+
 def test_b1_squared_identity():
     lam = (1, 1)
     b1 = udot_element(lam, lam, (1, 1))
@@ -135,6 +174,21 @@ def test_divided_generators_blocks():
     assert x.left == (2, 3, -2)
     y = divided_generators(1, 1, lam, "f")
     assert y.left == (1, 2, 0)
+
+
+def test_divided_generator_weights_move_by_simple_roots():
+    # e_i^(a) 1_lam lies in the block (lam + a alpha_i, lam), f_i^(a) 1_lam
+    # in (lam - a alpha_i, lam)
+    for n in range(2, 5):
+        for lam in itertools.product(range(-1, 2), repeat=n):
+            for i in range(1, n):
+                alpha = tuple((k == i - 1) - (k == i) for k in range(n))
+                for a in range(3):
+                    for side, sign in (("e", 1), ("f", -1)):
+                        x = divided_generators(i, a, lam, side)
+                        assert x.right == lam
+                        assert x.left == tuple(l + sign * a * r for l, r in zip(lam, alpha))
+                        assert list(x.terms.values()) == [1]
 
 
 def test_divided_generator_images_match_pbw():
