@@ -42,6 +42,18 @@ def _parse_weight(text: str) -> tuple[int, ...]:
         raise UsageError(f"expected comma-separated integers, got {text!r}")
 
 
+def _attach_negative_weights(argv: Sequence[str]) -> list[str]:
+    """Join `--lambda -1,2` (and `--mu`) into `--lambda=-1,2`: argparse
+    would read a value that starts with a minus sign as an option."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in ("--lambda", "--mu") and token[:1] == "-" and token[1:2].isdigit():
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def _parse_element(cls, text: str):
     try:
         return cls.from_json(json.loads(text))
@@ -311,7 +323,7 @@ COMMANDS = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_weights(sys.argv[1:] if argv is None else argv))
     start = time.perf_counter()
     try:
         payload, csv, code = COMMANDS[args.command](args)

@@ -361,12 +361,31 @@ def ssyt(shape: Sequence[int], weight: Sequence[int]) -> list[Tableau]:
 
 @lru_cache(maxsize=None)
 def _kostka_cached(shape: tuple[int, ...], weight: tuple[int, ...]) -> int:
-    return len(ssyt(shape, weight))
+    # the cells holding the last letter form a horizontal strip: peel it
+    # off row by row (row i loses at most shape_i - shape_{i+1} cells), so
+    # the recursion is one level per letter
+    if len(shape) > len(weight):
+        return 0
+    if not shape:
+        return 1
+    caps = [a - b for a, b in zip(shape, shape[1:] + (0,))]
+    total = 0
+    for strip in _bounded_rows(weight[-1], caps):
+        rest = tuple(a - s for a, s in zip(shape, strip))
+        # only the last row can empty, since the strip leaves shape_{i+1}
+        total += _kostka_cached(rest if rest[-1] else rest[:-1], weight[:-1])
+    return total
 
 
 def kostka(mu: Sequence[int], lam: Sequence[int]) -> int:
-    """Number of semistandard tableaux of shape mu and weight lam."""
-    return _kostka_cached(_strip_shape(mu), tuple(lam))
+    """Number of semistandard tableaux of shape mu and weight lam, counted
+    by removing one horizontal strip per letter (no tableau is built)."""
+    shape = _strip_shape(mu)
+    if not is_composition(lam):
+        raise ValueError("weight must be a composition")
+    if sum(shape) != sum(lam):
+        raise ValueError("shape size must equal weight degree")
+    return _kostka_cached(shape, tuple(lam))
 
 
 def dominance_leq(a: Sequence[int], b: Sequence[int]) -> bool:

@@ -159,6 +159,25 @@ def test_simples_negative_needs_window(capsys):
     assert "window" in err
 
 
+def test_simples_wide_window(capsys):
+    code, out, err = run_cli(capsys, "simples", "--lambda=0,-2", "--window", "1000")
+    assert code == 0
+    assert "Traceback" not in err
+    assert json.loads(out)["entries"][0] == {"mu": [1000, -1002], "multiplicity": 1}
+
+
+def test_negative_weight_as_separate_token(capsys):
+    rest = ["--mu", "0,1", "--degree", "2"]
+    code, joined, _ = run_cli(capsys, "udot", "basis", "--lambda=-1,2", *rest)
+    assert code == 0
+    code, separate, _ = run_cli(capsys, "udot", "basis", "--lambda", "-1,2", *rest)
+    assert code == 0
+    assert separate == joined
+    code, out, _ = run_cli(capsys, "dim", "--lambda", "1,0", "--mu", "-1,2")
+    assert code == 2
+    assert out == ""
+
+
 def test_sym_iso(capsys):
     code, out, _ = run_cli(capsys, "sym-iso", "--r", "2")
     assert code == 0

@@ -5,11 +5,14 @@ from math import comb
 
 import pytest
 
-from schuralg.enveloping import pbw_image
+from schuralg import enveloping
+from schuralg.enveloping import pbw_image, u_multiply
 from schuralg.errors import ResourceLimitError
 from schuralg.schur import idempotent, schur_multiply
 from schuralg.udot import (
     UdotElement,
+    _from_u_element,
+    _lift,
     divided_generators,
     gl2_generic_table,
     matrix_pattern,
@@ -125,6 +128,44 @@ def test_inner_weight_mismatch_gives_zero():
     u = udot_element((1, 1), (1, 1), (0, 0))
     v = udot_element((2, 0), (2, 0), (0, 0))
     assert udot_multiply(u, v).is_zero
+
+
+def test_gl2_closed_form_matches_straightening():
+    # every n = 2 product of basis elements with exponents at most 4, at
+    # every right weight in [-3,3]^2, against the generic path: straighten
+    # the lifted patterns in U(gl_2), then project into the block
+    patterns = list(itertools.product(range(5), repeat=2))
+    weights = list(itertools.product(range(-3, 4), repeat=2))
+    for p in patterns:
+        for q in patterns:
+            lifted = u_multiply(_lift(2, p), _lift(2, q))
+            for right in weights:
+                mid = tuple(r + d for r, d in zip(right, pattern_delta(q, 2)))
+                left = tuple(m + d for m, d in zip(mid, pattern_delta(p, 2)))
+                fast = udot_multiply(udot_element(left, mid, p), udot_element(mid, right, q))
+                assert fast == _from_u_element(lifted, left, right), (p, q, right)
+
+
+def test_gl2_closed_form_keeps_coefficients():
+    u = udot_element((2, -1), (1, 0), (1, 0)).scale(Fraction(5, 3))
+    v = udot_element((1, 0), (1, 0), (1, 1)) + udot_element((1, 0), (1, 0), (0, 0)).scale(-2)
+    # _lift(2, (0, 0)) is the unit
+    lifted = u_multiply(_lift(2, (1, 0)), _lift(2, (1, 1))) - _lift(2, (1, 0)).scale(2)
+    expected = _from_u_element(lifted, (2, -1), (1, 0)).scale(Fraction(5, 3))
+    assert udot_multiply(u, v) == expected
+
+
+def test_gl2_table_does_not_straighten(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("n = 2 products must not straighten in U(gl_2)")
+
+    monkeypatch.setattr(enveloping, "_insert", refuse)
+    monkeypatch.setattr(enveloping, "_word_product", refuse)
+    assert gl2_generic_table((1, -2), 13).passed
+
+
+def test_gl2_table_degree_40():
+    assert gl2_generic_table((1, -2), 40).passed
 
 
 def sl2_scalar(N, j, a):

@@ -202,6 +202,36 @@ def test_kostka_values():
     assert kostka((2, 2), (1, 1, 1, 1)) == 2
 
 
+def test_kostka_counts_match_tableaux():
+    # 3,485 pairs (dominant shape, composition) with n <= 4, r <= 7
+    pairs = [
+        (shape, lam)
+        for n in range(1, 5)
+        for r in range(8)
+        for shape in dominant_shapes(n, r)
+        for lam in compositions(n, r)
+    ]
+    assert len(pairs) == 3485
+    for shape, lam in pairs:
+        assert kostka(shape, lam) == len(ssyt(shape, lam)), (shape, lam)
+
+
+def test_kostka_validates():
+    with pytest.raises(ValueError, match="partition"):
+        kostka((1, 2), (2, 1))
+    with pytest.raises(ValueError, match="composition"):
+        kostka((2, 1), (2, 2, -1))
+    with pytest.raises(ValueError, match="degree"):
+        kostka((2, 1), (2, 2))
+
+
+def test_kostka_deep_shapes():
+    # one letter per level: a 2000-box shape would overflow a per-box recursion
+    assert kostka((1000, 1000), (1000, 1000)) == 1
+    assert kostka((1500, 500), (1000, 1000)) == 1
+    assert kostka((3, 1), (1, 1, 1, 1)) == 3
+
+
 def test_kostka_permutation_symmetry():
     # content can be permuted freely without changing the count
     for perm in itertools.permutations((2, 1, 0)):
