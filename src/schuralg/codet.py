@@ -33,7 +33,6 @@ from .exact_linalg import CoordinateSolver, exact_rank
 from .schur import (
     TENSOR_SPACE_LIMIT,
     SchurElement,
-    check_column_scale,
     hom_basis,
     involution,
     schur_multiply,
@@ -42,6 +41,7 @@ from .weights import (
     Tableau,
     Weight,
     Word,
+    _shapes_below,
     dominance_lt,
     dominant_shapes,
     is_composition,
@@ -93,25 +93,30 @@ def codet_basis(lam: Sequence[int], mu: Sequence[int]) -> list[Codeterminant]:
     row-word lexicographic order)."""
     if len(lam) != len(mu) or sum(lam) != sum(mu):
         raise ValueError("weights must have equal length and degree")
+    if not (is_composition(lam) and is_composition(mu)):
+        raise ValueError("weights must be compositions")
     n = len(lam)
     r = sum(lam)
-    # each codeterminant acts on a column of weight mu and lands in lam
-    for w in (lam, mu):
-        check_column_scale(w)
+    # count the cells by Kostka numbers, shape by shape (the shapes come
+    # lazily), before any tableau is built: the cells are a basis of the
+    # block, so each value has at most that many terms, and the cellular
+    # check multiplies all pairs
+    shapes: list[Weight] = []
+    count = 0
+    for nu in _shapes_below(n, r, r):
+        k = kostka(nu, lam) * kostka(nu, mu)
+        if k:
+            count += k
+            if count ** 2 > TENSOR_SPACE_LIMIT:
+                raise ResourceLimitError(
+                    f"block ({tuple(lam)}, {tuple(mu)}) has more than "
+                    f"{math.isqrt(TENSOR_SPACE_LIMIT)} codeterminants"
+                )
+            shapes.append(nu)
     cells: list[tuple[Weight, Tableau, Tableau]] = []
-    for nu in dominant_shapes(n, r):
-        lefts = ssyt(nu, lam)
-        if not lefts:
-            continue
+    for nu in shapes:
         rights = ssyt(nu, mu)
-        cells.extend((nu, s, t) for s in lefts for t in rights)
-        # the cells are a basis of the block, so each value has at most
-        # len(cells) terms, and the cellular check multiplies all pairs
-        if len(cells) ** 2 > TENSOR_SPACE_LIMIT:
-            raise ResourceLimitError(
-                f"block ({tuple(lam)}, {tuple(mu)}) has more than "
-                f"{math.isqrt(TENSOR_SPACE_LIMIT)} codeterminants"
-            )
+        cells.extend((nu, s, t) for s in ssyt(nu, lam) for t in rights)
     return [
         Codeterminant(nu, s, t, codeterminant(nu, s.row_word, t.row_word))
         for nu, s, t in cells

@@ -25,18 +25,20 @@ rewrites an element in the divided basis
 by triangular elimination of the H polynomial and reports whether every
 coordinate is an integer.
 
-u_act is the action on vectors of words of length r: unit (a, b) sends
-a word to the sum of words obtained by rewriting one letter b to a, and
-diagonal letters act by the letter count.  The action is an algebra map
-that commutes with place permutations, so its image in the Schur algebra
-is fixed by one column per right weight: pbw_image acts on
-weight_word(mu), cuts the result by weight idempotents (project) and
-reads the element off that column, in four arrangements.  tensor_rep,
-the full action on tensor space, is kept as an oracle.
+The image of a divided monomial acting on 1_mu in the Schur algebra
+needs no words: a divided power e_ab^(m) acting on weight w is the single
+orbit element at diag(w) + m (E_ab - E_bb), every later weight is forced,
+and the image is the ordered product of those orbit elements, zero once
+a weight leaves the compositions.  pbw_image builds its four
+arrangements this way.  u_act, the action on vectors of words of length
+r (unit (a, b) rewrites one letter b to a, diagonal letters act by the
+letter count), and tensor_rep, the full action on tensor space, are kept
+as oracles; verify_weight_idempotent still acts on one word per weight.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 from fractions import Fraction
 from functools import lru_cache
@@ -50,8 +52,9 @@ from .schur import (
     TensorEndo,
     _validate_margin_matrix,
     check_column_scale,
+    _chain_sum,
     check_tensor_scale,
-    read_column,
+    _diagonal,
 )
 from .weights import (
     Matrix,
@@ -60,7 +63,6 @@ from .weights import (
     all_words,
     col_sums,
     compositions,
-    row_sums,
     weight_of,
     weight_word,
 )
@@ -489,6 +491,40 @@ def minus_weight(a: Matrix) -> Weight:
     )
 
 
+def _divided_letters(offdiag: Matrix, mu: Sequence[int], side: str = "fe") -> list[Matrix] | None:
+    """Orbit matrices whose ordered product, leftmost first, is the image
+    of divided_monomial(n, offdiag, (), side) 1_mu in S(n, |mu|).
+
+    The letters are taken in the order of _monomial_word ("fe": lowering
+    then raising; "ef": raising then lowering), rightmost first.  A run
+    e_ab^(m) of one letter acts on weight w as the single orbit element at
+    diag(w) + m (E_ab - E_bb).  None when a weight leaves the compositions
+    (the image is zero); the empty word gives the idempotent diag(mu).
+    """
+    n = len(mu)
+    pairs = root_pairs(n)
+    f = tuple(offdiag[j - 1][i - 1] for i, j in pairs)
+    e = tuple(offdiag[i - 1][j - 1] for i, j in pairs)
+    none, zero_h = (0,) * len(pairs), (0,) * n
+    if side == "fe":
+        word = _monomial_word(n, (f, zero_h, e))
+    else:
+        word = _monomial_word(n, (none, zero_h, e)) + _monomial_word(n, (f, zero_h, none))
+    w = list(mu)
+    letters: list[Matrix] = []
+    for (a, b), run in itertools.groupby(reversed(word)):
+        m = len(list(run))
+        if w[b - 1] < m:
+            return None
+        letter = [[w[i] if i == j else 0 for j in range(n)] for i in range(n)]
+        letter[b - 1][b - 1] -= m
+        letter[a - 1][b - 1] += m
+        w[b - 1] -= m
+        w[a - 1] += m
+        letters.append(tuple(map(tuple, letter)))
+    return letters[::-1] or [_diagonal(mu)]
+
+
 def pbw_image(a: Matrix, form: str = "fe") -> SchurElement:
     """Image in the Schur algebra of the divided monomial attached to a
     margin matrix, as an orbit-basis element combination.
@@ -498,28 +534,28 @@ def pbw_image(a: Matrix, form: str = "fe") -> SchurElement:
     and "ef-middle" place a single idempotent between the two halves, at
     the weight the split forces (minus_weight and plus_weight).  The
     middle forms agree with the outer-truncated ones; tests rely on it.
-    Each form acts on weight_word(col_sums(a)) and reads the image off
-    that column: the forced middle weight starts from column weight
-    col_sums(a), so no other column contributes.
+    Each form is an ordered product of single orbit elements, one per
+    divided power (and the middle idempotent), acting on the column
+    weight col_sums(a): every intermediate weight is forced, so no word
+    is written.
     """
     n, r = _validate_margin_matrix(a)
-    lam, mu, minus, plus = row_sums(a), col_sums(a), minus_weight(a), plus_weight(a)
-    for w in (lam, mu, minus, plus):
-        check_column_scale(w)
+    mu = col_sums(a)
 
-    def part(keep, side: str = "fe") -> UElement:
-        # divided monomial of the entries a[i][j] with keep(i, j)
-        m = tuple(tuple(a[i][j] if keep(i, j) else 0 for j in range(n)) for i in range(n))
-        return divided_monomial(n, m, (), side)
+    def part(keep) -> Matrix:
+        # the off-diagonal entries a[i][j] with keep(i, j)
+        return tuple(tuple(a[i][j] if keep(i, j) else 0 for j in range(n)) for i in range(n))
 
-    k = weight_word(mu)
-    column = {k: Fraction(1)}
     if form in ("fe", "ef"):
-        column = project(u_act(part(operator.ne, form), column), lam)
-    elif form == "fe-middle":
-        column = u_act(part(operator.gt), project(u_act(part(operator.lt), column), minus))
-    elif form == "ef-middle":
-        column = u_act(part(operator.lt), project(u_act(part(operator.gt), column), plus))
+        letters = _divided_letters(part(operator.ne), mu, form)
+    elif form in ("fe-middle", "ef-middle"):
+        if form == "fe-middle":
+            second, mid, first = operator.gt, minus_weight(a), operator.lt
+        else:
+            second, mid, first = operator.lt, plus_weight(a), operator.gt
+        # the first half acts on mu, the second on the middle weight
+        halves = _divided_letters(part(second), mid), _divided_letters(part(first), mu)
+        letters = None if None in halves else halves[0] + [_diagonal(mid)] + halves[1]
     else:
         raise ValueError("form must be one of fe, ef, fe-middle, ef-middle")
-    return read_column(n, r, column, k)
+    return _chain_sum(n, r, [(Fraction(1), letters)] if letters else [])

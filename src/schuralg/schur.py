@@ -3,28 +3,40 @@
 The degree-r tensor space over an n-letter alphabet has basis indexed by
 words of length r over {1, .., n}.  The symmetric group permutes tensor
 positions; the algebra of equivariant endomorphisms has the orbit basis:
-one element per margin matrix A (an n x n count matrix of total degree r),
-acting by
+one element xi_A per margin matrix A (an n x n count matrix of total
+degree r), acting by
 
     e_k  |->  sum of e_l over words l with pair_to_matrix(l, k) = A,
 
 which is zero unless weight_of(k) equals the column sums of A.  A
 SchurElement is an exact rational combination of orbit-basis elements.
 
-Every word of weight mu is a place permutation of the weakly increasing
-weight_word(mu), so an element is fixed by its columns at those words,
-one per right weight (Green, Polynomial Representations of GL_n, 2.3).
-act applies an element to a vector on words; read_column reads an
-element back off one column, verifying on the way that coefficients are
-constant on each orbit (a built-in correctness check, not just a
-decode).  Multiplication applies both factors to one word per column
-weight of the right factor and reads the product off the result.  Full
+Products follow Green's rule (Green, Polynomial Representations of GL_n,
+LNM 830, 2.3; the q = 1 case of Beilinson-Lusztig-MacPherson 1990): the
+coefficient of xi_C in xi_A xi_B is
+
+    sum over T of  prod_{i,k} C_ik! / prod_{i,j,k} T_ijk!
+
+over n x n x n tables T of nonnegative integers with margins
+sum_k T_ijk = A_ij, sum_i T_ijk = B_jk and sum_j T_ijk = C_ik.  The
+tables are built one middle index j at a time: slice j is a matrix with
+row sums column j of A and column sums row j of B, and the weight is a
+product of binomials, one per entry, as the slices are summed up.  Tables
+with equal partial sums are merged, all arithmetic is integer, and no
+word is written.  Before enumerating, each product of two orbit elements
+bounds its table count by a closed form per slice and refuses more than
+TENSOR_SPACE_LIMIT tables.
+
+act applies an element to a vector on words, and read_column reads an
+element back off the column at one word, verifying on the way that
+coefficients are constant on each orbit.  Together with the full
 tensor-space endomorphisms (TensorEndo, orbit_endo, endo_of,
-element_from_endo) remain as an independent oracle.
+element_from_endo) they are the independent oracle for the products.
 
 Weight idempotents are the diagonal matrices: they project onto the span
-of words of one fixed weight.  All arithmetic is exact (Fraction); all
-operations are pure functions safe for concurrent use.
+of words of one fixed weight.  All arithmetic is exact (integers inside
+a product, Fraction coefficients on elements); all operations are pure
+functions safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -33,6 +45,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb, lcm
 from typing import Mapping, Sequence
 
 from .errors import ResourceLimitError
@@ -42,6 +55,7 @@ from .weights import (
     Perm,
     Weight,
     Word,
+    _bounded_rows,
     col_sums,
     compositions,
     is_composition,
@@ -301,16 +315,116 @@ def read_column(n: int, r: int, vec: Mapping[Word, Fraction], k: Word) -> SchurE
     return SchurElement(n, r, {a: val for a, (_, val) in seen.items()})
 
 
+@lru_cache(maxsize=4096)
+def _slices(rows: Weight, cols: Weight) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """Matrices with row sums rows and column sums cols (equal totals),
+    each as its nonzero entries (i, k, value); zero rows and columns are
+    skipped, so they cost nothing."""
+    ks = [k for k, c in enumerate(cols) if c]
+    out: list[tuple[tuple[int, int, int], ...]] = []
+
+    def rec(i: int, caps: tuple[int, ...], acc: tuple[tuple[int, int, int], ...]) -> None:
+        while i < len(rows) and not rows[i]:
+            i += 1
+        if i == len(rows):
+            out.append(acc)
+            return
+        for row in _bounded_rows(rows[i], caps):
+            entries = tuple((i, k, v) for k, v in zip(ks, row) if v)
+            rec(i + 1, tuple(c - v for c, v in zip(caps, row)), acc + entries)
+
+    rec(0, tuple(cols[k] for k in ks), ())
+    return tuple(out)
+
+
+def _slice_bound(rows: Sequence[int], cols: Sequence[int]) -> int:
+    # matrices with these margins are fixed by all rows but the largest,
+    # each a composition of its sum into one part per nonzero column (and
+    # likewise with rows and columns swapped); zero rows and columns drop
+    rows = sorted(x for x in rows if x)
+    cols = sorted(x for x in cols if x)
+    by_rows = by_cols = 1
+    for x in rows[:-1]:
+        by_rows *= comb(x + len(cols) - 1, x)
+    for x in cols[:-1]:
+        by_cols *= comb(x + len(rows) - 1, x)
+    return min(by_rows, by_cols)
+
+
+@lru_cache(maxsize=4096)
+def _pair_product(a: Matrix, b: Matrix) -> tuple[tuple[Matrix, int], ...]:
+    """xi_a xi_b by Green's rule, as (margin matrix, integer coefficient)
+    pairs; the inner weights must agree.
+
+    Raises ResourceLimitError, before enumerating, when the closed-form
+    bound on the number of tables exceeds TENSOR_SPACE_LIMIT.
+    """
+    n = len(a)
+    margins = [(tuple(row[j] for row in a), b[j]) for j in range(n)]
+    tables = 1
+    for rows, cols in margins:
+        tables *= _slice_bound(rows, cols)
+        if tables > TENSOR_SPACE_LIMIT:
+            raise ResourceLimitError(
+                f"product of orbit elements {a} and {b} may sum over more than "
+                f"{TENSOR_SPACE_LIMIT} tables"
+            )
+    # partial sums C of the slices so far -> summed weight of the tables
+    states: dict[tuple[int, ...], int] = {(0,) * (n * n): 1}
+    for rows, cols in margins:
+        nxt: dict[tuple[int, ...], int] = {}
+        for c, weight in states.items():
+            for entries in _slices(rows, cols):
+                c2 = list(c)
+                w2 = weight
+                for i, k, v in entries:
+                    c2[i * n + k] += v
+                    w2 *= comb(c2[i * n + k], v)
+                key = tuple(c2)
+                nxt[key] = nxt.get(key, 0) + w2
+        states = nxt
+    return tuple(
+        (tuple(c[i * n:(i + 1) * n] for i in range(n)), weight) for c, weight in states.items()
+    )
+
+
 def schur_multiply(x: SchurElement, y: SchurElement) -> SchurElement:
-    """Product in the Schur algebra: both factors act on weight_word(mu)
-    for each column weight mu of y, and the product is read off there."""
+    """Product in the Schur algebra, by Green's rule on each pair of
+    orbit elements whose inner weights agree."""
     x._check_space(y)
-    out = SchurElement(x.n, x.r)
-    for mu in dict.fromkeys(col_sums(b) for b in y.terms):
-        check_column_scale(mu)
-        k = weight_word(mu)
-        out = out + read_column(x.n, x.r, act(x, act(y, {k: Fraction(1)})), k)
-    return out
+    by_row: dict[Weight, list[tuple[Matrix, Fraction]]] = {}
+    for b, d in y.terms.items():
+        by_row.setdefault(row_sums(b), []).append((b, d))
+    return _chain_sum(
+        x.n,
+        x.r,
+        [(c * d, (a, b)) for a, c in x.terms.items() for b, d in by_row.get(col_sums(a), ())],
+    )
+
+
+def _chain_sum(n: int, r: int, chains: Sequence[tuple[Fraction, Sequence[Matrix]]]) -> SchurElement:
+    """sum of c * xi_L1 xi_L2 .. xi_Lm over the (c, (L1, .., Lm)) in chains,
+    where the column weight of each L equals the row weight of the next.
+    The products are taken right to left with integer coefficients over
+    a common denominator."""
+    den = lcm(*(c.denominator for c, _ in chains))
+    out: dict[Matrix, int] = {}
+    for c, letters in chains:
+        part = {letters[-1]: c.numerator * (den // c.denominator)}
+        for a in reversed(letters[:-1]):
+            nxt: dict[Matrix, int] = {}
+            for b, v in part.items():
+                for m, k in _pair_product(a, b):
+                    nxt[m] = nxt[m] + v * k if m in nxt else v * k
+            part = nxt
+        for m, v in part.items():
+            out[m] = out[m] + v if m in out else v
+    return SchurElement(n, r)._new({m: Fraction(v, den) for m, v in out.items() if v})
+
+
+def _diagonal(w: Sequence[int]) -> Matrix:
+    """The diagonal margin matrix diag(w)."""
+    return tuple(tuple(x if i == j else 0 for j in range(len(w))) for i, x in enumerate(w))
 
 
 def idempotent(lam: Sequence[int]) -> SchurElement:
@@ -318,11 +432,7 @@ def idempotent(lam: Sequence[int]) -> SchurElement:
     projecting tensor space onto words of weight lam."""
     if not is_composition(lam):
         raise ValueError("weight idempotents need a composition")
-    n = len(lam)
-    a = tuple(
-        tuple(lam[i] if i == j else 0 for j in range(n)) for i in range(n)
-    )
-    return SchurElement(n, sum(lam), {a: Fraction(1)})
+    return SchurElement(len(lam), sum(lam), {_diagonal(lam): Fraction(1)})
 
 
 def identity_element(n: int, r: int) -> SchurElement:

@@ -31,11 +31,13 @@ into divided-power pattern coordinates.  That path also works for n = 2
 and the tests keep it as the oracle for the closed form.  Products of
 integer-coefficient elements stay integral.
 
-to_schur is the degree-r truncation: patterns act through the enveloping
-algebra on the one word weight_word(right), the result is cut by the left
-weight idempotent, and the Schur element is read off that column; weights
-that are not compositions of r give zero.  Truncation is an algebra map
-onto the corresponding weight block of the Schur algebra.
+to_schur is the degree-r truncation: a pattern is the word of divided
+powers of its lift, and a divided power e_ab^(m) acting on weight w
+truncates to the single orbit element at diag(w) + m (E_ab - E_bb), so
+each pattern maps to an ordered product of orbit elements starting at
+the right weight (Green's product rule, see schur); weights that are not
+compositions of r give zero.  Truncation is an algebra map onto the
+corresponding weight block of the Schur algebra.
 
 Shifting both weights by a constant vector (tensoring by a power of the
 determinant character) leaves all structure constants unchanged; the gl_2
@@ -54,18 +56,17 @@ from typing import Mapping, Sequence
 
 from .enveloping import (
     UElement,
+    _divided_letters,
     divided_monomial,
     monomial_weight,
-    project,
     root_pairs,
-    u_act,
     u_multiply,
     u_relabel,
 )
 from .errors import ResourceLimitError
 from .exact_linalg import SparseCombination, exact_rank
-from .schur import SchurElement, check_column_scale, read_column
-from .weights import Weight, compositions, is_composition, weight_word
+from .schur import SchurElement, _chain_sum
+from .weights import Weight, compositions, is_composition
 
 __all__ = [
     "offdiag_cells",
@@ -331,7 +332,13 @@ def divided_generators(i: int, a: int, lam: Sequence[int], side: str) -> UdotEle
 
 def to_schur(u: UdotElement, r: int) -> SchurElement:
     """Truncate to the Schur algebra of degree r; zero when either weight
-    is not a composition of r."""
+    is not a composition of r.
+
+    Each pattern is the divided-power word of its lift (lowering letters,
+    then raising ones), and its image is the ordered product of one orbit
+    element per divided power acting on the right weight, so neither the
+    enveloping algebra nor tensor space is entered.
+    """
     n = u.n
     if (
         not is_composition(u.left)
@@ -340,13 +347,8 @@ def to_schur(u: UdotElement, r: int) -> SchurElement:
         or sum(u.right) != r
     ):
         return SchurElement(n, r, {})
-    total = UElement(n)
-    for p, c in u.terms.items():
-        total = total + _lift(n, p).scale(c)
-    for w in (u.left, u.right):
-        check_column_scale(w)
-    k = weight_word(u.right)
-    return read_column(n, r, project(u_act(total, {k: Fraction(1)}), u.left), k)
+    chains = [(c, _divided_letters(pattern_matrix(p, n), u.right)) for p, c in u.terms.items()]
+    return _chain_sum(n, r, [(c, letters) for c, letters in chains if letters])
 
 
 def sl_weight(lam: Sequence[int]) -> tuple[int, ...]:

@@ -97,19 +97,18 @@ def dominant_shapes(n: int, r: int) -> list[Weight]:
     dominant first (it restricts to a dominance-compatible order)."""
     if n < 1 or r < 0:
         raise ValueError("need n >= 1 and r >= 0")
-    return _shapes_below(n, r, r)
+    return list(_shapes_below(n, r, r))
 
 
-def _shapes_below(n: int, r: int, cap: int) -> list[Weight]:
+def _shapes_below(n: int, r: int, cap: int) -> Iterator[Weight]:
     # weakly decreasing n-tuples summing to r with entries at most cap, for
-    # r <= n * cap; the first entry is at least the mean r / n
+    # r <= n * cap, generated lazily; the first entry is at least the mean
     if n == 1:
-        return [(r,)]
-    return [
-        (v,) + rest
-        for v in range(min(cap, r), -(-r // n) - 1, -1)
-        for rest in _shapes_below(n - 1, r - v, v)
-    ]
+        yield (r,)
+        return
+    for v in range(min(cap, r), -(-r // n) - 1, -1):
+        for rest in _shapes_below(n - 1, r - v, v):
+            yield (v,) + rest
 
 
 def weight_of(word: Sequence[int], n: int) -> Weight:
@@ -359,7 +358,7 @@ def ssyt(shape: Sequence[int], weight: Sequence[int]) -> list[Tableau]:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 16)
 def _kostka_cached(shape: tuple[int, ...], weight: tuple[int, ...]) -> int:
     # the cells holding the last letter form a horizontal strip: peel it
     # off row by row (row i loses at most shape_i - shape_{i+1} cells), so

@@ -1,9 +1,22 @@
 import itertools
+import operator
+import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from schuralg import codet, enveloping, schur, weights
+from schuralg.codet import cell_datum_check, codeterminant
+from schuralg.enveloping import (
+    divided_monomial,
+    minus_weight,
+    pbw_image,
+    plus_weight,
+    project,
+    u_act,
+)
 from schuralg.errors import ResourceLimitError
 from schuralg.schur import (
     SchurElement,
@@ -16,6 +29,7 @@ from schuralg.schur import (
     involution,
     orbit_endo,
     perm_matrix,
+    read_column,
     schur_multiply,
     symmetric_group_iso,
     weight_components,
@@ -31,8 +45,10 @@ from schuralg.weights import (
     permute_weight,
     row_sums,
     transpose,
+    weight_word,
     words_of_weight,
 )
+from schuralg.udot import UdotElement, _lift, to_schur, udot_basis_upto
 
 
 def counting_product_coeff(a, b, c):
@@ -285,3 +301,175 @@ def test_distributivity_random(x, y):
     one = identity_element(2, 2)
     assert (x + y) * one == x + y
     assert x * (y + y) == (x * y).scale(2)
+
+
+# -- Green's product rule against the word (column) path ----------------
+#
+# The library multiplies by summing over three-way tables and builds PBW
+# images and truncations as ordered products of orbit elements.  The
+# helpers below are the earlier word-based bodies: elements act on the one
+# word weight_word(mu) per column weight and are read back off it.
+
+FORMS = ("fe", "ef", "fe-middle", "ef-middle")
+ORACLE_SIZES = [(2, r) for r in range(7)] + [(3, r) for r in range(6)] + [(4, r) for r in range(5)]
+
+
+def column_multiply(x, y):
+    out = SchurElement(x.n, x.r)
+    for mu in dict.fromkeys(col_sums(b) for b in y.terms):
+        k = weight_word(mu)
+        out = out + read_column(x.n, x.r, act(x, act(y, {k: Fraction(1)})), k)
+    return out
+
+
+def column_pbw_image(a, form):
+    n, r = len(a), sum(map(sum, a))
+
+    def part(keep, side="fe"):
+        m = tuple(tuple(a[i][j] if keep(i, j) else 0 for j in range(n)) for i in range(n))
+        return divided_monomial(n, m, (), side)
+
+    k = weight_word(col_sums(a))
+    column = {k: Fraction(1)}
+    if form in ("fe", "ef"):
+        column = project(u_act(part(operator.ne, form), column), row_sums(a))
+    elif form == "fe-middle":
+        column = u_act(part(operator.gt), project(u_act(part(operator.lt), column), minus_weight(a)))
+    else:
+        column = u_act(part(operator.lt), project(u_act(part(operator.gt), column), plus_weight(a)))
+    return read_column(n, r, column, k)
+
+
+def column_to_schur(u, r):
+    if min(u.left + u.right) < 0 or sum(u.left) != r or sum(u.right) != r:
+        return SchurElement(u.n, r)
+    column = {}
+    k = weight_word(u.right)
+    for p, c in u.terms.items():
+        for l, v in u_act(_lift(u.n, p), {k: Fraction(1)}).items():
+            column[l] = column.get(l, 0) + c * v
+    return read_column(u.n, r, project({l: v for l, v in column.items() if v}, u.left), k)
+
+
+def random_block_element(rng, lam, mu, extra=()):
+    terms = {}
+    mats = margin_matrices(lam, mu) + list(extra)
+    for a in rng.sample(mats, k=min(len(mats), rng.randint(1, 4))):
+        terms[a] = Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3)))
+    return SchurElement(len(lam), sum(lam), terms)
+
+
+@pytest.mark.parametrize("n,r", ORACLE_SIZES)
+def test_table_product_matches_column_path(n, r):
+    rng = random.Random(5000 * n + r)
+    lams = compositions(n, r)
+    for _ in range(6):
+        lam, mu, nu, other = (rng.choice(lams) for _ in range(4))
+        # a stray block on each side checks that mismatched weights give 0
+        x = random_block_element(rng, lam, mu, margin_matrices(other, lam)[:1])
+        y = random_block_element(rng, mu, nu, margin_matrices(nu, other)[:1])
+        assert schur_multiply(x, y) == column_multiply(x, y)
+
+
+@pytest.mark.parametrize("n,r", ORACLE_SIZES)
+def test_table_product_matches_pair_counting(n, r):
+    rng = random.Random(6000 * n + r)
+    lams = compositions(n, r)
+    for _ in range(3):
+        lam, mu, nu = (rng.choice(lams) for _ in range(3))
+        a = rng.choice(margin_matrices(lam, mu))
+        b = rng.choice(margin_matrices(mu, nu))
+        prod = schur_multiply(xi(a), xi(b))
+        for c in margin_matrices(lam, nu):
+            assert prod.terms.get(c, 0) == counting_product_coeff(a, b, c), (a, b, c)
+
+
+@pytest.mark.parametrize("n,r", [(2, r) for r in range(7)] + [(3, r) for r in range(6)])
+def test_word_free_images_match_column_path(n, r):
+    rng = random.Random(7000 * n + r)
+    lams = compositions(n, r)
+    for _ in range(4):
+        lam, mu = rng.choice(lams), rng.choice(lams)
+        for a in rng.sample(margin_matrices(lam, mu), k=1):
+            for form in FORMS:
+                assert pbw_image(a, form) == column_pbw_image(a, form), (a, form)
+        basis = udot_basis_upto(lam, mu, 4)
+        if basis:
+            u = UdotElement(n, lam, mu)
+            for b in rng.sample(basis, k=min(len(basis), 3)):
+                u = u + b.scale(Fraction(rng.randint(-3, 3), rng.choice((1, 2))))
+            assert to_schur(u, r) == column_to_schur(u, r)
+
+
+def raise_on_words(*args, **kwargs):
+    raise AssertionError("a word-based path was entered")
+
+
+def test_library_paths_write_no_words(monkeypatch):
+    x = SchurElement(3, 4, {((1, 0, 0), (1, 1, 0), (0, 0, 1)): 2, ((1, 0, 1), (0, 1, 0), (1, 0, 0)): -1})
+    y = SchurElement(3, 4, {((1, 0, 0), (0, 1, 0), (1, 1, 0)): Fraction(1, 2)})
+    shape, i, j = (2, 1, 0), (1, 1, 2), (1, 2, 3)
+    ell = weight_word(shape)
+    a = ((1, 2, 0), (0, 1, 1), (1, 0, 0))
+    u = udot_basis_upto((2, 1, 2), (1, 2, 2), 3)[-1]
+    expected = {
+        "product": column_multiply(x, y),
+        "codet": column_multiply(
+            SchurElement(3, 3, {weights.pair_to_matrix(i, ell, 3): 1}),
+            SchurElement(3, 3, {weights.pair_to_matrix(ell, j, 3): 1}),
+        ),
+        "pbw": [column_pbw_image(a, form) for form in FORMS],
+        "to_schur": column_to_schur(u, 5),
+    }
+    monkeypatch.setattr(codet, "schur_multiply", column_multiply)
+    cellular = cell_datum_check((2, 2, 1)).to_json()
+    monkeypatch.undo()
+    for module, name in ((schur, "act"), (schur, "read_column"), (enveloping, "u_act")):
+        monkeypatch.setattr(module, name, raise_on_words)
+    assert schur_multiply(x, y) == expected["product"]
+    assert codeterminant(shape, i, j) == expected["codet"]
+    assert cell_datum_check((2, 2, 1)).to_json() == cellular
+    assert [pbw_image(a, form) for form in FORMS] == expected["pbw"]
+    assert to_schur(u, 5) == expected["to_schur"]
+
+
+def test_cell_datum_check_matches_column_path(monkeypatch):
+    tables = cell_datum_check((2, 2, 2)).to_json()
+    monkeypatch.setattr(codet, "schur_multiply", column_multiply)
+    assert cell_datum_check((2, 2, 2)).to_json() == tables
+
+
+def test_slices_match_margin_matrices_under_the_bound():
+    for n in (1, 2, 3):
+        for r in range(5):
+            for rows in compositions(n, r):
+                for cols in compositions(n, r):
+                    count = len(margin_matrices(rows, cols))
+                    assert len(schur._slices(rows, cols)) == count
+                    assert schur._slice_bound(rows, cols) >= count
+    # zero rows and columns drop out of the bound
+    assert schur._slice_bound((5, 0, 0), (0, 5, 0)) == 1
+
+
+def test_product_refuses_too_many_tables(monkeypatch):
+    # every slice has margins (10,10,10,10): C(13,3)^3 > 10^6 tables each
+    a = ((10,) * 4,) * 4
+    monkeypatch.setattr(schur, "_slices", raise_on_words)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        schur_multiply(xi(a), xi(a))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_caches_are_bounded():
+    caches = {
+        weights._kostka_cached: 1 << 16,
+        schur._pair_product: 4096,
+        schur._slices: 4096,
+    }
+    for fn, maxsize in caches.items():
+        assert fn.cache_info().maxsize == maxsize
+    schur_multiply(xi(((1, 1), (1, 1))), xi(((1, 1), (1, 1))))
+    weights.kostka((3, 2), (1, 1, 1, 1, 1))
+    for fn, maxsize in caches.items():
+        assert 0 < fn.cache_info().currsize <= maxsize

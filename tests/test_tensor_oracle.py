@@ -1,17 +1,19 @@
-"""The column primitive against the full tensor-space oracle.
+"""The library paths against the full tensor-space oracle.
 
-Schur products, PBW images, the truncation to_schur and the idempotent
-lemma are computed on one word per right weight.  The helpers here keep
-the earlier bodies of those functions, built from whole tensor-space
+Schur products follow Green's rule on three-way tables, PBW images and
+the truncation to_schur are ordered products of orbit elements, and the
+idempotent lemma acts on one word per weight.  The helpers here keep the
+earlier bodies of those functions, built from whole tensor-space
 endomorphisms (tensor_rep, endo_of, compose, element_from_endo), and the
 tests compare the two paths on seeded random inputs.  A structural test
-pins that the library paths never build a TensorEndo.
+pins that the library paths never build a TensorEndo; the guard tests
+pin the word guard of act, read_column and u_act.
 """
 
 import random
 import time
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -25,6 +27,7 @@ from schuralg.enveloping import (
     pbw_image,
     plus_weight,
     tensor_rep,
+    u_act,
     verify_weight_idempotent,
 )
 from schuralg.errors import ResourceLimitError
@@ -47,6 +50,7 @@ from schuralg.udot import (
     to_schur,
     udot_basis_upto,
     udot_element,
+    udot_multiply,
 )
 from schuralg.weights import col_sums, compositions, margin_matrices, row_sums, weight_word
 
@@ -190,11 +194,29 @@ def test_column_guard():
     with pytest.raises(ResourceLimitError):
         act(x, {weight_word(lam): Fraction(1)})
     with pytest.raises(ResourceLimitError):
-        schur_multiply(x, x)
+        read_column(2, 24, {}, weight_word(lam))
+    # the library paths write no words, so the weight is no obstacle
+    assert schur_multiply(x, x) == x
+    for form in FORMS:
+        assert pbw_image(((12, 0), (0, 12)), form) == x
+    # f^(12) 1_(24,0) is the orbit element of diag(24, 0) + 12 (E_21 - E_11)
+    u = udot_element(lam, (24, 0), (0, 12))
+    assert to_schur(u, 24) == SchurElement(2, 24, {((12, 0), (12, 0)): 1})
+
+
+def test_to_schur_beyond_the_word_guard():
+    lam = (6, 6, 6)  # 18!/(6!)^3 words, above the limit
     with pytest.raises(ResourceLimitError):
-        pbw_image(((12, 0), (0, 12)))
-    with pytest.raises(ResourceLimitError):
-        to_schur(udot_element(lam, (24, 0), (0, 12)), 24)
+        check_column_scale(lam)
+    # e_12^(2) 1_lam is the orbit element of diag(lam) + 2 (E_12 - E_22)
+    e = udot_element((8, 4, 6), lam, (2, 0, 0, 0, 0, 0))
+    assert to_schur(e, 18) == SchurElement(3, 18, {((6, 2, 0), (0, 4, 0), (0, 0, 6)): 1})
+    # truncation is an algebra map; products straighten in U-dot
+    basis = udot_basis_upto(lam, lam, 2)
+    assert len(basis) == 4
+    for u in basis:
+        for v in basis:
+            assert to_schur(udot_multiply(u, v), 18) == to_schur(u, 18) * to_schur(v, 18)
 
 
 def test_column_guard_matches_multinomial():
@@ -215,9 +237,12 @@ def test_column_guard_refuses_huge_degree_at_once():
     big = 10 ** 7
     x = SchurElement(2, 2 * big, {((big, 0), (0, big)): 1})
     start = time.perf_counter()
+    # act and read_column check this before writing a word
     with pytest.raises(ResourceLimitError):
-        schur_multiply(x, x)
+        check_column_scale((big, big))
     check_column_scale((2 * big,))  # one word
+    # a diagonal product is a single table
+    assert schur_multiply(x, x) == x
     assert time.perf_counter() - start < 1.0
 
 
@@ -239,11 +264,20 @@ def test_divided_powers_refuse_intermediate_weights(monkeypatch):
         return apply_unit(unit, vec)
 
     monkeypatch.setattr(enveloping, "_apply_unit", bounded)
-    for form in FORMS:
+    for side in ("fe", "ef"):
         with pytest.raises(ResourceLimitError):
-            pbw_image(a, form)
+            u_act(divided_monomial(2, a, (), side), {weight_word(col_sums(a)): Fraction(1)})
     with pytest.raises(ResourceLimitError):
-        to_schur(udot_element((0, 30), (0, 30), (15, 15)), 30)
+        u_act(divided_monomial(2, ((0, 15), (15, 0))), {weight_word((0, 30)): Fraction(1)})
+    # word-free: e^(25) 1_(5,25) is xi at ((5,25),(0,0)), and f^(5) 1_(30,0)
+    # is xi at ((25,0),(5,0)); their product has one table per t <= 5
+    expected = SchurElement(2, 30, {((5 - t, 20 + t), (t, 5 - t)): 1 for t in range(6)})
+    for form in ("fe", "fe-middle"):
+        assert pbw_image(a, form) == expected
+    # e^(15) 1_(0,30) is xi at ((0,15),(0,15)), and f^(15) 1_(15,15) moves
+    # every 1 back: each word of 2^30 returns once per choice of 15 places
+    u = udot_element((0, 30), (0, 30), (15, 15))
+    assert to_schur(u, 30) == SchurElement(2, 30, {((0, 0), (0, 30)): comb(30, 15)})
 
 
 def test_codeterminant_blocks_are_bounded(monkeypatch):
