@@ -133,11 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--lambda", dest="lam", required=True)
     q.add_argument("--degree", type=int, default=None)
 
-    q = usub.add_parser("verify-psi", help="truncation map checks at desk scale")
-    q.add_argument("--n-max", type=int, default=3)
-    q.add_argument("--r-max", type=int, default=3)
-    q.add_argument("--seed", type=int, default=2024)
-
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite", choices=sorted(SUITES) + ["all"])
     for name, flag in _SUITE_FLAGS.items():
@@ -270,14 +265,11 @@ def _cmd_udot(args) -> tuple[dict, str, int]:
             "elements": [b.to_json() for b in basis],
         }
         return payload, "", 0
-    if args.udot_command == "gl2-table":
-        lam = _parse_weight(args.lam)
-        degree = args.degree if args.degree is not None else 4
-        table = gl2_generic_table(lam, degree)
-        return table.to_json(), "", 0 if table.passed else 1
-    # verify-psi
-    report = run_suite("psi", n_max=args.n_max, r_max=args.r_max, seed=args.seed)
-    return report.to_json(), report.to_csv(), 0 if report.passed else 1
+    # gl2-table
+    lam = _parse_weight(args.lam)
+    degree = args.degree if args.degree is not None else 4
+    table = gl2_generic_table(lam, degree)
+    return table.to_json(), "", 0 if table.passed else 1
 
 
 def _cmd_verify(args) -> tuple[dict, str, int]:

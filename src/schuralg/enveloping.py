@@ -30,10 +30,12 @@ needs no words: a divided power e_ab^(m) acting on weight w is the single
 orbit element at diag(w) + m (E_ab - E_bb), every later weight is forced,
 and the image is the ordered product of those orbit elements, zero once
 a weight leaves the compositions.  pbw_image builds its four
-arrangements this way.  u_act, the action on vectors of words of length
-r (unit (a, b) rewrites one letter b to a, diagonal letters act by the
-letter count), and tensor_rep, the full action on tensor space, are kept
-as oracles; verify_weight_idempotent still acts on one word per weight.
+arrangements this way.  verify_weight_idempotent needs no words either:
+H_i acts on every word of weight nu as nu_i.
+
+tensor_rep, the action on all of degree-r tensor space (unit (a, b)
+rewrites one letter b to a, diagonal letters act by the letter count),
+is kept as an oracle behind the tensor-space guard of schur.
 """
 
 from __future__ import annotations
@@ -42,16 +44,14 @@ import itertools
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 from typing import Mapping, Sequence
 
 from .exact_linalg import SparseCombination
 from .schur import (
-    TENSOR_SPACE_LIMIT,
     SchurElement,
     TensorEndo,
     _validate_margin_matrix,
-    check_column_scale,
     _chain_sum,
     check_tensor_scale,
     _diagonal,
@@ -63,8 +63,6 @@ from .weights import (
     all_words,
     col_sums,
     compositions,
-    weight_of,
-    weight_word,
 )
 
 __all__ = [
@@ -79,9 +77,7 @@ __all__ = [
     "u_relabel",
     "divided_monomial",
     "integrality_coords",
-    "u_act",
     "tensor_rep",
-    "project",
     "verify_weight_idempotent",
     "pbw_image",
     "plus_weight",
@@ -382,61 +378,20 @@ def integrality_coords(
     return coords, integral
 
 
-def u_act(x: UElement, vec: Mapping[Word, Fraction]) -> dict[Word, Fraction]:
-    """x applied to a vector on words: unit (a, b) rewrites one letter b
-    to a (summed over positions); diagonal unit (a, a) multiplies by the
-    count of letter a.  Nonzero entries only.
-
-    When tensor space has more than TENSOR_SPACE_LIMIT words, every weight
-    that a monomial passes through, one unit at a time, is checked before
-    any unit is applied: ResourceLimitError is raised before the work.
-    """
-    if vec and x.n ** len(next(iter(vec))) > TENSOR_SPACE_LIMIT:
-        start = {weight_of(k, x.n) for k in vec}
-        for mono in x.terms:
-            weights = start
-            for unit in reversed(_monomial_word(x.n, mono)):
-                weights = _unit_weights(unit, weights)
-                for w in weights:
-                    check_column_scale(w)
-    out: dict[Word, Fraction] = {}
-    for mono, coeff in x.terms.items():
-        v = {k: coeff * c for k, c in vec.items()}
-        for unit in reversed(_monomial_word(x.n, mono)):
-            v = _apply_unit(unit, v)
-            if not v:
-                break
-        for l, c in v.items():
-            out[l] = out[l] + c if l in out else c
-    return {l: c for l, c in out.items() if c}
-
-
 def tensor_rep(x: UElement, r: int) -> TensorEndo:
-    """Action on all of degree-r tensor space: an algebra homomorphism."""
+    """Action on all of degree-r tensor space: an algebra homomorphism.
+    Each monomial acts on a word one unit at a time, rightmost first."""
     check_tensor_scale(x.n, r)
-    one = Fraction(1)
-    return TensorEndo(
-        x.n, r, {(l, k): c for k in all_words(x.n, r) for l, c in u_act(x, {k: one}).items()}
-    )
-
-
-def project(vec: Mapping[Word, Fraction], lam: Sequence[int]) -> dict[Word, Fraction]:
-    """The weight idempotent of lam on a vector: keep words of weight lam."""
-    lam = tuple(lam)
-    return {w: c for w, c in vec.items() if weight_of(w, len(lam)) == lam}
-
-
-def _unit_weights(unit: Unit, weights: set[Weight]) -> set[Weight]:
-    # weights reached by applying unit (a, b) to words of the given weights
-    a, b = unit
-    out = set()
-    for w in weights:
-        if w[b - 1]:
-            moved = list(w)
-            moved[b - 1] -= 1
-            moved[a - 1] += 1
-            out.add(tuple(moved))
-    return out
+    units = [(c, _monomial_word(x.n, m)[::-1]) for m, c in x.terms.items()]
+    out: dict[tuple[Word, Word], Fraction] = {}
+    for k in all_words(x.n, r):
+        for coeff, word in units:
+            v = {k: coeff}
+            for unit in word:
+                v = _apply_unit(unit, v)
+            for l, c in v.items():
+                out[l, k] = out[l, k] + c if (l, k) in out else c
+    return TensorEndo(x.n, r, out)
 
 
 def _apply_unit(unit: Unit, vec: Mapping[tuple[int, ...], Fraction]) -> dict:
@@ -458,8 +413,10 @@ def _apply_unit(unit: Unit, vec: Mapping[tuple[int, ...], Fraction]) -> dict:
 
 def verify_weight_idempotent(lam: Sequence[int], r: int | None = None) -> bool:
     """Check that prod_i binom(H_i, lam_i) acts on tensor space exactly as
-    the weight idempotent of lam.  Both commute with place permutations,
-    so one word weight_word(nu) per composition nu of r suffices."""
+    the weight idempotent of lam.  H_i acts on the words of weight nu as
+    nu_i, so on those words the product is the scalar
+    prod_i binom(nu_i, lam_i): it must be 1 at nu = lam and 0 at every
+    other composition nu of r."""
     lam = tuple(lam)
     if r is None:
         r = sum(lam)
@@ -467,10 +424,10 @@ def verify_weight_idempotent(lam: Sequence[int], r: int | None = None) -> bool:
         raise ValueError("degree must match the weight")
     n = len(lam)
     x = divided_monomial(n, tuple(tuple(0 for _ in range(n)) for _ in range(n)), lam)
-    one = Fraction(1)
     return all(
-        u_act(x, {k: one}) == project({k: one}, lam)
-        for k in map(weight_word, compositions(n, r))
+        sum(c * prod(v ** p for v, p in zip(nu, h)) for (_, h, _), c in x.terms.items())
+        == (1 if nu == lam else 0)
+        for nu in compositions(n, r)
     )
 
 

@@ -27,11 +27,13 @@ word is written.  Before enumerating, each product of two orbit elements
 bounds its table count by a closed form per slice and refuses more than
 TENSOR_SPACE_LIMIT tables.
 
-act applies an element to a vector on words, and read_column reads an
-element back off the column at one word, verifying on the way that
-coefficients are constant on each orbit.  Together with the full
-tensor-space endomorphisms (TensorEndo, orbit_endo, endo_of,
-element_from_endo) they are the independent oracle for the products.
+Tensor space itself enters only as an oracle, behind one guard
+(check_tensor_scale: at most TENSOR_SPACE_LIMIT words): orbit_endo
+writes the orbit element of one margin matrix as a full tensor-space
+endomorphism (TensorEndo), endo_of sums those, and element_from_endo
+reads an endomorphism back in the orbit basis.  The tests compare the
+products against them, and the gbasis and gl2 suites take exact ranks of
+their entries.
 
 Weight idempotents are the diagonal matrices: they project onto the span
 of words of one fixed weight.  All arithmetic is exact (integers inside
@@ -55,19 +57,15 @@ from .weights import (
     Perm,
     Weight,
     Word,
-    _bounded_rows,
     col_sums,
     compositions,
     is_composition,
     margin_matrices,
     matrix_degree,
-    orbit_size,
     pair_to_matrix,
     perm_compose,
     row_sums,
     transpose,
-    weight_of,
-    weight_word,
     words_of_weight,
 )
 
@@ -78,8 +76,6 @@ __all__ = [
     "orbit_endo",
     "endo_of",
     "element_from_endo",
-    "act",
-    "read_column",
     "schur_multiply",
     "idempotent",
     "identity_element",
@@ -101,25 +97,6 @@ def check_tensor_scale(n: int, r: int) -> None:
         raise ResourceLimitError(
             f"tensor space has {n}^{r} basis words, above the limit {TENSOR_SPACE_LIMIT}"
         )
-
-
-def check_column_scale(mu: Sequence[int]) -> None:
-    """Refuse a weight with more than TENSOR_SPACE_LIMIT words.
-
-    The words of weight mu number r! / prod mu_j!.  The multinomial is
-    built one letter at a time, largest part first, so every factor is at
-    least 2 and the loop stops within about log2(TENSOR_SPACE_LIMIT) steps.
-    """
-    parts = sorted(mu, reverse=True)
-    words, total = 1, parts[0] if parts else 0
-    for m in parts[1:]:
-        for t in range(1, m + 1):
-            total += 1
-            words = words * total // t
-            if words > TENSOR_SPACE_LIMIT:
-                raise ResourceLimitError(
-                    f"weight {tuple(mu)} has more than {TENSOR_SPACE_LIMIT} words"
-                )
 
 
 class TensorEndo(SparseCombination):
@@ -183,7 +160,7 @@ def _orbit_images(a: Matrix, k: Word) -> list[Word]:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=512)
 def orbit_endo(a: Matrix) -> TensorEndo:
     """Endomorphism of the orbit-basis element for margin matrix a."""
     n, r = _validate_margin_matrix(a)
@@ -253,88 +230,30 @@ def endo_of(x: SchurElement) -> TensorEndo:
 def element_from_endo(endo: TensorEndo) -> SchurElement:
     """Read an equivariant endomorphism off in the orbit basis.
 
-    Reads one column per input weight, then requires the element found to
-    act as endo does on all of tensor space.  Raises ValueError when the
-    endomorphism is not in the orbit-basis span, so a successful decode
-    doubles as an equivariance check.
+    Takes each orbit's coefficient from any one of its entries, then
+    requires the element found to act as endo does on all of tensor
+    space.  Raises ValueError when the endomorphism is not in the
+    orbit-basis span (a coefficient not constant on an orbit, or an orbit
+    only partly present), so a successful decode doubles as an
+    equivariance check.
     """
-    columns: dict[Word, dict[Word, Fraction]] = {}
+    terms: dict[Matrix, Fraction] = {}
     for (l, k), c in endo.terms.items():
-        columns.setdefault(k, {})[l] = c
-    out = SchurElement(endo.n, endo.r)
-    for mu in dict.fromkeys(weight_of(k, endo.n) for k in columns):
-        k = weight_word(mu)
-        out = out + read_column(endo.n, endo.r, columns.get(k, {}), k)
+        terms.setdefault(pair_to_matrix(l, k, endo.n), c)
+    out = SchurElement(endo.n, endo.r, terms)
     if endo_of(out) != endo:
         raise ValueError("endomorphism is not in the orbit-basis span")
     return out
 
 
-def act(x: SchurElement, vec: Mapping[Word, Fraction]) -> dict[Word, Fraction]:
-    """x applied to a vector on words of length x.r, nonzero entries only.
-
-    Raises ResourceLimitError before writing into a weight with more
-    than TENSOR_SPACE_LIMIT words.
-    """
-    by_weight: dict[Weight, list[tuple[Word, Fraction]]] = {}
-    for k, v in vec.items():
-        by_weight.setdefault(weight_of(k, x.n), []).append((k, v))
-    out: dict[Word, Fraction] = {}
-    for a, c in x.terms.items():
-        inputs = by_weight.get(col_sums(a), ())
-        if inputs:
-            check_column_scale(row_sums(a))
-        for k, v in inputs:
-            cv = c * v
-            for l in _orbit_images(a, k):
-                out[l] = out[l] + cv if l in out else cv
-    return {l: c for l, c in out.items() if c}
-
-
-def read_column(n: int, r: int, vec: Mapping[Word, Fraction], k: Word) -> SchurElement:
-    """The element of S(n, r) supported on column weight weight_of(k)
-    that sends e_k to vec.
-
-    Groups the words of vec by their pair matrix with k.  Raises
-    ValueError when a coefficient is not constant on an orbit (a missing
-    word counts as coefficient 0): then no element has this column.
-    """
-    mu = weight_of(k, n)
-    check_column_scale(mu)
-    seen: dict[Matrix, tuple[int, Fraction]] = {}
-    for l, c in vec.items():
-        a = pair_to_matrix(l, k, n)
-        count, val = seen.get(a, (0, c))
-        if val != c:
-            raise ValueError(f"coefficient not constant on orbit of {a}")
-        seen[a] = (count + 1, val)
-    column_words = orbit_size((mu,))
-    for a, (count, _) in seen.items():
-        if count * column_words != orbit_size(a):
-            raise ValueError(f"coefficient not constant on orbit of {a}")
-    return SchurElement(n, r, {a: val for a, (_, val) in seen.items()})
-
-
 @lru_cache(maxsize=4096)
 def _slices(rows: Weight, cols: Weight) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    """Matrices with row sums rows and column sums cols (equal totals),
-    each as its nonzero entries (i, k, value); zero rows and columns are
-    skipped, so they cost nothing."""
-    ks = [k for k, c in enumerate(cols) if c]
-    out: list[tuple[tuple[int, int, int], ...]] = []
-
-    def rec(i: int, caps: tuple[int, ...], acc: tuple[tuple[int, int, int], ...]) -> None:
-        while i < len(rows) and not rows[i]:
-            i += 1
-        if i == len(rows):
-            out.append(acc)
-            return
-        for row in _bounded_rows(rows[i], caps):
-            entries = tuple((i, k, v) for k, v in zip(ks, row) if v)
-            rec(i + 1, tuple(c - v for c, v in zip(caps, row)), acc + entries)
-
-    rec(0, tuple(cols[k] for k in ks), ())
-    return tuple(out)
+    """Matrices with row sums rows and column sums cols (equal totals), in
+    margin_matrices order, each as its nonzero entries (i, k, value)."""
+    return tuple(
+        tuple((i, k, v) for i, row in enumerate(m) for k, v in enumerate(row) if v)
+        for m in margin_matrices(rows, cols)
+    )
 
 
 def _slice_bound(rows: Sequence[int], cols: Sequence[int]) -> int:

@@ -234,7 +234,7 @@ def udot_basis_upto(lam: Sequence[int], mu: Sequence[int], degree: int) -> list[
     return [udot_element(lam, mu, p) for p in sorted(patterns, key=lambda p: (sum(p), p))]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _lift(n: int, p: Pattern) -> UElement:
     return divided_monomial(n, pattern_matrix(p, n), (), "fe")
 

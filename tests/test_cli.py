@@ -239,9 +239,7 @@ def test_udot_negative_degree(capsys, argv):
 
 
 def test_udot_verify_psi(capsys):
-    code, out, _ = run_cli(
-        capsys, "udot", "verify-psi", "--n-max", "2", "--r-max", "2"
-    )
+    code, out, _ = run_cli(capsys, "verify", "psi", "--n-max", "2", "--r-max", "2")
     assert code == 0
     payload = json.loads(out)
     assert payload["passed"] is True

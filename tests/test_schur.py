@@ -14,13 +14,10 @@ from schuralg.enveloping import (
     minus_weight,
     pbw_image,
     plus_weight,
-    project,
-    u_act,
 )
 from schuralg.errors import ResourceLimitError
 from schuralg.schur import (
     SchurElement,
-    act,
     element_from_endo,
     endo_of,
     hom_basis,
@@ -29,7 +26,6 @@ from schuralg.schur import (
     involution,
     orbit_endo,
     perm_matrix,
-    read_column,
     schur_multiply,
     symmetric_group_iso,
     weight_components,
@@ -40,11 +36,13 @@ from schuralg.weights import (
     col_sums,
     compositions,
     margin_matrices,
+    orbit_size,
     pair_to_matrix,
     perm_compose,
     permute_weight,
     row_sums,
     transpose,
+    weight_of,
     weight_word,
     words_of_weight,
 )
@@ -98,6 +96,12 @@ def test_element_from_endo_rejects_non_equivariant():
     bad = TensorEndo(2, 2, {((1, 2), (1, 2)): Fraction(1)})
     with pytest.raises(ValueError):
         element_from_endo(bad)
+    # the orbit element of ((1,1),(1,0)) sends e_(1,1,2) to e_(1,2,1) +
+    # e_(2,1,1): one word missing, or unequal coefficients, is no element
+    k = (1, 1, 2)
+    for entries in ({((1, 2, 1), k): 1}, {((1, 2, 1), k): 1, ((2, 1, 1), k): 2}):
+        with pytest.raises(ValueError):
+            element_from_endo(TensorEndo(2, 3, entries))
 
 
 def test_multiplication_matches_pair_counting():
@@ -308,10 +312,59 @@ def test_distributivity_random(x, y):
 # The library multiplies by summing over three-way tables and builds PBW
 # images and truncations as ordered products of orbit elements.  The
 # helpers below are the earlier word-based bodies: elements act on the one
-# word weight_word(mu) per column weight and are read back off it.
+# word weight_word(mu) per column weight and are read back off it.  They
+# build on the two primitives the library keeps for its tensor-space
+# oracles, schur._orbit_images and enveloping._apply_unit, and have no
+# resource guard: the tests only give them words of length r <= 6.
 
 FORMS = ("fe", "ef", "fe-middle", "ef-middle")
 ORACLE_SIZES = [(2, r) for r in range(7)] + [(3, r) for r in range(6)] + [(4, r) for r in range(5)]
+
+
+def act(x, vec):
+    """x applied to a vector on words of length x.r, nonzero entries only."""
+    by_weight = {}
+    for k, v in vec.items():
+        by_weight.setdefault(weight_of(k, x.n), []).append((k, v))
+    out = {}
+    for a, c in x.terms.items():
+        for k, v in by_weight.get(col_sums(a), ()):
+            for l in schur._orbit_images(a, k):
+                out[l] = out.get(l, 0) + c * v
+    return {l: c for l, c in out.items() if c}
+
+
+def read_column(n, r, vec, k):
+    """The element of S(n, r) on column weight weight_of(k) that sends e_k
+    to vec; ValueError when a coefficient is not constant on an orbit."""
+    seen = {}
+    for l, c in vec.items():
+        a = pair_to_matrix(l, k, n)
+        count, val = seen.get(a, (0, c))
+        if val != c:
+            raise ValueError(f"coefficient not constant on orbit of {a}")
+        seen[a] = (count + 1, val)
+    column_words = orbit_size((weight_of(k, n),))
+    if any(count * column_words != orbit_size(a) for a, (count, _) in seen.items()):
+        raise ValueError("an orbit is only partly present")
+    return SchurElement(n, r, {a: val for a, (_, val) in seen.items()})
+
+
+def u_act(x, vec):
+    """x applied to a vector on words, one unit at a time, rightmost first."""
+    out = {}
+    for mono, coeff in x.terms.items():
+        v = {k: coeff * c for k, c in vec.items()}
+        for unit in reversed(enveloping._monomial_word(x.n, mono)):
+            v = enveloping._apply_unit(unit, v)
+        for l, c in v.items():
+            out[l] = out.get(l, 0) + c
+    return {l: c for l, c in out.items() if c}
+
+
+def project(vec, lam):
+    """The weight idempotent of lam on a vector: keep words of weight lam."""
+    return {w: c for w, c in vec.items() if weight_of(w, len(lam)) == tuple(lam)}
 
 
 def column_multiply(x, y):
@@ -424,7 +477,7 @@ def test_library_paths_write_no_words(monkeypatch):
     monkeypatch.setattr(codet, "schur_multiply", column_multiply)
     cellular = cell_datum_check((2, 2, 1)).to_json()
     monkeypatch.undo()
-    for module, name in ((schur, "act"), (schur, "read_column"), (enveloping, "u_act")):
+    for module, name in ((schur, "_orbit_images"), (enveloping, "_apply_unit")):
         monkeypatch.setattr(module, name, raise_on_words)
     assert schur_multiply(x, y) == expected["product"]
     assert codeterminant(shape, i, j) == expected["codet"]
@@ -466,10 +519,14 @@ def test_caches_are_bounded():
         weights._kostka_cached: 1 << 16,
         schur._pair_product: 4096,
         schur._slices: 4096,
+        schur.orbit_endo: 512,
+        _lift: 4096,
     }
     for fn, maxsize in caches.items():
         assert fn.cache_info().maxsize == maxsize
     schur_multiply(xi(((1, 1), (1, 1))), xi(((1, 1), (1, 1))))
     weights.kostka((3, 2), (1, 1, 1, 1, 1))
+    orbit_endo(((1, 1), (1, 1)))
+    _lift(3, (1, 0, 0, 0, 0, 1))
     for fn, maxsize in caches.items():
         assert 0 < fn.cache_info().currsize <= maxsize

@@ -2,24 +2,27 @@
 
 Schur products follow Green's rule on three-way tables, PBW images and
 the truncation to_schur are ordered products of orbit elements, and the
-idempotent lemma acts on one word per weight.  The helpers here keep the
-earlier bodies of those functions, built from whole tensor-space
-endomorphisms (tensor_rep, endo_of, compose, element_from_endo), and the
-tests compare the two paths on seeded random inputs.  A structural test
-pins that the library paths never build a TensorEndo; the guard tests
-pin the word guard of act, read_column and u_act.
+idempotent lemma evaluates each diagonal letter as a letter count: none
+of them writes a word.  Tensor space survives only as the oracle
+(TensorEndo, orbit_endo, endo_of, element_from_endo, tensor_rep), behind
+the guard n^r <= TENSOR_SPACE_LIMIT.  The helpers here keep the earlier
+bodies of the library functions, built from whole tensor-space
+endomorphisms, and the tests compare the two paths on seeded random
+inputs.  A structural test pins that the library paths never build a
+TensorEndo, and the tests beyond the limit pin word-free values at
+weights with far more than TENSOR_SPACE_LIMIT words.
 """
 
 import random
 import time
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 import pytest
 
 from test_schur import counting_product_coeff
 
-from schuralg import codet, enveloping
+from schuralg import codet
 from schuralg.codet import cell_datum_check, codet_basis, codeterminant
 from schuralg.enveloping import (
     divided_monomial,
@@ -27,20 +30,15 @@ from schuralg.enveloping import (
     pbw_image,
     plus_weight,
     tensor_rep,
-    u_act,
     verify_weight_idempotent,
 )
 from schuralg.errors import ResourceLimitError
 from schuralg.schur import (
-    TENSOR_SPACE_LIMIT,
     SchurElement,
     TensorEndo,
-    act,
-    check_column_scale,
     element_from_endo,
     endo_of,
     idempotent,
-    read_column,
     schur_multiply,
 )
 from schuralg.udot import (
@@ -52,7 +50,7 @@ from schuralg.udot import (
     udot_element,
     udot_multiply,
 )
-from schuralg.weights import col_sums, compositions, margin_matrices, row_sums, weight_word
+from schuralg.weights import col_sums, compositions, margin_matrices, row_sums
 
 FORMS = ("fe", "ef", "fe-middle", "ef-middle")
 SIZES = [(2, r) for r in range(5)] + [(3, r) for r in range(4)]
@@ -164,17 +162,6 @@ def test_verify_weight_idempotent_matches_tensor_space(n, r):
         assert verify_weight_idempotent(lam)
 
 
-def test_read_column_rejects_a_non_column():
-    k = weight_word((2, 1))
-    # the orbit element of ((1,1),(1,0)) sends e_k to e_(1,2,1) + e_(2,1,1)
-    with pytest.raises(ValueError):
-        read_column(2, 3, {(1, 2, 1): Fraction(1)}, k)
-    with pytest.raises(ValueError):
-        read_column(2, 3, {(1, 2, 1): Fraction(1), (2, 1, 1): Fraction(2)}, k)
-    x = SchurElement(2, 3, {((1, 1), (1, 0)): 3, ((2, 0), (0, 1)): -1})
-    assert read_column(2, 3, act(x, {k: Fraction(1)}), k) == x
-
-
 def test_product_beyond_tensor_space_limit():
     # S(2,20) has 2^20 > 10^6 words, the weight (10,10) only C(20,10)
     a = ((9, 1), (1, 9))
@@ -186,28 +173,25 @@ def test_product_beyond_tensor_space_limit():
     assert schur_multiply(x, x) == SchurElement(
         2, 20, {((10, 0), (0, 10)): 100, a: 18, ((8, 2), (2, 8)): 4}
     )
-
-
-def test_column_guard():
-    lam = (12, 12)  # C(24, 12) words, above the limit
-    x = idempotent(lam)
-    with pytest.raises(ResourceLimitError):
-        act(x, {weight_word(lam): Fraction(1)})
-    with pytest.raises(ResourceLimitError):
-        read_column(2, 24, {}, weight_word(lam))
-    # the library paths write no words, so the weight is no obstacle
-    assert schur_multiply(x, x) == x
+    # the weight (12,12) has C(24,12) words; products and images write none
+    lam = (12, 12)
+    e = idempotent(lam)
+    assert schur_multiply(e, e) == e
     for form in FORMS:
-        assert pbw_image(((12, 0), (0, 12)), form) == x
+        assert pbw_image(((12, 0), (0, 12)), form) == e
     # f^(12) 1_(24,0) is the orbit element of diag(24, 0) + 12 (E_21 - E_11)
     u = udot_element(lam, (24, 0), (0, 12))
     assert to_schur(u, 24) == SchurElement(2, 24, {((12, 0), (12, 0)): 1})
+    # a diagonal product is a single table, whatever the degree
+    big = 10 ** 7
+    start = time.perf_counter()
+    e = idempotent((big, big))
+    assert schur_multiply(e, e) == e
+    assert time.perf_counter() - start < 1.0
 
 
 def test_to_schur_beyond_the_word_guard():
     lam = (6, 6, 6)  # 18!/(6!)^3 words, above the limit
-    with pytest.raises(ResourceLimitError):
-        check_column_scale(lam)
     # e_12^(2) 1_lam is the orbit element of diag(lam) + 2 (E_12 - E_22)
     e = udot_element((8, 4, 6), lam, (2, 0, 0, 0, 0, 0))
     assert to_schur(e, 18) == SchurElement(3, 18, {((6, 2, 0), (0, 4, 0), (0, 0, 6)): 1})
@@ -217,73 +201,24 @@ def test_to_schur_beyond_the_word_guard():
     for u in basis:
         for v in basis:
             assert to_schur(udot_multiply(u, v), 18) == to_schur(u, 18) * to_schur(v, 18)
-
-
-def test_column_guard_matches_multinomial():
-    for n in range(1, 4):
-        for r in range(24):
-            for mu in compositions(n, r):
-                words = factorial(r)
-                for m in mu:
-                    words //= factorial(m)
-                if words > TENSOR_SPACE_LIMIT:
-                    with pytest.raises(ResourceLimitError):
-                        check_column_scale(mu)
-                else:
-                    check_column_scale(mu)
-
-
-def test_column_guard_refuses_huge_degree_at_once():
-    big = 10 ** 7
-    x = SchurElement(2, 2 * big, {((big, 0), (0, big)): 1})
-    start = time.perf_counter()
-    # act and read_column check this before writing a word
-    with pytest.raises(ResourceLimitError):
-        check_column_scale((big, big))
-    check_column_scale((2 * big,))  # one word
-    # a diagonal product is a single table
-    assert schur_multiply(x, x) == x
-    assert time.perf_counter() - start < 1.0
-
-
-def refuse_work(*args, **kwargs):
-    raise AssertionError("work started before the resource check")
-
-
-def test_divided_powers_refuse_intermediate_weights(monkeypatch):
-    # every end weight has at most C(30, 5) words, but e^(25) on 1^5 2^25
-    # and e^(15) on 2^30 pass through (7, 23), with C(30, 7) > 10^6 words
-    a = ((0, 25), (5, 0))
-    for w in (row_sums(a), col_sums(a), minus_weight(a), plus_weight(a)):
-        check_column_scale(w)
-    apply_unit = enveloping._apply_unit
-
-    def bounded(unit, vec):
-        # the refusal comes before any vector outgrows the end weights
-        assert len(vec) <= 142506, "vector of an intermediate weight built"
-        return apply_unit(unit, vec)
-
-    monkeypatch.setattr(enveloping, "_apply_unit", bounded)
-    for side in ("fe", "ef"):
-        with pytest.raises(ResourceLimitError):
-            u_act(divided_monomial(2, a, (), side), {weight_word(col_sums(a)): Fraction(1)})
-    with pytest.raises(ResourceLimitError):
-        u_act(divided_monomial(2, ((0, 15), (15, 0))), {weight_word((0, 30)): Fraction(1)})
-    # word-free: e^(25) 1_(5,25) is xi at ((5,25),(0,0)), and f^(5) 1_(30,0)
-    # is xi at ((25,0),(5,0)); their product has one table per t <= 5
+    # e^(25) 1_(5,25) is xi at ((5,25),(0,0)), and f^(5) 1_(30,0) is xi at
+    # ((25,0),(5,0)), both through (7,23) with C(30,7) > 10^6 words; their
+    # product has one table per t <= 5
     expected = SchurElement(2, 30, {((5 - t, 20 + t), (t, 5 - t)): 1 for t in range(6)})
     for form in ("fe", "fe-middle"):
-        assert pbw_image(a, form) == expected
+        assert pbw_image(((0, 25), (5, 0)), form) == expected
     # e^(15) 1_(0,30) is xi at ((0,15),(0,15)), and f^(15) 1_(15,15) moves
     # every 1 back: each word of 2^30 returns once per choice of 15 places
     u = udot_element((0, 30), (0, 30), (15, 15))
     assert to_schur(u, 30) == SchurElement(2, 30, {((0, 0), (0, 30)): comb(30, 15)})
 
 
+def refuse_work(*args, **kwargs):
+    raise AssertionError("work started before the resource check")
+
+
 def test_codeterminant_blocks_are_bounded(monkeypatch):
-    # every column of weight (1,)*8 has 8! words, within the column limit,
-    # but the block has 8! > 1000 codeterminants
-    check_column_scale((1,) * 8)
+    # the block of weight (1,)*8 has 8! > 1000 codeterminants
     monkeypatch.setattr(codet, "codeterminant", refuse_work)
     with pytest.raises(ResourceLimitError):
         cell_datum_check((1,) * 8)
