@@ -175,7 +175,15 @@ def cell_datum_check(lam: Sequence[int]) -> CellReport:
     dim = len(margin_matrices(lam, lam))
     witnesses: list[dict] = []
 
-    axiom_a = len(cells) == dim and exact_rank([c.value.terms for c in cells]) == dim
+    # the cells form a basis exactly when there are dim of them and they
+    # are independent; the solver's one elimination decides the latter
+    solver = None
+    if len(cells) == dim:
+        try:
+            solver = CoordinateSolver([c.value.terms for c in cells])
+        except ValueError:
+            pass
+    axiom_a = solver is not None
     if not axiom_a:
         witnesses.append(
             {
@@ -207,7 +215,6 @@ def cell_datum_check(lam: Sequence[int]) -> CellReport:
         # coordinates are not well defined without a basis
         return CellReport(lam, dim, len(cells), axiom_a, axiom_b, False, witnesses)
 
-    solver = CoordinateSolver([c.value.terms for c in cells])
     axiom_c = True
     multipliers = hom_basis(lam, lam)
     for a_idx, a in enumerate(multipliers):

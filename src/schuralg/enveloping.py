@@ -258,7 +258,7 @@ def u_relabel(x: UElement, w: Sequence[int]) -> UElement:
     return x._new(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _binom_poly(k: int) -> tuple[Fraction, ...]:
     """Coefficients of binom(X, k) = X(X-1)..(X-k+1)/k! by ascending power."""
     coeffs = [Fraction(1)]
@@ -271,7 +271,7 @@ def _binom_poly(k: int) -> tuple[Fraction, ...]:
     return tuple(c / factorial(k) for c in coeffs)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _h_binom_terms(n: int, b: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
     """Expansion of prod_i binom(H_i, b_i) as {h exponent vector: coeff}."""
     out: dict[tuple[int, ...], Fraction] = {(0,) * n: Fraction(1)}
@@ -416,7 +416,10 @@ def verify_weight_idempotent(lam: Sequence[int], r: int | None = None) -> bool:
     the weight idempotent of lam.  H_i acts on the words of weight nu as
     nu_i, so on those words the product is the scalar
     prod_i binom(nu_i, lam_i): it must be 1 at nu = lam and 0 at every
-    other composition nu of r."""
+    other composition nu of r.  The expansion is scaled once by
+    D = prod_i lam_i!, which makes its coefficients integers (a
+    non-integral one fails the check), so each value is an integer sum
+    compared with D or 0."""
     lam = tuple(lam)
     if r is None:
         r = sum(lam)
@@ -424,9 +427,11 @@ def verify_weight_idempotent(lam: Sequence[int], r: int | None = None) -> bool:
         raise ValueError("degree must match the weight")
     n = len(lam)
     x = divided_monomial(n, tuple(tuple(0 for _ in range(n)) for _ in range(n)), lam)
-    return all(
-        sum(c * prod(v ** p for v, p in zip(nu, h)) for (_, h, _), c in x.terms.items())
-        == (1 if nu == lam else 0)
+    scale = prod(map(factorial, lam))
+    terms = [(h, c * scale) for (_, h, _), c in x.terms.items()]
+    return all(c.denominator == 1 for _, c in terms) and all(
+        sum(c.numerator * prod(v ** p for v, p in zip(nu, h)) for h, c in terms)
+        == (scale if nu == lam else 0)
         for nu in compositions(n, r)
     )
 

@@ -1,4 +1,8 @@
-"""Shared exception types."""
+"""Shared exception type and the one work budget."""
+
+# the one budget: tensor-space words, product tables and enumerated
+# compositions are each refused above it before any work starts
+TENSOR_SPACE_LIMIT = 10 ** 6
 
 
 class ResourceLimitError(RuntimeError):

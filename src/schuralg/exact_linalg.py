@@ -1,9 +1,14 @@
 """Exact linear algebra over the rationals for sparse vectors.
 
-Vectors are mappings from hashable keys to Fractions (or ints).  Ranks and
-determinants use Bareiss fraction-free elimination on integer matrices
-after clearing denominators, so every answer is exact.  Sizes here are
-desk scale (hundreds of rows at most); nothing is tuned beyond that.
+Vectors are mappings from hashable keys to Fractions (or ints).  One
+fraction-free elimination (Bareiss) serves every operation: each vector
+is scaled to integers by its common denominator, and the elimination
+divides exactly, so no Fraction is built inside it.  Ranks and
+determinants stop at echelon form; CoordinateSolver takes the
+Gauss-Jordan form of [basis | identity] once and keeps an integer matrix
+with one common denominator, so a coordinate becomes a Fraction only when
+it is returned.  Sizes here are desk scale (hundreds of rows at most);
+nothing is tuned beyond that.
 
 SparseCombination is the shared vector type of the algebra elements: a
 mapping from basis keys to nonzero Fractions inside one fixed space, with
@@ -13,7 +18,7 @@ the linear structure (sums, scaling, equality) defined once here.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Hashable, Mapping, Sequence
 
 __all__ = [
@@ -94,65 +99,55 @@ class SparseCombination:
         return all(c.denominator == 1 for c in self.terms.values())
 
 
-def _canonical_keys(vectors: Sequence[Mapping[Hashable, Fraction]]) -> list:
-    keys = set()
-    for v in vectors:
-        keys.update(k for k, c in v.items() if c != 0)
-    return sorted(keys, key=repr)
+def _clear_denominators(v: Mapping[Hashable, Fraction]) -> tuple[dict[Hashable, int], int]:
+    """(w, s) with v == w / s, w integral and s the lcm of the denominators;
+    zero entries are dropped.  Entries may be ints or Fractions."""
+    v = {k: c for k, c in v.items() if c}
+    s = lcm(*(c.denominator for c in v.values()))
+    return {k: c.numerator * (s // c.denominator) for k, c in v.items()}, s
 
 
-def _integer_rows(vectors: Sequence[Mapping[Hashable, Fraction]]) -> list[list[int]]:
-    # scale each row by the lcm of denominators; scaling preserves rank
-    keys = _canonical_keys(vectors)
-    rows = []
-    for v in vectors:
-        denom = 1
-        for c in v.values():
-            c = Fraction(c)
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-        rows.append([int(Fraction(v.get(k, 0)) * denom) for k in keys])
-    return rows
+def _eliminate(rows: list[list[int]], ncols: int, jordan: bool = False) -> tuple[int, int]:
+    """Fraction-free elimination of integer rows, in place (Bareiss 1968).
 
-
-def _bareiss(rows: list[list[int]]) -> tuple[int, int]:
-    """Fraction-free elimination; returns (rank, det-of-leading-block).
-
-    The determinant is meaningful only for square full-rank input; it is
-    reported as 0 otherwise.
+    Works through the first ncols columns; each pivot is the first nonzero
+    entry at or below the current row.  The update
+    row <- (p * row - f * pivot_row) // prev divides exactly, since every
+    entry stays a minor of the input (Sylvester's identity), so the
+    arithmetic is integer throughout.  In echelon form only the rows below
+    a pivot are reduced.  In Gauss-Jordan form (jordan=True) every other
+    row is, and the pivot block ends as d times the identity, d the last
+    pivot.  Returns (rank, last pivot signed by the row swaps): for a
+    square matrix of full rank that is its determinant.
     """
-    m = [row[:] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    prev = 1
-    rank = 0
-    sign = 1
+    nrows = len(rows)
+    prev, sign, rank = 1, 1, 0
     for col in range(ncols):
         if rank == nrows:
             break
-        pivot = next((i for i in range(rank, nrows) if m[i][col] != 0), None)
+        pivot = next((i for i in range(rank, nrows) if rows[i][col]), None)
         if pivot is None:
             continue
         if pivot != rank:
-            m[rank], m[pivot] = m[pivot], m[rank]
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
             sign = -sign
-        p = m[rank][col]
-        for i in range(rank + 1, nrows):
-            for j in range(col + 1, ncols):
-                m[i][j] = (p * m[i][j] - m[i][col] * m[rank][j]) // prev
-            m[i][col] = 0
+        prow = rows[rank]
+        p = prow[col]
+        for i in range(0 if jordan else rank + 1, nrows):
+            if i != rank:
+                f = rows[i][col]
+                rows[i] = [(p * a - f * b) // prev for a, b in zip(rows[i], prow)]
         prev = p
         rank += 1
-    if nrows == ncols and rank == nrows:
-        return rank, sign * prev
-    return rank, 0
+    return rank, sign * prev
 
 
 def exact_rank(vectors: Sequence[Mapping[Hashable, Fraction]]) -> int:
     """Rank of the span of the given sparse vectors."""
-    vectors = [v for v in vectors if any(c != 0 for c in v.values())]
-    if not vectors:
-        return 0
-    rank, _ = _bareiss(_integer_rows(vectors))
+    # scaling a vector by its common denominator preserves the rank
+    rows = [_clear_denominators(v)[0] for v in vectors]
+    keys = list(dict.fromkeys(k for w in rows for k in w))
+    rank, _ = _eliminate([[w.get(k, 0) for k in keys] for w in rows], len(keys))
     return rank
 
 
@@ -161,10 +156,8 @@ def integer_det(rows: Sequence[Sequence[int]]) -> int:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix must be square")
-    if n == 0:
-        return 1
-    _, det = _bareiss([list(map(int, r)) for r in rows])
-    return det
+    rank, det = _eliminate([list(map(int, r)) for r in rows], n)
+    return det if rank == n else 0
 
 
 class CoordinateSolver:
@@ -172,62 +165,50 @@ class CoordinateSolver:
 
     Basis vectors must be linearly independent (checked).  coords(v)
     returns the Fraction list with v == sum coords[i] * basis[i], or None
-    when v lies outside the span.  The basis is factored once: Gauss-Jordan
-    elimination of [basis columns | identity] turns the identity block
-    into an invertible E whose first len(basis) rows map v to its
-    coordinates and whose other rows vanish on v exactly when v is in the
-    span, so each solve is one sparse product.
+    when v lies outside the span.  The basis is factored once, by the
+    Gauss-Jordan form of the same fraction-free elimination that ranks and
+    determinants use: on [basis columns | identity], each column scaled to
+    integers, it leaves d times the identity on top of zero rows and turns
+    the identity block into an integer matrix E.  The first len(basis)
+    rows of E, rescaled by the column scales, map v to d times its
+    coordinates; the other rows vanish on v exactly when v is in the span.
+    Each solve is one sparse integer product, and a Fraction is built only
+    for each returned coordinate.
     """
 
     def __init__(self, basis: Sequence[Mapping[Hashable, Fraction]]):
         nb = len(basis)
-        keys = _canonical_keys(basis)
-        index = {k: i for i, k in enumerate(keys)}
-        # row i holds the basis entries at keys[i] in columns 0..nb-1 and
-        # the identity in column nb + i
-        rows: list[dict[int, Fraction]] = [{nb + i: Fraction(1)} for i in range(len(keys))]
-        for j, b in enumerate(basis):
-            for k, c in b.items():
-                if c:
-                    rows[index[k]][j] = Fraction(c)
-        for col in range(nb):
-            pivot = next((i for i in range(col, len(rows)) if col in rows[i]), None)
-            if pivot is None:
-                raise ValueError("basis vectors are linearly dependent")
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            inv = 1 / rows[col][col]
-            prow = rows[col] = {j: x * inv for j, x in rows[col].items()}
-            for i, row in enumerate(rows):
-                f = row.get(col)
-                if f is None or i == col:
-                    continue
-                for j, x in prow.items():
-                    y = row.get(j, 0) - f * x
-                    if y:
-                        row[j] = y
-                    else:
-                        del row[j]
+        columns = [_clear_denominators(b) for b in basis]
+        keys = list(dict.fromkeys(k for w, _ in columns for k in w))
+        # row i holds the scaled basis entries at keys[i] in columns 0..nb-1
+        # and the identity in column nb + i
+        rows = [[w.get(k, 0) for w, _ in columns] + [0] * len(keys) for k in keys]
+        for i, row in enumerate(rows):
+            row[nb + i] = 1
+        if _eliminate(rows, nb, jordan=True)[0] < nb:
+            raise ValueError("basis vectors are linearly dependent")
         self._nb = nb
         self._nrows = len(rows)
+        self._den = rows[0][0] if nb else 1
+        scales = [s for _, s in columns] + [1] * (len(rows) - nb)
         # the columns of E, by key: (row, entry) pairs
-        self._columns: dict[Hashable, list[tuple[int, Fraction]]] = {k: [] for k in keys}
-        for i, row in enumerate(rows):
-            for j, x in row.items():
-                if j >= nb:
-                    self._columns[keys[j - nb]].append((i, x))
+        self._columns: dict[Hashable, list[tuple[int, int]]] = {
+            k: [(i, row[nb + m] * scales[i]) for i, row in enumerate(rows) if row[nb + m]]
+            for m, k in enumerate(keys)
+        }
 
     def coords(self, v: Mapping[Hashable, Fraction]) -> list[Fraction] | None:
-        out = [Fraction(0)] * self._nrows
-        for k, c in v.items():
-            if c == 0:
-                continue
+        w, t = _clear_denominators(v)
+        out = [0] * self._nrows
+        for k, c in w.items():
             if k not in self._columns:
                 return None
             for i, x in self._columns[k]:
                 out[i] += x * c
         if any(out[self._nb:]):
             return None
-        return out[: self._nb]
+        den = self._den * t
+        return [Fraction(x, den) for x in out[: self._nb]]
 
     def in_span(self, v: Mapping[Hashable, Fraction]) -> bool:
         return self.coords(v) is not None
@@ -242,16 +223,11 @@ def unimodular_change(
     falls outside the span, or a coordinate is non-integral."""
     if len(basis_a) != len(basis_b):
         return False
-    if not basis_a:
-        return True
     try:
         solver = CoordinateSolver(basis_b)
     except ValueError:
         return False
-    rows = []
-    for v in basis_a:
-        c = solver.coords(v)
-        if c is None or any(x.denominator != 1 for x in c):
-            return False
-        rows.append([int(x) for x in c])
+    rows = [solver.coords(v) for v in basis_a]
+    if any(c is None or any(x.denominator != 1 for x in c) for c in rows):
+        return False
     return abs(integer_det(rows)) == 1

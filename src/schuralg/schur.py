@@ -50,7 +50,7 @@ from functools import lru_cache
 from math import comb, lcm
 from typing import Mapping, Sequence
 
-from .errors import ResourceLimitError
+from .errors import TENSOR_SPACE_LIMIT, ResourceLimitError
 from .exact_linalg import SparseCombination
 from .weights import (
     Matrix,
@@ -86,8 +86,6 @@ __all__ = [
     "SymmetricGroupTable",
     "symmetric_group_iso",
 ]
-
-TENSOR_SPACE_LIMIT = 10 ** 6
 
 
 def check_tensor_scale(n: int, r: int) -> None:
@@ -443,10 +441,13 @@ class SymmetricGroupTable:
 
 def symmetric_group_iso(r: int) -> SymmetricGroupTable:
     """Correspondence for the block 1_omega S(r, r) 1_omega with omega the
-    all-ones weight; its orbit basis is exactly the permutation matrices."""
+    all-ones weight; its orbit basis is exactly the permutation matrices.
+    Its full table check multiplies all (r!)^2 pairs, so r is bounded at 4,
+    the bound of the symmetric-group quotient check."""
     if r < 1:
         raise ValueError("need r >= 1")
-    check_tensor_scale(r, r)
+    if r > 4:
+        raise ResourceLimitError(f"full table check is bounded at r <= 4 (got r={r})")
     perms = tuple(itertools.permutations(range(1, r + 1)))
     return SymmetricGroupTable(r, perms)
 

@@ -23,6 +23,8 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Iterator, Sequence
 
+from .errors import TENSOR_SPACE_LIMIT, ResourceLimitError
+
 Weight = tuple[int, ...]
 Word = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -78,6 +80,11 @@ def compositions(n: int, r: int) -> list[Weight]:
         raise ValueError("need at least one part")
     if r < 0:
         raise ValueError("degree must be nonnegative")
+    count = composition_count(n, r)
+    if count > TENSOR_SPACE_LIMIT:
+        raise ResourceLimitError(
+            f"{count} compositions of {r} into {n} parts, above the limit {TENSOR_SPACE_LIMIT}"
+        )
     out: list[Weight] = []
 
     def rec(prefix: tuple[int, ...], remaining: int, parts: int) -> None:
@@ -321,41 +328,34 @@ def ssyt(shape: Sequence[int], weight: Sequence[int]) -> list[Tableau]:
 
     Rows weakly increase, columns strictly increase, entry multiplicities
     are exactly `weight`.  Results are in lexicographic order of the
-    row-reading word.  Trailing zeros in the shape are ignored.
+    row-reading word.  Trailing zeros in the shape are ignored.  Built by
+    the recursion kostka counts with: the cells of the last letter form a
+    horizontal strip, peeled off one letter at a time.
     """
     rows = _strip_shape(shape)
     if not is_composition(weight):
         raise ValueError("weight must be a composition")
     if sum(rows) != sum(weight):
         raise ValueError("shape size must equal weight degree")
-    n = len(weight)
-    if len(rows) > n:
-        return []
-    cells = [(r, c) for r, l in enumerate(rows) for c in range(l)]
-    grid = [[0] * l for l in rows]
-    remaining = list(weight)
-    out: list[Tableau] = []
+    tableaux = (Tableau(t) for t in _strip_fillings(rows, tuple(weight)))
+    return sorted(tableaux, key=lambda t: t.row_word)
 
-    def fill(idx: int) -> None:
-        if idx == len(cells):
-            out.append(Tableau(tuple(tuple(row) for row in grid)))
-            return
-        r, c = cells[idx]
-        lo = grid[r][c - 1] if c > 0 else 1
-        if r > 0:
-            lo = max(lo, grid[r - 1][c] + 1)
-        lo = max(lo, r + 1)  # column strictness forces entry >= row index + 1
-        for v in range(lo, n + 1):
-            if remaining[v - 1] == 0:
-                continue
-            grid[r][c] = v
-            remaining[v - 1] -= 1
-            fill(idx + 1)
-            remaining[v - 1] += 1
-        grid[r][c] = 0
 
-    fill(0)
-    return out
+def _strip_fillings(shape: tuple[int, ...], weight: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
+    # the rows of every tableau counted by _kostka_cached(shape, weight):
+    # the same recursion, one horizontal strip of the last letter per level
+    if len(shape) > len(weight):
+        return
+    if not shape:
+        yield ()
+        return
+    letter = len(weight)
+    caps = [a - b for a, b in zip(shape, shape[1:] + (0,))]
+    for strip in _bounded_rows(weight[-1], caps):
+        rest = tuple(a - s for a, s in zip(shape, strip))
+        for inner in _strip_fillings(rest if rest[-1] else rest[:-1], weight[:-1]):
+            inner += ((),) * (len(shape) - len(inner))
+            yield tuple(row + (letter,) * s for row, s in zip(inner, strip))
 
 
 @lru_cache(maxsize=1 << 16)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -20,6 +21,15 @@ def test_compositions_json(capsys):
     assert payload["count"] == 3
     assert "wall-time-seconds" in err
     assert "wall-time" not in out
+
+
+def test_compositions_refused_before_enumerating(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "compositions", "--n", "30", "--r", "30")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "resource limit" in err
 
 
 def test_compositions_dominant_csv(capsys):

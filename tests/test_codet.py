@@ -1,7 +1,10 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
+from schuralg import codet, exact_linalg
 from schuralg.codet import (
     cell_datum_check,
     codet_basis,
@@ -136,3 +139,50 @@ def test_cell_report_json():
     assert payload["passed"] is True
     assert payload["dim"] == 2
     assert payload["lambda"] == [1, 1]
+
+
+def count_eliminations(monkeypatch):
+    calls = []
+    eliminate = exact_linalg._eliminate
+
+    def counted(rows, ncols, jordan=False):
+        calls.append(jordan)
+        return eliminate(rows, ncols, jordan)
+
+    monkeypatch.setattr(exact_linalg, "_eliminate", counted)
+    return calls
+
+
+def test_cell_datum_check_eliminates_once(monkeypatch):
+    calls = count_eliminations(monkeypatch)
+    assert cell_datum_check((2, 2, 1)).passed
+    assert calls == [True]
+
+
+def test_cell_datum_check_ranks_only_for_the_witness(monkeypatch):
+    lam = (2, 1)
+    cells = codet_basis(lam, lam)
+    dim = len(cells)
+    for broken, rank in ((cells[:-1], dim - 1), (cells[:-1] + cells[:1], dim - 1)):
+        monkeypatch.setattr(codet, "codet_basis", lambda *_, cells=broken: cells)
+        calls = count_eliminations(monkeypatch)
+        report = cell_datum_check(lam)
+        assert not report.axiom_a and not report.axiom_c
+        assert report.witnesses[0] == {"axiom": "a", "cell_count": len(broken), "dim": dim, "rank": rank}
+        # a wrong count is ranked at once; a dependent set fails its factoring first
+        assert calls == ([False] if len(broken) != dim else [True, False])
+        monkeypatch.undo()
+
+
+# SHA-256 of json.dumps(cell_datum_check(lam).to_json(), sort_keys=True),
+# recorded with the sparse Fraction elimination this kernel replaced
+REPORT_DIGESTS = {
+    (3, 2, 1): "f1a1b1fa96cb25cd534b2b98ce31d6e8a658bc5b126896c21ed8b417e4a96abf",
+    (3, 3, 2): "0d48212c7c84047d3a339e172e8cc96200a51c974b7573a468afde9ce11d4bb8",
+}
+
+
+@pytest.mark.parametrize("lam", sorted(REPORT_DIGESTS))
+def test_cell_report_digests_are_pinned(lam):
+    payload = json.dumps(cell_datum_check(lam).to_json(), sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == REPORT_DIGESTS[lam]

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,140 @@ def naive_rank(vectors):
         rank += 1
         col += 1
     return rank
+
+
+class FractionSolver:
+    """Sparse Gauss-Jordan elimination in Fraction arithmetic on
+    [basis columns | identity], written independently of the library's
+    fraction-free routine: coords(v) is None outside the span."""
+
+    def __init__(self, basis):
+        nb = len(basis)
+        keys = sorted({k for b in basis for k, c in b.items() if c}, key=repr)
+        index = {k: i for i, k in enumerate(keys)}
+        rows = [{nb + i: Fraction(1)} for i in range(len(keys))]
+        for j, b in enumerate(basis):
+            for k, c in b.items():
+                if c:
+                    rows[index[k]][j] = Fraction(c)
+        for col in range(nb):
+            pivot = next((i for i in range(col, len(rows)) if col in rows[i]), None)
+            if pivot is None:
+                raise ValueError("basis vectors are linearly dependent")
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            inv = 1 / rows[col][col]
+            prow = rows[col] = {j: x * inv for j, x in rows[col].items()}
+            for i, row in enumerate(rows):
+                f = row.get(col)
+                if f is None or i == col:
+                    continue
+                for j, x in prow.items():
+                    y = row.get(j, 0) - f * x
+                    if y:
+                        row[j] = y
+                    else:
+                        del row[j]
+        self.nb = nb
+        self.columns = {k: [] for k in keys}
+        for i, row in enumerate(rows):
+            for j, x in row.items():
+                if j >= nb:
+                    self.columns[keys[j - nb]].append((i, x))
+        self.nrows = len(rows)
+
+    def coords(self, v):
+        out = [Fraction(0)] * self.nrows
+        for k, c in v.items():
+            if c == 0:
+                continue
+            if k not in self.columns:
+                return None
+            for i, x in self.columns[k]:
+                out[i] += x * c
+        if any(out[self.nb:]):
+            return None
+        return out[: self.nb]
+
+
+def fraction_det(rows):
+    """Determinant by Gaussian elimination in Fractions."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for col in range(len(m)):
+        pivot = next((i for i in range(col, len(m)) if m[i][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        for i in range(col + 1, len(m)):
+            f = m[i][col] / m[col][col]
+            m[i] = [a - f * b for a, b in zip(m[i], m[col])]
+    return det
+
+
+def oracle_unimodular(basis_a, basis_b):
+    if len(basis_a) != len(basis_b):
+        return False
+    try:
+        solver = FractionSolver(basis_b)
+    except ValueError:
+        return False
+    rows = [solver.coords(v) for v in basis_a]
+    if any(c is None or any(x.denominator != 1 for x in c) for c in rows):
+        return False
+    return abs(fraction_det(rows)) == 1
+
+
+def random_sparse(rng, keys, density=0.4):
+    return {
+        k: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        for k in keys
+        if rng.random() < density
+    }
+
+
+def combine(rng, vectors, integral=False):
+    out = {}
+    for v in vectors:
+        c = Fraction(rng.randint(-3, 3), 1 if integral else rng.randint(1, 3))
+        for k, x in v.items():
+            out[k] = out.get(k, 0) + c * x
+    return out
+
+
+def test_kernel_matches_fraction_oracles():
+    rng = random.Random(20261018)
+    for trial in range(400):
+        keys = [("k", i) for i in range(rng.randint(1, 7))] + ["x", (1, 2)][: rng.randint(0, 2)]
+        basis = [random_sparse(rng, keys) for _ in range(rng.randint(0, len(keys)))]
+        if basis and rng.random() < 0.25:
+            basis.insert(rng.randrange(len(basis) + 1), combine(rng, basis))
+        assert exact_rank(basis) == naive_rank(basis)
+        try:
+            expected = FractionSolver(basis)
+        except ValueError:
+            with pytest.raises(ValueError, match="dependent"):
+                CoordinateSolver(basis)
+            continue
+        solver = CoordinateSolver(basis)
+        targets = [combine(rng, basis), random_sparse(rng, keys), {**random_sparse(rng, keys), "outside": 1}]
+        for v in targets:
+            got = solver.coords(v)
+            assert got == expected.coords(v)
+            assert solver.in_span(v) == (got is not None)
+            assert got is None or all(type(x) is Fraction for x in got)
+        square = [[rng.randint(-4, 4) for _ in range(len(basis))] for _ in range(len(basis))]
+        assert integer_det(square) == fraction_det(square)
+        images = [combine(rng, basis, integral=rng.random() < 0.7) for _ in basis]
+        if rng.random() < 0.5:
+            # a permuted, sheared copy of the basis: unimodular by construction
+            images = [dict(b) for b in rng.sample(basis, len(basis))]
+            for i in range(1, len(images)):
+                for k, x in images[0].items():
+                    images[i][k] = images[i].get(k, 0) + x
+        assert unimodular_change(images, basis) == oracle_unimodular(images, basis)
 
 
 def test_exact_rank_hand():

@@ -255,6 +255,8 @@ def test_symmetric_group_algebra_element():
 def test_symmetric_group_iso_guards():
     with pytest.raises(ValueError):
         symmetric_group_iso(0)
+    with pytest.raises(ResourceLimitError, match="bounded"):
+        symmetric_group_iso(5)
     with pytest.raises(ResourceLimitError):
         symmetric_group_iso(100)
 
@@ -521,6 +523,8 @@ def test_caches_are_bounded():
         schur._slices: 4096,
         schur.orbit_endo: 512,
         _lift: 4096,
+        enveloping._binom_poly: 256,
+        enveloping._h_binom_terms: 4096,
     }
     for fn, maxsize in caches.items():
         assert fn.cache_info().maxsize == maxsize
@@ -528,5 +532,6 @@ def test_caches_are_bounded():
     weights.kostka((3, 2), (1, 1, 1, 1, 1))
     orbit_endo(((1, 1), (1, 1)))
     _lift(3, (1, 0, 0, 0, 0, 1))
+    enveloping.verify_weight_idempotent((2, 1))
     for fn, maxsize in caches.items():
         assert 0 < fn.cache_info().currsize <= maxsize

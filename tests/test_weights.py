@@ -1,10 +1,12 @@
 import itertools
+import time
 from collections import Counter
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from schuralg.errors import TENSOR_SPACE_LIMIT, ResourceLimitError
 from schuralg.weights import (
     Tableau,
     all_words,
@@ -35,6 +37,38 @@ from schuralg.weights import (
 )
 
 
+def fill_ssyt(shape, weight):
+    """Semistandard tableaux filled cell by cell in row-reading order,
+    written independently of the strip recursion of ssyt and kostka."""
+    rows = [l for l in shape if l > 0]
+    n = len(weight)
+    if len(rows) > n:
+        return []
+    cells = [(r, c) for r, l in enumerate(rows) for c in range(l)]
+    grid = [[0] * l for l in rows]
+    remaining = list(weight)
+    out = []
+
+    def fill(idx):
+        if idx == len(cells):
+            out.append(Tableau(tuple(tuple(row) for row in grid)))
+            return
+        r, c = cells[idx]
+        lo = grid[r][c - 1] if c > 0 else 1
+        if r > 0:
+            lo = max(lo, grid[r - 1][c] + 1)
+        for v in range(lo, n + 1):
+            if remaining[v - 1]:
+                grid[r][c] = v
+                remaining[v - 1] -= 1
+                fill(idx + 1)
+                remaining[v - 1] += 1
+        grid[r][c] = 0
+
+    fill(0)
+    return out
+
+
 @st.composite
 def small_weight(draw, max_n=4, max_r=5):
     n = draw(st.integers(min_value=1, max_value=max_n))
@@ -55,6 +89,16 @@ def test_compositions_counts():
             assert len(out) == comb(n + r - 1, r)
             assert len(set(out)) == len(out)
             assert all(len(w) == n and sum(w) == r for w in out)
+
+
+def test_compositions_refuses_over_budget():
+    # C(59, 29) compositions: refused from the closed-form count alone
+    with pytest.raises(ResourceLimitError, match="compositions"):
+        compositions(30, 30)
+    # one past the budget
+    assert composition_count(2, TENSOR_SPACE_LIMIT) == TENSOR_SPACE_LIMIT + 1
+    with pytest.raises(ResourceLimitError):
+        compositions(2, TENSOR_SPACE_LIMIT)
 
 
 def test_compositions_order_is_reverse_lex():
@@ -213,7 +257,28 @@ def test_kostka_counts_match_tableaux():
     ]
     assert len(pairs) == 3485
     for shape, lam in pairs:
-        assert kostka(shape, lam) == len(ssyt(shape, lam)), (shape, lam)
+        tableaux = ssyt(shape, lam)
+        assert tableaux == fill_ssyt(shape, lam), (shape, lam)
+        assert kostka(shape, lam) == len(tableaux), (shape, lam)
+
+
+def test_ssyt_edge_shapes():
+    empty = Tableau(())
+    assert ssyt((), ()) == ssyt((0, 0), (0, 0, 0)) == [empty]
+    # trailing zeros of the shape and of the weight
+    assert ssyt((2, 1, 0), (1, 1, 1, 0)) == ssyt((2, 1), (1, 1, 1, 0)) == fill_ssyt((2, 1), (1, 1, 1, 0))
+    assert [t.rows for t in ssyt((2, 0), (0, 2))] == [((2, 2),)]
+    # more rows than letters, and rows the weight cannot fill
+    assert ssyt((1, 1, 1), (2, 1)) == []
+    assert ssyt((2, 2), (0, 4)) == []
+
+
+def test_ssyt_builds_no_dead_fillings():
+    start = time.perf_counter()
+    out = ssyt((19, 1), (1,) * 20)
+    assert time.perf_counter() - start < 0.1
+    assert len(out) == 19
+    assert [t.rows[1] for t in out] == [(k,) for k in range(20, 1, -1)]
 
 
 def test_kostka_validates():
