@@ -11,6 +11,14 @@ Such patterns are a basis, so an element is stored as (left weight, right
 weight, pattern -> coefficient).  Negative weight entries are allowed;
 there is no degree bound.
 
+A block's basis up to a degree is enumerated from its moved weight
+alone: the cells are filled in pattern order, carrying the weight still
+to be moved and the degree left.  A unit in one cell lowers the positive
+part of the carried weight by at most one, so a branch whose positive
+part exceeds the degree left is cut, and so is one where an index has
+seen its last cell with weight still to move.  No pattern of another
+block is generated.
+
 For n = 2 multiplication is a closed form in integer binomials (Lusztig,
 Introduction to Quantum Groups, 23.1.3 at q = 1; Kostant's Z-form).  A
 pattern is (y, x) for 1_L f^(x) e^(y) 1_M.  With h = R_1 - R_2 + 2 y2,
@@ -66,7 +74,7 @@ from .enveloping import (
 from .errors import ResourceLimitError
 from .exact_linalg import SparseCombination, exact_rank
 from .schur import SchurElement, _chain_sum
-from .weights import Weight, compositions, is_composition
+from .weights import Weight, _check_composition_count, is_composition
 
 __all__ = [
     "offdiag_cells",
@@ -218,7 +226,14 @@ def udot_element(left: Sequence[int], right: Sequence[int], pattern: Pattern) ->
 
 def udot_basis_upto(lam: Sequence[int], mu: Sequence[int], degree: int) -> list[UdotElement]:
     """Basis elements of the (lam, mu) block with pattern degree at most
-    the bound, ordered by (degree, pattern lexicographic)."""
+    the bound, ordered by (degree, pattern lexicographic).
+
+    The patterns come from _block_patterns, which builds only those that
+    move lam - mu: cell by cell, carrying the weight still to be moved,
+    and cutting a branch whose positive part exceeds the degree left.
+    The input is refused when all patterns of degree at most the bound
+    (compositions of it into one part per cell and a slack part) number
+    more than TENSOR_SPACE_LIMIT, whatever the block."""
     n = len(lam)
     if len(mu) != n:
         raise ValueError("weights must have equal length")
@@ -227,11 +242,50 @@ def udot_basis_upto(lam: Sequence[int], mu: Sequence[int], degree: int) -> list[
     delta = tuple(l - r for l, r in zip(lam, mu))
     if sum(delta) != 0:
         return []
-    # a pattern of degree at most the bound is a composition of the bound
-    # into one part per cell and a slack part; n = 1 has only ()
-    with_slack = compositions(len(offdiag_cells(n)) + 1, degree)
-    patterns = [p for p in (c[:-1] for c in with_slack) if pattern_delta(p, n) == delta]
-    return [udot_element(lam, mu, p) for p in sorted(patterns, key=lambda p: (sum(p), p))]
+    _check_composition_count(len(offdiag_cells(n)) + 1, degree)
+    zero = UdotElement(n, lam, mu, {})
+    one = Fraction(1)
+    return [zero._new({p: one}) for p in _block_patterns(n, delta, degree)]
+
+
+@lru_cache(maxsize=1024)
+def _block_patterns(n: int, delta: Weight, degree: int) -> tuple[Pattern, ...]:
+    """Patterns of degree at most the bound that move weight delta (whose
+    entries sum to zero), sorted by (degree, pattern).
+
+    Cells are filled in the order of offdiag_cells while carrying the
+    weight still to be moved and the degree left.  A unit in cell (i, j)
+    moves one from j to i, so it lowers the positive part of the carried
+    weight by at most one: a branch whose positive part exceeds the degree
+    left is dead, and since positive part plus cell value never falls as
+    the value grows, so are all larger values.  Once the last cell that
+    touches an index is placed, that index must have nothing left to move.
+    """
+    cells = offdiag_cells(n)
+    last = {k: c for c, cell in enumerate(cells) for k in cell}
+    closes = [[k for k in range(n) if last[k] == c] for c in range(len(cells))]
+    need = list(delta)
+    p = [0] * len(cells)
+    out: list[Pattern] = []
+
+    def fill(c: int, left: int, pos: int) -> None:
+        if c == len(cells):
+            out.append(tuple(p))
+            return
+        i, j = cells[c]
+        a, b = need[i], need[j]
+        for v in range(left + 1):
+            pos_v = pos - max(a, 0) + max(a - v, 0) - max(b, 0) + max(b + v, 0)
+            if pos_v + v > left:
+                break
+            need[i], need[j] = a - v, b + v
+            if all(need[k] == 0 for k in closes[c]):
+                p[c] = v
+                fill(c + 1, left - v, pos_v)
+        need[i], need[j] = a, b
+
+    fill(0, degree, sum(x for x in delta if x > 0))
+    return tuple(sorted(out, key=lambda q: (sum(q), q)))
 
 
 @lru_cache(maxsize=4096)

@@ -22,15 +22,18 @@ import random
 import time
 from dataclasses import dataclass, field
 from functools import reduce
+from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import codet as codet_mod
 from . import enveloping as env
 from . import schur as schur_mod
 from . import udot as udot_mod
+from .errors import TENSOR_SPACE_LIMIT, ResourceLimitError
 from .exact_linalg import CoordinateSolver, exact_rank, unimodular_change
 from .weights import (
     col_sums,
+    composition_count,
     compositions,
     dominance_leq,
     margin_matrices,
@@ -215,12 +218,36 @@ def _pbw_block(lam: tuple, mu: tuple) -> str | None:
 
 
 def suite_idem_lemma(n_max: int = 3, r_max: int = 3) -> VerificationReport:
-    """Binomial diagonal products act as weight idempotents."""
+    """Binomial diagonal products act as weight idempotents.  Refused
+    before any check runs when the predicted work is over the budget."""
+    work = sum(
+        composition_count(n, r) * _binom_term_sum(n, r)
+        for n, r in itertools.product(range(1, n_max + 1), range(0, r_max + 1))
+    )
+    if work > TENSOR_SPACE_LIMIT:
+        raise ResourceLimitError(
+            f"idem-lemma up to n={n_max}, r={r_max} sums {work} terms, above the limit {TENSOR_SPACE_LIMIT}"
+        )
     rows = _slice_rows(
         "binomial-idempotent", n_max, r_max, _weights,
         lambda lam, r: None if env.verify_weight_idempotent(lam, r) else f"lam={lam}",
     )
     return _run("idem-lemma", {"n_max": n_max, "r_max": r_max}, rows)
+
+
+def _binom_term_sum(n: int, r: int) -> int:
+    """Sum over the compositions lam of r into n parts of the number of
+    terms of prod_i binom(H_i, lam_i), which is prod_i max(lam_i, 1):
+    binom(X, k) has the k powers X^1..X^k for k >= 1.  Taking the j
+    nonzero parts first, the products of the parts of the compositions of
+    r into j positive parts sum to binom(r + j - 1, 2j - 1) (the
+    coefficient of x^r in (x / (1 - x)^2)^j).  verify_weight_idempotent
+    sums each weight's terms once per composition of r, so a slice costs
+    composition_count(n, r) times this."""
+    return sum(
+        comb(n, j) * (comb(r + j - 1, 2 * j - 1) if j else int(r == 0))
+        for j in range(min(n, r) + 1)
+    )
 
 
 def suite_cellular(n: int = 3, r: int = 3, lam: Sequence[int] | None = None) -> VerificationReport:

@@ -80,11 +80,7 @@ def compositions(n: int, r: int) -> list[Weight]:
         raise ValueError("need at least one part")
     if r < 0:
         raise ValueError("degree must be nonnegative")
-    count = composition_count(n, r)
-    if count > TENSOR_SPACE_LIMIT:
-        raise ResourceLimitError(
-            f"{count} compositions of {r} into {n} parts, above the limit {TENSOR_SPACE_LIMIT}"
-        )
+    _check_composition_count(n, r)
     out: list[Weight] = []
 
     def rec(prefix: tuple[int, ...], remaining: int, parts: int) -> None:
@@ -96,6 +92,16 @@ def compositions(n: int, r: int) -> list[Weight]:
 
     rec((), r, n)
     return out
+
+
+def _check_composition_count(n: int, r: int) -> None:
+    """Refuse work that lists the compositions of r into n parts when
+    there are more than TENSOR_SPACE_LIMIT of them."""
+    count = composition_count(n, r)
+    if count > TENSOR_SPACE_LIMIT:
+        raise ResourceLimitError(
+            f"{count} compositions of {r} into {n} parts, above the limit {TENSOR_SPACE_LIMIT}"
+        )
 
 
 def dominant_shapes(n: int, r: int) -> list[Weight]:

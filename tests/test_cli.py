@@ -274,6 +274,16 @@ def test_verify_suite_csv(capsys):
     assert all(line.endswith(",true") for line in lines[1:])
 
 
+def test_verify_idem_lemma_refused_before_checking(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "idem-lemma", "--n-max", "3", "--r-max", "16")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "resource limit" in err
+    assert "Traceback" not in err
+
+
 def test_verify_rejects_wrong_flag(capsys):
     code, _, err = run_cli(capsys, "verify", "gl2", "--n-max", "2")
     assert code == 2

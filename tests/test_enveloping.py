@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from schuralg import verify
 from schuralg.enveloping import (
     UElement,
     divided_monomial,
@@ -20,6 +21,7 @@ from schuralg.enveloping import (
     u_relabel,
     verify_weight_idempotent,
 )
+from schuralg.errors import ResourceLimitError
 from schuralg.exact_linalg import unimodular_change
 from schuralg.schur import hom_basis
 from schuralg.weights import compositions, margin_matrices
@@ -180,6 +182,26 @@ def test_weight_idempotent_lemma():
     for n, r in [(2, 2), (2, 3), (3, 3)]:
         for lam in compositions(n, r):
             assert verify_weight_idempotent(lam, r)
+
+
+def test_idem_lemma_cost_counts_binomial_terms():
+    # the cost model of verify idem-lemma sums, per slice, the terms of the
+    # expanded binom(H, lam) over the weights lam; count them here from the
+    # expansion itself
+    for n in range(1, 4):
+        zero = tuple((0,) * n for _ in range(n))
+        for r in range(7):
+            terms = sum(len(divided_monomial(n, zero, lam).terms) for lam in compositions(n, r))
+            assert verify._binom_term_sum(n, r) == terms
+
+
+def test_idem_lemma_refused_before_checking(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("no check may run once the cost is over the limit")
+
+    monkeypatch.setattr(verify.env, "verify_weight_idempotent", refuse)
+    with pytest.raises(ResourceLimitError, match="idem-lemma up to n=3, r=13 sums 1046815 terms"):
+        verify.suite_idem_lemma(3, 13)
 
 
 def test_plus_minus_weight():

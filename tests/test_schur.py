@@ -46,7 +46,7 @@ from schuralg.weights import (
     weight_word,
     words_of_weight,
 )
-from schuralg.udot import UdotElement, _lift, to_schur, udot_basis_upto
+from schuralg.udot import UdotElement, _block_patterns, _lift, to_schur, udot_basis_upto
 
 
 def counting_product_coeff(a, b, c):
@@ -525,6 +525,9 @@ def test_caches_are_bounded():
         _lift: 4096,
         enveloping._binom_poly: 256,
         enveloping._h_binom_terms: 4096,
+        enveloping._insert: 1 << 17,
+        enveloping._word_product: 4096,
+        _block_patterns: 1024,
     }
     for fn, maxsize in caches.items():
         assert fn.cache_info().maxsize == maxsize
@@ -533,5 +536,7 @@ def test_caches_are_bounded():
     orbit_endo(((1, 1), (1, 1)))
     _lift(3, (1, 0, 0, 0, 0, 1))
     enveloping.verify_weight_idempotent((2, 1))
+    block = udot_basis_upto((1, 1, 1), (1, 1, 1), 2)
+    block[-1] * block[-1]
     for fn, maxsize in caches.items():
         assert 0 < fn.cache_info().currsize <= maxsize

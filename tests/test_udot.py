@@ -5,9 +5,9 @@ from math import comb
 
 import pytest
 
-from schuralg import enveloping
+from schuralg import enveloping, udot
 from schuralg.enveloping import pbw_image, u_multiply
-from schuralg.errors import ResourceLimitError
+from schuralg.errors import TENSOR_SPACE_LIMIT, ResourceLimitError
 from schuralg.schur import idempotent, schur_multiply
 from schuralg.udot import (
     UdotElement,
@@ -29,7 +29,14 @@ from schuralg.udot import (
     udot_relabel,
     udot_zero,
 )
-from schuralg.weights import compositions, margin_matrices, perm_inverse, permute_weight
+from schuralg.verify import suite_psi
+from schuralg.weights import (
+    composition_count,
+    compositions,
+    margin_matrices,
+    perm_inverse,
+    permute_weight,
+)
 
 
 def test_offdiag_cells():
@@ -79,33 +86,85 @@ def test_udot_basis_ordering():
     assert degrees == sorted(degrees)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_udot_basis_matches_brute_force(n):
-    top = 4
-    # every exponent pattern up to the top degree, grouped by its moved
-    # weight read off the pattern matrix
+def _patterns_by_delta(n, top):
+    """Every exponent pattern of degree at most top, as a multiset of
+    cells, grouped by the moved weight read off the pattern matrix."""
+    ncells = len(offdiag_cells(n))
     by_delta = {}
-    for p in itertools.product(range(top + 1), repeat=len(offdiag_cells(n))):
-        m = pattern_matrix(p, n)
-        moved = tuple(sum(m[i][j] - m[j][i] for j in range(n)) for i in range(n))
-        if sum(p) <= top:
+    for d in range(top + 1):
+        for cells in itertools.combinations_with_replacement(range(ncells), d):
+            p = tuple(cells.count(c) for c in range(ncells))
+            m = pattern_matrix(p, n)
+            moved = tuple(sum(m[i][j] - m[j][i] for j in range(n)) for i in range(n))
             by_delta.setdefault(moved, []).append(p)
+    return by_delta
+
+
+def _expected_basis(by_delta, lam, mu, degree):
+    delta = tuple(l - m for l, m in zip(lam, mu))
+    return sorted(
+        (p for p in by_delta.get(delta, []) if sum(p) <= degree),
+        key=lambda p: (sum(p), p),
+    )
+
+
+def _weight_pairs(n):
     weights = list(itertools.product(range(-2, 3), repeat=n))
-    # the block depends on lam - mu only; for n = 3 pair every weight with
-    # two right weights instead of all 125
-    rights = weights if n < 3 else [(0, 0, 0), (2, -1, 1)]
-    for lam in weights:
-        for mu in rights:
-            delta = tuple(l - m for l, m in zip(lam, mu))
-            for degree in range(top + 1):
-                expected = sorted(
-                    (p for p in by_delta.get(delta, []) if sum(p) <= degree),
-                    key=lambda p: (sum(p), p),
-                )
-                basis = udot_basis_upto(lam, mu, degree)
-                assert all((x.left, x.right) == (lam, mu) for x in basis)
-                assert all(c == 1 for x in basis for c in x.terms.values())
-                assert [p for x in basis for p in x.terms] == expected
+    # the block depends on lam - mu only; from n = 3 on pair every weight
+    # with two right weights instead of all of them
+    rights = weights if n < 3 else [(0,) * n, (2, -1, 1, 0)[:n]]
+    return [(lam, mu) for lam in weights for mu in rights]
+
+
+@pytest.mark.parametrize(
+    "n, top, pairs",
+    [
+        (1, 4, _weight_pairs(1)),
+        (2, 4, _weight_pairs(2)),
+        (3, 4, _weight_pairs(3)),
+        (4, 3, _weight_pairs(4)),
+        (3, 6, [((1, 2, 1), (2, 1, 1)), ((0, 0, 0), (0, 0, 0)), ((3, -1, 0), (0, 1, 1)), ((-2, 2, 0), (2, -2, 0))]),
+    ],
+    ids=["1", "2", "3", "4", "3-degree6"],
+)
+def test_udot_basis_matches_brute_force(n, top, pairs):
+    by_delta = _patterns_by_delta(n, top)
+    for lam, mu in pairs:
+        for degree in range(top + 1):
+            basis = udot_basis_upto(lam, mu, degree)
+            assert all((x.left, x.right) == (lam, mu) for x in basis)
+            assert all(c == 1 for x in basis for c in x.terms.values())
+            assert [p for x in basis for p in x.terms] == _expected_basis(by_delta, lam, mu, degree)
+
+
+def test_udot_basis_enumerates_only_block_patterns(monkeypatch):
+    # the block's patterns are built cell by cell: no composition of the
+    # degree is listed, and no pattern's moved weight is computed, neither
+    # to filter it nor to validate the returned elements
+    def refuse(*args):
+        raise AssertionError("udot must not enumerate compositions")
+
+    monkeypatch.setattr(udot, "compositions", refuse, raising=False)
+    calls = []
+    real_delta = udot.pattern_delta
+    monkeypatch.setattr(udot, "pattern_delta", lambda p, n: calls.append(p) or real_delta(p, n))
+    udot._block_patterns.cache_clear()
+    lam, mu = (1, 2, 1), (2, 1, 1)
+    basis = udot_basis_upto(lam, mu, 4)
+    assert calls == []
+    assert [p for x in basis for p in x.terms] == _expected_basis(_patterns_by_delta(3, 4), lam, mu, 4)
+    assert suite_psi(3, 3).passed
+
+
+def test_udot_basis_refusal_is_unchanged():
+    # refused when all patterns of degree at most the bound, one part per
+    # cell plus a slack part, number more than the limit: 7 parts for n = 3
+    assert composition_count(7, 26) <= TENSOR_SPACE_LIMIT < composition_count(7, 27)
+    for degree in (27, 30):
+        with pytest.raises(ResourceLimitError, match=f"compositions of {degree} into 7 parts"):
+            udot_basis_upto((1, 2, 1), (2, 1, 1), degree)
+    # a block whose weights differ in total is empty at any degree
+    assert udot_basis_upto((1, 0, 0), (0, 0, 0), 30) == []
 
 
 def test_negative_degree_is_rejected():
