@@ -23,15 +23,13 @@ condition is linear in the multiplier.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import ResourceLimitError
+from .errors import check_budget
 from .exact_linalg import CoordinateSolver, exact_rank
 from .schur import (
-    TENSOR_SPACE_LIMIT,
     SchurElement,
     hom_basis,
     involution,
@@ -107,11 +105,10 @@ def codet_basis(lam: Sequence[int], mu: Sequence[int]) -> list[Codeterminant]:
         k = kostka(nu, lam) * kostka(nu, mu)
         if k:
             count += k
-            if count ** 2 > TENSOR_SPACE_LIMIT:
-                raise ResourceLimitError(
-                    f"block ({tuple(lam)}, {tuple(mu)}) has more than "
-                    f"{math.isqrt(TENSOR_SPACE_LIMIT)} codeterminants"
-                )
+            check_budget(
+                count ** 2,
+                f"block ({tuple(lam)}, {tuple(mu)}) has at least {count} codeterminants ({count ** 2} pairs)",
+            )
             shapes.append(nu)
     cells: list[tuple[Weight, Tableau, Tableau]] = []
     for nu in shapes:

@@ -29,12 +29,14 @@ by triangular elimination of the H polynomial and reports whether every
 coordinate is an integer.
 
 The image of a divided monomial acting on 1_mu in the Schur algebra
-needs no words: a divided power e_ab^(m) acting on weight w is the single
-orbit element at diag(w) + m (E_ab - E_bb), every later weight is forced,
-and the image is the ordered product of those orbit elements, zero once
-a weight leaves the compositions.  pbw_image builds its four
-arrangements this way.  verify_weight_idempotent needs no words either:
-H_i acts on every word of weight nu as nu_i.
+needs no words of tensor space.  It is written as a word of letters
+(_offdiag_words), each divided power e_ab^(m) a run of m letters e_ab,
+which acting on weight w is the single orbit element at diag(w) + m
+(E_ab - E_bb); every later weight is forced, and the image is the ordered
+product of those orbit elements (_divided_letters).  pbw_image writes the
+word of each of its four arrangements, udot.to_schur reads the cached
+word of a lifted pattern.  verify_weight_idempotent needs no words
+either: H_i acts on every word of weight nu as nu_i.
 
 tensor_rep, the action on all of degree-r tensor space (unit (a, b)
 rewrites one letter b to a, diagonal letters act by the letter count),
@@ -44,7 +46,6 @@ is kept as an oracle behind the tensor-space guard of schur.
 from __future__ import annotations
 
 import itertools
-import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
@@ -456,35 +457,34 @@ def minus_weight(a: Matrix) -> Weight:
     )
 
 
-def _divided_letters(offdiag: Matrix, mu: Sequence[int], side: str = "fe") -> list[Matrix] | None:
-    """Orbit matrices whose ordered product, leftmost first, is the image
-    of divided_monomial(n, offdiag, (), side) 1_mu in S(n, |mu|).
+def _offdiag_words(a: Matrix) -> tuple[tuple[Unit, ...], tuple[Unit, ...]]:
+    """The lowering and the raising letters of the off-diagonal entries of
+    a square matrix, entry (i, j) giving that many letters unit(i, j), each
+    part in root-pair order as _monomial_word writes it."""
+    pairs = root_pairs(len(a))
+    lower = tuple(u for i, j in pairs for u in [(j, i)] * a[j - 1][i - 1])
+    upper = tuple(u for i, j in pairs for u in [(i, j)] * a[i - 1][j - 1])
+    return lower, upper
 
-    The letters are taken in the order of _monomial_word ("fe": lowering
-    then raising; "ef": raising then lowering), rightmost first.  A run
-    e_ab^(m) of one letter acts on weight w as the single orbit element at
-    diag(w) + m (E_ab - E_bb).  None when a weight leaves the compositions
-    (the image is zero); the empty word gives the idempotent diag(mu).
+
+def _divided_letters(word: Sequence[Unit], mu: Sequence[int]) -> list[Matrix] | None:
+    """Orbit matrices whose ordered product, leftmost first, is the image
+    in S(n, |mu|) of the word acting on 1_mu, each run of m letters e_ab
+    read as e_ab^(m).  Taken rightmost first, a run acts on weight w as the
+    single orbit element at diag(w) + m (E_ab - E_bb).  None when a weight
+    leaves the compositions (the image is zero); the empty word gives the
+    idempotent diag(mu).
     """
     n = len(mu)
-    pairs = root_pairs(n)
-    f = tuple(offdiag[j - 1][i - 1] for i, j in pairs)
-    e = tuple(offdiag[i - 1][j - 1] for i, j in pairs)
-    none, zero_h = (0,) * len(pairs), (0,) * n
-    if side == "fe":
-        word = _monomial_word(n, (f, zero_h, e))
-    else:
-        word = _monomial_word(n, (none, zero_h, e)) + _monomial_word(n, (f, zero_h, none))
     w = list(mu)
     letters: list[Matrix] = []
     for (a, b), run in itertools.groupby(reversed(word)):
         m = len(list(run))
         if w[b - 1] < m:
             return None
-        letter = [[w[i] if i == j else 0 for j in range(n)] for i in range(n)]
-        letter[b - 1][b - 1] -= m
-        letter[a - 1][b - 1] += m
         w[b - 1] -= m
+        letter = [[w[i] if i == j else 0 for j in range(n)] for i in range(n)]
+        letter[a - 1][b - 1] = m
         w[a - 1] += m
         letters.append(tuple(map(tuple, letter)))
     return letters[::-1] or [_diagonal(mu)]
@@ -499,28 +499,21 @@ def pbw_image(a: Matrix, form: str = "fe") -> SchurElement:
     and "ef-middle" place a single idempotent between the two halves, at
     the weight the split forces (minus_weight and plus_weight).  The
     middle forms agree with the outer-truncated ones; tests rely on it.
-    Each form is an ordered product of single orbit elements, one per
-    divided power (and the middle idempotent), acting on the column
-    weight col_sums(a): every intermediate weight is forced, so no word
-    is written.
+    Each form writes its word of lowering and raising letters, whose image
+    is an ordered product of single orbit elements, one per divided power
+    (and the middle idempotent), acting on the column weight col_sums(a).
     """
     n, r = _validate_margin_matrix(a)
     mu = col_sums(a)
-
-    def part(keep) -> Matrix:
-        # the off-diagonal entries a[i][j] with keep(i, j)
-        return tuple(tuple(a[i][j] if keep(i, j) else 0 for j in range(n)) for i in range(n))
-
-    if form in ("fe", "ef"):
-        letters = _divided_letters(part(operator.ne), mu, form)
-    elif form in ("fe-middle", "ef-middle"):
-        if form == "fe-middle":
-            second, mid, first = operator.gt, minus_weight(a), operator.lt
-        else:
-            second, mid, first = operator.lt, plus_weight(a), operator.gt
-        # the first half acts on mu, the second on the middle weight
-        halves = _divided_letters(part(second), mid), _divided_letters(part(first), mu)
-        letters = None if None in halves else halves[0] + [_diagonal(mid)] + halves[1]
-    else:
+    if form not in ("fe", "ef", "fe-middle", "ef-middle"):
         raise ValueError("form must be one of fe, ef, fe-middle, ef-middle")
+    lower, upper = _offdiag_words(a)
+    second, first = (lower, upper) if form.startswith("fe") else (upper, lower)
+    if form in ("fe", "ef"):
+        letters = _divided_letters(second + first, mu)
+    else:
+        # the first half acts on mu, the second on the middle weight
+        mid = minus_weight(a) if form == "fe-middle" else plus_weight(a)
+        halves = _divided_letters(second, mid), _divided_letters(first, mu)
+        letters = None if None in halves else halves[0] + [_diagonal(mid)] + halves[1]
     return _chain_sum(n, r, [(Fraction(1), letters)] if letters else [])

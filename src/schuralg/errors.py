@@ -4,6 +4,9 @@
 # compositions are each refused above it before any work starts
 TENSOR_SPACE_LIMIT = 10 ** 6
 
+# the symmetric-group checks multiply all (r!)^2 pairs of permutations
+SYMMETRIC_GROUP_MAX_R = 4
+
 
 class ResourceLimitError(RuntimeError):
     """Raised when a requested computation exceeds the desk-scale bounds.
@@ -11,3 +14,10 @@ class ResourceLimitError(RuntimeError):
     The message names the bound that was exceeded, so callers (and the CLI)
     can report exactly why the computation was refused.
     """
+
+
+def check_budget(work: int, what: str) -> None:
+    """Refuse work above the budget before it starts: what names the
+    predicted work, and the message adds the limit."""
+    if work > TENSOR_SPACE_LIMIT:
+        raise ResourceLimitError(f"{what}, above the limit {TENSOR_SPACE_LIMIT}")

@@ -47,10 +47,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb, lcm, prod
 from typing import Mapping, Sequence
 
-from .errors import TENSOR_SPACE_LIMIT, ResourceLimitError
+from .errors import SYMMETRIC_GROUP_MAX_R, TENSOR_SPACE_LIMIT, ResourceLimitError, check_budget
 from .exact_linalg import SparseCombination
 from .weights import (
     Matrix,
@@ -91,10 +91,7 @@ __all__ = [
 def check_tensor_scale(n: int, r: int) -> None:
     if n < 1 or r < 0:
         raise ValueError("need n >= 1 and r >= 0")
-    if n ** r > TENSOR_SPACE_LIMIT:
-        raise ResourceLimitError(
-            f"tensor space has {n}^{r} basis words, above the limit {TENSOR_SPACE_LIMIT}"
-        )
+    check_budget(n ** r, f"tensor space has {n}^{r} basis words")
 
 
 class TensorEndo(SparseCombination):
@@ -211,9 +208,17 @@ class SchurElement(SparseCombination):
     def from_json(payload: Mapping) -> "SchurElement":
         terms = {}
         for t in payload["terms"]:
-            a = tuple(tuple(int(e) for e in row) for row in t["matrix"])
-            terms[a] = Fraction(int(t["coeff_num"]), int(t.get("coeff_den", 1)))
-        return SchurElement(int(payload["n"]), int(payload["r"]), terms)
+            a = tuple(tuple(_json_int(e) for e in row) for row in t["matrix"])
+            terms[a] = Fraction(_json_int(t["coeff_num"]), _json_int(t.get("coeff_den", 1)))
+        return SchurElement(_json_int(payload["n"]), _json_int(payload["r"]), terms)
+
+
+def _json_int(x: object) -> int:
+    """x itself when it is a JSON integer; a float, a bool or a string is
+    refused, not truncated."""
+    if type(x) is not int:
+        raise ValueError(f"expected an integer, got {x!r}")
+    return x
 
 
 def endo_of(x: SchurElement) -> TensorEndo:
@@ -278,14 +283,8 @@ def _pair_product(a: Matrix, b: Matrix) -> tuple[tuple[Matrix, int], ...]:
     """
     n = len(a)
     margins = [(tuple(row[j] for row in a), b[j]) for j in range(n)]
-    tables = 1
-    for rows, cols in margins:
-        tables *= _slice_bound(rows, cols)
-        if tables > TENSOR_SPACE_LIMIT:
-            raise ResourceLimitError(
-                f"product of orbit elements {a} and {b} may sum over more than "
-                f"{TENSOR_SPACE_LIMIT} tables"
-            )
+    tables = prod(_slice_bound(rows, cols) for rows, cols in margins)
+    check_budget(tables, f"a product of two {n}x{n} orbit elements may sum over {tables} tables")
     # partial sums C of the slices so far -> summed weight of the tables
     states: dict[tuple[int, ...], int] = {(0,) * (n * n): 1}
     for rows, cols in margins:
@@ -442,12 +441,12 @@ class SymmetricGroupTable:
 def symmetric_group_iso(r: int) -> SymmetricGroupTable:
     """Correspondence for the block 1_omega S(r, r) 1_omega with omega the
     all-ones weight; its orbit basis is exactly the permutation matrices.
-    Its full table check multiplies all (r!)^2 pairs, so r is bounded at 4,
-    the bound of the symmetric-group quotient check."""
+    Its full table check multiplies all (r!)^2 pairs, so r is bounded by
+    SYMMETRIC_GROUP_MAX_R, the bound of the symmetric-group quotient check."""
     if r < 1:
         raise ValueError("need r >= 1")
-    if r > 4:
-        raise ResourceLimitError(f"full table check is bounded at r <= 4 (got r={r})")
+    if r > SYMMETRIC_GROUP_MAX_R:
+        raise ResourceLimitError(f"full table check is bounded at r <= {SYMMETRIC_GROUP_MAX_R} (got r={r})")
     perms = tuple(itertools.permutations(range(1, r + 1)))
     return SymmetricGroupTable(r, perms)
 

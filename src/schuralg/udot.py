@@ -30,22 +30,25 @@ pattern is (y, x) for 1_L f^(x) e^(y) 1_M.  With h = R_1 - R_2 + 2 y2,
 where binom(m, t) = m(m-1)..(m-t+1)/t! allows negative m, so a product of
 basis elements is integer work linear in min(y1, x2).
 
-For n >= 3 multiplication lifts patterns to the enveloping algebra,
-straightens, and then evaluates the diagonal letters: in a normal term
-f^x H^m e^y, each H_i sits to the left of e^y 1_mu, so it evaluates to
-mu_i plus the weight the raising part moves at position i.  The
-plain-power monomial f^x e^y then picks up the factorials that convert it
-into divided-power pattern coordinates.  That path also works for n = 2
-and the tests keep it as the oracle for the closed form.  Products of
-integer-coefficient elements stay integral.
+For n >= 3 a pattern is lifted once (_lift, cached) to the plain-power
+word of its divided monomial, lowering letters then raising ones, and the
+product d of its factorials: the monomial is word / d.  A product (or a
+relabelling, which permutes the letters) straightens the lifted words
+into normal words f^x H^m e^y, sums them, and decodes the sum once: read
+right to left, a raising letter moves the weight from mu, each H_i
+evaluates to entry i of the weight it meets, and the off-diagonal letters
+count into the pattern, whose factorials turn plain powers into divided
+ones.  That path also works for n = 2 and the tests keep it as the oracle
+for the closed form.  Products of integer-coefficient elements stay
+integral.
 
-to_schur is the degree-r truncation: a pattern is the word of divided
-powers of its lift, and a divided power e_ab^(m) acting on weight w
-truncates to the single orbit element at diag(w) + m (E_ab - E_bb), so
-each pattern maps to an ordered product of orbit elements starting at
-the right weight (Green's product rule, see schur); weights that are not
-compositions of r give zero.  Truncation is an algebra map onto the
-corresponding weight block of the Schur algebra.
+to_schur is the degree-r truncation: the runs of a lifted word are its
+divided powers, and e_ab^(m) acting on weight w truncates to the single
+orbit element at diag(w) + m (E_ab - E_bb), so each pattern maps to an
+ordered product of orbit elements starting at the right weight (Green's
+product rule, see schur); weights that are not compositions of r give
+zero.  Truncation is an algebra map onto the corresponding weight block
+of the Schur algebra.
 
 Shifting both weights by a constant vector (tensoring by a power of the
 determinant character) leaves all structure constants unchanged; the gl_2
@@ -59,22 +62,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Mapping, Sequence
 
-from .enveloping import (
-    UElement,
-    _divided_letters,
-    divided_monomial,
-    monomial_weight,
-    root_pairs,
-    u_multiply,
-    u_relabel,
-)
-from .errors import ResourceLimitError
-from .exact_linalg import SparseCombination, exact_rank
-from .schur import SchurElement, _chain_sum
-from .weights import Weight, _check_composition_count, is_composition
+from .enveloping import _divided_letters, _offdiag_words, _word_product
+from .errors import SYMMETRIC_GROUP_MAX_R, ResourceLimitError
+from .exact_linalg import SparseCombination, _clear_denominators, exact_rank
+from .schur import SchurElement, _chain_sum, _json_int
+from .weights import Weight, _check_composition_count, is_composition, permute_weight
 
 __all__ = [
     "offdiag_cells",
@@ -98,6 +93,8 @@ __all__ = [
 ]
 
 Pattern = tuple[int, ...]
+# a word of matrix-unit letters (a, b) of the enveloping algebra
+Letters = tuple[tuple[int, int], ...]
 
 
 @lru_cache(maxsize=None)
@@ -207,12 +204,15 @@ class UdotElement(SparseCombination):
 
     @staticmethod
     def from_json(payload: Mapping) -> "UdotElement":
-        n = int(payload["n"])
+        n = _json_int(payload["n"])
         terms = {}
         for t in payload["terms"]:
-            p = matrix_pattern([[int(e) for e in row] for row in t["pattern"]])
-            terms[p] = Fraction(str(t["coeff"]))
-        return UdotElement(n, payload["left"], payload["right"], terms)
+            a = [[_json_int(e) for e in row] for row in t["pattern"]]
+            if len(a) != n or any(len(row) != n or row[i] for i, row in enumerate(a)):
+                raise ValueError(f"pattern {a} is not an {n} x {n} matrix with zero diagonal")
+            terms[matrix_pattern(a)] = Fraction(str(t["coeff"]))
+        left, right = ([_json_int(x) for x in payload[k]] for k in ("left", "right"))
+        return UdotElement(n, left, right, terms)
 
 
 def udot_zero(n: int, left: Sequence[int], right: Sequence[int]) -> UdotElement:
@@ -289,42 +289,45 @@ def _block_patterns(n: int, delta: Weight, degree: int) -> tuple[Pattern, ...]:
 
 
 @lru_cache(maxsize=4096)
-def _lift(n: int, p: Pattern) -> UElement:
-    return divided_monomial(n, pattern_matrix(p, n), (), "fe")
+def _lift(n: int, p: Pattern) -> tuple[Letters, int]:
+    """(word, d): the plain-power word of the pattern's divided monomial,
+    lowering letters then raising ones in root-pair order, and the product
+    d of the pattern's factorials, so the monomial is word / d."""
+    lower, upper = _offdiag_words(pattern_matrix(p, n))
+    return lower + upper, prod(map(factorial, p))
 
 
-def _from_u_element(x: UElement, left: Weight, right: Weight) -> UdotElement:
-    """Project an enveloping element into the (left, right) block: keep
-    the terms of adjoint weight left - right, evaluate diagonal letters
-    against the right weight shifted by the raising part, convert plain
-    powers to divided-power pattern coordinates."""
-    n = x.n
-    pairs = root_pairs(n)
-    delta = tuple(l - r for l, r in zip(left, right))
-    cells = offdiag_cells(n)
-    cell_index = {c: k for k, c in enumerate(cells)}
-    no_f = (0,) * len(pairs)
-    out: dict[Pattern, Fraction] = {}
-    for (f, h, e), coeff in x.terms.items():
-        if monomial_weight(n, (f, h, e)) != delta:
-            continue
-        shift_vec = monomial_weight(n, (no_f, h, e))
-        scalar = Fraction(1)
-        for i in range(n):
-            if h[i]:
-                scalar *= (right[i] + shift_vec[i]) ** h[i]
-        if scalar == 0:
-            continue
-        fact = 1
-        for v in f + e:
-            fact *= factorial(v)
-        p = [0] * len(cells)
-        for idx, (i, j) in enumerate(pairs):
-            p[cell_index[(j - 1, i - 1)]] = f[idx]
-            p[cell_index[(i - 1, j - 1)]] = e[idx]
-        key = tuple(p)
-        out[key] = out.get(key, Fraction(0)) + coeff * scalar * fact
-    return UdotElement(n, left, right, out)
+def _from_words(
+    n: int, products: Mapping[tuple[Letters, Letters], Fraction], left: Weight, right: Weight
+) -> UdotElement:
+    """The (left, right) block element of {(w1, w2): coefficient}, products
+    of words of weight left - right, straightened and summed by normal word
+    in integers over one common denominator, then decoded one normal word
+    at a time as the module docstring says."""
+    ints, den = _clear_denominators(products)
+    words: dict[Letters, int] = {}
+    for pair, c in ints.items():
+        for word, k in _word_product(*pair):
+            words[word] = words[word] + c * k if word in words else c * k
+    cell_index = {(i + 1, j + 1): k for k, (i, j) in enumerate(offdiag_cells(n))}
+    out: dict[Pattern, int] = {}
+    for word, c in words.items():
+        w = list(right)
+        p = [0] * len(cell_index)
+        h = 1
+        for a, b in reversed(word):
+            if a == b:
+                h *= w[a - 1]
+            else:
+                if a < b:
+                    w[a - 1] += 1
+                    w[b - 1] -= 1
+                p[cell_index[a, b]] += 1
+        if h:
+            key = tuple(p)
+            c *= h * prod(map(factorial, key))
+            out[key] = out[key] + c if key in out else c
+    return UdotElement(n, left, right)._new({p: Fraction(c, den) for p, c in out.items() if c})
 
 
 def _binom(m: int, t: int) -> int:
@@ -359,13 +362,19 @@ def udot_multiply(u: UdotElement, v: UdotElement) -> UdotElement:
         raise ValueError("different n")
     if u.right != v.left:
         return udot_zero(u.n, u.left, v.right)
-    if u.n == 2:
-        return _gl2_multiply(u, v)
-    acc = UElement(u.n)
+    return (_gl2_multiply if u.n == 2 else _word_multiply)(u, v)
+
+
+def _word_multiply(u: UdotElement, v: UdotElement) -> UdotElement:
+    """Product through the enveloping algebra, for any n: the lifted words
+    of all pairs of patterns are straightened and decoded at once."""
+    products: dict[tuple[Letters, Letters], Fraction] = {}
     for pu, cu in u.terms.items():
+        wu, du = _lift(u.n, pu)
         for pv, cv in v.terms.items():
-            acc = acc + u_multiply(_lift(u.n, pu), _lift(u.n, pv)).scale(cu * cv)
-    return _from_u_element(acc, u.left, v.right)
+            wv, dv = _lift(u.n, pv)
+            products[wu, wv] = cu * cv / (du * dv)
+    return _from_words(u.n, products, u.left, v.right)
 
 
 def divided_generators(i: int, a: int, lam: Sequence[int], side: str) -> UdotElement:
@@ -388,9 +397,9 @@ def to_schur(u: UdotElement, r: int) -> SchurElement:
     """Truncate to the Schur algebra of degree r; zero when either weight
     is not a composition of r.
 
-    Each pattern is the divided-power word of its lift (lowering letters,
-    then raising ones), and its image is the ordered product of one orbit
-    element per divided power acting on the right weight, so neither the
+    Each pattern's image is read off the word of its lift (lowering
+    letters, then raising ones): the ordered product of one orbit element
+    per divided power acting on the right weight, so neither the
     enveloping algebra nor tensor space is entered.
     """
     n = u.n
@@ -401,7 +410,7 @@ def to_schur(u: UdotElement, r: int) -> SchurElement:
         or sum(u.right) != r
     ):
         return SchurElement(n, r, {})
-    chains = [(c, _divided_letters(pattern_matrix(p, n), u.right)) for p, c in u.terms.items()]
+    chains = [(c, _divided_letters(_lift(n, p)[0], u.right)) for p, c in u.terms.items()]
     return _chain_sum(n, r, [(c, letters) for c, letters in chains if letters])
 
 
@@ -424,23 +433,20 @@ def shift(u: UdotElement, k: int) -> UdotElement:
 def udot_relabel(u: UdotElement, w: Sequence[int]) -> UdotElement:
     """Apply the index-permutation isomorphism between weight blocks.
 
-    Both weights move by w and each lifted term moves by the enveloping
+    Both weights move by w and each lifted word moves by the enveloping
     automorphism unit(a,b) -> unit(w(a),w(b)).  The automorphism breaks
-    normal order, so images pick up bracket corrections: a plain exponent
-    relabel of the patterns would not be multiplicative.
+    normal order, so the moved words are straightened and pick up bracket
+    corrections: a plain exponent relabel of the patterns would not be
+    multiplicative.
     """
     n = u.n
     if sorted(w) != list(range(1, n + 1)):
         raise ValueError(f"need a permutation of 1..{n}")
-    left = [0] * n
-    right = [0] * n
-    for i in range(n):
-        left[w[i] - 1] = u.left[i]
-        right[w[i] - 1] = u.right[i]
-    acc = UElement(n)
+    products: dict[tuple[Letters, Letters], Fraction] = {}
     for p, c in u.terms.items():
-        acc = acc + u_relabel(_lift(n, p), tuple(w)).scale(c)
-    return _from_u_element(acc, tuple(left), tuple(right))
+        word, d = _lift(n, p)
+        products[(), tuple((w[a - 1], w[b - 1]) for a, b in word)] = c / d
+    return _from_words(n, products, permute_weight(u.left, w), permute_weight(u.right, w))
 
 
 @dataclass
@@ -554,8 +560,8 @@ def symmetric_group_quotient(r: int) -> SymQuotientReport:
     and multiplicativity on all pairs of the spanning set."""
     if r < 1:
         raise ValueError("need r >= 1")
-    if r > 4:
-        raise ResourceLimitError("symmetric-group quotient check is limited to r <= 4")
+    if r > SYMMETRIC_GROUP_MAX_R:
+        raise ResourceLimitError(f"symmetric-group quotient check is limited to r <= {SYMMETRIC_GROUP_MAX_R}")
     omega = (1,) * r
     basis = udot_basis_upto(omega, omega, r)
     images = [to_schur(u, r) for u in basis]

@@ -29,7 +29,7 @@ from . import codet as codet_mod
 from . import enveloping as env
 from . import schur as schur_mod
 from . import udot as udot_mod
-from .errors import TENSOR_SPACE_LIMIT, ResourceLimitError
+from .errors import check_budget
 from .exact_linalg import CoordinateSolver, exact_rank, unimodular_change
 from .weights import (
     col_sums,
@@ -224,10 +224,7 @@ def suite_idem_lemma(n_max: int = 3, r_max: int = 3) -> VerificationReport:
         composition_count(n, r) * _binom_term_sum(n, r)
         for n, r in itertools.product(range(1, n_max + 1), range(0, r_max + 1))
     )
-    if work > TENSOR_SPACE_LIMIT:
-        raise ResourceLimitError(
-            f"idem-lemma up to n={n_max}, r={r_max} sums {work} terms, above the limit {TENSOR_SPACE_LIMIT}"
-        )
+    check_budget(work, f"idem-lemma up to n={n_max}, r={r_max} sums {work} terms")
     rows = _slice_rows(
         "binomial-idempotent", n_max, r_max, _weights,
         lambda lam, r: None if env.verify_weight_idempotent(lam, r) else f"lam={lam}",

@@ -23,7 +23,7 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Iterator, Sequence
 
-from .errors import TENSOR_SPACE_LIMIT, ResourceLimitError
+from .errors import check_budget
 
 Weight = tuple[int, ...]
 Word = tuple[int, ...]
@@ -98,10 +98,7 @@ def _check_composition_count(n: int, r: int) -> None:
     """Refuse work that lists the compositions of r into n parts when
     there are more than TENSOR_SPACE_LIMIT of them."""
     count = composition_count(n, r)
-    if count > TENSOR_SPACE_LIMIT:
-        raise ResourceLimitError(
-            f"{count} compositions of {r} into {n} parts, above the limit {TENSOR_SPACE_LIMIT}"
-        )
+    check_budget(count, f"{count} compositions of {r} into {n} parts")
 
 
 def dominant_shapes(n: int, r: int) -> list[Weight]:

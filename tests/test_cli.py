@@ -1,8 +1,11 @@
 import hashlib
+import io
 import json
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from schuralg.cli import main
 
@@ -340,3 +343,141 @@ def test_verify_all_stdout_pinned(capsys, fmt):
     assert code == 0
     data = out.encode()
     assert (hashlib.sha256(data).hexdigest(), len(data)) == VERIFY_ALL_DIGESTS[fmt]
+
+
+SCHUR_X = {"n": 2, "r": 2, "terms": [{"matrix": [[0, 1], [1, 0]], "coeff_num": 1, "coeff_den": 1}]}
+UDOT_X = {"n": 2, "left": [1, 1], "right": [1, 1], "terms": [{"pattern": [[0, 1], [1, 0]], "coeff": "1"}]}
+
+
+def _replaced(payload, path, value):
+    out = json.loads(json.dumps(payload))
+    target = out
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return json.dumps(out)
+
+
+@pytest.mark.parametrize(
+    "command, base, path, value",
+    [
+        ("mul", SCHUR_X, ("terms", 0, "matrix", 0, 1), 1.7),
+        ("mul", SCHUR_X, ("terms", 0, "coeff_num"), 1.5),
+        ("mul", SCHUR_X, ("terms", 0, "coeff_den"), True),
+        ("udot", UDOT_X, ("left",), [1.5, 1]),
+        ("udot", UDOT_X, ("terms", 0, "pattern"), [[0, 0.9], [0.9, 0]]),
+    ],
+    ids=["matrix-entry", "coeff-num", "coeff-den-bool", "udot-weight", "udot-pattern"],
+)
+def test_element_json_refuses_non_integers(capsys, command, base, path, value):
+    # each of these was truncated by int() and multiplied as another element
+    bad = _replaced(base, path, value)
+    good = json.dumps(base)
+    argv = ["mul"] if command == "mul" else ["udot", "mul"]
+    code, out, err = run_cli(capsys, *argv, "--left", bad, "--right", good)
+    assert code == 2
+    assert out == ""
+    assert "bad element JSON" in err and "expected an integer" in err
+
+
+@pytest.mark.parametrize("pattern", [[[0], [1, 0]], [[1, 1], [1, 0]], [[0, 1, 0], [1, 0, 0], [0, 0, 0]]])
+def test_udot_json_refuses_malformed_patterns(capsys, pattern):
+    # a short row raised IndexError out of the CLI; a diagonal entry was
+    # dropped without a word
+    bad = _replaced(UDOT_X, ("terms", 0, "pattern"), pattern)
+    code, out, err = run_cli(capsys, "udot", "mul", "--left", bad, "--right", json.dumps(UDOT_X))
+    assert code == 2
+    assert out == ""
+    assert "bad element JSON" in err
+
+
+# Fuzzing the element JSON of `mul` and `udot mul`: well-formed elements
+# (n <= 4, n = 3 and 4 products straighten in the enveloping algebra) with
+# up to two leaves replaced by arbitrary JSON or keys dropped.
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-5, 5),
+    st.floats(-3, 3),
+    st.text(max_size=3),
+    st.lists(st.integers(-1, 2), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 1), max_size=2),
+)
+
+
+def _paths(x, path=()):
+    yield path
+    if isinstance(x, dict):
+        for k, v in x.items():
+            yield from _paths(v, path + (k,))
+    elif isinstance(x, list):
+        for i, v in enumerate(x):
+            yield from _paths(v, path + (i,))
+
+
+def _mutate(draw, payload):
+    for _ in range(draw(st.sampled_from((0, 0, 1, 2)))):
+        path = draw(st.sampled_from(list(_paths(payload))))
+        if not path:
+            payload = draw(JUNK)
+            continue
+        parent = payload
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(JUNK)
+    return json.dumps(payload)
+
+
+@st.composite
+def schur_requests(draw):
+    n, r = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+
+    def element():
+        terms = []
+        for _ in range(draw(st.integers(0, 2))):
+            a = [[0] * n for _ in range(n)]
+            for _ in range(r):
+                a[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] += 1
+            terms.append({"matrix": a, "coeff_num": draw(st.integers(-3, 3)), "coeff_den": draw(st.integers(1, 3))})
+        return _mutate(draw, {"n": n, "r": r, "terms": terms})
+
+    return ["mul", "--left", element(), "--right", element()]
+
+
+@st.composite
+def udot_requests(draw):
+    n = draw(st.sampled_from((1, 2, 3, 3, 4)))
+
+    def element(right):
+        p = [[0] * n for _ in range(n)]
+        for _ in range(draw(st.integers(0, 2)) if n > 1 else 0):
+            i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            p[i][j] += 1
+        left = [right[i] + sum(p[i][j] - p[j][i] for j in range(n)) for i in range(n)]
+        coeff = draw(st.sampled_from(["1", "-2", "3/2", "-1/3"]))
+        return {"n": n, "left": left, "right": list(right), "terms": [{"pattern": p, "coeff": coeff}]}
+
+    v = element([draw(st.integers(-2, 2)) for _ in range(n)])
+    u = element(v["left"])
+    return ["udot", "mul", "--left", _mutate(draw, u), "--right", _mutate(draw, v)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(schur_requests(), udot_requests()))
+def test_element_json_fuzz(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            # argparse's usage error, for a value that starts with "-"
+            code = exc.code
+    assert code in (0, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+    else:
+        json.loads(out.getvalue())
+    assert "Traceback" not in err.getvalue()

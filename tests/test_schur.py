@@ -46,7 +46,7 @@ from schuralg.weights import (
     weight_word,
     words_of_weight,
 )
-from schuralg.udot import UdotElement, _block_patterns, _lift, to_schur, udot_basis_upto
+from schuralg.udot import UdotElement, _block_patterns, _lift, pattern_matrix, to_schur, udot_basis_upto
 
 
 def counting_product_coeff(a, b, c):
@@ -401,7 +401,8 @@ def column_to_schur(u, r):
     column = {}
     k = weight_word(u.right)
     for p, c in u.terms.items():
-        for l, v in u_act(_lift(u.n, p), {k: Fraction(1)}).items():
+        lift = divided_monomial(u.n, pattern_matrix(p, u.n), (), "fe")
+        for l, v in u_act(lift, {k: Fraction(1)}).items():
             column[l] = column.get(l, 0) + c * v
     return read_column(u.n, r, project({l: v for l, v in column.items() if v}, u.left), k)
 

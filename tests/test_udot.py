@@ -1,18 +1,26 @@
 import itertools
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 
 from schuralg import enveloping, udot
-from schuralg.enveloping import pbw_image, u_multiply
+from schuralg.enveloping import (
+    UElement,
+    divided_monomial,
+    monomial_weight,
+    pbw_image,
+    root_pairs,
+    u_multiply,
+    u_relabel,
+)
 from schuralg.errors import TENSOR_SPACE_LIMIT, ResourceLimitError
 from schuralg.schur import idempotent, schur_multiply
 from schuralg.udot import (
     UdotElement,
-    _from_u_element,
-    _lift,
+    _gl2_multiply,
+    _word_multiply,
     divided_generators,
     gl2_generic_table,
     matrix_pattern,
@@ -192,35 +200,152 @@ def test_inner_weight_mismatch_gives_zero():
 def test_gl2_closed_form_matches_straightening():
     # every n = 2 product of basis elements with exponents at most 4, at
     # every right weight in [-3,3]^2, against the generic path: straighten
-    # the lifted patterns in U(gl_2), then project into the block
+    # the lifted words in U(gl_2), then decode them into the block
     patterns = list(itertools.product(range(5), repeat=2))
     weights = list(itertools.product(range(-3, 4), repeat=2))
     for p in patterns:
         for q in patterns:
-            lifted = u_multiply(_lift(2, p), _lift(2, q))
             for right in weights:
                 mid = tuple(r + d for r, d in zip(right, pattern_delta(q, 2)))
                 left = tuple(m + d for m, d in zip(mid, pattern_delta(p, 2)))
-                fast = udot_multiply(udot_element(left, mid, p), udot_element(mid, right, q))
-                assert fast == _from_u_element(lifted, left, right), (p, q, right)
+                u, v = udot_element(left, mid, p), udot_element(mid, right, q)
+                assert _gl2_multiply(u, v) == _word_multiply(u, v), (p, q, right)
 
 
 def test_gl2_closed_form_keeps_coefficients():
     u = udot_element((2, -1), (1, 0), (1, 0)).scale(Fraction(5, 3))
     v = udot_element((1, 0), (1, 0), (1, 1)) + udot_element((1, 0), (1, 0), (0, 0)).scale(-2)
-    # _lift(2, (0, 0)) is the unit
-    lifted = u_multiply(_lift(2, (1, 0)), _lift(2, (1, 1))) - _lift(2, (1, 0)).scale(2)
-    expected = _from_u_element(lifted, (2, -1), (1, 0)).scale(Fraction(5, 3))
-    assert udot_multiply(u, v) == expected
+    assert _gl2_multiply(u, v) == _word_multiply(u, v) == oracle_multiply(u, v)
+    assert udot_multiply(u, v) == _gl2_multiply(u, v)
 
 
 def test_gl2_table_does_not_straighten(monkeypatch):
     def refuse(*args):
         raise AssertionError("n = 2 products must not straighten in U(gl_2)")
 
+    # udot binds _word_product by name, so both modules are patched
     monkeypatch.setattr(enveloping, "_insert", refuse)
     monkeypatch.setattr(enveloping, "_word_product", refuse)
+    monkeypatch.setattr(udot, "_word_product", refuse)
     assert gl2_generic_table((1, -2), 13).passed
+
+
+# The plain-power path, kept as an oracle for the word path: lift a
+# pattern to its divided monomial with Fraction coefficients, multiply or
+# relabel in U(gl_n), and project the result into a block.
+
+
+def oracle_lift(n, p):
+    return divided_monomial(n, pattern_matrix(p, n), (), "fe")
+
+
+def oracle_project(x, left, right):
+    """Keep the terms of adjoint weight left - right, evaluate diagonal
+    letters against the right weight shifted by the raising part, convert
+    plain powers to divided-power pattern coordinates."""
+    n = x.n
+    pairs = root_pairs(n)
+    delta = tuple(l - r for l, r in zip(left, right))
+    cell_index = {c: k for k, c in enumerate(offdiag_cells(n))}
+    no_f = (0,) * len(pairs)
+    out = {}
+    for (f, h, e), coeff in x.terms.items():
+        if monomial_weight(n, (f, h, e)) != delta:
+            continue
+        shift_vec = monomial_weight(n, (no_f, h, e))
+        scalar = Fraction(1)
+        for i in range(n):
+            if h[i]:
+                scalar *= (right[i] + shift_vec[i]) ** h[i]
+        if scalar == 0:
+            continue
+        fact = 1
+        for v in f + e:
+            fact *= factorial(v)
+        p = [0] * len(cell_index)
+        for idx, (i, j) in enumerate(pairs):
+            p[cell_index[(j - 1, i - 1)]] = f[idx]
+            p[cell_index[(i - 1, j - 1)]] = e[idx]
+        key = tuple(p)
+        out[key] = out.get(key, Fraction(0)) + coeff * scalar * fact
+    return UdotElement(n, left, right, out)
+
+
+def oracle_multiply(u, v):
+    if u.right != v.left:
+        return udot_zero(u.n, u.left, v.right)
+    acc = UElement(u.n)
+    for pu, cu in u.terms.items():
+        for pv, cv in v.terms.items():
+            acc = acc + u_multiply(oracle_lift(u.n, pu), oracle_lift(u.n, pv)).scale(cu * cv)
+    return oracle_project(acc, u.left, v.right)
+
+
+def oracle_relabel(u, w):
+    acc = UElement(u.n)
+    for p, c in u.terms.items():
+        acc = acc + u_relabel(oracle_lift(u.n, p), w).scale(c)
+    return oracle_project(acc, permute_weight(u.left, w), permute_weight(u.right, w))
+
+
+@pytest.mark.parametrize(
+    "weights, degree",
+    [
+        (((0, 0, 0), (0, 0, 0), (0, 0, 0)), 4),
+        (((1, -2, 2), (0, 0, 1), (2, -1, 0)), 4),
+        (((-2, 2, 0), (2, -2, 0), (1, 1, -2)), 4),
+        (((2, 1, -1), (-1, 2, 1), (0, 0, 2)), 4),
+        (((0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)), 2),
+        (((1, 0, 0, 1), (0, 1, 0, 1), (0, 1, 1, 0)), 2),
+        (((2, 0, -2, 1), (1, 1, -1, 0), (1, 0, -1, 1)), 2),
+    ],
+)
+def test_word_path_matches_plain_power_oracle(weights, degree):
+    # every product of basis elements of two adjacent blocks, and one
+    # product of combinations with fractional coefficients
+    lam, mu, nu = weights
+    us, vs = udot_basis_upto(lam, mu, degree), udot_basis_upto(mu, nu, degree)
+    assert us and vs
+    for u in us:
+        for v in vs:
+            assert udot_multiply(u, v) == oracle_multiply(u, v), (u.terms, v.terms)
+    x = sum(us[1:], us[0].scale(Fraction(-2, 3)))
+    y = vs[-1].scale(Fraction(5, 2)) + vs[0]
+    assert udot_multiply(x, y) == oracle_multiply(x, y)
+
+
+@pytest.mark.parametrize("lam, mu", [((0, 0, 0), (0, 0, 0)), ((1, -2, 2), (0, 0, 1)), ((2, 1, -1), (-1, 2, 1))])
+def test_relabel_matches_plain_power_oracle(lam, mu):
+    basis = udot_basis_upto(lam, mu, 4)
+    for w in itertools.permutations((1, 2, 3)):
+        for u in basis:
+            assert udot_relabel(u, w) == oracle_relabel(u, w), (w, u.terms)
+
+
+def test_udot_builds_no_enveloping_element(monkeypatch):
+    # products, relabelling and truncation work on the lifted words alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("an enveloping-algebra element was built")
+
+    forms = ("fe", "ef", "fe-middle", "ef-middle")
+    a = ((1, 1, 0), (0, 1, 1), (1, 0, 0))
+    u = udot_basis_upto((1, 1, 1), (1, 1, 1), 3)[-1]
+    v = udot_basis_upto((1, 1, 1), (2, 0, 1), 3)[-1]
+    block = udot_basis_upto((1, 1, 1), (2, 0, 1), 3)
+    expected = (
+        oracle_multiply(u, v),
+        oracle_relabel(v, (2, 3, 1)),
+        [to_schur(x, 3) for x in block],
+        [pbw_image(a, f) for f in forms],
+    )
+    assert not all(x.is_zero for x in expected[2])
+    udot._lift.cache_clear()
+    monkeypatch.setattr(enveloping.UElement, "__init__", refuse)
+    assert udot_multiply(u, v) == expected[0]
+    assert udot_relabel(v, (2, 3, 1)) == expected[1]
+    assert [to_schur(x, 3) for x in block] == expected[2]
+    assert [pbw_image(a, f) for f in forms] == expected[3]
+    assert suite_psi(3, 3).passed
 
 
 def test_gl2_table_degree_40():
