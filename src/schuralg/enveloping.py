@@ -15,13 +15,16 @@ letter, paying the bracket as a lower-degree correction.  The recursion
 is memoized on (normal word, letter) and terminates by induction on word
 length.  Its cache and the one on pairs of normal words are bounded
 (2^17 and 4096 entries); all products in the gl_3 block at (0,0,0) up to
-degree 8 fill 69,642 insert entries, so they evict nothing.  All
-coefficients are exact rationals; bracket corrections are integers, so
-straightening a product of integer monomials stays integral.
+degree 8 fill 69,642 insert entries, so they evict nothing.  Element
+coefficients are exact rationals, but bracket corrections are integers:
+_straighten, the one straightener of U(gl_n) and udot, sums normal words
+in integers over one common denominator, and a Fraction is built only
+for an output term.
 
 Divided powers X^(a) = X^a / a! and binomial diagonals binom(H_i, b) are
-derived views on top of plain-power coordinates.  integrality_coords
-rewrites an element in the divided basis
+derived views on top of plain-power coordinates; binom(H, b) is kept as
+the integer falling factorial H(H-1)..(H-b+1), leading coefficient 1,
+over b!.  integrality_coords rewrites an element in the divided basis
 
     prod f_ij^(a_ji) * prod binom(H_i, b_i) * prod e_ij^(a_ij)
 
@@ -51,7 +54,7 @@ from functools import lru_cache
 from math import factorial, prod
 from typing import Mapping, Sequence
 
-from .exact_linalg import SparseCombination
+from .exact_linalg import SparseCombination, _clear_denominators
 from .schur import (
     SchurElement,
     TensorEndo,
@@ -149,6 +152,20 @@ def _word_product(w1: tuple[Unit, ...], w2: tuple[Unit, ...]) -> tuple[tuple[tup
     return tuple(sorted(cur.items()))
 
 
+def _straighten(
+    products: Mapping[tuple[tuple[Unit, ...], tuple[Unit, ...]], Fraction],
+) -> tuple[dict[tuple[Unit, ...], int], int]:
+    """(words, den): the normal form of sum c * w1 w2 over the products
+    {(w1, w2): c} of normal words, as integer coefficients by normal word
+    over one common denominator."""
+    ints, den = _clear_denominators(products)
+    words: dict[tuple[Unit, ...], int] = {}
+    for pair, c in ints.items():
+        for word, k in _word_product(*pair):
+            words[word] = words[word] + c * k if word in words else c * k
+    return words, den
+
+
 def _monomial_word(n: int, m: PBWMonomial) -> tuple[Unit, ...]:
     pairs = root_pairs(n)
     word: list[Unit] = []
@@ -232,15 +249,14 @@ def matrix_unit(n: int, a: int, b: int) -> UElement:
 def u_multiply(x: UElement, y: UElement) -> UElement:
     """Product in the enveloping algebra, straightened to PBW normal form."""
     x._check_space(y)
-    out: dict[PBWMonomial, Fraction] = {}
-    for m1, c1 in x.terms.items():
-        w1 = _monomial_word(x.n, m1)
-        for m2, c2 in y.terms.items():
-            w2 = _monomial_word(x.n, m2)
-            for w, c in _word_product(w1, w2):
-                m = _word_monomial(x.n, w)
-                out[m] = out.get(m, Fraction(0)) + c1 * c2 * c
-    return x._new(out)
+    n = x.n
+    products = {
+        (_monomial_word(n, m1), _monomial_word(n, m2)): c1 * c2
+        for m1, c1 in x.terms.items()
+        for m2, c2 in y.terms.items()
+    }
+    words, den = _straighten(products)
+    return x._new({_word_monomial(n, w): Fraction(c, den) for w, c in words.items()})
 
 
 def u_relabel(x: UElement, w: Sequence[int]) -> UElement:
@@ -253,43 +269,31 @@ def u_relabel(x: UElement, w: Sequence[int]) -> UElement:
     n = x.n
     if sorted(w) != list(range(1, n + 1)):
         raise ValueError(f"need a permutation of 1..{n}")
-    out: dict[PBWMonomial, Fraction] = {}
-    for m1, c1 in x.terms.items():
-        word = tuple((w[a - 1], w[b - 1]) for a, b in _monomial_word(n, m1))
-        for nw, c in _word_product((), word):
-            m = _word_monomial(n, nw)
-            out[m] = out.get(m, Fraction(0)) + c1 * c
-    return x._new(out)
+    products = {
+        ((), tuple((w[a - 1], w[b - 1]) for a, b in _monomial_word(n, m))): c
+        for m, c in x.terms.items()
+    }
+    words, den = _straighten(products)
+    return x._new({_word_monomial(n, nw): Fraction(c, den) for nw, c in words.items()})
 
 
 @lru_cache(maxsize=256)
-def _binom_poly(k: int) -> tuple[Fraction, ...]:
-    """Coefficients of binom(X, k) = X(X-1)..(X-k+1)/k! by ascending power."""
-    coeffs = [Fraction(1)]
+def _binom_poly(k: int) -> tuple[int, ...]:
+    """Coefficients of k! binom(X, k) = X(X-1)..(X-k+1) by ascending power."""
+    coeffs = [1]
     for t in range(k):
-        nxt = [Fraction(0)] * (len(coeffs) + 1)
-        for p, c in enumerate(coeffs):
-            nxt[p + 1] += c
-            nxt[p] -= t * c
-        coeffs = nxt
-    return tuple(c / factorial(k) for c in coeffs)
+        coeffs = [a - t * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    return tuple(coeffs)
 
 
 @lru_cache(maxsize=4096)
-def _h_binom_terms(n: int, b: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
-    """Expansion of prod_i binom(H_i, b_i) as {h exponent vector: coeff}."""
-    out: dict[tuple[int, ...], Fraction] = {(0,) * n: Fraction(1)}
-    for i, k in enumerate(b):
-        poly = _binom_poly(k)
-        nxt: dict[tuple[int, ...], Fraction] = {}
-        for h, c in out.items():
-            for p, pc in enumerate(poly):
-                if pc == 0:
-                    continue
-                h2 = h[:i] + (h[i] + p,) + h[i + 1:]
-                nxt[h2] = nxt.get(h2, Fraction(0)) + c * pc
-        out = nxt
-    return tuple(sorted(out.items()))
+def _h_binom_terms(n: int, b: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Expansion of prod_i b_i! binom(H_i, b_i) as sorted (h exponent
+    vector, integer coeff) pairs; H^b has coefficient 1 and comes last."""
+    factors = [[(p, c) for p, c in enumerate(_binom_poly(k)) if c] for k in b]
+    return tuple(sorted(
+        (tuple(p for p, _ in t), prod(c for _, c in t)) for t in itertools.product(*factors)
+    ))
 
 
 def divided_monomial(
@@ -319,19 +323,14 @@ def divided_monomial(
     pairs = root_pairs(n)
     fexp = tuple(offdiag[j - 1][i - 1] for i, j in pairs)
     eexp = tuple(offdiag[i - 1][j - 1] for i, j in pairs)
-    scale = Fraction(1)
-    for x in fexp + eexp:
-        scale /= factorial(x)
+    den = prod(map(factorial, fexp + eexp + b))
     zero_pair = (0,) * len(pairs)
     zero_h = (0,) * n
     hterms = _h_binom_terms(n, b)
     if side == "fe":
-        terms = {
-            (fexp, h, eexp): c * scale for h, c in hterms
-        }
-        return UElement(n, terms)
+        return UElement(n, {(fexp, h, eexp): Fraction(c, den) for h, c in hterms})
     if side == "ef":
-        epart = UElement(n, {(zero_pair, zero_h, eexp): scale})
+        epart = UElement(n, {(zero_pair, zero_h, eexp): Fraction(1, den)})
         hpart = UElement(n, {(zero_pair, h, zero_pair): c for h, c in hterms})
         fpart = UElement(n, {(fexp, zero_h, zero_pair): Fraction(1)})
         return u_multiply(epart, u_multiply(hpart, fpart))
@@ -354,30 +353,16 @@ def integrality_coords(
     for (f, h, e), c in x.terms.items():
         groups.setdefault((f, e), {})[h] = c
     coords: dict[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], Fraction] = {}
-    ffact: dict[tuple[int, ...], int] = {}
-    for (f, e), poly in groups.items():
-        scale_fe = 1
-        for v in f + e:
-            scale_fe *= factorial(v)
-        work = dict(poly)
+    for (f, e), work in groups.items():
+        scale_fe = prod(map(factorial, f + e))
         while work:
             b = max(work, key=lambda h: (sum(h), h))
             coeff = work.pop(b)
-            # coefficient of H^b inside binom(H, b) is 1/prod(b_i!)
-            bfact = 1
-            for v in b:
-                bfact *= factorial(v)
-            coord = coeff * bfact * scale_fe
-            if coord != 0:
-                coords[(f, b, e)] = coord
-            for h, c in _h_binom_terms(n, b):
-                if h == b:
-                    continue
-                delta = work.get(h, Fraction(0)) - coord / scale_fe * c
-                if delta == 0:
-                    work.pop(h, None)
-                else:
-                    work[h] = delta
+            coords[(f, b, e)] = coeff * prod(map(factorial, b)) * scale_fe
+            for h, c in _h_binom_terms(n, b)[:-1]:
+                work[h] = work.get(h, 0) - coeff * c
+                if not work[h]:
+                    del work[h]
     integral = all(c.denominator == 1 for c in coords.values())
     return coords, integral
 
@@ -420,23 +405,22 @@ def verify_weight_idempotent(lam: Sequence[int], r: int | None = None) -> bool:
     the weight idempotent of lam.  H_i acts on the words of weight nu as
     nu_i, so on those words the product is the scalar
     prod_i binom(nu_i, lam_i): it must be 1 at nu = lam and 0 at every
-    other composition nu of r.  The expansion is scaled once by
-    D = prod_i lam_i!, which makes its coefficients integers (a
-    non-integral one fails the check), so each value is an integer sum
-    compared with D or 0."""
+    other composition nu of r.  The integer expansion of
+    prod_i lam_i! binom(H_i, lam_i) is evaluated at each nu and compared
+    with D = prod_i lam_i! or 0."""
     lam = tuple(lam)
     if r is None:
         r = sum(lam)
     if r != sum(lam):
         raise ValueError("degree must match the weight")
-    n = len(lam)
-    x = divided_monomial(n, tuple(tuple(0 for _ in range(n)) for _ in range(n)), lam)
+    if any(x < 0 for x in lam):
+        raise ValueError("diagonal exponents must be a nonnegative n-vector")
     scale = prod(map(factorial, lam))
-    terms = [(h, c * scale) for (_, h, _), c in x.terms.items()]
-    return all(c.denominator == 1 for _, c in terms) and all(
-        sum(c.numerator * prod(v ** p for v, p in zip(nu, h)) for h, c in terms)
+    terms = _h_binom_terms(len(lam), lam)
+    return all(
+        sum(c * prod(v ** p for v, p in zip(nu, h)) for h, c in terms)
         == (scale if nu == lam else 0)
-        for nu in compositions(n, r)
+        for nu in compositions(len(lam), r)
     )
 
 

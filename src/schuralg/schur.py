@@ -57,6 +57,7 @@ from .weights import (
     Perm,
     Weight,
     Word,
+    _slice_bound,
     col_sums,
     compositions,
     is_composition,
@@ -257,20 +258,6 @@ def _slices(rows: Weight, cols: Weight) -> tuple[tuple[tuple[int, int, int], ...
         tuple((i, k, v) for i, row in enumerate(m) for k, v in enumerate(row) if v)
         for m in margin_matrices(rows, cols)
     )
-
-
-def _slice_bound(rows: Sequence[int], cols: Sequence[int]) -> int:
-    # matrices with these margins are fixed by all rows but the largest,
-    # each a composition of its sum into one part per nonzero column (and
-    # likewise with rows and columns swapped); zero rows and columns drop
-    rows = sorted(x for x in rows if x)
-    cols = sorted(x for x in cols if x)
-    by_rows = by_cols = 1
-    for x in rows[:-1]:
-        by_rows *= comb(x + len(cols) - 1, x)
-    for x in cols[:-1]:
-        by_cols *= comb(x + len(rows) - 1, x)
-    return min(by_rows, by_cols)
 
 
 @lru_cache(maxsize=4096)

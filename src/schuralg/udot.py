@@ -65,9 +65,9 @@ from functools import lru_cache
 from math import comb, factorial, prod
 from typing import Mapping, Sequence
 
-from .enveloping import _divided_letters, _offdiag_words, _word_product
-from .errors import SYMMETRIC_GROUP_MAX_R, ResourceLimitError
-from .exact_linalg import SparseCombination, _clear_denominators, exact_rank
+from .enveloping import _divided_letters, _offdiag_words, _straighten
+from .errors import SYMMETRIC_GROUP_MAX_R, ResourceLimitError, check_budget
+from .exact_linalg import SparseCombination, exact_rank
 from .schur import SchurElement, _chain_sum, _json_int
 from .weights import Weight, _check_composition_count, is_composition, permute_weight
 
@@ -301,14 +301,9 @@ def _from_words(
     n: int, products: Mapping[tuple[Letters, Letters], Fraction], left: Weight, right: Weight
 ) -> UdotElement:
     """The (left, right) block element of {(w1, w2): coefficient}, products
-    of words of weight left - right, straightened and summed by normal word
-    in integers over one common denominator, then decoded one normal word
-    at a time as the module docstring says."""
-    ints, den = _clear_denominators(products)
-    words: dict[Letters, int] = {}
-    for pair, c in ints.items():
-        for word, k in _word_product(*pair):
-            words[word] = words[word] + c * k if word in words else c * k
+    of words of weight left - right, straightened by _straighten and
+    decoded one normal word at a time as the module docstring says."""
+    words, den = _straighten(products)
     cell_index = {(i + 1, j + 1): k for k, (i, j) in enumerate(offdiag_cells(n))}
     out: dict[Pattern, int] = {}
     for word, c in words.items():
@@ -353,7 +348,7 @@ def _gl2_multiply(u: UdotElement, v: UdotElement) -> UdotElement:
                 if k:
                     key = (y1 + y2 - t, x1 + x2 - t)
                     out[key] = out.get(key, 0) + c * k
-    return UdotElement(2, u.left, v.right, out)
+    return UdotElement(2, u.left, v.right)._new({p: Fraction(c) for p, c in out.items()})
 
 
 def udot_multiply(u: UdotElement, v: UdotElement) -> UdotElement:
@@ -497,6 +492,9 @@ def gl2_generic_table(lam: Sequence[int], degree: int) -> Gl2Table:
         raise ValueError("gl_2 weights have two entries")
     if degree < 0:
         raise ValueError("degree must be nonnegative")
+    # (degree + 1)^2 products of at most degree + 1 terms, and the
+    # elimination of degree + 1 powers
+    check_budget((degree + 1) ** 3, f"a gl_2 table of degree {degree} costs {(degree + 1) ** 3} terms")
     lam = (int(lam[0]), int(lam[1]))
     # pattern cells for n=2: ((0,1), (1,0))
     basis = [udot_element(lam, lam, (a, a)) for a in range(degree + 1)]

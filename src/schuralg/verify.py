@@ -250,6 +250,9 @@ def _binom_term_sum(n: int, r: int) -> int:
 def suite_cellular(n: int = 3, r: int = 3, lam: Sequence[int] | None = None) -> VerificationReport:
     """Cellular axioms for diagonal weight blocks, plus the dominance
     filtration being a two-sided ideal chain."""
+    if lam is not None and (len(lam) != n or sum(lam) != r):
+        n, r = len(lam), sum(lam)
+        raise ValueError(f"lambda={list(lam)} lies in S({n}, {r}): pass --n {n} --r {r}")
     params = {"n": n, "r": r, "lambda": list(lam) if lam is not None else None}
     rows = (
         row
@@ -273,7 +276,10 @@ def _filtration_ideal(lam: Sequence[int]) -> str | None:
     cells = codet_mod.codet_basis(lam, lam)
     if not cells:
         return None
-    solver = CoordinateSolver([c.value.terms for c in cells])
+    try:
+        solver = CoordinateSolver([c.value.terms for c in cells])
+    except ValueError:
+        return f"lambda={list(lam)}: the cells are linearly dependent"
     basis = schur_mod.hom_basis(lam, lam)
     # the cells dominating nu span an ideal for every shape nu exactly when
     # each product with a cell lands on cells dominating that cell's shape:

@@ -196,12 +196,28 @@ def _bounded_rows(total: int, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
             yield (v,) + rest
 
 
+def _slice_bound(rows: Sequence[int], cols: Sequence[int]) -> int:
+    # matrices with these margins are fixed by all rows but the largest,
+    # each a composition of its sum into one part per nonzero column (and
+    # likewise with rows and columns swapped); zero rows and columns drop
+    rows = sorted(x for x in rows if x)
+    cols = sorted(x for x in cols if x)
+    by_rows = by_cols = 1
+    for x in rows[:-1]:
+        by_rows *= comb(x + len(cols) - 1, x)
+    for x in cols[:-1]:
+        by_cols *= comb(x + len(rows) - 1, x)
+    return min(by_rows, by_cols)
+
+
 def margin_matrices(lam: Sequence[int], mu: Sequence[int]) -> list[Matrix]:
     """Nonnegative integer matrices with row sums lam and column sums mu.
 
     Both margins must be compositions of the same degree and the same
     length.  Output is in row-major lexicographic order (ascending on the
-    flattened entry tuple).
+    flattened entry tuple).  Raises ResourceLimitError, before listing
+    any, when the closed-form bound _slice_bound on their number exceeds
+    TENSOR_SPACE_LIMIT.
     """
     if not (is_composition(lam) and is_composition(mu)):
         raise ValueError("margins must be compositions")
@@ -209,6 +225,8 @@ def margin_matrices(lam: Sequence[int], mu: Sequence[int]) -> list[Matrix]:
         raise ValueError("margins must have the same number of parts")
     if sum(lam) != sum(mu):
         raise ValueError("margins must have equal degree")
+    bound = _slice_bound(lam, mu)
+    check_budget(bound, f"margins {tuple(lam)} and {tuple(mu)} may have {bound} matrices")
     n = len(lam)
     out: list[Matrix] = []
 

@@ -7,7 +7,9 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from schuralg import weights
 from schuralg.cli import main
+from schuralg.errors import ResourceLimitError
 
 
 def run_cli(capsys, *argv):
@@ -326,6 +328,31 @@ def test_cellular_with_lambda(capsys):
     payload = json.loads(out)
     assert payload["params"]["lambda"] == [1, 1]
     assert payload["passed"] is True
+
+
+def test_cellular_refuses_lambda_outside_n_and_r(capsys):
+    code, out, err = run_cli(capsys, "verify", "cellular", "--lambda", "2,2,2")
+    assert code == 2
+    assert out == ""
+    assert "--n 3 --r 6" in err
+    code, out, _ = run_cli(capsys, "verify", "cellular", "--n", "3", "--r", "3", "--lambda", "2,1,0")
+    assert code == 0
+    assert json.loads(out)["params"] == {"lambda": [2, 1, 0], "n": 3, "r": 3}
+
+
+def test_dim_refused_before_listing_matrices(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("no matrix may be listed once the bound is over the limit")
+
+    monkeypatch.setattr(weights, "_bounded_rows", refuse)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "dim", "--lambda", "1,1,1,1,1,1,1,1,1,1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "may have 1000000000 matrices" in err
+    with pytest.raises(ResourceLimitError):
+        weights.margin_matrices((1,) * 8, (1,) * 8)
 
 
 # SHA-256 of `schuralg verify all` stdout, JSON and CSV, pinned so that

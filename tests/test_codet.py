@@ -1,10 +1,12 @@
 import hashlib
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from schuralg import codet, exact_linalg
+from schuralg.cli import main
 from schuralg.codet import (
     cell_datum_check,
     codet_basis,
@@ -15,6 +17,7 @@ from schuralg.codet import (
 )
 from schuralg.exact_linalg import CoordinateSolver, exact_rank
 from schuralg.schur import SchurElement, hom_basis, involution, schur_multiply
+from schuralg.verify import suite_cellular
 from schuralg.weights import (
     compositions,
     dominance_lt,
@@ -172,6 +175,29 @@ def test_cell_datum_check_ranks_only_for_the_witness(monkeypatch):
         # a wrong count is ranked at once; a dependent set fails its factoring first
         assert calls == ([False] if len(broken) != dim else [True, False])
         monkeypatch.undo()
+
+
+def test_cellular_suite_reports_dependent_cells(monkeypatch, capsys):
+    lam = (2, 1, 0)
+    cells = codet_basis(lam, lam)
+    monkeypatch.setattr(codet, "codet_basis", lambda *_: cells[:-1] + cells[:1])
+    report = suite_cellular(3, 3, lam)
+    assert [c.passed for c in report.checks] == [False, False]
+    assert all(c.witness for c in report.checks)
+    assert "linearly dependent" in report.checks[1].witness
+    assert main(["verify", "cellular", "--n", "3", "--r", "3", "--lambda", "2,1,0"]) == 1
+    assert json.loads(capsys.readouterr().out)["passed"] is False
+
+
+@pytest.mark.parametrize("lam", [(2, 1, 0), (2, 2, 1), (1, 1, 1)])
+def test_cellular_suite_reports_swapped_cells(monkeypatch, lam):
+    cells = codet_basis(lam, lam)
+    first, last = cells[0], cells[-1]
+    swapped = [replace(first, value=last.value)] + cells[1:-1] + [replace(last, value=first.value)]
+    monkeypatch.setattr(codet, "codet_basis", lambda *_: swapped)
+    report = suite_cellular(len(lam), sum(lam), lam)
+    assert [c.passed for c in report.checks] == [False, False]
+    assert all(c.witness for c in report.checks)
 
 
 # SHA-256 of json.dumps(cell_datum_check(lam).to_json(), sort_keys=True),

@@ -1,9 +1,11 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from schuralg import verify
+from schuralg import enveloping, verify
 from schuralg.enveloping import (
     UElement,
     divided_monomial,
@@ -178,6 +180,12 @@ def test_tensor_rep_is_homomorphism_seeded():
         assert lhs == rhs
 
 
+def test_cartan_binomials_are_integer_falling_factorials():
+    assert enveloping._binom_poly(3) == (0, 2, -3, 1)
+    # 2! binom(H_1, 2) * binom(H_2, 1) = (H_1^2 - H_1) H_2
+    assert enveloping._h_binom_terms(2, (2, 1)) == (((1, 1), -1), ((2, 1), 1))
+
+
 def test_weight_idempotent_lemma():
     for n, r in [(2, 2), (2, 3), (3, 3)]:
         for lam in compositions(n, r):
@@ -301,3 +309,60 @@ def test_resource_guard():
     x = u_one(4)
     with pytest.raises(ResourceLimitError):
         tensor_rep(x, 12)
+
+
+def _pinned_cases():
+    """Seeded outputs of the U(gl_n) operations as one JSON-ready list,
+    coefficients written with their type so an int leaking out shows."""
+    rng = random.Random(2003)
+
+    def coeff():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+    def element(n):
+        npairs = len(root_pairs(n))
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            f = [0] * npairs
+            h = [0] * n
+            e = [0] * npairs
+            for _ in range(rng.randint(0, 4)):
+                part = rng.choice((f, h, e))
+                part[rng.randrange(len(part))] += 1
+            terms[(tuple(f), tuple(h), tuple(e))] = coeff()
+        return UElement(n, terms)
+
+    def terms(mapping):
+        return sorted([list(map(list, m)), type(c).__name__, str(c)] for m, c in mapping.items())
+
+    def coords(x):
+        c, integral = integrality_coords(x)
+        return [terms(c), integral]
+
+    out = []
+    for n in (2, 3):
+        for _ in range(12):
+            x, y = element(n), element(n)
+            xy = u_multiply(x, y)
+            w = rng.sample(range(1, n + 1), n)
+            out.append(["mul", terms(xy.terms), coords(xy)])
+            out.append(["relabel", w, terms(u_relabel(x, w).terms)])
+            a = [[0 if i == j else rng.randint(0, 2) for j in range(n)] for i in range(n)]
+            b = [rng.randint(0, 3) for _ in range(n)]
+            for side in ("fe", "ef"):
+                d = divided_monomial(n, a, b, side)
+                out.append([side, a, b, terms(d.terms), coords(d)])
+    for n in (1, 2, 3):
+        for r in range(5):
+            out.append(["idem", n, r, [verify_weight_idempotent(lam) for lam in compositions(n, r)]])
+    return out
+
+
+# SHA-256 of json.dumps(_pinned_cases()), recorded with the Fraction
+# straightening loops and the 1/b! Cartan binomials these paths replaced
+ENVELOPING_DIGEST = "05002155b1fd1e87bbb79573b415547b8e19019855e82118accfd2477ff9c14d"
+
+
+def test_enveloping_outputs_are_pinned():
+    payload = json.dumps(_pinned_cases())
+    assert hashlib.sha256(payload.encode()).hexdigest() == ENVELOPING_DIGEST

@@ -223,11 +223,41 @@ def test_gl2_table_does_not_straighten(monkeypatch):
     def refuse(*args):
         raise AssertionError("n = 2 products must not straighten in U(gl_2)")
 
-    # udot binds _word_product by name, so both modules are patched
+    # udot binds _straighten by name, so both modules are patched
     monkeypatch.setattr(enveloping, "_insert", refuse)
     monkeypatch.setattr(enveloping, "_word_product", refuse)
-    monkeypatch.setattr(udot, "_word_product", refuse)
+    monkeypatch.setattr(udot, "_straighten", refuse)
     assert gl2_generic_table((1, -2), 13).passed
+
+
+def test_one_straightener_for_enveloping_and_udot(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("straightened")
+
+    assert udot._straighten is enveloping._straighten
+    monkeypatch.setattr(enveloping, "_straighten", refuse)
+    monkeypatch.setattr(udot, "_straighten", refuse)
+    x = enveloping.matrix_unit(3, 1, 2)
+    u = udot_element((1, 0, 0), (0, 1, 0), (1, 0, 0, 0, 0, 0))
+    v = udot_element((0, 1, 0), (0, 0, 1), (0, 0, 0, 1, 0, 0))
+    for call in (
+        lambda: u_multiply(x, x),
+        lambda: u_relabel(x, (2, 1, 3)),
+        lambda: udot_multiply(u, v),
+        lambda: udot_relabel(u, (2, 1, 3)),
+    ):
+        with pytest.raises(AssertionError, match="straightened"):
+            call()
+    assert gl2_generic_table((1, -2), 3).passed
+
+
+def test_gl2_table_refused_before_any_product(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("no product may run once the cost is over the limit")
+
+    monkeypatch.setattr(udot, "_gl2_multiply", refuse)
+    with pytest.raises(ResourceLimitError, match="degree 100 costs 1030301"):
+        gl2_generic_table((1, -2), 100)
 
 
 # The plain-power path, kept as an oracle for the word path: lift a
