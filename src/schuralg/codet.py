@@ -18,28 +18,33 @@ for nu spanned by the codeterminants of shapes strictly dominating nu:
       shapes, with structure coefficients independent of it.
 
 Checking (c) on a spanning set of left multipliers suffices because the
-condition is linear in the multiplier.
+condition is linear in the multiplier.  It runs as the block's integer
+action: once (a) has shown that the cells are a basis of the block, each
+of Green's integer pair products xi_A xi_B lies in their span and is
+solved on its own, once, in integers over the solver's one denominator;
+the coordinates of xi_A times a cell are integer multiply-adds of those
+solutions, weighted by the cell's integer (B, v) pairs.  A Fraction is
+built only for a stored structure coefficient or a witness.  The action
+is cached by cell values, so the filtration check in verify reuses it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import check_budget
-from .exact_linalg import CoordinateSolver, exact_rank
-from .schur import (
-    SchurElement,
-    hom_basis,
-    involution,
-    schur_multiply,
-)
+from .exact_linalg import CoordinateSolver, _clear_denominators, exact_rank
+from .schur import SchurElement, _pair_product, involution, schur_multiply
 from .weights import (
+    Matrix,
     Tableau,
     Weight,
     Word,
     _shapes_below,
+    col_sums,
     dominance_lt,
     dominant_shapes,
     is_composition,
@@ -47,6 +52,7 @@ from .weights import (
     kostka,
     margin_matrices,
     pair_to_matrix,
+    row_sums,
     ssyt,
     weight_word,
 )
@@ -157,6 +163,62 @@ class CellReport:
         }
 
 
+class _CellAction:
+    """The integer action of a block on its cells: each cell value cleared
+    to integer (B, v) pairs once, and each orbit product xi_X xi_Y solved
+    once, as numerators over the solver's denominator."""
+
+    def __init__(self, values: tuple) -> None:
+        self.solver = CoordinateSolver([dict(v) for v in values])
+        self.cells = [_clear_denominators(dict(v)) for v in values]
+        self._solved: dict[tuple[Matrix, Matrix], list | None] = {}
+
+    def coords(self, a: Matrix, k: int, right: bool = False) -> tuple[list[int], int] | None:
+        """(numerators, denominator) of the coordinates of xi_a times cell
+        k (cell k times xi_a when right), or None outside the span."""
+        w, s = self.cells[k]
+        pairs = [((b, a) if right else (a, b), v) for b, v in w.items()]
+        out: list[int] | None = [0] * len(self.cells)
+        for xy, v in pairs:
+            if xy not in self._solved:
+                self._solved[xy] = self.solver.solve(dict(_product(*xy)))
+            if self._solved[xy] is None:
+                # the cells do not span the block: solve the whole product
+                total: dict[Matrix, int] = {}
+                for pq, u in pairs:
+                    for m, c in _product(*pq):
+                        total[m] = total.get(m, 0) + u * c
+                out = self.solver.solve(total)
+                break
+            for i, c in enumerate(self._solved[xy]):
+                if c:
+                    out[i] += v * c
+        return None if out is None else (out, self.solver.den * s)
+
+
+def _product(x: Matrix, y: Matrix) -> tuple[tuple[Matrix, int], ...]:
+    """xi_x xi_y, zero when the inner weights differ."""
+    return _pair_product(x, y) if col_sums(x) == row_sums(y) else ()
+
+
+@lru_cache(maxsize=4)
+def _action_of(values: tuple) -> _CellAction | None:
+    try:
+        return _CellAction(values)
+    except ValueError:  # linearly dependent
+        return None
+
+
+def _cell_action(cells: Sequence[Codeterminant]) -> _CellAction | None:
+    """The integer action on the cells, None when they are linearly
+    dependent; cached by cell values, so a changed cell is a new entry."""
+    return _action_of(tuple(tuple(c.value.terms.items()) for c in cells))
+
+
+def _cell_json(shape: Weight, *words: Word) -> dict:
+    return dict(zip(("shape", "left", "right"), map(list, (shape, *words))))
+
+
 def cell_datum_check(lam: Sequence[int]) -> CellReport:
     """Verify the cellular axioms for the algebra of weight lam.
 
@@ -169,98 +231,64 @@ def cell_datum_check(lam: Sequence[int]) -> CellReport:
     """
     lam = tuple(lam)
     cells = codet_basis(lam, lam)
-    dim = len(margin_matrices(lam, lam))
+    multipliers = margin_matrices(lam, lam)
+    dim = len(multipliers)
     witnesses: list[dict] = []
 
     # the cells form a basis exactly when there are dim of them and they
     # are independent; the solver's one elimination decides the latter
-    solver = None
-    if len(cells) == dim:
-        try:
-            solver = CoordinateSolver([c.value.terms for c in cells])
-        except ValueError:
-            pass
-    axiom_a = solver is not None
+    action = _cell_action(cells) if len(cells) == dim else None
+    axiom_a = action is not None
     if not axiom_a:
-        witnesses.append(
-            {
-                "axiom": "a",
-                "cell_count": len(cells),
-                "dim": dim,
-                "rank": exact_rank([c.value.terms for c in cells]),
-            }
-        )
+        rank = exact_rank([c.value.terms for c in cells])
+        witnesses.append({"axiom": "a", "cell_count": len(cells), "dim": dim, "rank": rank})
 
     axiom_b = True
-    index = {
-        (c.shape, c.left.row_word, c.right.row_word): k for k, c in enumerate(cells)
-    }
+    keys = [(c.shape, c.left.row_word, c.right.row_word) for c in cells]
+    index = {key: k for k, key in enumerate(keys)}
     for c in cells:
         flipped = cells[index[(c.shape, c.right.row_word, c.left.row_word)]]
         if involution(c.value) != flipped.value:
             axiom_b = False
-            witnesses.append(
-                {
-                    "axiom": "b",
-                    "shape": list(c.shape),
-                    "left": list(c.left.row_word),
-                    "right": list(c.right.row_word),
-                }
-            )
+            witnesses.append({"axiom": "b", **_cell_json(c.shape, c.left.row_word, c.right.row_word)})
 
     if not axiom_a:
         # coordinates are not well defined without a basis
         return CellReport(lam, dim, len(cells), axiom_a, axiom_b, False, witnesses)
 
     axiom_c = True
-    multipliers = hom_basis(lam, lam)
+    shapes = {c.shape for c in cells}
+    above = {(s, t): dominance_lt(s, t) for s in shapes for t in shapes}
     for a_idx, a in enumerate(multipliers):
         # per shape and left-output tableau, coefficients seen for each T
-        per_t: dict[tuple, dict[tuple, dict]] = {}
-        for c_idx, c in enumerate(cells):
-            prod = schur_multiply(a, c.value)
-            coords = solver.coords(prod.terms)
+        per_t: dict[tuple, dict[Word, dict]] = {}
+        for k, (shape, left, right) in enumerate(keys):
+            coords = action.coords(a, k)
             if coords is None:
                 axiom_c = False
                 witnesses.append({"axiom": "c", "reason": "product outside basis span"})
                 continue
+            x, den = coords
             row: dict[Word, Fraction] = {}
-            for k, x in enumerate(coords):
-                if x == 0:
-                    continue
-                d = cells[k]
-                if dominance_lt(c.shape, d.shape):
+            for j, v in enumerate(x):
+                if not v or above[shape, keys[j][0]]:
                     continue  # strictly more dominant shapes are free
-                if d.shape != c.shape or d.right.row_word != c.right.row_word:
+                d_shape, d_left, d_right = keys[j]
+                if d_shape != shape or d_right != right:
                     axiom_c = False
-                    witnesses.append(
-                        {
-                            "axiom": "c",
-                            "multiplier": a_idx,
-                            "shape": list(c.shape),
-                            "left": list(c.left.row_word),
-                            "right": list(c.right.row_word),
-                            "hits_shape": list(d.shape),
-                            "hits_right": list(d.right.row_word),
-                            "coeff": str(x),
-                        }
-                    )
+                    witnesses.append({
+                        "axiom": "c", "multiplier": a_idx, **_cell_json(shape, left, right),
+                        "hits_shape": list(d_shape), "hits_right": list(d_right), "coeff": str(Fraction(v, den)),
+                    })
                     continue
-                row[d.left.row_word] = x
-            key = (c.shape, c.left.row_word)
-            seen = per_t.setdefault(key, {})
-            seen[c.right.row_word] = row
+                row[d_left] = Fraction(v, den)
+            per_t.setdefault((shape, left), {})[right] = row
         for (shape, left_word), by_t in per_t.items():
             rows = list(by_t.values())
             if any(row != rows[0] for row in rows[1:]):
                 axiom_c = False
-                witnesses.append(
-                    {
-                        "axiom": "c",
-                        "multiplier": a_idx,
-                        "shape": list(shape),
-                        "left": list(left_word),
-                        "reason": "structure coefficients depend on the right tableau",
-                    }
-                )
+                witnesses.append({
+                    "axiom": "c", "multiplier": a_idx, **_cell_json(shape, left_word),
+                    "reason": "structure coefficients depend on the right tableau",
+                })
     return CellReport(lam, dim, len(cells), axiom_a, axiom_b, axiom_c, witnesses)

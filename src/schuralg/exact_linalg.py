@@ -172,8 +172,9 @@ class CoordinateSolver:
     the identity block into an integer matrix E.  The first len(basis)
     rows of E, rescaled by the column scales, map v to d times its
     coordinates; the other rows vanish on v exactly when v is in the span.
-    Each solve is one sparse integer product, and a Fraction is built only
-    for each returned coordinate.
+    Each solve is one sparse integer product: solve takes and returns
+    integers (coordinates times the one denominator den), and coords builds
+    a Fraction only for each returned coordinate.
     """
 
     def __init__(self, basis: Sequence[Mapping[Hashable, Fraction]]):
@@ -189,7 +190,7 @@ class CoordinateSolver:
             raise ValueError("basis vectors are linearly dependent")
         self._nb = nb
         self._nrows = len(rows)
-        self._den = rows[0][0] if nb else 1
+        self.den = rows[0][0] if nb else 1
         scales = [s for _, s in columns] + [1] * (len(rows) - nb)
         # the columns of E, by key: (row, entry) pairs
         self._columns: dict[Hashable, list[tuple[int, int]]] = {
@@ -199,16 +200,19 @@ class CoordinateSolver:
 
     def coords(self, v: Mapping[Hashable, Fraction]) -> list[Fraction] | None:
         w, t = _clear_denominators(v)
+        x = self.solve(w)
+        return None if x is None else [Fraction(c, self.den * t) for c in x]
+
+    def solve(self, w: Mapping[Hashable, int]) -> list[int] | None:
+        """x with w == sum x[i] * basis[i] / den for an integer vector w,
+        or None when w lies outside the span."""
         out = [0] * self._nrows
         for k, c in w.items():
-            if k not in self._columns:
+            if c and k not in self._columns:
                 return None
-            for i, x in self._columns[k]:
+            for i, x in self._columns.get(k, ()):
                 out[i] += x * c
-        if any(out[self._nb:]):
-            return None
-        den = self._den * t
-        return [Fraction(x, den) for x in out[: self._nb]]
+        return None if any(out[self._nb:]) else out[: self._nb]
 
     def in_span(self, v: Mapping[Hashable, Fraction]) -> bool:
         return self.coords(v) is not None

@@ -69,7 +69,7 @@ from .enveloping import _divided_letters, _offdiag_words, _straighten
 from .errors import SYMMETRIC_GROUP_MAX_R, ResourceLimitError, check_budget
 from .exact_linalg import SparseCombination, exact_rank
 from .schur import SchurElement, _chain_sum, _json_int
-from .weights import Weight, _check_composition_count, is_composition, permute_weight
+from .weights import Weight, _check_composition_count, composition_count, is_composition, permute_weight
 
 __all__ = [
     "offdiag_cells",
@@ -362,7 +362,13 @@ def udot_multiply(u: UdotElement, v: UdotElement) -> UdotElement:
 
 def _word_multiply(u: UdotElement, v: UdotElement) -> UdotElement:
     """Product through the enveloping algebra, for any n: the lifted words
-    of all pairs of patterns are straightened and decoded at once."""
+    of all pairs of patterns are straightened and decoded at once.  Each
+    pair's normal words are patterns of degree at most deg u + deg v, so
+    their count, C(d + n(n-1), n(n-1)), times both term counts is held to
+    the budget first."""
+    degree = max(map(sum, u.terms), default=0) + max(map(sum, v.terms), default=0)
+    work = composition_count(u.n * (u.n - 1) + 1, degree) * len(u.terms) * len(v.terms)
+    check_budget(work, f"a product of degree {degree} in U̇(gl_{u.n}) may straighten {work} patterns")
     products: dict[tuple[Letters, Letters], Fraction] = {}
     for pu, cu in u.terms.items():
         wu, du = _lift(u.n, pu)

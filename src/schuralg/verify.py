@@ -30,7 +30,7 @@ from . import enveloping as env
 from . import schur as schur_mod
 from . import udot as udot_mod
 from .errors import check_budget
-from .exact_linalg import CoordinateSolver, exact_rank, unimodular_change
+from .exact_linalg import exact_rank, unimodular_change
 from .weights import (
     col_sums,
     composition_count,
@@ -102,9 +102,14 @@ class VerificationReport:
 Row = tuple[str, Iterable[tuple], Callable[..., "str | None"]]
 
 
-def _run(suite: str, params: dict, rows: Iterable[Row]) -> VerificationReport:
+def _run(suite: str, params: dict, rows: Iterable[Row], least: dict | None = None) -> VerificationReport:
     """The one runner: each row becomes a check that fails with the
-    witness of its first failing case."""
+    witness of its first failing case.  First it refuses a range that
+    would check nothing: n_max, r_max and window below 1, 0 and 0, or
+    below the suite's own least values."""
+    for name, bound in {"n_max": 1, "r_max": 0, "window": 0, **(least or {})}.items():
+        if params.get(name, bound) < bound:
+            raise ValueError(f"--{name.replace('_', '-')} must be at least {bound}, got {params[name]}")
     report = VerificationReport(suite, params)
     start = time.perf_counter()
     for check_id, cases, predicate in rows:
@@ -276,26 +281,23 @@ def _filtration_ideal(lam: Sequence[int]) -> str | None:
     cells = codet_mod.codet_basis(lam, lam)
     if not cells:
         return None
-    try:
-        solver = CoordinateSolver([c.value.terms for c in cells])
-    except ValueError:
+    action = codet_mod._cell_action(cells)
+    if action is None:
         return f"lambda={list(lam)}: the cells are linearly dependent"
-    basis = schur_mod.hom_basis(lam, lam)
+    multipliers = margin_matrices(lam, lam)
+    shapes = [c.shape for c in cells]
+    leq = {(s, t): dominance_leq(s, t) for s in set(shapes) for t in set(shapes)}
     # the cells dominating nu span an ideal for every shape nu exactly when
     # each product with a cell lands on cells dominating that cell's shape:
     # take nu = its shape one way, transitivity of dominance the other way
-    for k, cell in enumerate(cells):
-        for a in basis:
-            for prod in (
-                schur_mod.schur_multiply(a, cell.value),
-                schur_mod.schur_multiply(cell.value, a),
-            ):
-                coords = solver.coords(prod.terms)
+    for k, shape in enumerate(shapes):
+        for a in multipliers:
+            for right in (False, True):
+                coords = action.coords(a, k, right)
                 if coords is None or any(
-                    x != 0 and not dominance_leq(cell.shape, cells[idx].shape)
-                    for idx, x in enumerate(coords)
+                    x and not leq[shape, shapes[idx]] for idx, x in enumerate(coords[0])
                 ):
-                    return f"shape={cell.shape}: a product with cell {k} leaves the ideal"
+                    return f"shape={shape}: a product with cell {k} leaves the ideal"
     return None
 
 
@@ -311,7 +313,7 @@ def suite_relations(n_max: int = 3, window: int = 3) -> VerificationReport:
         )
         for n in range(2, n_max + 1)
     )
-    return _run("relations", {"n_max": n_max, "window": window}, rows)
+    return _run("relations", {"n_max": n_max, "window": window}, rows, {"n_max": 2})
 
 
 def _commutator(lam: tuple, i: int, j: int) -> str | None:
@@ -419,7 +421,7 @@ def suite_sym_quotient(r_max: int = 3) -> VerificationReport:
             (f"weight-zero-quotient-r{r}", [(r,)], _weight_zero_quotient),
         )
     )
-    return _run("sym-quotient", {"r_max": r_max}, rows)
+    return _run("sym-quotient", {"r_max": r_max}, rows, {"r_max": 1})
 
 
 def _cayley_table(r: int) -> str | None:

@@ -508,3 +508,64 @@ def test_element_json_fuzz(argv):
     else:
         json.loads(out.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+def _cyclic_pattern_pair(k):
+    """1_0 with pattern [[0,k,0],[0,0,k],[k,0,0]] and with its transpose
+    arrangement [[0,0,k],[k,0,0],[0,k,0]], as udot element JSON."""
+    def element(pattern):
+        return json.dumps({"n": 3, "left": [0, 0, 0], "right": [0, 0, 0], "terms": [{"pattern": pattern, "coeff": "1"}]})
+
+    return element([[0, k, 0], [0, 0, k], [k, 0, 0]]), element([[0, 0, k], [k, 0, 0], [0, k, 0]])
+
+
+# SHA-256 and length of the stdout of the k = 2, 3, 4 products, recorded
+# before the guard existed
+UDOT_CYCLIC_DIGESTS = {
+    2: ("d9dd26488310a45e4f35d094d13dc133263fdf321b0e0134248f98a76635aebd", 617),
+    3: ("fff8ab5469e37962003eef4ddd72e8e645d21938983631d2a2fd9a37359c637b", 1051),
+    4: ("a5ce93229ce2bfc824b0d4cbbd4468ec866fa9fa677c9b9ad3b4d3151a3fd483", 1618),
+}
+
+
+@pytest.mark.parametrize("k", sorted(UDOT_CYCLIC_DIGESTS))
+def test_udot_mul_gl3_under_the_bound_is_unchanged(capsys, k):
+    left, right = _cyclic_pattern_pair(k)
+    code, out, _ = run_cli(capsys, "udot", "mul", "--left", left, "--right", right)
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest(), len(out)) == UDOT_CYCLIC_DIGESTS[k]
+
+
+@pytest.mark.parametrize("k", [5, 8, 12])
+def test_udot_mul_gl3_refused_before_straightening(capsys, k):
+    # C(6k + 6, 6) patterns of degree at most 6k in the six root cells:
+    # 593,775 at k = 4, 1,947,792 at k = 5
+    left, right = _cyclic_pattern_pair(k)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "udot", "mul", "--left", left, "--right", right)
+    assert time.perf_counter() - start < 2.0
+    assert code == 2
+    assert out == ""
+    assert f"product of degree {6 * k} in U̇(gl_3)" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("zbas", "--n-max", "0"), "--n-max must be at least 1"),
+        (("codet", "--n-max", "0"), "--n-max must be at least 1"),
+        (("idem-lemma", "--n-max", "0"), "--n-max must be at least 1"),
+        (("psi", "--n-max", "0"), "--n-max must be at least 1"),
+        (("gbasis", "--r-max", "-1"), "--r-max must be at least 0"),
+        (("relations", "--n-max", "1"), "--n-max must be at least 2"),
+        (("relations", "--window", "-1"), "--window must be at least 0"),
+        (("sym-quotient", "--r-max", "0"), "--r-max must be at least 1"),
+    ],
+)
+def test_verify_refuses_ranges_that_check_nothing(capsys, argv, flag):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert flag in err
+    assert "Traceback" not in err

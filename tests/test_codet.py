@@ -1,11 +1,12 @@
 import hashlib
 import json
+import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from schuralg import codet, exact_linalg
+from schuralg import codet, exact_linalg, schur
 from schuralg.cli import main
 from schuralg.codet import (
     cell_datum_check,
@@ -17,9 +18,10 @@ from schuralg.codet import (
 )
 from schuralg.exact_linalg import CoordinateSolver, exact_rank
 from schuralg.schur import SchurElement, hom_basis, involution, schur_multiply
-from schuralg.verify import suite_cellular
+from schuralg.verify import _filtration_ideal, suite_cellular
 from schuralg.weights import (
     compositions,
+    dominance_leq,
     dominance_lt,
     kostka,
     margin_matrices,
@@ -145,6 +147,8 @@ def test_cell_report_json():
 
 
 def count_eliminations(monkeypatch):
+    # a cached cell action would skip the elimination being counted
+    codet._action_of.cache_clear()
     calls = []
     eliminate = exact_linalg._eliminate
 
@@ -212,3 +216,171 @@ REPORT_DIGESTS = {
 def test_cell_report_digests_are_pinned(lam):
     payload = json.dumps(cell_datum_check(lam).to_json(), sort_keys=True)
     assert hashlib.sha256(payload.encode()).hexdigest() == REPORT_DIGESTS[lam]
+
+
+# The per-product path the integer cell action replaced, kept as the
+# oracle: one schur_multiply and one Fraction solve per (multiplier, cell)
+# pair for axiom (c), and per product on either side for the filtration.
+def oracle_cell_datum_check(lam):
+    lam = tuple(lam)
+    cells = codet_basis(lam, lam)
+    dim = len(margin_matrices(lam, lam))
+    witnesses = []
+    solver = None
+    if len(cells) == dim:
+        try:
+            solver = CoordinateSolver([c.value.terms for c in cells])
+        except ValueError:
+            pass
+    axiom_a = solver is not None
+    if not axiom_a:
+        rank = exact_rank([c.value.terms for c in cells])
+        witnesses.append({"axiom": "a", "cell_count": len(cells), "dim": dim, "rank": rank})
+    axiom_b = True
+    index = {(c.shape, c.left.row_word, c.right.row_word): k for k, c in enumerate(cells)}
+    for c in cells:
+        flipped = cells[index[(c.shape, c.right.row_word, c.left.row_word)]]
+        if involution(c.value) != flipped.value:
+            axiom_b = False
+            witnesses.append(
+                {"axiom": "b", "shape": list(c.shape), "left": list(c.left.row_word), "right": list(c.right.row_word)}
+            )
+    if not axiom_a:
+        return codet.CellReport(lam, dim, len(cells), axiom_a, axiom_b, False, witnesses)
+    axiom_c = True
+    for a_idx, a in enumerate(hom_basis(lam, lam)):
+        per_t = {}
+        for c in cells:
+            coords = solver.coords(schur_multiply(a, c.value).terms)
+            if coords is None:
+                axiom_c = False
+                witnesses.append({"axiom": "c", "reason": "product outside basis span"})
+                continue
+            row = {}
+            for k, x in enumerate(coords):
+                if x == 0:
+                    continue
+                d = cells[k]
+                if dominance_lt(c.shape, d.shape):
+                    continue
+                if d.shape != c.shape or d.right.row_word != c.right.row_word:
+                    axiom_c = False
+                    witnesses.append({
+                        "axiom": "c", "multiplier": a_idx, "shape": list(c.shape),
+                        "left": list(c.left.row_word), "right": list(c.right.row_word),
+                        "hits_shape": list(d.shape), "hits_right": list(d.right.row_word), "coeff": str(x),
+                    })
+                    continue
+                row[d.left.row_word] = x
+            per_t.setdefault((c.shape, c.left.row_word), {})[c.right.row_word] = row
+        for (shape, left_word), by_t in per_t.items():
+            rows = list(by_t.values())
+            if any(row != rows[0] for row in rows[1:]):
+                axiom_c = False
+                witnesses.append({
+                    "axiom": "c", "multiplier": a_idx, "shape": list(shape), "left": list(left_word),
+                    "reason": "structure coefficients depend on the right tableau",
+                })
+    return codet.CellReport(lam, dim, len(cells), axiom_a, axiom_b, axiom_c, witnesses)
+
+
+def oracle_filtration_ideal(lam):
+    cells = codet_basis(lam, lam)
+    if not cells:
+        return None
+    try:
+        solver = CoordinateSolver([c.value.terms for c in cells])
+    except ValueError:
+        return f"lambda={list(lam)}: the cells are linearly dependent"
+    for k, cell in enumerate(cells):
+        for a in hom_basis(lam, lam):
+            for prod in (schur_multiply(a, cell.value), schur_multiply(cell.value, a)):
+                coords = solver.coords(prod.terms)
+                if coords is None or any(
+                    x != 0 and not dominance_leq(cell.shape, cells[idx].shape) for idx, x in enumerate(coords)
+                ):
+                    return f"shape={cell.shape}: a product with cell {k} leaves the ideal"
+    return None
+
+
+ORACLE_WEIGHTS = [lam for r in range(6) for lam in compositions(3, r)] + [(2, 2, 2), (3, 3, 2)]
+
+
+@pytest.mark.parametrize("lam", ORACLE_WEIGHTS)
+def test_integer_action_matches_the_per_product_oracle(lam):
+    assert cell_datum_check(lam).to_json() == oracle_cell_datum_check(lam).to_json()
+    if sum(lam) <= 4 or lam == (2, 2, 1):
+        assert _filtration_ideal(lam) == oracle_filtration_ideal(lam)
+
+
+def _perturbed(kind, cells):
+    """(shape, i, j) of the cell to change and its new value."""
+    first, last = cells[0], cells[-1]
+    # a cell with two different tableaux, so that its transpose is another cell
+    target = next(c for c in cells if c.left != c.right) if kind == "scaled" else first
+    value = {
+        # a copy of another cell: the cells are dependent
+        "dependent": lambda: cells[1].value,
+        # a less dominant cell added in: still a basis, no longer cellular
+        "mixed": lambda: first.value + last.value,
+        # a fractional multiple: Fraction coordinates, and no involution
+        "scaled": lambda: target.value.scale(Fraction(2, 3)),
+        # a term outside the block: independent cells that do not span it
+        "outside": lambda: first.value + hom_basis((first.value.r, 0, 0), first.right.weight(3))[0],
+    }[kind]()
+    return (target.shape, target.left.row_word, target.right.row_word), value
+
+
+@pytest.mark.parametrize("kind", ["dependent", "mixed", "scaled", "outside"])
+@pytest.mark.parametrize("lam", [(2, 1, 1), (2, 2, 1)])
+def test_integer_action_matches_the_oracle_on_perturbed_cells(monkeypatch, kind, lam):
+    target, value = _perturbed(kind, codet_basis(lam, lam))
+    original = codet.codeterminant
+
+    def perturbed(nu, i, j):
+        return value if (tuple(nu), tuple(i), tuple(j)) == target else original(nu, i, j)
+
+    monkeypatch.setattr(codet, "codeterminant", perturbed)
+    report = cell_datum_check(lam)
+    assert report.to_json() == oracle_cell_datum_check(lam).to_json()
+    assert not report.passed
+    filtration = _filtration_ideal(lam)
+    assert filtration == oracle_filtration_ideal(lam)
+    if kind == "dependent":
+        assert not report.axiom_a and "linearly dependent" in filtration
+    if kind in ("mixed", "outside"):
+        assert report.axiom_a and not report.axiom_c and filtration is not None
+
+
+def test_solver_integer_entry_point_agrees_with_coords():
+    rng = random.Random(12)
+    keys = list(range(8))
+    basis = [{k: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for k in rng.sample(keys, 5)} for _ in range(5)]
+    solver = CoordinateSolver(basis)
+    for _ in range(50):
+        xs = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in basis]
+        v = {k: sum(x * b.get(k, 0) for x, b in zip(xs, basis)) for k in keys}
+        w, t = exact_linalg._clear_denominators(v)
+        numerators = solver.solve(w)
+        assert [Fraction(x, solver.den * t) for x in numerators] == solver.coords(v) == xs
+    # outside the span: an unknown key, or a known key off the span
+    assert solver.solve({"other": 1}) is None and solver.coords({"other": 1}) is None
+    outside = next({k: 1} for k in keys if solver.coords({k: 1}) is None)
+    assert solver.solve(outside) is None
+    # zero entries at unknown keys are no obstacle
+    assert solver.solve({"other": 0}) == [0] * len(basis)
+
+
+def test_cell_datum_check_multiplies_only_the_codeterminants(monkeypatch):
+    calls = []
+    multiply = schur.schur_multiply
+
+    def counted(x, y):
+        calls.append(1)
+        return multiply(x, y)
+
+    monkeypatch.setattr(codet, "schur_multiply", counted)
+    monkeypatch.setattr(schur, "schur_multiply", counted)
+    report = cell_datum_check((2, 2, 2))
+    assert report.passed
+    assert len(calls) == report.cell_count

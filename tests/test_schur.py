@@ -484,6 +484,7 @@ def test_library_paths_write_no_words(monkeypatch):
         monkeypatch.setattr(module, name, raise_on_words)
     assert schur_multiply(x, y) == expected["product"]
     assert codeterminant(shape, i, j) == expected["codet"]
+    codet._action_of.cache_clear()
     assert cell_datum_check((2, 2, 1)).to_json() == cellular
     assert [pbw_image(a, form) for form in FORMS] == expected["pbw"]
     assert to_schur(u, 5) == expected["to_schur"]
@@ -529,6 +530,7 @@ def test_caches_are_bounded():
         enveloping._insert: 1 << 17,
         enveloping._word_product: 4096,
         _block_patterns: 1024,
+        codet._action_of: 4,
     }
     for fn, maxsize in caches.items():
         assert fn.cache_info().maxsize == maxsize
@@ -539,5 +541,6 @@ def test_caches_are_bounded():
     enveloping.verify_weight_idempotent((2, 1))
     block = udot_basis_upto((1, 1, 1), (1, 1, 1), 2)
     block[-1] * block[-1]
+    cell_datum_check((1, 1))
     for fn, maxsize in caches.items():
         assert 0 < fn.cache_info().currsize <= maxsize
