@@ -172,10 +172,14 @@ class _CellAction:
         self.solver = CoordinateSolver([dict(v) for v in values])
         self.cells = [_clear_denominators(dict(v)) for v in values]
         self._solved: dict[tuple[Matrix, Matrix], list | None] = {}
+        self._coords: dict[tuple[Matrix, int, bool], tuple[list[int], int] | None] = {}
 
     def coords(self, a: Matrix, k: int, right: bool = False) -> tuple[list[int], int] | None:
         """(numerators, denominator) of the coordinates of xi_a times cell
-        k (cell k times xi_a when right), or None outside the span."""
+        k (cell k times xi_a when right), or None outside the span;
+        remembered, so the filtration check reads axiom (c)'s products."""
+        if (a, k, right) in self._coords:
+            return self._coords[a, k, right]
         w, s = self.cells[k]
         pairs = [((b, a) if right else (a, b), v) for b, v in w.items()]
         out: list[int] | None = [0] * len(self.cells)
@@ -193,7 +197,8 @@ class _CellAction:
             for i, c in enumerate(self._solved[xy]):
                 if c:
                     out[i] += v * c
-        return None if out is None else (out, self.solver.den * s)
+        self._coords[a, k, right] = None if out is None else (out, self.solver.den * s)
+        return self._coords[a, k, right]
 
 
 def _product(x: Matrix, y: Matrix) -> tuple[tuple[Matrix, int], ...]:

@@ -32,14 +32,14 @@ by triangular elimination of the H polynomial and reports whether every
 coordinate is an integer.
 
 The image of a divided monomial acting on 1_mu in the Schur algebra
-needs no words of tensor space.  It is written as a word of letters
-(_offdiag_words), each divided power e_ab^(m) a run of m letters e_ab,
-which acting on weight w is the single orbit element at diag(w) + m
-(E_ab - E_bb); every later weight is forced, and the image is the ordered
-product of those orbit elements (_divided_letters).  pbw_image writes the
-word of each of its four arrangements, udot.to_schur reads the cached
-word of a lifted pattern.  verify_weight_idempotent needs no words
-either: H_i acts on every word of weight nu as nu_i.
+needs no words of tensor space.  It is a word of divided powers
+(_offdiag_runs), each e_ab^(m) a run (a, b, m) that acts on an orbit
+element as a row move of schur (two rows change, integer coefficients);
+starting from the idempotent of mu, every later weight is forced.
+pbw_image applies the word of each of its four arrangements,
+udot.to_schur the cached word of a lifted pattern, and no product of two
+general orbit elements is formed.  verify_weight_idempotent needs no
+words either: H_i acts on every word of weight nu as nu_i.
 
 tensor_rep, the action on all of degree-r tensor space (unit (a, b)
 rewrites one letter b to a, diagonal letters act by the letter count),
@@ -56,12 +56,13 @@ from typing import Mapping, Sequence
 
 from .exact_linalg import SparseCombination, _clear_denominators
 from .schur import (
+    Run,
     SchurElement,
     TensorEndo,
+    _apply_runs,
+    _runs_weight,
     _validate_margin_matrix,
-    _chain_sum,
     check_tensor_scale,
-    _diagonal,
 )
 from .weights import (
     Matrix,
@@ -96,7 +97,7 @@ Unit = tuple[int, int]
 PBWMonomial = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def root_pairs(n: int) -> tuple[tuple[int, int], ...]:
     """Ordered pairs i < j in {1, .., n}, lexicographic."""
     return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
@@ -441,37 +442,13 @@ def minus_weight(a: Matrix) -> Weight:
     )
 
 
-def _offdiag_words(a: Matrix) -> tuple[tuple[Unit, ...], tuple[Unit, ...]]:
-    """The lowering and the raising letters of the off-diagonal entries of
-    a square matrix, entry (i, j) giving that many letters unit(i, j), each
-    part in root-pair order as _monomial_word writes it."""
-    pairs = root_pairs(len(a))
-    lower = tuple(u for i, j in pairs for u in [(j, i)] * a[j - 1][i - 1])
-    upper = tuple(u for i, j in pairs for u in [(i, j)] * a[i - 1][j - 1])
+def _offdiag_runs(a: Matrix) -> tuple[tuple[Run, ...], tuple[Run, ...]]:
+    """The lowering and the raising runs (i, j, a_ij), 0-based, of a square
+    matrix, each part rightmost first in _monomial_word's letter order."""
+    pairs = [(i - 1, j - 1) for i, j in reversed(root_pairs(len(a)))]
+    lower = tuple((j, i, a[j][i]) for i, j in pairs if a[j][i])
+    upper = tuple((i, j, a[i][j]) for i, j in pairs if a[i][j])
     return lower, upper
-
-
-def _divided_letters(word: Sequence[Unit], mu: Sequence[int]) -> list[Matrix] | None:
-    """Orbit matrices whose ordered product, leftmost first, is the image
-    in S(n, |mu|) of the word acting on 1_mu, each run of m letters e_ab
-    read as e_ab^(m).  Taken rightmost first, a run acts on weight w as the
-    single orbit element at diag(w) + m (E_ab - E_bb).  None when a weight
-    leaves the compositions (the image is zero); the empty word gives the
-    idempotent diag(mu).
-    """
-    n = len(mu)
-    w = list(mu)
-    letters: list[Matrix] = []
-    for (a, b), run in itertools.groupby(reversed(word)):
-        m = len(list(run))
-        if w[b - 1] < m:
-            return None
-        w[b - 1] -= m
-        letter = [[w[i] if i == j else 0 for j in range(n)] for i in range(n)]
-        letter[a - 1][b - 1] = m
-        w[a - 1] += m
-        letters.append(tuple(map(tuple, letter)))
-    return letters[::-1] or [_diagonal(mu)]
 
 
 def pbw_image(a: Matrix, form: str = "fe") -> SchurElement:
@@ -483,21 +460,19 @@ def pbw_image(a: Matrix, form: str = "fe") -> SchurElement:
     and "ef-middle" place a single idempotent between the two halves, at
     the weight the split forces (minus_weight and plus_weight).  The
     middle forms agree with the outer-truncated ones; tests rely on it.
-    Each form writes its word of lowering and raising letters, whose image
-    is an ordered product of single orbit elements, one per divided power
-    (and the middle idempotent), acting on the column weight col_sums(a).
+    Each form is a word of divided powers applied to the column weight
+    col_sums(a) by schur._apply_runs; the middle idempotent is a test that
+    the first half reaches its weight (else the image is zero).
     """
     n, r = _validate_margin_matrix(a)
     mu = col_sums(a)
     if form not in ("fe", "ef", "fe-middle", "ef-middle"):
         raise ValueError("form must be one of fe, ef, fe-middle, ef-middle")
-    lower, upper = _offdiag_words(a)
-    second, first = (lower, upper) if form.startswith("fe") else (upper, lower)
-    if form in ("fe", "ef"):
-        letters = _divided_letters(second + first, mu)
-    else:
-        # the first half acts on mu, the second on the middle weight
+    lower, upper = _offdiag_runs(a)
+    first, second = (upper, lower) if form.startswith("fe") else (lower, upper)
+    out = SchurElement(n, r)
+    if form.endswith("middle"):
         mid = minus_weight(a) if form == "fe-middle" else plus_weight(a)
-        halves = _divided_letters(second, mid), _divided_letters(first, mu)
-        letters = None if None in halves else halves[0] + [_diagonal(mid)] + halves[1]
-    return _chain_sum(n, r, [(Fraction(1), letters)] if letters else [])
+        if _runs_weight(first, mu) != mid:
+            return out
+    return out._new({m: Fraction(v) for m, v in _apply_runs(first + second, mu).items()})

@@ -27,6 +27,13 @@ word is written.  Before enumerating, each product of two orbit elements
 bounds its table count by a closed form per slice and refuses more than
 TENSOR_SPACE_LIMIT tables.
 
+A divided power e_ab^(m) acts on xi_B as the single orbit element
+diag(w) + m (E_ab - E_bb), w the row weight of B, and there the rule is
+a move of rows a and b alone: the sum over compositions t of m with
+t <= B_b of prod_k binom(B_ak + t_k, t_k) xi_{B + t (E_a - E_b)}.  PBW
+images and truncations are words of divided powers applied this way to
+an idempotent, in integers (_apply_runs).
+
 Tensor space itself enters only as an oracle, behind one guard
 (check_tensor_scale: at most TENSOR_SPACE_LIMIT words): orbit_endo
 writes the orbit element of one margin matrix as a full tensor-space
@@ -47,16 +54,18 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm, prod
+from math import comb, prod
+from operator import add, sub
 from typing import Mapping, Sequence
 
 from .errors import SYMMETRIC_GROUP_MAX_R, TENSOR_SPACE_LIMIT, ResourceLimitError, check_budget
-from .exact_linalg import SparseCombination
+from .exact_linalg import SparseCombination, _clear_denominators
 from .weights import (
     Matrix,
     Perm,
     Weight,
     Word,
+    _bounded_rows,
     _slice_bound,
     col_sums,
     compositions,
@@ -293,36 +302,69 @@ def _pair_product(a: Matrix, b: Matrix) -> tuple[tuple[Matrix, int], ...]:
 
 def schur_multiply(x: SchurElement, y: SchurElement) -> SchurElement:
     """Product in the Schur algebra, by Green's rule on each pair of
-    orbit elements whose inner weights agree."""
+    orbit elements whose inner weights agree, with integer coefficients
+    over a common denominator."""
     x._check_space(y)
     by_row: dict[Weight, list[tuple[Matrix, Fraction]]] = {}
     for b, d in y.terms.items():
         by_row.setdefault(row_sums(b), []).append((b, d))
-    return _chain_sum(
-        x.n,
-        x.r,
-        [(c * d, (a, b)) for a, c in x.terms.items() for b, d in by_row.get(col_sums(a), ())],
+    pairs, den = _clear_denominators(
+        {(a, b): c * d for a, c in x.terms.items() for b, d in by_row.get(col_sums(a), ())}
+    )
+    out: dict[Matrix, int] = {}
+    for (a, b), v in pairs.items():
+        for m, k in _pair_product(a, b):
+            out[m] = out[m] + v * k if m in out else v * k
+    return x._new({m: Fraction(v, den) for m, v in out.items()})
+
+
+# a divided power e_ab^(m) as (a, b, m), 0-based rows a != b
+Run = tuple[int, int, int]
+
+
+@lru_cache(maxsize=4096)
+def _row_move(m: int, row_a: Weight, row_b: Weight) -> tuple[tuple[Weight, Weight, int], ...]:
+    """e_ab^(m) xi_B on rows a and b of B, as (row a, row b, coefficient)
+    triples; refused like _pair_product on the orbit element of e_ab^(m),
+    whose one two-row slice has margins (sum(row_b) - m, m) and row_b."""
+    tables = _slice_bound((sum(row_b) - m, m), row_b)
+    n = len(row_b)
+    check_budget(tables, f"a product of two {n}x{n} orbit elements may sum over {tables} tables")
+    return tuple(
+        (tuple(map(add, row_a, t)), tuple(map(sub, row_b, t)), prod(map(comb, map(add, row_a, t), t)))
+        for t in _bounded_rows(m, row_b)
     )
 
 
-def _chain_sum(n: int, r: int, chains: Sequence[tuple[Fraction, Sequence[Matrix]]]) -> SchurElement:
-    """sum of c * xi_L1 xi_L2 .. xi_Lm over the (c, (L1, .., Lm)) in chains,
-    where the column weight of each L equals the row weight of the next.
-    The products are taken right to left with integer coefficients over
-    a common denominator."""
-    den = lcm(*(c.denominator for c, _ in chains))
-    out: dict[Matrix, int] = {}
-    for c, letters in chains:
-        part = {letters[-1]: c.numerator * (den // c.denominator)}
-        for a in reversed(letters[:-1]):
-            nxt: dict[Matrix, int] = {}
-            for b, v in part.items():
-                for m, k in _pair_product(a, b):
-                    nxt[m] = nxt[m] + v * k if m in nxt else v * k
-            part = nxt
-        for m, v in part.items():
-            out[m] = out[m] + v if m in out else v
-    return SchurElement(n, r)._new({m: Fraction(v, den) for m, v in out.items() if v})
+def _runs_weight(runs: Sequence[Run], w: Sequence[int]) -> Weight | None:
+    """The weight the runs reach from w, rightmost first; None when a
+    weight on the way is not a composition."""
+    w = list(w)
+    if min(w, default=0) < 0:
+        return None
+    for a, b, m in runs:
+        if w[b] < m:
+            return None
+        w[a] += m
+        w[b] -= m
+    return tuple(w)
+
+
+def _apply_runs(runs: Sequence[Run], w: Weight) -> dict[Matrix, int]:
+    """The integer image of the runs acting on 1_w, rightmost first, each
+    a _row_move on every term of xi_diag(w); zero, before any move, when
+    _runs_weight refuses."""
+    if _runs_weight(runs, w) is None:
+        return {}
+    vec = {_diagonal(w): 1}
+    for a, b, m in runs:
+        nxt: dict[Matrix, int] = {}
+        for rows, v in vec.items():
+            for row_a, row_b, k in _row_move(m, rows[a], rows[b]):
+                key = tuple(row_a if i == a else row_b if i == b else row for i, row in enumerate(rows))
+                nxt[key] = nxt[key] + v * k if key in nxt else v * k
+        vec = nxt
+    return vec
 
 
 def _diagonal(w: Sequence[int]) -> Matrix:

@@ -42,13 +42,12 @@ ones.  That path also works for n = 2 and the tests keep it as the oracle
 for the closed form.  Products of integer-coefficient elements stay
 integral.
 
-to_schur is the degree-r truncation: the runs of a lifted word are its
-divided powers, and e_ab^(m) acting on weight w truncates to the single
-orbit element at diag(w) + m (E_ab - E_bb), so each pattern maps to an
-ordered product of orbit elements starting at the right weight (Green's
-product rule, see schur); weights that are not compositions of r give
-zero.  Truncation is an algebra map onto the corresponding weight block
-of the Schur algebra.
+to_schur is the degree-r truncation, an algebra map onto the matching
+weight block of the Schur algebra; weights that are not compositions of
+r give zero.  A pattern's divided powers, read right to left, act on
+the idempotent of the right weight as integer row moves (schur), each
+e_ab^(m) changing rows a and b of every orbit element, so no product of
+two general orbit elements is formed.
 
 Shifting both weights by a constant vector (tensoring by a power of the
 determinant character) leaves all structure constants unchanged; the gl_2
@@ -65,11 +64,11 @@ from functools import lru_cache
 from math import comb, factorial, prod
 from typing import Mapping, Sequence
 
-from .enveloping import _divided_letters, _offdiag_words, _straighten
+from .enveloping import _offdiag_runs, _straighten
 from .errors import SYMMETRIC_GROUP_MAX_R, ResourceLimitError, check_budget
-from .exact_linalg import SparseCombination, exact_rank
-from .schur import SchurElement, _chain_sum, _json_int
-from .weights import Weight, _check_composition_count, composition_count, is_composition, permute_weight
+from .exact_linalg import SparseCombination, _clear_denominators, exact_rank
+from .schur import Run, SchurElement, _apply_runs, _json_int
+from .weights import Matrix, Weight, _check_composition_count, composition_count, permute_weight
 
 __all__ = [
     "offdiag_cells",
@@ -97,7 +96,7 @@ Pattern = tuple[int, ...]
 Letters = tuple[tuple[int, int], ...]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def offdiag_cells(n: int) -> tuple[tuple[int, int], ...]:
     """Off-diagonal cells (0-based), row-major; the pattern coordinate
     order used everywhere in this module."""
@@ -234,6 +233,14 @@ def udot_basis_upto(lam: Sequence[int], mu: Sequence[int], degree: int) -> list[
     The input is refused when all patterns of degree at most the bound
     (compositions of it into one part per cell and a slack part) number
     more than TENSOR_SPACE_LIMIT, whatever the block."""
+    patterns = _basis_patterns(lam, mu, degree)
+    zero = UdotElement(len(lam), lam, mu, {})
+    one = Fraction(1)
+    return [zero._new({p: one}) for p in patterns]
+
+
+def _basis_patterns(lam: Sequence[int], mu: Sequence[int], degree: int) -> tuple[Pattern, ...]:
+    """The patterns of udot_basis_upto, checked and refused as it says."""
     n = len(lam)
     if len(mu) != n:
         raise ValueError("weights must have equal length")
@@ -241,11 +248,16 @@ def udot_basis_upto(lam: Sequence[int], mu: Sequence[int], degree: int) -> list[
         raise ValueError("degree must be nonnegative")
     delta = tuple(l - r for l, r in zip(lam, mu))
     if sum(delta) != 0:
-        return []
+        return ()
     _check_composition_count(len(offdiag_cells(n)) + 1, degree)
-    zero = UdotElement(n, lam, mu, {})
-    one = Fraction(1)
-    return [zero._new({p: one}) for p in _block_patterns(n, delta, degree)]
+    return _block_patterns(n, delta, degree)
+
+
+def _block_images(lam: Sequence[int], mu: Sequence[int]) -> list[dict[Matrix, int]]:
+    """The integer truncations to S(n, |mu|) of the basis
+    udot_basis_upto(lam, mu, |mu|), mu a composition, in its order and
+    refused as it is: the per-pattern images that to_schur sums."""
+    return [_apply_runs(_runs(len(lam), p), tuple(mu)) for p in _basis_patterns(lam, mu, sum(mu))]
 
 
 @lru_cache(maxsize=1024)
@@ -289,12 +301,20 @@ def _block_patterns(n: int, delta: Weight, degree: int) -> tuple[Pattern, ...]:
 
 
 @lru_cache(maxsize=4096)
+def _runs(n: int, p: Pattern) -> tuple[Run, ...]:
+    """The divided powers (a, b, m) of the pattern, rightmost first:
+    raising runs, then lowering ones."""
+    lower, upper = _offdiag_runs(pattern_matrix(p, n))
+    return upper + lower
+
+
+@lru_cache(maxsize=4096)
 def _lift(n: int, p: Pattern) -> tuple[Letters, int]:
     """(word, d): the plain-power word of the pattern's divided monomial,
     lowering letters then raising ones in root-pair order, and the product
     d of the pattern's factorials, so the monomial is word / d."""
-    lower, upper = _offdiag_words(pattern_matrix(p, n))
-    return lower + upper, prod(map(factorial, p))
+    word = tuple(u for a, b, m in reversed(_runs(n, p)) for u in [(a + 1, b + 1)] * m)
+    return word, prod(map(factorial, p))
 
 
 def _from_words(
@@ -398,21 +418,21 @@ def to_schur(u: UdotElement, r: int) -> SchurElement:
     """Truncate to the Schur algebra of degree r; zero when either weight
     is not a composition of r.
 
-    Each pattern's image is read off the word of its lift (lowering
-    letters, then raising ones): the ordered product of one orbit element
-    per divided power acting on the right weight, so neither the
-    enveloping algebra nor tensor space is entered.
+    Each pattern's image is its cached runs applied to the idempotent of
+    the right weight by schur._apply_runs, which gives zero when a weight
+    on the way, the left weight last, is not a composition; the images
+    are summed in integers over the common denominator of the
+    coefficients.
     """
-    n = u.n
-    if (
-        not is_composition(u.left)
-        or not is_composition(u.right)
-        or sum(u.left) != r
-        or sum(u.right) != r
-    ):
-        return SchurElement(n, r, {})
-    chains = [(c, _divided_letters(_lift(n, p)[0], u.right)) for p, c in u.terms.items()]
-    return _chain_sum(n, r, [(c, letters) for c, letters in chains if letters])
+    out = SchurElement(u.n, r)
+    if sum(u.right) != r:
+        return out
+    ints, den = _clear_denominators(u.terms)
+    total: dict[Matrix, int] = {}
+    for p, c in ints.items():
+        for m, v in _apply_runs(_runs(u.n, p), u.right).items():
+            total[m] = total[m] + c * v if m in total else c * v
+    return out._new({m: Fraction(v, den) for m, v in total.items()})
 
 
 def sl_weight(lam: Sequence[int]) -> tuple[int, ...]:

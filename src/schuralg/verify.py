@@ -365,9 +365,7 @@ def _psi_unit_and_rank(lam: tuple, r: int) -> str | None:
     if udot_mod.to_schur(u, r) != schur_mod.idempotent(lam):
         return f"unit image at lam={lam}"
     for mu in compositions(n, r):
-        basis = udot_mod.udot_basis_upto(lam, mu, r)
-        images = [udot_mod.to_schur(x, r).terms for x in basis]
-        if exact_rank(images) != len(margin_matrices(lam, mu)):
+        if exact_rank(udot_mod._block_images(lam, mu)) != len(margin_matrices(lam, mu)):
             return f"rank short at lam={lam} mu={mu}"
     return None
 

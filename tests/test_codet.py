@@ -313,6 +313,20 @@ def test_integer_action_matches_the_per_product_oracle(lam):
         assert _filtration_ideal(lam) == oracle_filtration_ideal(lam)
 
 
+def test_filtration_reads_the_left_products_of_axiom_c():
+    lam = (2, 2, 1)
+    codet._action_of.cache_clear()
+    cells = codet_basis(lam, lam)
+    assert cell_datum_check(lam).passed
+    action = codet._cell_action(cells)
+    left = dict(action._coords)
+    assert len(left) == len(margin_matrices(lam, lam)) * len(cells)
+    assert _filtration_ideal(lam) is None
+    # every left product is the one solved for axiom (c), not formed again
+    assert all(action._coords[key] is coords for key, coords in left.items())
+    assert len(action._coords) == 2 * len(left)
+
+
 def _perturbed(kind, cells):
     """(shape, i, j) of the cell to change and its new value."""
     first, last = cells[0], cells[-1]

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schuralg import codet, enveloping, schur, weights
+from schuralg import codet, enveloping, schur, udot, weights
 from schuralg.codet import cell_datum_check, codeterminant
 from schuralg.enveloping import (
     divided_monomial,
@@ -47,6 +47,7 @@ from schuralg.weights import (
     words_of_weight,
 )
 from schuralg.udot import UdotElement, _block_patterns, _lift, pattern_matrix, to_schur, udot_basis_upto
+from schuralg.verify import run_suite
 
 
 def counting_product_coeff(a, b, c):
@@ -312,7 +313,7 @@ def test_distributivity_random(x, y):
 # -- Green's product rule against the word (column) path ----------------
 #
 # The library multiplies by summing over three-way tables and builds PBW
-# images and truncations as ordered products of orbit elements.  The
+# images and truncations by row moves, one per divided power.  The
 # helpers below are the earlier word-based bodies: elements act on the one
 # word weight_word(mu) per column weight and are read back off it.  They
 # build on the two primitives the library keeps for its tensor-space
@@ -518,6 +519,86 @@ def test_product_refuses_too_many_tables(monkeypatch):
     assert time.perf_counter() - start < 1.0
 
 
+def row_move_product(a, b, m, rows):
+    """e_ab^(m) times the orbit element of rows, through schur._row_move."""
+    out = {}
+    for row_a, row_b, k in schur._row_move(m, rows[a], rows[b]):
+        moved = list(rows)
+        moved[a], moved[b] = row_a, row_b
+        out[tuple(moved)] = k
+    return out
+
+
+@pytest.mark.parametrize("n,r_max", [(2, 5), (3, 5), (4, 4)])
+def test_row_move_matches_pair_product(n, r_max):
+    # every single-letter orbit element diag(w) + m (E_ab - E_bb) against
+    # every margin matrix B of row weight w: Green's rule and the row move
+    # give the same product
+    count = 0
+    for r in range(r_max + 1):
+        for w in compositions(n, r):
+            for cols in compositions(n, r):
+                for rows in margin_matrices(w, cols):
+                    for a in range(n):
+                        for b in range(n):
+                            for m in range(1, w[b] + 1) if a != b else ():
+                                letter = [list(row) for row in schur._diagonal(w)]
+                                letter[b][b] -= m
+                                letter[a][b] += m
+                                letter = tuple(map(tuple, letter))
+                                expected = dict(schur._pair_product(letter, rows))
+                                assert row_move_product(a, b, m, rows) == expected, (letter, rows)
+                                count += 1
+    assert count > 0
+
+
+def raise_on_pair_product(*args, **kwargs):
+    raise AssertionError("a product of two general orbit elements was formed")
+
+
+def test_truncations_form_no_pair_products(monkeypatch):
+    a = ((1, 2, 0), (0, 1, 1), (1, 0, 0))
+    u = udot_basis_upto((2, 1, 2), (1, 2, 2), 3)
+    u = u[-1] + u[-2].scale(Fraction(-3, 2))
+    expected = (
+        to_schur(u, 5),
+        [pbw_image(a, form) for form in FORMS],
+        run_suite("psi", n_max=3, r_max=4).to_json(),
+    )
+    udot._runs.cache_clear()
+    schur._row_move.cache_clear()
+    monkeypatch.setattr(schur, "_pair_product", raise_on_pair_product)
+    assert to_schur(u, 5) == expected[0]
+    assert [pbw_image(a, form) for form in FORMS] == expected[1]
+    # psi-multiplicative multiplies truncations in the Schur algebra: there
+    # the word (column) path stands in for Green's rule
+    monkeypatch.setattr(schur, "schur_multiply", column_multiply)
+    assert run_suite("psi", n_max=3, r_max=4).to_json() == expected[2]
+
+
+def test_row_move_refuses_what_pair_product_refuses():
+    # e_12^(10) .. e_19^(10) spread row 1 over nine columns, so the
+    # lowering run f^(40) that follows meets a slice of C(48, 8) x 11^8
+    # tables
+    n = 9
+    a = tuple(
+        tuple(10 if i == 0 and j else 40 if (i, j) == (1, 0) else 0 for j in range(n)) for i in range(n)
+    )
+    with pytest.raises(ResourceLimitError) as refused:
+        pbw_image(a, "fe")
+    u = UdotElement(n, row_sums(a), col_sums(a), {udot.matrix_pattern(a): Fraction(1)})
+    with pytest.raises(ResourceLimitError) as truncated:
+        to_schur(u, 120)
+    assert str(truncated.value) == str(refused.value)
+    # the same refusal as Green's rule on the lowering run's orbit element
+    rows = ((40,) + (10,) * 8,) + ((0,) * n,) * 8
+    letter = [list(row) for row in schur._diagonal((80,) + (0,) * 8)]
+    letter[1][0] = 40
+    with pytest.raises(ResourceLimitError) as green:
+        schur._pair_product(tuple(map(tuple, letter)), rows)
+    assert str(green.value) == str(refused.value)
+
+
 def test_caches_are_bounded():
     caches = {
         weights._kostka_cached: 1 << 16,
@@ -531,6 +612,10 @@ def test_caches_are_bounded():
         enveloping._word_product: 4096,
         _block_patterns: 1024,
         codet._action_of: 4,
+        schur._row_move: 4096,
+        udot._runs: 4096,
+        enveloping.root_pairs: 64,
+        udot.offdiag_cells: 64,
     }
     for fn, maxsize in caches.items():
         assert fn.cache_info().maxsize == maxsize
@@ -541,6 +626,7 @@ def test_caches_are_bounded():
     enveloping.verify_weight_idempotent((2, 1))
     block = udot_basis_upto((1, 1, 1), (1, 1, 1), 2)
     block[-1] * block[-1]
+    to_schur(block[-1], 3)
     cell_datum_check((1, 1))
     for fn, maxsize in caches.items():
         assert 0 < fn.cache_info().currsize <= maxsize

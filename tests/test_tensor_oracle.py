@@ -1,7 +1,7 @@
 """The library paths against the full tensor-space oracle.
 
 Schur products follow Green's rule on three-way tables, PBW images and
-the truncation to_schur are ordered products of orbit elements, and the
+the truncation to_schur apply their divided powers as row moves, and the
 idempotent lemma evaluates each diagonal letter as a letter count: none
 of them writes a word.  Tensor space survives only as the oracle
 (TensorEndo, orbit_endo, endo_of, element_from_endo, tensor_rep), behind

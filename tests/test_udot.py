@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 from math import comb, factorial
 
@@ -489,6 +490,25 @@ def test_to_schur_surjective_rank():
     basis = udot_basis_upto(lam, mu, 3)
     images = [to_schur(x, 3).terms for x in basis]
     assert exact_rank(images) == len(margin_matrices(lam, mu))
+
+
+@pytest.mark.parametrize("n,r", [(2, 4), (3, 3), (3, 4)])
+def test_block_images_are_the_truncated_basis(n, r):
+    for lam in compositions(n, r):
+        for mu in compositions(n, r):
+            images = udot._block_images(lam, mu)
+            assert images == [to_schur(x, r).terms for x in udot_basis_upto(lam, mu, r)]
+            assert all(type(v) is int for image in images for v in image.values())
+
+
+def test_block_images_are_refused_as_the_basis():
+    assert udot._block_images((1, 0), (0, 2)) == []
+    assert udot._block_images((2, -1), (1, 0)) == [{}]
+    for lam, mu in [((9, 9, 9), (9, 9, 9)), ((-1, 0), (0, -1)), ((1, 0), (1,))]:
+        with pytest.raises(Exception) as basis:
+            udot_basis_upto(lam, mu, sum(mu))
+        with pytest.raises(type(basis.value), match=re.escape(str(basis.value))):
+            udot._block_images(lam, mu)
 
 
 def test_shift_invariance_seeded():
