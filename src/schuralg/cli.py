@@ -31,15 +31,11 @@ __all__ = ["main", "build_parser"]
 PBW_FORMS = ("fe", "ef", "fe-middle", "ef-middle")
 
 
-class UsageError(Exception):
-    pass
-
-
 def _parse_weight(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise UsageError(f"expected comma-separated integers, got {text!r}")
+        raise ValueError(f"expected comma-separated integers, got {text!r}")
 
 
 def _attach_negative_weights(argv: Sequence[str]) -> list[str]:
@@ -58,7 +54,7 @@ def _parse_element(cls, text: str):
     try:
         return cls.from_json(json.loads(text))
     except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad element JSON: {exc}")
+        raise ValueError(f"bad element JSON: {exc}")
 
 
 def _weight_csv(w: Sequence[int]) -> str:
@@ -159,7 +155,7 @@ def _cmd_dim(args) -> tuple[dict, str, int]:
     lam = _parse_weight(args.lam)
     mu = _parse_weight(args.mu) if args.mu else lam
     if args.r is not None and args.r != sum(lam):
-        raise UsageError(f"degree cross-check failed: sum(lambda)={sum(lam)} but --r={args.r}")
+        raise ValueError(f"degree cross-check failed: sum(lambda)={sum(lam)} but --r={args.r}")
     dim = len(margin_matrices(lam, mu))
     ksum = codet_count(lam, mu)
     payload = {
@@ -274,7 +270,7 @@ def _cmd_verify(args) -> tuple[dict, str, int]:
     }
     if args.suite == "all":
         if provided:
-            raise UsageError("verify all takes no parameter flags")
+            raise ValueError("verify all takes no parameter flags")
         reports = [run_suite(name) for name in sorted(SUITES)]
         payload = {
             "suites": [rep.to_json() for rep in reports],
@@ -289,7 +285,7 @@ def _cmd_verify(args) -> tuple[dict, str, int]:
     allowed = inspect.signature(SUITES[args.suite]).parameters
     for name in provided:
         if name not in allowed:
-            raise UsageError(f"suite {args.suite!r} does not accept {_SUITE_FLAGS[name]}")
+            raise ValueError(f"suite {args.suite!r} does not accept {_SUITE_FLAGS[name]}")
     if "lam" in provided:
         provided["lam"] = _parse_weight(provided["lam"])
     report = run_suite(args.suite, **provided)
@@ -315,7 +311,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         payload, csv, code = COMMANDS[args.command](args)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:

@@ -24,15 +24,17 @@ of Green's integer pair products xi_A xi_B lies in their span and is
 solved on its own, once, in integers over the solver's one denominator;
 the coordinates of xi_A times a cell are integer multiply-adds of those
 solutions, weighted by the cell's integer (B, v) pairs.  A Fraction is
-built only for a stored structure coefficient or a witness.  The action
-is cached by cell values, so the filtration check in verify reuses it.
+built only for a stored structure coefficient or a witness.  CellDatum
+holds one weight's cells and action; its filtration check (the cells of
+shapes dominating a shape span a two-sided ideal) reads the left
+products that axiom (c) solved and solves only the right ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from typing import Sequence
 
 from .errors import check_budget
@@ -45,6 +47,7 @@ from .weights import (
     Word,
     _shapes_below,
     col_sums,
+    dominance_leq,
     dominance_lt,
     dominant_shapes,
     is_composition,
@@ -63,6 +66,7 @@ __all__ = [
     "codet_basis",
     "codet_count",
     "CellReport",
+    "CellDatum",
     "cell_datum_check",
 ]
 
@@ -163,24 +167,44 @@ class CellReport:
         }
 
 
-class _CellAction:
-    """The integer action of a block on its cells: each cell value cleared
-    to integer (B, v) pairs once, and each orbit product xi_X xi_Y solved
-    once, as numerators over the solver's denominator."""
+def _product(x: Matrix, y: Matrix) -> tuple[tuple[Matrix, int], ...]:
+    """xi_x xi_y, zero when the inner weights differ."""
+    return _pair_product(x, y) if col_sums(x) == row_sums(y) else ()
 
-    def __init__(self, values: tuple) -> None:
-        self.solver = CoordinateSolver([dict(v) for v in values])
-        self.cells = [_clear_denominators(dict(v)) for v in values]
-        self._solved: dict[tuple[Matrix, Matrix], list | None] = {}
+
+def _cell_json(shape: Weight, *words: Word) -> dict:
+    return dict(zip(("shape", "left", "right"), map(list, (shape, *words))))
+
+
+class CellDatum:
+    """The cells of the algebra of weight lam, the multipliers (the block's
+    orbit basis) and the integer action, with each pair product and each
+    product of a multiplier with a cell solved once for both checks."""
+
+    def __init__(self, lam: Sequence[int]) -> None:
+        self.lam = tuple(lam)
+        self.cells = codet_basis(self.lam, self.lam)
+        self.keys = [(c.shape, c.left.row_word, c.right.row_word) for c in self.cells]
+        self.multipliers = margin_matrices(self.lam, self.lam)
+        self._integer_cells = [_clear_denominators(c.value.terms) for c in self.cells]
+        self._solved: dict[tuple[Matrix, Matrix], list[int] | None] = {}
         self._coords: dict[tuple[Matrix, int, bool], tuple[list[int], int] | None] = {}
+
+    @cached_property
+    def solver(self) -> CoordinateSolver | None:
+        """The cells factored once, None when they are linearly dependent."""
+        try:
+            return CoordinateSolver([c.value.terms for c in self.cells])
+        except ValueError:
+            return None
 
     def coords(self, a: Matrix, k: int, right: bool = False) -> tuple[list[int], int] | None:
         """(numerators, denominator) of the coordinates of xi_a times cell
-        k (cell k times xi_a when right), or None outside the span;
-        remembered, so the filtration check reads axiom (c)'s products."""
+        k (cell k times xi_a when right), or None outside the span of the
+        cells, which must be independent."""
         if (a, k, right) in self._coords:
             return self._coords[a, k, right]
-        w, s = self.cells[k]
+        w, s = self._integer_cells[k]
         pairs = [((b, a) if right else (a, b), v) for b, v in w.items()]
         out: list[int] | None = [0] * len(self.cells)
         for xy, v in pairs:
@@ -200,28 +224,86 @@ class _CellAction:
         self._coords[a, k, right] = None if out is None else (out, self.solver.den * s)
         return self._coords[a, k, right]
 
+    def axioms(self) -> CellReport:
+        """The report on axioms (a)-(c); see cell_datum_check."""
+        cells, keys = self.cells, self.keys
+        dim = len(self.multipliers)
+        witnesses: list[dict] = []
 
-def _product(x: Matrix, y: Matrix) -> tuple[tuple[Matrix, int], ...]:
-    """xi_x xi_y, zero when the inner weights differ."""
-    return _pair_product(x, y) if col_sums(x) == row_sums(y) else ()
+        # the cells form a basis exactly when there are dim of them and they
+        # are independent; the solver's one elimination decides the latter
+        axiom_a = len(cells) == dim and self.solver is not None
+        if not axiom_a:
+            rank = exact_rank([c.value.terms for c in cells])
+            witnesses.append({"axiom": "a", "cell_count": len(cells), "dim": dim, "rank": rank})
 
+        axiom_b = True
+        index = {key: k for k, key in enumerate(keys)}
+        for c in cells:
+            flipped = cells[index[(c.shape, c.right.row_word, c.left.row_word)]]
+            if involution(c.value) != flipped.value:
+                axiom_b = False
+                witnesses.append({"axiom": "b", **_cell_json(c.shape, c.left.row_word, c.right.row_word)})
 
-@lru_cache(maxsize=4)
-def _action_of(values: tuple) -> _CellAction | None:
-    try:
-        return _CellAction(values)
-    except ValueError:  # linearly dependent
+        if not axiom_a:
+            # coordinates are not well defined without a basis
+            return CellReport(self.lam, dim, len(cells), axiom_a, axiom_b, False, witnesses)
+
+        axiom_c = True
+        shapes = {c.shape for c in cells}
+        above = {(s, t): dominance_lt(s, t) for s in shapes for t in shapes}
+        for a_idx, a in enumerate(self.multipliers):
+            # per shape and left-output tableau, coefficients seen for each T
+            per_t: dict[tuple, dict[Word, dict]] = {}
+            for k, (shape, left, right) in enumerate(keys):
+                coords = self.coords(a, k)
+                if coords is None:
+                    axiom_c = False
+                    witnesses.append({"axiom": "c", "reason": "product outside basis span"})
+                    continue
+                x, den = coords
+                row: dict[Word, Fraction] = {}
+                for j, v in enumerate(x):
+                    if not v or above[shape, keys[j][0]]:
+                        continue  # strictly more dominant shapes are free
+                    d_shape, d_left, d_right = keys[j]
+                    if d_shape != shape or d_right != right:
+                        axiom_c = False
+                        witnesses.append({
+                            "axiom": "c", "multiplier": a_idx, **_cell_json(shape, left, right),
+                            "hits_shape": list(d_shape), "hits_right": list(d_right), "coeff": str(Fraction(v, den)),
+                        })
+                        continue
+                    row[d_left] = Fraction(v, den)
+                per_t.setdefault((shape, left), {})[right] = row
+            for (shape, left_word), by_t in per_t.items():
+                rows = list(by_t.values())
+                if any(row != rows[0] for row in rows[1:]):
+                    axiom_c = False
+                    witnesses.append({
+                        "axiom": "c", "multiplier": a_idx, **_cell_json(shape, left_word),
+                        "reason": "structure coefficients depend on the right tableau",
+                    })
+        return CellReport(self.lam, dim, len(cells), axiom_a, axiom_b, axiom_c, witnesses)
+
+    def filtration(self) -> str | None:
+        """Witness when the span of the cells whose shapes dominate some
+        shape is not closed under multiplication by the block on either
+        side, or when the cells are linearly dependent."""
+        if self.solver is None:
+            return f"lambda={list(self.lam)}: the cells are linearly dependent"
+        shapes = [shape for shape, _, _ in self.keys]
+        leq = {(s, t): dominance_leq(s, t) for s in set(shapes) for t in set(shapes)}
+        # the cells dominating nu span an ideal for every shape nu exactly when
+        # each product with a cell lands on cells dominating that cell's shape:
+        # take nu = its shape one way, transitivity of dominance the other way
+        for k, shape in enumerate(shapes):
+            for a in self.multipliers:
+                for right in (False, True):
+                    coords = self.coords(a, k, right)
+                    if coords is None or any(x and not leq[shape, shapes[i]] for i, x in enumerate(coords[0])):
+                        return f"shape={shape}: a product with cell {k} leaves the ideal"
         return None
-
-
-def _cell_action(cells: Sequence[Codeterminant]) -> _CellAction | None:
-    """The integer action on the cells, None when they are linearly
-    dependent; cached by cell values, so a changed cell is a new entry."""
-    return _action_of(tuple(tuple(c.value.terms.items()) for c in cells))
-
-
-def _cell_json(shape: Weight, *words: Word) -> dict:
-    return dict(zip(("shape", "left", "right"), map(list, (shape, *words))))
 
 
 def cell_datum_check(lam: Sequence[int]) -> CellReport:
@@ -234,66 +316,4 @@ def cell_datum_check(lam: Sequence[int]) -> CellReport:
     of (nu, S', T) must not depend on T; every other coordinate must
     vanish.  Failures are recorded as witnesses.
     """
-    lam = tuple(lam)
-    cells = codet_basis(lam, lam)
-    multipliers = margin_matrices(lam, lam)
-    dim = len(multipliers)
-    witnesses: list[dict] = []
-
-    # the cells form a basis exactly when there are dim of them and they
-    # are independent; the solver's one elimination decides the latter
-    action = _cell_action(cells) if len(cells) == dim else None
-    axiom_a = action is not None
-    if not axiom_a:
-        rank = exact_rank([c.value.terms for c in cells])
-        witnesses.append({"axiom": "a", "cell_count": len(cells), "dim": dim, "rank": rank})
-
-    axiom_b = True
-    keys = [(c.shape, c.left.row_word, c.right.row_word) for c in cells]
-    index = {key: k for k, key in enumerate(keys)}
-    for c in cells:
-        flipped = cells[index[(c.shape, c.right.row_word, c.left.row_word)]]
-        if involution(c.value) != flipped.value:
-            axiom_b = False
-            witnesses.append({"axiom": "b", **_cell_json(c.shape, c.left.row_word, c.right.row_word)})
-
-    if not axiom_a:
-        # coordinates are not well defined without a basis
-        return CellReport(lam, dim, len(cells), axiom_a, axiom_b, False, witnesses)
-
-    axiom_c = True
-    shapes = {c.shape for c in cells}
-    above = {(s, t): dominance_lt(s, t) for s in shapes for t in shapes}
-    for a_idx, a in enumerate(multipliers):
-        # per shape and left-output tableau, coefficients seen for each T
-        per_t: dict[tuple, dict[Word, dict]] = {}
-        for k, (shape, left, right) in enumerate(keys):
-            coords = action.coords(a, k)
-            if coords is None:
-                axiom_c = False
-                witnesses.append({"axiom": "c", "reason": "product outside basis span"})
-                continue
-            x, den = coords
-            row: dict[Word, Fraction] = {}
-            for j, v in enumerate(x):
-                if not v or above[shape, keys[j][0]]:
-                    continue  # strictly more dominant shapes are free
-                d_shape, d_left, d_right = keys[j]
-                if d_shape != shape or d_right != right:
-                    axiom_c = False
-                    witnesses.append({
-                        "axiom": "c", "multiplier": a_idx, **_cell_json(shape, left, right),
-                        "hits_shape": list(d_shape), "hits_right": list(d_right), "coeff": str(Fraction(v, den)),
-                    })
-                    continue
-                row[d_left] = Fraction(v, den)
-            per_t.setdefault((shape, left), {})[right] = row
-        for (shape, left_word), by_t in per_t.items():
-            rows = list(by_t.values())
-            if any(row != rows[0] for row in rows[1:]):
-                axiom_c = False
-                witnesses.append({
-                    "axiom": "c", "multiplier": a_idx, **_cell_json(shape, left_word),
-                    "reason": "structure coefficients depend on the right tableau",
-                })
-    return CellReport(lam, dim, len(cells), axiom_a, axiom_b, axiom_c, witnesses)
+    return CellDatum(lam).axioms()

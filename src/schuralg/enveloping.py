@@ -401,19 +401,15 @@ def _apply_unit(unit: Unit, vec: Mapping[tuple[int, ...], Fraction]) -> dict:
     return {w: c for w, c in out.items() if c != 0}
 
 
-def verify_weight_idempotent(lam: Sequence[int], r: int | None = None) -> bool:
+def verify_weight_idempotent(lam: Sequence[int]) -> bool:
     """Check that prod_i binom(H_i, lam_i) acts on tensor space exactly as
     the weight idempotent of lam.  H_i acts on the words of weight nu as
     nu_i, so on those words the product is the scalar
     prod_i binom(nu_i, lam_i): it must be 1 at nu = lam and 0 at every
-    other composition nu of r.  The integer expansion of
+    other composition nu of r = sum(lam).  The integer expansion of
     prod_i lam_i! binom(H_i, lam_i) is evaluated at each nu and compared
     with D = prod_i lam_i! or 0."""
     lam = tuple(lam)
-    if r is None:
-        r = sum(lam)
-    if r != sum(lam):
-        raise ValueError("degree must match the weight")
     if any(x < 0 for x in lam):
         raise ValueError("diagonal exponents must be a nonnegative n-vector")
     scale = prod(map(factorial, lam))
@@ -421,7 +417,7 @@ def verify_weight_idempotent(lam: Sequence[int], r: int | None = None) -> bool:
     return all(
         sum(c * prod(v ** p for v, p in zip(nu, h)) for h, c in terms)
         == (scale if nu == lam else 0)
-        for nu in compositions(len(lam), r)
+        for nu in compositions(len(lam), sum(lam))
     )
 
 

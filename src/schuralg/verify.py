@@ -35,7 +35,7 @@ from .weights import (
     col_sums,
     composition_count,
     compositions,
-    dominance_leq,
+    is_composition,
     margin_matrices,
     row_sums,
     words_of_weight,
@@ -232,7 +232,7 @@ def suite_idem_lemma(n_max: int = 3, r_max: int = 3) -> VerificationReport:
     check_budget(work, f"idem-lemma up to n={n_max}, r={r_max} sums {work} terms")
     rows = _slice_rows(
         "binomial-idempotent", n_max, r_max, _weights,
-        lambda lam, r: None if env.verify_weight_idempotent(lam, r) else f"lam={lam}",
+        lambda lam, r: None if env.verify_weight_idempotent(lam) else f"lam={lam}",
     )
     return _run("idem-lemma", {"n_max": n_max, "r_max": r_max}, rows)
 
@@ -254,7 +254,10 @@ def _binom_term_sum(n: int, r: int) -> int:
 
 def suite_cellular(n: int = 3, r: int = 3, lam: Sequence[int] | None = None) -> VerificationReport:
     """Cellular axioms for diagonal weight blocks, plus the dominance
-    filtration being a two-sided ideal chain."""
+    filtration being a two-sided ideal chain.  Both rows of a weight read
+    one CellDatum, built as the rows reach that weight."""
+    if lam is not None and not is_composition(lam):
+        raise ValueError(f"lambda={list(lam)} must be a composition (nonnegative integers)")
     if lam is not None and (len(lam) != n or sum(lam) != r):
         n, r = len(lam), sum(lam)
         raise ValueError(f"lambda={list(lam)} lies in S({n}, {r}): pass --n {n} --r {r}")
@@ -262,43 +265,18 @@ def suite_cellular(n: int = 3, r: int = 3, lam: Sequence[int] | None = None) -> 
     rows = (
         row
         for w in ([tuple(lam)] if lam is not None else compositions(n, r))
+        for datum in [codet_mod.CellDatum(w)]
         for row in (
-            (f"cell-axioms-{'-'.join(map(str, w))}", [(w,)], _cell_axioms),
-            (f"cell-filtration-{'-'.join(map(str, w))}", [(w,)], _filtration_ideal),
+            (f"cell-axioms-{'-'.join(map(str, w))}", [(datum,)], _cell_axioms),
+            (f"cell-filtration-{'-'.join(map(str, w))}", [(datum,)], codet_mod.CellDatum.filtration),
         )
     )
     return _run("cellular", params, rows)
 
 
-def _cell_axioms(lam: tuple) -> str | None:
-    report = codet_mod.cell_datum_check(lam)
+def _cell_axioms(datum: codet_mod.CellDatum) -> str | None:
+    report = datum.axioms()
     return None if report.passed else str(report.witnesses[:1])
-
-
-def _filtration_ideal(lam: Sequence[int]) -> str | None:
-    """Witness when the span of the cells whose shapes dominate some shape
-    is not closed under multiplication by the block on either side."""
-    cells = codet_mod.codet_basis(lam, lam)
-    if not cells:
-        return None
-    action = codet_mod._cell_action(cells)
-    if action is None:
-        return f"lambda={list(lam)}: the cells are linearly dependent"
-    multipliers = margin_matrices(lam, lam)
-    shapes = [c.shape for c in cells]
-    leq = {(s, t): dominance_leq(s, t) for s in set(shapes) for t in set(shapes)}
-    # the cells dominating nu span an ideal for every shape nu exactly when
-    # each product with a cell lands on cells dominating that cell's shape:
-    # take nu = its shape one way, transitivity of dominance the other way
-    for k, shape in enumerate(shapes):
-        for a in multipliers:
-            for right in (False, True):
-                coords = action.coords(a, k, right)
-                if coords is None or any(
-                    x and not leq[shape, shapes[idx]] for idx, x in enumerate(coords[0])
-                ):
-                    return f"shape={shape}: a product with cell {k} leaves the ideal"
-    return None
 
 
 def suite_relations(n_max: int = 3, window: int = 3) -> VerificationReport:

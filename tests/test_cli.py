@@ -340,6 +340,13 @@ def test_cellular_refuses_lambda_outside_n_and_r(capsys):
     assert json.loads(out)["params"] == {"lambda": [2, 1, 0], "n": 3, "r": 3}
 
 
+def test_cellular_refuses_a_lambda_that_is_not_a_composition(capsys):
+    code, out, err = run_cli(capsys, "verify", "cellular", "--lambda", "1,-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: lambda=[1, -1] must be a composition (nonnegative integers)\n"
+
+
 def test_dim_refused_before_listing_matrices(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("no matrix may be listed once the bound is over the limit")
@@ -370,6 +377,17 @@ def test_verify_all_stdout_pinned(capsys, fmt):
     assert code == 0
     data = out.encode()
     assert (hashlib.sha256(data).hexdigest(), len(data)) == VERIFY_ALL_DIGESTS[fmt]
+
+
+def test_verify_cellular_above_the_default_is_pinned(capsys):
+    # SHA-256 of `schuralg verify cellular --n 3 --r 5` stdout, recorded
+    # before the cellular rows shared one cell datum per weight
+    code, out, _ = run_cli(capsys, "verify", "cellular", "--n", "3", "--r", "5")
+    assert code == 0
+    data = out.encode()
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == (
+        "cd935cc28c6c07707da609502b82d0558a21e3e7de3141564df90d681dbe91cc", 2782
+    )
 
 
 SCHUR_X = {"n": 2, "r": 2, "terms": [{"matrix": [[0, 1], [1, 0]], "coeff_num": 1, "coeff_den": 1}]}

@@ -9,6 +9,7 @@ import pytest
 from schuralg import codet, exact_linalg, schur
 from schuralg.cli import main
 from schuralg.codet import (
+    CellDatum,
     cell_datum_check,
     codet_basis,
     codet_count,
@@ -18,7 +19,7 @@ from schuralg.codet import (
 )
 from schuralg.exact_linalg import CoordinateSolver, exact_rank
 from schuralg.schur import SchurElement, hom_basis, involution, schur_multiply
-from schuralg.verify import _filtration_ideal, suite_cellular
+from schuralg.verify import run_suite, suite_cellular
 from schuralg.weights import (
     compositions,
     dominance_leq,
@@ -147,8 +148,6 @@ def test_cell_report_json():
 
 
 def count_eliminations(monkeypatch):
-    # a cached cell action would skip the elimination being counted
-    codet._action_of.cache_clear()
     calls = []
     eliminate = exact_linalg._eliminate
 
@@ -308,23 +307,35 @@ ORACLE_WEIGHTS = [lam for r in range(6) for lam in compositions(3, r)] + [(2, 2,
 
 @pytest.mark.parametrize("lam", ORACLE_WEIGHTS)
 def test_integer_action_matches_the_per_product_oracle(lam):
-    assert cell_datum_check(lam).to_json() == oracle_cell_datum_check(lam).to_json()
+    datum = CellDatum(lam)
+    assert datum.axioms().to_json() == oracle_cell_datum_check(lam).to_json()
     if sum(lam) <= 4 or lam == (2, 2, 1):
-        assert _filtration_ideal(lam) == oracle_filtration_ideal(lam)
+        assert datum.filtration() == oracle_filtration_ideal(lam)
 
 
 def test_filtration_reads_the_left_products_of_axiom_c():
     lam = (2, 2, 1)
-    codet._action_of.cache_clear()
-    cells = codet_basis(lam, lam)
-    assert cell_datum_check(lam).passed
-    action = codet._cell_action(cells)
-    left = dict(action._coords)
-    assert len(left) == len(margin_matrices(lam, lam)) * len(cells)
-    assert _filtration_ideal(lam) is None
+    datum = CellDatum(lam)
+    assert datum.axioms().passed
+    left = dict(datum._coords)
+    assert len(left) == len(margin_matrices(lam, lam)) * len(datum.cells)
+    assert datum.filtration() is None
     # every left product is the one solved for axiom (c), not formed again
-    assert all(action._coords[key] is coords for key, coords in left.items())
-    assert len(action._coords) == 2 * len(left)
+    assert all(datum._coords[key] is coords for key, coords in left.items())
+    assert len(datum._coords) == 2 * len(left)
+
+
+def test_cellular_suite_builds_each_cell_once(monkeypatch):
+    calls = []
+    original = codet.codeterminant
+
+    def counted(nu, i, j):
+        calls.append(1)
+        return original(nu, i, j)
+
+    monkeypatch.setattr(codet, "codeterminant", counted)
+    assert run_suite("cellular", n=3, r=4).passed
+    assert len(calls) == sum(len(margin_matrices(w, w)) for w in compositions(3, 4)) == 45
 
 
 def _perturbed(kind, cells):
@@ -355,11 +366,14 @@ def test_integer_action_matches_the_oracle_on_perturbed_cells(monkeypatch, kind,
         return value if (tuple(nu), tuple(i), tuple(j)) == target else original(nu, i, j)
 
     monkeypatch.setattr(codet, "codeterminant", perturbed)
-    report = cell_datum_check(lam)
-    assert report.to_json() == oracle_cell_datum_check(lam).to_json()
+    datum = CellDatum(lam)
+    report = datum.axioms()
+    assert report.to_json() == oracle_cell_datum_check(lam).to_json() == cell_datum_check(lam).to_json()
     assert not report.passed
-    filtration = _filtration_ideal(lam)
+    filtration = datum.filtration()
     assert filtration == oracle_filtration_ideal(lam)
+    # the right products first, on a datum that checked no axiom
+    assert CellDatum(lam).filtration() == filtration
     if kind == "dependent":
         assert not report.axiom_a and "linearly dependent" in filtration
     if kind in ("mixed", "outside"):

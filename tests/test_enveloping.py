@@ -189,7 +189,7 @@ def test_cartan_binomials_are_integer_falling_factorials():
 def test_weight_idempotent_lemma():
     for n, r in [(2, 2), (2, 3), (3, 3)]:
         for lam in compositions(n, r):
-            assert verify_weight_idempotent(lam, r)
+            assert verify_weight_idempotent(lam)
 
 
 def test_idem_lemma_cost_counts_binomial_terms():

@@ -1,5 +1,7 @@
+import importlib
 import itertools
 import operator
+import pkgutil
 import random
 import time
 from fractions import Fraction
@@ -7,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import schuralg
 from schuralg import codet, enveloping, schur, udot, weights
 from schuralg.codet import cell_datum_check, codeterminant
 from schuralg.enveloping import (
@@ -485,7 +488,6 @@ def test_library_paths_write_no_words(monkeypatch):
         monkeypatch.setattr(module, name, raise_on_words)
     assert schur_multiply(x, y) == expected["product"]
     assert codeterminant(shape, i, j) == expected["codet"]
-    codet._action_of.cache_clear()
     assert cell_datum_check((2, 2, 1)).to_json() == cellular
     assert [pbw_image(a, form) for form in FORMS] == expected["pbw"]
     assert to_schur(u, 5) == expected["to_schur"]
@@ -611,12 +613,20 @@ def test_caches_are_bounded():
         enveloping._insert: 1 << 17,
         enveloping._word_product: 4096,
         _block_patterns: 1024,
-        codet._action_of: 4,
         schur._row_move: 4096,
         udot._runs: 4096,
         enveloping.root_pairs: 64,
         udot.offdiag_cells: 64,
     }
+    # every cache in the package is pinned here, as the benchmark's tracer
+    # finds them: module attributes with cache_info
+    found = {
+        obj
+        for info in pkgutil.iter_modules(schuralg.__path__)
+        for obj in vars(importlib.import_module(f"schuralg.{info.name}")).values()
+        if callable(obj) and hasattr(obj, "cache_info")
+    }
+    assert found == set(caches)
     for fn, maxsize in caches.items():
         assert fn.cache_info().maxsize == maxsize
     schur_multiply(xi(((1, 1), (1, 1))), xi(((1, 1), (1, 1))))
