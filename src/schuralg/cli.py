@@ -24,7 +24,7 @@ from .schur import SchurElement, schur_multiply, symmetric_group_iso
 from .simples import simple_index_set, simple_index_set_window
 from .udot import UdotElement, gl2_generic_table, udot_basis_upto, udot_multiply
 from .verify import SUITES, run_suite
-from .weights import compositions, dominant_shapes, kostka, margin_matrices
+from .weights import compositions, dominant_shapes, kostka, margin_count, margin_matrices
 
 __all__ = ["main", "build_parser"]
 
@@ -156,7 +156,7 @@ def _cmd_dim(args) -> tuple[dict, str, int]:
     mu = _parse_weight(args.mu) if args.mu else lam
     if args.r is not None and args.r != sum(lam):
         raise ValueError(f"degree cross-check failed: sum(lambda)={sum(lam)} but --r={args.r}")
-    dim = len(margin_matrices(lam, mu))
+    dim = margin_count(lam, mu)
     ksum = codet_count(lam, mu)
     payload = {
         "lambda": list(lam),
@@ -174,13 +174,7 @@ def _cmd_basis(args) -> tuple[dict, str, int]:
     lam = _parse_weight(args.lam)
     mu = _parse_weight(args.mu) if args.mu else lam
     payload: dict = {"kind": args.kind, "lambda": list(lam), "mu": list(mu)}
-    if args.kind == "xi":
-        margins = margin_matrices(lam, mu)
-        payload["count"] = len(margins)
-        payload["elements"] = [
-            {"matrix": [list(row) for row in a]} for a in margins
-        ]
-    elif args.kind == "codet":
+    if args.kind == "codet":
         cells = codet_basis(lam, mu)
         payload["count"] = len(cells)
         payload["elements"] = [
@@ -194,15 +188,12 @@ def _cmd_basis(args) -> tuple[dict, str, int]:
         ]
     else:
         margins = margin_matrices(lam, mu)
-        payload["form"] = args.form
         payload["count"] = len(margins)
-        payload["elements"] = [
-            {
-                "matrix": [list(row) for row in a],
-                "image": pbw_image(a, args.form).to_json(),
-            }
-            for a in margins
-        ]
+        payload["elements"] = [{"matrix": [list(row) for row in a]} for a in margins]
+        if args.kind == "pbw":
+            payload["form"] = args.form
+            for a, element in zip(margins, payload["elements"]):
+                element["image"] = pbw_image(a, args.form).to_json()
     return payload, "", 0
 
 

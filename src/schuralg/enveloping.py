@@ -54,6 +54,7 @@ from functools import lru_cache
 from math import factorial, prod
 from typing import Mapping, Sequence
 
+from .errors import check_budget
 from .exact_linalg import SparseCombination, _clear_denominators
 from .schur import (
     Run,
@@ -70,6 +71,7 @@ from .weights import (
     Word,
     all_words,
     col_sums,
+    composition_count,
     compositions,
 )
 
@@ -248,9 +250,22 @@ def matrix_unit(n: int, a: int, b: int) -> UElement:
 
 
 def u_multiply(x: UElement, y: UElement) -> UElement:
-    """Product in the enveloping algebra, straightened to PBW normal form."""
+    """Product in the enveloping algebra, straightened to PBW normal form.
+
+    A pair of terms straightens to normal words of one weight and of
+    degree at most d, the sum of the factors' top degrees.  A weight fixes
+    the exponents of the letters unit(i, n), i < n, once the others are
+    chosen, so a pair of term weights gives at most C(d + k, k) normal
+    words, k = n^2 - n + 1.  The term pairs plus those words are held to
+    the budget first.
+    """
     x._check_space(y)
     n = x.n
+    d = sum(max(map(monomial_degree, z.terms), default=0) for z in (x, y))
+    pairs = len(x.terms) * len(y.terms)
+    words = prod(len({monomial_weight(n, m) for m in z.terms}) for z in (x, y)) * composition_count(n * n - n + 2, d)
+    what = f"a product of degree {d} in U(gl_{n}) straightens {pairs} term pairs into up to {words} words"
+    check_budget(pairs + words, what)
     products = {
         (_monomial_word(n, m1), _monomial_word(n, m2)): c1 * c2
         for m1, c1 in x.terms.items()

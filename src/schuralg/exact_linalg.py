@@ -24,6 +24,7 @@ from typing import Hashable, Mapping, Sequence
 __all__ = [
     "SparseCombination",
     "exact_rank",
+    "integer_rank",
     "unimodular_change",
     "integer_det",
     "CoordinateSolver",
@@ -145,7 +146,11 @@ def _eliminate(rows: list[list[int]], ncols: int, jordan: bool = False) -> tuple
 def exact_rank(vectors: Sequence[Mapping[Hashable, Fraction]]) -> int:
     """Rank of the span of the given sparse vectors."""
     # scaling a vector by its common denominator preserves the rank
-    rows = [_clear_denominators(v)[0] for v in vectors]
+    return integer_rank([_clear_denominators(v)[0] for v in vectors])
+
+
+def integer_rank(rows: Sequence[Mapping[Hashable, int]]) -> int:
+    """Rank of the span of sparse integer vectors (no denominators)."""
     keys = list(dict.fromkeys(k for w in rows for k in w))
     rank, _ = _eliminate([[w.get(k, 0) for k in keys] for w in rows], len(keys))
     return rank

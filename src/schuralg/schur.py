@@ -360,8 +360,9 @@ def _apply_runs(runs: Sequence[Run], w: Weight) -> dict[Matrix, int]:
     for a, b, m in runs:
         nxt: dict[Matrix, int] = {}
         for rows, v in vec.items():
-            for row_a, row_b, k in _row_move(m, rows[a], rows[b]):
-                key = tuple(row_a if i == a else row_b if i == b else row for i, row in enumerate(rows))
+            new = list(rows)
+            for new[a], new[b], k in _row_move(m, rows[a], rows[b]):
+                key = tuple(new)
                 nxt[key] = nxt[key] + v * k if key in nxt else v * k
         vec = nxt
     return vec
@@ -369,7 +370,7 @@ def _apply_runs(runs: Sequence[Run], w: Weight) -> dict[Matrix, int]:
 
 def _diagonal(w: Sequence[int]) -> Matrix:
     """The diagonal margin matrix diag(w)."""
-    return tuple(tuple(x if i == j else 0 for j in range(len(w))) for i, x in enumerate(w))
+    return tuple((0,) * i + (x,) + (0,) * (len(w) - i - 1) for i, x in enumerate(w))
 
 
 def idempotent(lam: Sequence[int]) -> SchurElement:

@@ -228,11 +228,9 @@ def udot_basis_upto(lam: Sequence[int], mu: Sequence[int], degree: int) -> list[
     the bound, ordered by (degree, pattern lexicographic).
 
     The patterns come from _block_patterns, which builds only those that
-    move lam - mu: cell by cell, carrying the weight still to be moved,
-    and cutting a branch whose positive part exceeds the degree left.
-    The input is refused when all patterns of degree at most the bound
-    (compositions of it into one part per cell and a slack part) number
-    more than TENSOR_SPACE_LIMIT, whatever the block."""
+    move lam - mu.  The input is refused when all patterns of degree at
+    most the bound (compositions of it into one part per cell and a slack
+    part) number more than TENSOR_SPACE_LIMIT, whatever the block."""
     patterns = _basis_patterns(lam, mu, degree)
     zero = UdotElement(len(lam), lam, mu, {})
     one = Fraction(1)
@@ -254,9 +252,9 @@ def _basis_patterns(lam: Sequence[int], mu: Sequence[int], degree: int) -> tuple
 
 
 def _block_images(lam: Sequence[int], mu: Sequence[int]) -> list[dict[Matrix, int]]:
-    """The integer truncations to S(n, |mu|) of the basis
-    udot_basis_upto(lam, mu, |mu|), mu a composition, in its order and
-    refused as it is: the per-pattern images that to_schur sums."""
+    """The integer images in S(n, |mu|) of udot_basis_upto(lam, mu, |mu|),
+    mu a composition, in its order and refused as it is: the rows that
+    to_schur sums, and that psi ranks as they are with integer_rank."""
     return [_apply_runs(_runs(len(lam), p), tuple(mu)) for p in _basis_patterns(lam, mu, sum(mu))]
 
 
@@ -273,9 +271,9 @@ def _block_patterns(n: int, delta: Weight, degree: int) -> tuple[Pattern, ...]:
     the value grows, so are all larger values.  Once the last cell that
     touches an index is placed, that index must have nothing left to move.
     """
-    cells = offdiag_cells(n)
-    last = {k: c for c, cell in enumerate(cells) for k in cell}
-    closes = [[k for k in range(n) if last[k] == c] for c in range(len(cells))]
+    last = {k: c for c, cell in enumerate(offdiag_cells(n)) for k in cell}
+    # (i, j, whether the cell is the last to touch i, and j)
+    cells = [(i, j, last[i] == c, last[j] == c) for c, (i, j) in enumerate(offdiag_cells(n))]
     need = list(delta)
     p = [0] * len(cells)
     out: list[Pattern] = []
@@ -284,16 +282,15 @@ def _block_patterns(n: int, delta: Weight, degree: int) -> tuple[Pattern, ...]:
         if c == len(cells):
             out.append(tuple(p))
             return
-        i, j = cells[c]
+        i, j, close_i, close_j = cells[c]
         a, b = need[i], need[j]
         for v in range(left + 1):
-            pos_v = pos - max(a, 0) + max(a - v, 0) - max(b, 0) + max(b + v, 0)
-            if pos_v + v > left:
+            if pos + v > left:
                 break
-            need[i], need[j] = a - v, b + v
-            if all(need[k] == 0 for k in closes[c]):
-                p[c] = v
-                fill(c + 1, left - v, pos_v)
+            if (v == a or not close_i) and (v == -b or not close_j):
+                need[i], need[j], p[c] = a - v, b + v, v
+                fill(c + 1, left - v, pos)
+            pos += (b + v >= 0) - (a - v > 0)  # need[i] falls from a - v, need[j] rises from b + v
         need[i], need[j] = a, b
 
     fill(0, degree, sum(x for x in delta if x > 0))

@@ -21,6 +21,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
+from operator import sub
 from typing import Iterator, Sequence
 
 from .errors import check_budget
@@ -43,6 +44,7 @@ __all__ = [
     "weight_word",
     "all_words",
     "margin_matrices",
+    "margin_count",
     "row_sums",
     "col_sums",
     "transpose",
@@ -219,6 +221,20 @@ def margin_matrices(lam: Sequence[int], mu: Sequence[int]) -> list[Matrix]:
     any, when the closed-form bound _slice_bound on their number exceeds
     TENSOR_SPACE_LIMIT.
     """
+    return list(_margin_fillings(*_checked_margins(lam, mu)))
+
+
+def _margin_fillings(rows: Weight, cols: Weight) -> Iterator[Matrix]:
+    # a first row leaves the open column sums to the rows below; the last takes them
+    if len(rows) <= 1:
+        yield (cols,) * len(rows)
+        return
+    for row in _bounded_rows(rows[0], cols):
+        for rest in _margin_fillings(rows[1:], tuple(map(sub, cols, row))):
+            yield (row,) + rest
+
+
+def _checked_margins(lam: Sequence[int], mu: Sequence[int]) -> tuple[Weight, Weight]:
     if not (is_composition(lam) and is_composition(mu)):
         raise ValueError("margins must be compositions")
     if len(lam) != len(mu):
@@ -227,19 +243,21 @@ def margin_matrices(lam: Sequence[int], mu: Sequence[int]) -> list[Matrix]:
         raise ValueError("margins must have equal degree")
     bound = _slice_bound(lam, mu)
     check_budget(bound, f"margins {tuple(lam)} and {tuple(mu)} may have {bound} matrices")
-    n = len(lam)
-    out: list[Matrix] = []
+    return tuple(lam), tuple(mu)
 
-    def rec(i: int, remaining_cols: tuple[int, ...], acc: tuple[tuple[int, ...], ...]) -> None:
-        if i == n:
-            if all(c == 0 for c in remaining_cols):
-                out.append(acc)
-            return
-        for row in _bounded_rows(lam[i], remaining_cols):
-            rec(i + 1, tuple(c - x for c, x in zip(remaining_cols, row)), acc + (row,))
 
-    rec(0, tuple(mu), ())
-    return out
+def margin_count(lam: Sequence[int], mu: Sequence[int]) -> int:
+    """len(margin_matrices(lam, mu)), checked and refused as it is, but
+    counted row by row without listing a matrix."""
+    return _margin_count(*_checked_margins(lam, mu))
+
+
+@lru_cache(maxsize=4096)
+def _margin_count(rows: Weight, cols: Weight) -> int:
+    # len(list(_margin_fillings(rows, cols))), by the same recursion
+    if len(rows) <= 1:
+        return 1
+    return sum(_margin_count(rows[1:], tuple(map(sub, cols, row))) for row in _bounded_rows(rows[0], cols))
 
 
 def pair_to_matrix(i: Sequence[int], j: Sequence[int], n: int) -> Matrix:

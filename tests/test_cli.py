@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from schuralg import weights
-from schuralg.cli import main
+from schuralg.cli import PBW_FORMS, main
 from schuralg.errors import ResourceLimitError
 
 
@@ -525,6 +525,51 @@ def test_element_json_fuzz(argv):
         assert out.getvalue() == ""
     else:
         json.loads(out.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
+# Fuzzing the weight commands: weights of one to four entries in [-3, 6],
+# passed as `--lambda=-1,2` or as `--lambda -1,2`, with each command's
+# flags.  basis draws entries up to 2 only: its PBW images of the
+# (4,4,4,4) block alone take about 30 s.
+@st.composite
+def weight_requests(draw):
+    def weight(hi=6):
+        return ",".join(str(draw(st.integers(-3, hi))) for _ in range(draw(st.integers(1, 4))))
+
+    def flag(name, value):
+        return draw(st.sampled_from(([f"{name}={value}"], [name, str(value)])))
+
+    def maybe(name, value):
+        return flag(name, value) if draw(st.booleans()) else []
+
+    command = draw(st.sampled_from(["dim", "kostka", "compositions", "simples", "basis", "udot basis"]))
+    if command == "dim":
+        args = flag("--lambda", weight()) + maybe("--mu", weight()) + maybe("--r", draw(st.integers(-1, 24)))
+    elif command == "kostka":
+        args = flag("--mu", weight()) + flag("--lambda", weight())
+    elif command == "compositions":
+        args = flag("--n", draw(st.integers(-1, 4))) + flag("--r", draw(st.integers(-1, 6)))
+        args += draw(st.sampled_from(([], ["--dominant"])))
+    elif command == "simples":
+        args = flag("--lambda", weight()) + maybe("--window", draw(st.integers(-1, 3)))
+    elif command == "basis":
+        args = ["--kind", draw(st.sampled_from(["xi", "codet", "pbw"]))] + flag("--lambda", weight(2))
+        args += maybe("--mu", weight(2)) + maybe("--form", draw(st.sampled_from(PBW_FORMS)))
+    else:
+        args = flag("--lambda", weight()) + flag("--mu", weight()) + flag("--degree", draw(st.integers(-1, 6)))
+    return draw(st.sampled_from(([], ["--format", "csv"]))) + command.split() + args
+
+
+@settings(max_examples=120, deadline=None)
+@given(weight_requests())
+def test_weight_commands_fuzz(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
     assert "Traceback" not in err.getvalue()
 
 

@@ -1,7 +1,10 @@
 import hashlib
 import json
 import random
+import time
+from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -366,3 +369,30 @@ ENVELOPING_DIGEST = "05002155b1fd1e87bbb79573b415547b8e19019855e82118accfd2477ff
 def test_enveloping_outputs_are_pinned():
     payload = json.dumps(_pinned_cases())
     assert hashlib.sha256(payload.encode()).hexdigest() == ENVELOPING_DIGEST
+
+
+def test_u_multiply_refused_before_straightening():
+    # e^(2,..,2) f^(2,..,2) at n = 4, each root letter squared: degree 24,
+    # which ran for minutes before the product had a guard
+    n = 4
+    zero_pairs, zero_h = (0,) * len(root_pairs(n)), (0,) * n
+    two = (2,) * len(root_pairs(n))
+    e = UElement(n, {(zero_pairs, zero_h, two): 1})
+    f = UElement(n, {(two, zero_h, zero_pairs): 1})
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match=r"a product of degree 24 in U\(gl_4\) straightens 1 term pairs"):
+        u_multiply(e, f)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("n, top", [(1, 8), (2, 8), (3, 5)])
+def test_u_multiply_bound_covers_the_normal_words_of_one_weight(n, top):
+    # the guard's count: at most C(d + k, k) normal words of degree at most
+    # d share a weight, k = n^2 - n + 1
+    npairs = len(root_pairs(n))
+    for d in range(top + 1):
+        by_weight = Counter(
+            monomial_weight(n, (c[:npairs], c[npairs:npairs + n], c[npairs + n:-1]))
+            for c in compositions(n * n + 1, d)
+        )
+        assert max(by_weight.values()) <= comb(d + n * n - n + 1, n * n - n + 1)

@@ -10,6 +10,7 @@ from schuralg.exact_linalg import (
     SparseCombination,
     exact_rank,
     integer_det,
+    integer_rank,
     unimodular_change,
 )
 
@@ -196,6 +197,30 @@ def test_exact_rank_fractions():
 def test_exact_rank_matches_naive(rows):
     vectors = [{j: Fraction(x) for j, x in enumerate(row)} for row in rows]
     assert exact_rank(vectors) == naive_rank(vectors)
+
+
+def test_integer_rank_matches_exact_rank():
+    # seeded integer rows: a few random rows, integer combinations of them
+    # (so most sets are rank-deficient), empty rows and explicit zeros
+    rng = random.Random(15)
+    for _ in range(300):
+        ncols = rng.randint(1, 6)
+        base = [{j: rng.randint(-4, 4) for j in range(ncols) if rng.random() < 0.6} for _ in range(rng.randint(0, 4))]
+        rows = [dict(v) for v in base]
+        for _ in range(rng.randint(0, 4)):
+            combo = dict.fromkeys(range(ncols), 0)
+            for v in base:
+                c = rng.randint(-2, 2)
+                for k, x in v.items():
+                    combo[k] += c * x
+            rows.append(combo)
+        rows += [{}] * rng.randint(0, 2)
+        rng.shuffle(rows)
+        rank = integer_rank(rows)
+        assert rank == exact_rank(rows) == naive_rank(rows)
+        assert rank <= len(base)
+    assert integer_rank([]) == 0
+    assert integer_rank([{"a": 0}, {}]) == 0
 
 
 def test_integer_det():

@@ -604,6 +604,7 @@ def test_row_move_refuses_what_pair_product_refuses():
 def test_caches_are_bounded():
     caches = {
         weights._kostka_cached: 1 << 16,
+        weights._margin_count: 4096,
         schur._pair_product: 4096,
         schur._slices: 4096,
         schur.orbit_endo: 512,
@@ -631,6 +632,7 @@ def test_caches_are_bounded():
         assert fn.cache_info().maxsize == maxsize
     schur_multiply(xi(((1, 1), (1, 1))), xi(((1, 1), (1, 1))))
     weights.kostka((3, 2), (1, 1, 1, 1, 1))
+    weights.margin_count((2, 1, 1), (1, 2, 1))
     orbit_endo(((1, 1), (1, 1)))
     _lift(3, (1, 0, 0, 0, 0, 1))
     enveloping.verify_weight_idempotent((2, 1))

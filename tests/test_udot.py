@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 import re
 from fractions import Fraction
@@ -38,7 +40,7 @@ from schuralg.udot import (
     udot_relabel,
     udot_zero,
 )
-from schuralg.verify import suite_psi
+from schuralg.verify import run_suite, suite_psi
 from schuralg.weights import (
     composition_count,
     compositions,
@@ -588,3 +590,24 @@ def test_gl2_table_json():
 def test_udot_json_roundtrip():
     u = udot_element((2, -1), (1, 0), (1, 0)).scale(Fraction(5, 3))
     assert UdotElement.from_json(u.to_json()) == u
+
+
+# SHA-256 of the sorted-key JSON of the psi report at n_max = 3, r_max = 6,
+# recorded while psi ranked Fraction images and listed every margin matrix
+PSI_3_6_DIGEST = "7abf5c2812b106546ff0e0ae036e53ec71e0ddbe2e67bc8f5d755fea8b501b81"
+
+
+def test_psi_report_above_the_default_is_pinned():
+    payload = json.dumps(run_suite("psi", n_max=3, r_max=6).to_json(), sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == PSI_3_6_DIGEST
+
+
+def test_psi_ranks_every_image(monkeypatch):
+    # an image outside its block, after the block's full rank is reached,
+    # must still fail the row
+    real = udot._block_images
+    stray = {((1, 1), (1, 0)): 1}
+    monkeypatch.setattr(udot, "_block_images", lambda lam, mu: real(lam, mu) + [stray] * (lam == mu == (1, 1)))
+    report = run_suite("psi", n_max=2, r_max=2)
+    failed = {c.id: c.witness for c in report.checks if not c.passed}
+    assert failed == {"psi-surjective-n2-r2": "rank short at lam=(1, 1) mu=(1, 1)"}

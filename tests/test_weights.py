@@ -20,6 +20,7 @@ from schuralg.weights import (
     is_composition,
     is_dominant,
     kostka,
+    margin_count,
     margin_matrices,
     orbit_size,
     pair_to_matrix,
@@ -174,6 +175,32 @@ def test_margin_matrices_validates():
         margin_matrices((1, 0), (2, 0))
     with pytest.raises(ValueError):
         margin_matrices((1, 0), (1, 0, 0))
+
+
+def test_margin_count_matches_listing():
+    for n in range(1, 5):
+        for r in range(7):
+            lams = compositions(n, r)
+            for lam, mu in itertools.product(lams, lams):
+                assert margin_count(lam, mu) == len(margin_matrices(lam, mu)), (lam, mu)
+
+
+@pytest.mark.parametrize(
+    "lam, mu",
+    [
+        ((1, -1), (0, 0)),
+        ((1, 0), (2, 0)),
+        ((1, 0), (1, 0, 0)),
+        ((1,) * 8, (1,) * 8),
+        ((30, 30, 30, 30), (30, 30, 30, 30)),
+    ],
+)
+def test_margin_count_refuses_as_listing(lam, mu):
+    with pytest.raises((ValueError, ResourceLimitError)) as listed:
+        margin_matrices(lam, mu)
+    with pytest.raises(listed.type) as counted:
+        margin_count(lam, mu)
+    assert str(counted.value) == str(listed.value)
 
 
 def test_pair_to_matrix():
