@@ -38,7 +38,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .errors import check_budget
-from .exact_linalg import CoordinateSolver, _clear_denominators, exact_rank
+from .exact_linalg import CoordinateSolver, integer_rank
 from .schur import SchurElement, _pair_product, involution, schur_multiply
 from .weights import (
     Matrix,
@@ -80,8 +80,8 @@ def codeterminant(nu: Sequence[int], i: Sequence[int], j: Sequence[int]) -> Schu
     ell = weight_word(nu)
     if len(i) != len(ell) or len(j) != len(ell):
         raise ValueError("words must have the degree of the shape")
-    left = SchurElement(n, len(ell), {pair_to_matrix(tuple(i), ell, n): Fraction(1)})
-    right = SchurElement(n, len(ell), {pair_to_matrix(ell, tuple(j), n): Fraction(1)})
+    left = SchurElement(n, len(ell), {pair_to_matrix(tuple(i), ell, n): 1})
+    right = SchurElement(n, len(ell), {pair_to_matrix(ell, tuple(j), n): 1})
     return schur_multiply(left, right)
 
 
@@ -186,7 +186,6 @@ class CellDatum:
         self.cells = codet_basis(self.lam, self.lam)
         self.keys = [(c.shape, c.left.row_word, c.right.row_word) for c in self.cells]
         self.multipliers = margin_matrices(self.lam, self.lam)
-        self._integer_cells = [_clear_denominators(c.value.terms) for c in self.cells]
         self._solved: dict[tuple[Matrix, Matrix], list[int] | None] = {}
         self._coords: dict[tuple[Matrix, int, bool], tuple[list[int], int] | None] = {}
 
@@ -204,8 +203,8 @@ class CellDatum:
         cells, which must be independent."""
         if (a, k, right) in self._coords:
             return self._coords[a, k, right]
-        w, s = self._integer_cells[k]
-        pairs = [((b, a) if right else (a, b), v) for b, v in w.items()]
+        value = self.cells[k].value
+        pairs = [((b, a) if right else (a, b), v) for b, v in value.num.items()]
         out: list[int] | None = [0] * len(self.cells)
         for xy, v in pairs:
             if xy not in self._solved:
@@ -221,7 +220,7 @@ class CellDatum:
             for i, c in enumerate(self._solved[xy]):
                 if c:
                     out[i] += v * c
-        self._coords[a, k, right] = None if out is None else (out, self.solver.den * s)
+        self._coords[a, k, right] = None if out is None else (out, self.solver.den * value.den)
         return self._coords[a, k, right]
 
     def axioms(self) -> CellReport:
@@ -234,7 +233,7 @@ class CellDatum:
         # are independent; the solver's one elimination decides the latter
         axiom_a = len(cells) == dim and self.solver is not None
         if not axiom_a:
-            rank = exact_rank([c.value.terms for c in cells])
+            rank = integer_rank([c.value.num for c in cells])
             witnesses.append({"axiom": "a", "cell_count": len(cells), "dim": dim, "rank": rank})
 
         axiom_b = True

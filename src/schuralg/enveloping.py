@@ -15,11 +15,11 @@ letter, paying the bracket as a lower-degree correction.  The recursion
 is memoized on (normal word, letter) and terminates by induction on word
 length.  Its cache and the one on pairs of normal words are bounded
 (2^17 and 4096 entries); all products in the gl_3 block at (0,0,0) up to
-degree 8 fill 69,642 insert entries, so they evict nothing.  Element
-coefficients are exact rationals, but bracket corrections are integers:
-_straighten, the one straightener of U(gl_n) and udot, sums normal words
-in integers over one common denominator, and a Fraction is built only
-for an output term.
+degree 8 fill 69,642 insert entries, so they evict nothing.  Bracket
+corrections are integers, and an element holds integer numerators over
+one denominator: _straighten, the one straightener of U(gl_n) and udot,
+sums normal words in integers, and a product's denominator is the
+product of its factors'.
 
 Divided powers X^(a) = X^a / a! and binomial diagonals binom(H_i, b) are
 derived views on top of plain-power coordinates; binom(H, b) is kept as
@@ -55,7 +55,7 @@ from math import factorial, prod
 from typing import Mapping, Sequence
 
 from .errors import check_budget
-from .exact_linalg import SparseCombination, _clear_denominators
+from .exact_linalg import SparseCombination
 from .schur import (
     Run,
     SchurElement,
@@ -156,17 +156,16 @@ def _word_product(w1: tuple[Unit, ...], w2: tuple[Unit, ...]) -> tuple[tuple[tup
 
 
 def _straighten(
-    products: Mapping[tuple[tuple[Unit, ...], tuple[Unit, ...]], Fraction],
-) -> tuple[dict[tuple[Unit, ...], int], int]:
-    """(words, den): the normal form of sum c * w1 w2 over the products
-    {(w1, w2): c} of normal words, as integer coefficients by normal word
-    over one common denominator."""
-    ints, den = _clear_denominators(products)
+    products: Mapping[tuple[tuple[Unit, ...], tuple[Unit, ...]], int],
+) -> dict[tuple[Unit, ...], int]:
+    """The normal form of sum c * w1 w2 over the products {(w1, w2): c}
+    of normal words, c integer numerators over the caller's denominator,
+    as integer numerators by normal word over the same denominator."""
     words: dict[tuple[Unit, ...], int] = {}
-    for pair, c in ints.items():
+    for pair, c in products.items():
         for word, k in _word_product(*pair):
             words[word] = words[word] + c * k if word in words else c * k
-    return words, den
+    return words
 
 
 def _monomial_word(n: int, m: PBWMonomial) -> tuple[Unit, ...]:
@@ -233,20 +232,20 @@ class UElement(SparseCombination):
         return u_multiply(self, other)
 
     def __repr__(self) -> str:
-        return f"UElement(n={self.n}, {len(self.terms)} terms)"
+        return f"UElement(n={self.n}, {len(self.num)} terms)"
 
 
 def u_one(n: int) -> UElement:
     npairs = len(root_pairs(n))
     unit_mono: PBWMonomial = ((0,) * npairs, (0,) * n, (0,) * npairs)
-    return UElement(n, {unit_mono: Fraction(1)})
+    return UElement(n, {unit_mono: 1})
 
 
 def matrix_unit(n: int, a: int, b: int) -> UElement:
     """The generator for matrix unit (a, b) as a one-letter element."""
     if not (1 <= a <= n and 1 <= b <= n):
         raise ValueError("unit indices out of range")
-    return UElement(n, {_word_monomial(n, ((a, b),)): Fraction(1)})
+    return UElement(n, {_word_monomial(n, ((a, b),)): 1})
 
 
 def u_multiply(x: UElement, y: UElement) -> UElement:
@@ -261,18 +260,18 @@ def u_multiply(x: UElement, y: UElement) -> UElement:
     """
     x._check_space(y)
     n = x.n
-    d = sum(max(map(monomial_degree, z.terms), default=0) for z in (x, y))
-    pairs = len(x.terms) * len(y.terms)
-    words = prod(len({monomial_weight(n, m) for m in z.terms}) for z in (x, y)) * composition_count(n * n - n + 2, d)
+    d = sum(max(map(monomial_degree, z.num), default=0) for z in (x, y))
+    pairs = len(x.num) * len(y.num)
+    words = prod(len({monomial_weight(n, m) for m in z.num}) for z in (x, y)) * composition_count(n * n - n + 2, d)
     what = f"a product of degree {d} in U(gl_{n}) straightens {pairs} term pairs into up to {words} words"
     check_budget(pairs + words, what)
     products = {
         (_monomial_word(n, m1), _monomial_word(n, m2)): c1 * c2
-        for m1, c1 in x.terms.items()
-        for m2, c2 in y.terms.items()
+        for m1, c1 in x.num.items()
+        for m2, c2 in y.num.items()
     }
-    words, den = _straighten(products)
-    return x._new({_word_monomial(n, w): Fraction(c, den) for w, c in words.items()})
+    words = _straighten(products)
+    return x._new({_word_monomial(n, w): c for w, c in words.items()}, x.den * y.den)
 
 
 def u_relabel(x: UElement, w: Sequence[int]) -> UElement:
@@ -287,10 +286,10 @@ def u_relabel(x: UElement, w: Sequence[int]) -> UElement:
         raise ValueError(f"need a permutation of 1..{n}")
     products = {
         ((), tuple((w[a - 1], w[b - 1]) for a, b in _monomial_word(n, m))): c
-        for m, c in x.terms.items()
+        for m, c in x.num.items()
     }
-    words, den = _straighten(products)
-    return x._new({_word_monomial(n, nw): Fraction(c, den) for nw, c in words.items()})
+    words = _straighten(products)
+    return x._new({_word_monomial(n, nw): c for nw, c in words.items()}, x.den)
 
 
 @lru_cache(maxsize=256)
@@ -344,11 +343,11 @@ def divided_monomial(
     zero_h = (0,) * n
     hterms = _h_binom_terms(n, b)
     if side == "fe":
-        return UElement(n, {(fexp, h, eexp): Fraction(c, den) for h, c in hterms})
+        return UElement(n)._new({(fexp, h, eexp): c for h, c in hterms}, den)
     if side == "ef":
-        epart = UElement(n, {(zero_pair, zero_h, eexp): Fraction(1, den)})
+        epart = UElement(n)._new({(zero_pair, zero_h, eexp): 1}, den)
         hpart = UElement(n, {(zero_pair, h, zero_pair): c for h, c in hterms})
-        fpart = UElement(n, {(fexp, zero_h, zero_pair): Fraction(1)})
+        fpart = UElement(n, {(fexp, zero_h, zero_pair): 1})
         return u_multiply(epart, u_multiply(hpart, fpart))
     raise ValueError("side must be 'fe' or 'ef'")
 
@@ -365,16 +364,17 @@ def integrality_coords(
     so the elimination is triangular.
     """
     n = x.n
-    groups: dict[tuple[tuple[int, ...], tuple[int, ...]], dict[tuple[int, ...], Fraction]] = {}
-    for (f, h, e), c in x.terms.items():
+    groups: dict[tuple[tuple[int, ...], tuple[int, ...]], dict[tuple[int, ...], int]] = {}
+    for (f, h, e), c in x.num.items():
         groups.setdefault((f, e), {})[h] = c
+    # the work holds integer numerators over x.den
     coords: dict[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], Fraction] = {}
     for (f, e), work in groups.items():
         scale_fe = prod(map(factorial, f + e))
         while work:
             b = max(work, key=lambda h: (sum(h), h))
             coeff = work.pop(b)
-            coords[(f, b, e)] = coeff * prod(map(factorial, b)) * scale_fe
+            coords[(f, b, e)] = Fraction(coeff * prod(map(factorial, b)) * scale_fe, x.den)
             for h, c in _h_binom_terms(n, b)[:-1]:
                 work[h] = work.get(h, 0) - coeff * c
                 if not work[h]:
@@ -387,8 +387,8 @@ def tensor_rep(x: UElement, r: int) -> TensorEndo:
     """Action on all of degree-r tensor space: an algebra homomorphism.
     Each monomial acts on a word one unit at a time, rightmost first."""
     check_tensor_scale(x.n, r)
-    units = [(c, _monomial_word(x.n, m)[::-1]) for m, c in x.terms.items()]
-    out: dict[tuple[Word, Word], Fraction] = {}
+    units = [(c, _monomial_word(x.n, m)[::-1]) for m, c in x.num.items()]
+    out: dict[tuple[Word, Word], int] = {}
     for k in all_words(x.n, r):
         for coeff, word in units:
             v = {k: coeff}
@@ -396,23 +396,23 @@ def tensor_rep(x: UElement, r: int) -> TensorEndo:
                 v = _apply_unit(unit, v)
             for l, c in v.items():
                 out[l, k] = out[l, k] + c if (l, k) in out else c
-    return TensorEndo(x.n, r, out)
+    return TensorEndo(x.n, r, {})._new(out, x.den)
 
 
-def _apply_unit(unit: Unit, vec: Mapping[tuple[int, ...], Fraction]) -> dict:
+def _apply_unit(unit: Unit, vec: Mapping[tuple[int, ...], int]) -> dict:
     a, b = unit
-    out: dict[tuple[int, ...], Fraction] = {}
+    out: dict[tuple[int, ...], int] = {}
     if a == b:
         for w, c in vec.items():
             m = sum(1 for v in w if v == a)
             if m:
-                out[w] = out.get(w, Fraction(0)) + m * c
+                out[w] = out.get(w, 0) + m * c
         return out
     for w, c in vec.items():
         for p, v in enumerate(w):
             if v == b:
                 w2 = w[:p] + (a,) + w[p + 1:]
-                out[w2] = out.get(w2, Fraction(0)) + c
+                out[w2] = out.get(w2, 0) + c
     return {w: c for w, c in out.items() if c != 0}
 
 
@@ -486,4 +486,4 @@ def pbw_image(a: Matrix, form: str = "fe") -> SchurElement:
         mid = minus_weight(a) if form == "fe-middle" else plus_weight(a)
         if _runs_weight(first, mu) != mid:
             return out
-    return out._new({m: Fraction(v) for m, v in _apply_runs(first + second, mu).items()})
+    return out._new(_apply_runs(first + second, mu))

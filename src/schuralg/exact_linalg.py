@@ -10,15 +10,15 @@ with one common denominator, so a coordinate becomes a Fraction only when
 it is returned.  Sizes here are desk scale (hundreds of rows at most);
 nothing is tuned beyond that.
 
-SparseCombination is the shared vector type of the algebra elements: a
-mapping from basis keys to nonzero Fractions inside one fixed space, with
-the linear structure (sums, scaling, equality) defined once here.
+SparseCombination is the one coefficient format of the algebra elements:
+integer numerators over one denominator in one fixed space, with the
+linear structure defined once here.  Only this module clears denominators.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Hashable, Mapping, Sequence
 
 __all__ = [
@@ -34,36 +34,46 @@ __all__ = [
 class SparseCombination:
     """Exact rational combination of hashable basis keys in one space.
 
-    `terms` maps keys to nonzero Fractions; zero coefficients are dropped
-    on construction, so equality is plain dict equality.  A subclass lists
-    the attributes that fix its space in `_space_attrs`, validates keys
-    where terms enter from outside (its own constructor), and adds its
-    type-specific operations.  Elements are values, but not hashable.
+    Key k has coefficient num[k] / den: nonzero integer numerators over one
+    positive denominator, with gcd 1, so equality is plain comparison and
+    `terms` is a read-only Fraction view.  A subclass lists the attributes
+    that fix its space in `_space_attrs`, validates keys where terms enter
+    from outside (its own constructor), and adds its type-specific
+    operations.  Elements are values, but not hashable.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("num", "den")
     _space_attrs: tuple[str, ...] = ()
 
     def __init__(self, terms: Mapping[Hashable, object] | None = None):
-        clean: dict[Hashable, Fraction] = {}
-        for k, c in (terms or {}).items():
-            if type(c) is not Fraction:
-                c = Fraction(c)
-            if c:
-                clean[k] = c
-        self.terms = clean
+        terms = terms or {}
+        if all(type(c) is int for c in terms.values()):
+            self._set(terms, 1)
+        else:
+            self._set(*_clear_denominators({k: Fraction(c) for k, c in terms.items()}))
+
+    def _set(self, num: Mapping[Hashable, int], den: int) -> None:
+        num = {k: c for k, c in num.items() if c}
+        g = gcd(den, *num.values()) if den != 1 else 1  # integral input skips the gcd
+        if g != 1:
+            num = {k: c // g for k, c in num.items()}
+        self.num, self.den = num, den // g
+
+    @property
+    def terms(self) -> dict[Hashable, Fraction]:
+        return {k: Fraction(c, self.den) for k, c in self.num.items()}
 
     @property
     def space(self) -> tuple:
         return tuple(getattr(self, name) for name in self._space_attrs)
 
-    def _new(self, terms: Mapping[Hashable, Fraction]) -> "SparseCombination":
-        """Element of the same space from Fraction terms computed
-        internally (keys already valid); only zeros are dropped."""
+    def _new(self, num: Mapping[Hashable, int], den: int = 1) -> "SparseCombination":
+        """Element of the same space with coefficients num / den, from
+        integers computed internally (keys already valid, den > 0)."""
         out = object.__new__(type(self))
         for name in self._space_attrs:
             setattr(out, name, getattr(self, name))
-        out.terms = {k: c for k, c in terms.items() if c}
+        out._set(num, den)
         return out
 
     def _check_space(self, other: "SparseCombination") -> None:
@@ -72,32 +82,35 @@ class SparseCombination:
 
     def __add__(self, other: "SparseCombination") -> "SparseCombination":
         self._check_space(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out[k] + c if k in out else c
-        return self._new(out)
+        den = lcm(self.den, other.den)
+        s, t = den // self.den, den // other.den
+        out = {k: c * s for k, c in self.num.items()}
+        for k, c in other.num.items():
+            out[k] = out[k] + c * t if k in out else c * t
+        return self._new(out, den)
 
     def __sub__(self, other: "SparseCombination") -> "SparseCombination":
         return self + other.scale(-1)
 
     def scale(self, c: Fraction | int) -> "SparseCombination":
-        c = Fraction(c)
-        return self._new({k: v * c for k, v in self.terms.items()})
+        if type(c) is not int:
+            c = Fraction(c)
+        return self._new({k: v * c.numerator for k, v in self.num.items()}, self.den * c.denominator)
 
     def __rmul__(self, c: Fraction | int) -> "SparseCombination":
         return self.scale(c)
 
     def __eq__(self, other: object) -> bool:
-        return type(other) is type(self) and self.space == other.space and self.terms == other.terms
+        return type(other) is type(self) and (self.space, self.den, self.num) == (other.space, other.den, other.num)
 
     __hash__ = None
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.terms.values())
+        return self.den == 1
 
 
 def _clear_denominators(v: Mapping[Hashable, Fraction]) -> tuple[dict[Hashable, int], int]:

@@ -43,9 +43,9 @@ products against them, and the gbasis and gl2 suites take exact ranks of
 their entries.
 
 Weight idempotents are the diagonal matrices: they project onto the span
-of words of one fixed weight.  All arithmetic is exact (integers inside
-a product, Fraction coefficients on elements); all operations are pure
-functions safe for concurrent use.
+of words of one fixed weight.  All arithmetic is exact and in integers
+(an element holds integer numerators over one denominator); all
+operations are pure functions safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from operator import add, sub
 from typing import Mapping, Sequence
 
 from .errors import SYMMETRIC_GROUP_MAX_R, TENSOR_SPACE_LIMIT, ResourceLimitError, check_budget
-from .exact_linalg import SparseCombination, _clear_denominators
+from .exact_linalg import SparseCombination
 from .weights import (
     Matrix,
     Perm,
@@ -105,8 +105,8 @@ def check_tensor_scale(n: int, r: int) -> None:
 
 
 class TensorEndo(SparseCombination):
-    """Sparse endomorphism of degree-r tensor space over n letters: its
-    entries map (output word, input word) to a nonzero Fraction."""
+    """Sparse endomorphism of degree-r tensor space over n letters, keyed
+    by (output word, input word); entries is the Fraction view."""
 
     __slots__ = ("n", "r")
     _space_attrs = ("n", "r")
@@ -123,18 +123,18 @@ class TensorEndo(SparseCombination):
     def compose(self, other: "TensorEndo") -> "TensorEndo":
         """self after other (matrix product self . other)."""
         self._check_space(other)
-        by_input: dict[Word, list[tuple[Word, Fraction]]] = {}
-        for (l, j), c in self.terms.items():
+        by_input: dict[Word, list[tuple[Word, int]]] = {}
+        for (l, j), c in self.num.items():
             by_input.setdefault(j, []).append((l, c))
-        out: dict[tuple[Word, Word], Fraction] = {}
-        for (j, k), c in other.terms.items():
+        out: dict[tuple[Word, Word], int] = {}
+        for (j, k), c in other.num.items():
             for l, d in by_input.get(j, ()):
                 key = (l, k)
-                out[key] = out.get(key, Fraction(0)) + d * c
-        return self._new(out)
+                out[key] = out.get(key, 0) + d * c
+        return self._new(out, self.den * other.den)
 
     def __repr__(self) -> str:
-        return f"TensorEndo(n={self.n}, r={self.r}, {len(self.terms)} entries)"
+        return f"TensorEndo(n={self.n}, r={self.r}, {len(self.num)} entries)"
 
 
 def _validate_margin_matrix(a: Matrix) -> tuple[int, int]:
@@ -170,15 +170,14 @@ def orbit_endo(a: Matrix) -> TensorEndo:
     """Endomorphism of the orbit-basis element for margin matrix a."""
     n, r = _validate_margin_matrix(a)
     check_tensor_scale(n, r)
-    one = Fraction(1)
     return TensorEndo(
-        n, r, {(l, k): one for k in words_of_weight(col_sums(a)) for l in _orbit_images(a, k)}
+        n, r, {(l, k): 1 for k in words_of_weight(col_sums(a)) for l in _orbit_images(a, k)}
     )
 
 
 class SchurElement(SparseCombination):
     """Exact rational combination of orbit-basis elements of one Schur
-    algebra, stored as a mapping margin matrix -> Fraction."""
+    algebra: integer numerators by margin matrix over one denominator."""
 
     __slots__ = ("n", "r")
     _space_attrs = ("n", "r")
@@ -197,14 +196,13 @@ class SchurElement(SparseCombination):
         return schur_multiply(self, other)
 
     def __repr__(self) -> str:
-        return f"SchurElement(n={self.n}, r={self.r}, {len(self.terms)} terms)"
+        return f"SchurElement(n={self.n}, r={self.r}, {len(self.num)} terms)"
 
     # -- serialization ---------------------------------------------------
 
     def to_json(self) -> dict:
         terms = []
-        for a in sorted(self.terms, key=lambda m: tuple(e for row in m for e in row)):
-            c = self.terms[a]
+        for a, c in sorted(self.terms.items(), key=lambda t: tuple(e for row in t[0] for e in row)):
             terms.append(
                 {
                     "matrix": [list(row) for row in a],
@@ -232,12 +230,10 @@ def _json_int(x: object) -> int:
 
 
 def endo_of(x: SchurElement) -> TensorEndo:
-    """Faithful action of an element on tensor space."""
+    """Faithful action of an element on tensor space (orbits are disjoint)."""
     check_tensor_scale(x.n, x.r)
-    out = TensorEndo(x.n, x.r, {})
-    for a, c in x.terms.items():
-        out = out + orbit_endo(a).scale(c)
-    return out
+    entries = {key: c for a, c in x.num.items() for key in orbit_endo(a).num}
+    return TensorEndo(x.n, x.r, {})._new(entries, x.den)
 
 
 def element_from_endo(endo: TensorEndo) -> SchurElement:
@@ -250,10 +246,10 @@ def element_from_endo(endo: TensorEndo) -> SchurElement:
     only partly present), so a successful decode doubles as an
     equivariance check.
     """
-    terms: dict[Matrix, Fraction] = {}
-    for (l, k), c in endo.terms.items():
+    terms: dict[Matrix, int] = {}
+    for (l, k), c in endo.num.items():
         terms.setdefault(pair_to_matrix(l, k, endo.n), c)
-    out = SchurElement(endo.n, endo.r, terms)
+    out = SchurElement(endo.n, endo.r, terms).scale(Fraction(1, endo.den))
     if endo_of(out) != endo:
         raise ValueError("endomorphism is not in the orbit-basis span")
     return out
@@ -302,20 +298,19 @@ def _pair_product(a: Matrix, b: Matrix) -> tuple[tuple[Matrix, int], ...]:
 
 def schur_multiply(x: SchurElement, y: SchurElement) -> SchurElement:
     """Product in the Schur algebra, by Green's rule on each pair of
-    orbit elements whose inner weights agree, with integer coefficients
-    over a common denominator."""
+    orbit elements whose inner weights agree, in integer numerators over
+    the product of the denominators."""
     x._check_space(y)
-    by_row: dict[Weight, list[tuple[Matrix, Fraction]]] = {}
-    for b, d in y.terms.items():
+    by_row: dict[Weight, list[tuple[Matrix, int]]] = {}
+    for b, d in y.num.items():
         by_row.setdefault(row_sums(b), []).append((b, d))
-    pairs, den = _clear_denominators(
-        {(a, b): c * d for a, c in x.terms.items() for b, d in by_row.get(col_sums(a), ())}
-    )
     out: dict[Matrix, int] = {}
-    for (a, b), v in pairs.items():
-        for m, k in _pair_product(a, b):
-            out[m] = out[m] + v * k if m in out else v * k
-    return x._new({m: Fraction(v, den) for m, v in out.items()})
+    for a, c in x.num.items():
+        for b, d in by_row.get(col_sums(a), ()):
+            v = c * d
+            for m, k in _pair_product(a, b):
+                out[m] = out[m] + v * k if m in out else v * k
+    return x._new(out, x.den * y.den)
 
 
 # a divided power e_ab^(m) as (a, b, m), 0-based rows a != b
@@ -378,7 +373,7 @@ def idempotent(lam: Sequence[int]) -> SchurElement:
     projecting tensor space onto words of weight lam."""
     if not is_composition(lam):
         raise ValueError("weight idempotents need a composition")
-    return SchurElement(len(lam), sum(lam), {_diagonal(lam): Fraction(1)})
+    return SchurElement(len(lam), sum(lam), {_diagonal(lam): 1})
 
 
 def identity_element(n: int, r: int) -> SchurElement:
@@ -395,16 +390,14 @@ def hom_basis(lam: Sequence[int], mu: Sequence[int]) -> list[SchurElement]:
     r = sum(lam)
     n = len(lam)
     return [
-        SchurElement(n, r, {a: Fraction(1)}) for a in margin_matrices(lam, mu)
+        SchurElement(n, r, {a: 1}) for a in margin_matrices(lam, mu)
     ]
 
 
 def involution(x: SchurElement) -> SchurElement:
     """Transpose on margin matrices; an anti-automorphism swapping the
     (lam, mu) and (mu, lam) blocks."""
-    return SchurElement(
-        x.n, x.r, {transpose(a): c for a, c in x.terms.items()}
-    )
+    return x._new({transpose(a): c for a, c in x.num.items()}, x.den)
 
 
 def weyl_relabel(x: SchurElement, w: Perm) -> SchurElement:
@@ -413,13 +406,13 @@ def weyl_relabel(x: SchurElement, w: Perm) -> SchurElement:
     if len(w) != x.n or sorted(w) != list(range(1, x.n + 1)):
         raise ValueError(f"need a permutation of 1..{x.n}")
     out = {}
-    for a, c in x.terms.items():
+    for a, c in x.num.items():
         b = [[0] * x.n for _ in range(x.n)]
         for i in range(x.n):
             for j in range(x.n):
                 b[w[i] - 1][w[j] - 1] = a[i][j]
         out[tuple(tuple(row) for row in b)] = c
-    return SchurElement(x.n, x.r, out)
+    return x._new(out, x.den)
 
 
 def perm_matrix(p: Perm) -> Matrix:
@@ -442,7 +435,7 @@ class SymmetricGroupTable:
     permutations: tuple[Perm, ...]
 
     def to_element(self, p: Perm) -> SchurElement:
-        return SchurElement(self.r, self.r, {perm_matrix(p): Fraction(1)})
+        return SchurElement(self.r, self.r, {perm_matrix(p): 1})
 
     def from_matrix(self, a: Matrix) -> Perm:
         n = len(a)
@@ -484,7 +477,7 @@ def symmetric_group_iso(r: int) -> SymmetricGroupTable:
 def weight_components(x: SchurElement) -> dict[tuple[Weight, Weight], SchurElement]:
     """Split an element into its weight-block components."""
     out: dict[tuple[Weight, Weight], dict] = {}
-    for a, c in x.terms.items():
+    for a, c in x.num.items():
         key = (row_sums(a), col_sums(a))
         out.setdefault(key, {})[a] = c
-    return {k: SchurElement(x.n, x.r, v) for k, v in out.items()}
+    return {k: x._new(v, x.den) for k, v in out.items()}

@@ -38,9 +38,10 @@ into normal words f^x H^m e^y, sums them, and decodes the sum once: read
 right to left, a raising letter moves the weight from mu, each H_i
 evaluates to entry i of the weight it meets, and the off-diagonal letters
 count into the pattern, whose factorials turn plain powers into divided
-ones.  That path also works for n = 2 and the tests keep it as the oracle
-for the closed form.  Products of integer-coefficient elements stay
-integral.
+ones.  The lifted words carry integer numerators over the element's
+denominator times the lcm of the d (_lifted).  That path also works for
+n = 2 and the tests keep it as the oracle for the closed form.  Products
+of integer-coefficient elements stay integral.
 
 to_schur is the degree-r truncation, an algebra map onto the matching
 weight block of the Schur algebra; weights that are not compositions of
@@ -61,12 +62,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 from typing import Mapping, Sequence
 
 from .enveloping import _offdiag_runs, _straighten
 from .errors import SYMMETRIC_GROUP_MAX_R, ResourceLimitError, check_budget
-from .exact_linalg import SparseCombination, _clear_denominators, exact_rank
+from .exact_linalg import SparseCombination, integer_rank
 from .schur import Run, SchurElement, _apply_runs, _json_int
 from .weights import Matrix, Weight, _check_composition_count, composition_count, permute_weight
 
@@ -174,7 +175,7 @@ class UdotElement(SparseCombination):
 
     def __eq__(self, other: object) -> bool:
         if self._zero_pair(other):
-            return self.terms == other.terms
+            return self.num == other.num
         return super().__eq__(other)
 
     def __mul__(self, other: "UdotElement") -> "UdotElement":
@@ -183,16 +184,16 @@ class UdotElement(SparseCombination):
     def __repr__(self) -> str:
         return (
             f"UdotElement(n={self.n}, left={self.left}, right={self.right}, "
-            f"{len(self.terms)} terms)"
+            f"{len(self.num)} terms)"
         )
 
     def to_json(self) -> dict:
         terms = [
             {
                 "pattern": [list(row) for row in pattern_matrix(p, self.n)],
-                "coeff": str(self.terms[p]),
+                "coeff": str(c),
             }
-            for p in sorted(self.terms)
+            for p, c in sorted(self.terms.items())
         ]
         return {
             "n": self.n,
@@ -220,7 +221,7 @@ def udot_zero(n: int, left: Sequence[int], right: Sequence[int]) -> UdotElement:
 
 def udot_element(left: Sequence[int], right: Sequence[int], pattern: Pattern) -> UdotElement:
     """Single basis element of the (left, right) block."""
-    return UdotElement(len(left), left, right, {tuple(pattern): Fraction(1)})
+    return UdotElement(len(left), left, right, {tuple(pattern): 1})
 
 
 def udot_basis_upto(lam: Sequence[int], mu: Sequence[int], degree: int) -> list[UdotElement]:
@@ -233,8 +234,7 @@ def udot_basis_upto(lam: Sequence[int], mu: Sequence[int], degree: int) -> list[
     part) number more than TENSOR_SPACE_LIMIT, whatever the block."""
     patterns = _basis_patterns(lam, mu, degree)
     zero = UdotElement(len(lam), lam, mu, {})
-    one = Fraction(1)
-    return [zero._new({p: one}) for p in patterns]
+    return [zero._new({p: 1}) for p in patterns]
 
 
 def _basis_patterns(lam: Sequence[int], mu: Sequence[int], degree: int) -> tuple[Pattern, ...]:
@@ -314,13 +314,21 @@ def _lift(n: int, p: Pattern) -> tuple[Letters, int]:
     return word, prod(map(factorial, p))
 
 
+def _lifted(u: UdotElement) -> tuple[list[tuple[Letters, int]], int]:
+    """(pairs, den): u as integer numerators of its lifted words over one
+    denominator, den = u.den times the lcm of the factorial products."""
+    lifts = [(_lift(u.n, p), c) for p, c in u.num.items()]
+    s = lcm(*(d for (_, d), _ in lifts))
+    return [(word, c * (s // d)) for (word, d), c in lifts], u.den * s
+
+
 def _from_words(
-    n: int, products: Mapping[tuple[Letters, Letters], Fraction], left: Weight, right: Weight
+    n: int, products: Mapping[tuple[Letters, Letters], int], den: int, left: Weight, right: Weight
 ) -> UdotElement:
-    """The (left, right) block element of {(w1, w2): coefficient}, products
-    of words of weight left - right, straightened by _straighten and
-    decoded one normal word at a time as the module docstring says."""
-    words, den = _straighten(products)
+    """The (left, right) block element of {(w1, w2): numerator} over den,
+    products of words of weight left - right, straightened by _straighten
+    and decoded one normal word at a time as the module docstring says."""
+    words = _straighten(products)
     cell_index = {(i + 1, j + 1): k for k, (i, j) in enumerate(offdiag_cells(n))}
     out: dict[Pattern, int] = {}
     for word, c in words.items():
@@ -339,7 +347,7 @@ def _from_words(
             key = tuple(p)
             c *= h * prod(map(factorial, key))
             out[key] = out[key] + c if key in out else c
-    return UdotElement(n, left, right)._new({p: Fraction(c, den) for p, c in out.items() if c})
+    return UdotElement(n, left, right)._new(out, den)
 
 
 def _binom(m: int, t: int) -> int:
@@ -353,19 +361,17 @@ def _gl2_multiply(u: UdotElement, v: UdotElement) -> UdotElement:
     sum_t binom(y1 - x2 + h, t) f^(x2-t) e^(y1-t), and adjacent divided
     powers merge by f^(a) f^(b) = binom(a+b, a) f^(a+b)."""
     h0 = v.right[0] - v.right[1]
-    out: dict[Pattern, Fraction | int] = {}
-    for (y1, x1), cu in u.terms.items():
-        for (y2, x2), cv in v.terms.items():
+    out: dict[Pattern, int] = {}
+    for (y1, x1), cu in u.num.items():
+        for (y2, x2), cv in v.num.items():
             c = cu * cv
-            if c.denominator == 1:
-                c = c.numerator
             top = y1 - x2 + h0 + 2 * y2
             for t in range(min(y1, x2) + 1):
                 k = _binom(top, t) * comb(x1 + x2 - t, x1) * comb(y1 + y2 - t, y2)
                 if k:
                     key = (y1 + y2 - t, x1 + x2 - t)
                     out[key] = out.get(key, 0) + c * k
-    return UdotElement(2, u.left, v.right)._new({p: Fraction(c) for p, c in out.items()})
+    return UdotElement(2, u.left, v.right)._new(out, u.den * v.den)
 
 
 def udot_multiply(u: UdotElement, v: UdotElement) -> UdotElement:
@@ -383,16 +389,12 @@ def _word_multiply(u: UdotElement, v: UdotElement) -> UdotElement:
     pair's normal words are patterns of degree at most deg u + deg v, so
     their count, C(d + n(n-1), n(n-1)), times both term counts is held to
     the budget first."""
-    degree = max(map(sum, u.terms), default=0) + max(map(sum, v.terms), default=0)
-    work = composition_count(u.n * (u.n - 1) + 1, degree) * len(u.terms) * len(v.terms)
+    degree = max(map(sum, u.num), default=0) + max(map(sum, v.num), default=0)
+    work = composition_count(u.n * (u.n - 1) + 1, degree) * len(u.num) * len(v.num)
     check_budget(work, f"a product of degree {degree} in U̇(gl_{u.n}) may straighten {work} patterns")
-    products: dict[tuple[Letters, Letters], Fraction] = {}
-    for pu, cu in u.terms.items():
-        wu, du = _lift(u.n, pu)
-        for pv, cv in v.terms.items():
-            wv, dv = _lift(u.n, pv)
-            products[wu, wv] = cu * cv / (du * dv)
-    return _from_words(u.n, products, u.left, v.right)
+    (left, du), (right, dv) = _lifted(u), _lifted(v)
+    products = {(wu, wv): cu * cv for wu, cu in left for wv, cv in right}
+    return _from_words(u.n, products, du * dv, u.left, v.right)
 
 
 def divided_generators(i: int, a: int, lam: Sequence[int], side: str) -> UdotElement:
@@ -408,7 +410,7 @@ def divided_generators(i: int, a: int, lam: Sequence[int], side: str) -> UdotEle
         raise ValueError("side must be 'e' or 'f'")
     p = tuple(a if c == cell else 0 for c in offdiag_cells(n))
     left = tuple(x + d for x, d in zip(lam, pattern_delta(p, n)))
-    return UdotElement(n, left, lam, {p: Fraction(1)})
+    return UdotElement(n, left, lam, {p: 1})
 
 
 def to_schur(u: UdotElement, r: int) -> SchurElement:
@@ -418,18 +420,16 @@ def to_schur(u: UdotElement, r: int) -> SchurElement:
     Each pattern's image is its cached runs applied to the idempotent of
     the right weight by schur._apply_runs, which gives zero when a weight
     on the way, the left weight last, is not a composition; the images
-    are summed in integers over the common denominator of the
-    coefficients.
+    are summed in integers over the denominator of u.
     """
     out = SchurElement(u.n, r)
     if sum(u.right) != r:
         return out
-    ints, den = _clear_denominators(u.terms)
     total: dict[Matrix, int] = {}
-    for p, c in ints.items():
+    for p, c in u.num.items():
         for m, v in _apply_runs(_runs(u.n, p), u.right).items():
             total[m] = total[m] + c * v if m in total else c * v
-    return out._new({m: Fraction(v, den) for m, v in total.items()})
+    return out._new(total, u.den)
 
 
 def sl_weight(lam: Sequence[int]) -> tuple[int, ...]:
@@ -440,12 +440,7 @@ def sl_weight(lam: Sequence[int]) -> tuple[int, ...]:
 def shift(u: UdotElement, k: int) -> UdotElement:
     """Add k to every entry of both weights; structure constants are
     invariant under this."""
-    return UdotElement(
-        u.n,
-        tuple(x + k for x in u.left),
-        tuple(x + k for x in u.right),
-        dict(u.terms),
-    )
+    return UdotElement(u.n, tuple(x + k for x in u.left), tuple(x + k for x in u.right))._new(u.num, u.den)
 
 
 def udot_relabel(u: UdotElement, w: Sequence[int]) -> UdotElement:
@@ -460,11 +455,9 @@ def udot_relabel(u: UdotElement, w: Sequence[int]) -> UdotElement:
     n = u.n
     if sorted(w) != list(range(1, n + 1)):
         raise ValueError(f"need a permutation of 1..{n}")
-    products: dict[tuple[Letters, Letters], Fraction] = {}
-    for p, c in u.terms.items():
-        word, d = _lift(n, p)
-        products[(), tuple((w[a - 1], w[b - 1]) for a, b in word)] = c / d
-    return _from_words(n, products, permute_weight(u.left, w), permute_weight(u.right, w))
+    words, den = _lifted(u)
+    products = {((), tuple((w[a - 1], w[b - 1]) for a, b in word)): c for word, c in words}
+    return _from_words(n, products, den, permute_weight(u.left, w), permute_weight(u.right, w))
 
 
 @dataclass
@@ -535,13 +528,13 @@ def gl2_generic_table(lam: Sequence[int], degree: int) -> Gl2Table:
     commutative = all(
         products[(a, c)] == products[(c, a)] for a in range(degree + 1) for c in range(a)
     )
-    # powers of b_1 in basis coordinates, checked for full rank
+    # powers of b_1 in basis coordinates, ranked by numerators (scaling keeps the rank)
     power = basis[0]
-    vectors = [{0: Fraction(1)}]
+    vectors = [{0: 1}]
     for _ in range(degree):
         power = udot_multiply(power, basis[1])
-        vectors.append({p[0]: x for p, x in power.terms.items()})
-    single_generator = exact_rank(vectors) == degree + 1
+        vectors.append({p[0]: x for p, x in power.num.items()})
+    single_generator = integer_rank(vectors) == degree + 1
     return Gl2Table(lam, degree, products, commutative, unit_checks, single_generator)
 
 
@@ -586,7 +579,7 @@ def symmetric_group_quotient(r: int) -> SymQuotientReport:
     omega = (1,) * r
     basis = udot_basis_upto(omega, omega, r)
     images = [to_schur(u, r) for u in basis]
-    rank = exact_rank([x.terms for x in images])
+    rank = integer_rank([x.num for x in images])
     integral = all(x.integral() for x in images)
     multiplicative = all(
         to_schur(udot_multiply(u, v), r) == x * y

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import itertools
 import json
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -526,6 +527,70 @@ def test_element_json_fuzz(argv):
     else:
         json.loads(out.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+def _schur_json(n, r, terms):
+    return json.dumps({"n": n, "r": r, "terms": [
+        {"matrix": m, "coeff_num": a, "coeff_den": b} for m, a, b in terms]})
+
+
+def _udot_json(n, left, right, terms):
+    return json.dumps({"n": n, "left": left, "right": right, "terms": [
+        {"pattern": p, "coeff": c} for p, c in terms]})
+
+
+S23 = [[[a, b], [c, 3 - a - b - c]] for a, b, c in itertools.product(range(4), repeat=3) if a + b + c <= 3]
+Z3 = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
+
+# Element commands with fractional coefficients, and PBW images: the
+# SHA-256 and length of their stdout, recorded while elements still held
+# one Fraction per term.
+ELEMENT_REQUESTS = {
+    "mul-s2-3": (
+        ["mul", "--left", _schur_json(2, 3, [(m, i % 5 - 2, i % 3 + 1) for i, m in enumerate(S23)]),
+         "--right", _schur_json(2, 3, [(m, 3 - i % 4, i % 5 + 2) for i, m in enumerate(S23)])],
+        ("5147e7f177767d6bffd31d8deea112e38c4e8da06d90737fd2b8d609b0ba25f9", 1305),
+    ),
+    "mul-s3-3": (
+        ["mul",
+         "--left", _schur_json(3, 3, [([[1, 1, 0], [0, 0, 1], [0, 0, 0]], 1, 2), ([[0, 1, 0], [1, 0, 1], [0, 0, 0]], -2, 3),
+                                      ([[2, 0, 0], [0, 0, 0], [0, 0, 1]], 3, 4)]),
+         "--right", _schur_json(3, 3, [([[1, 0, 0], [0, 1, 1], [0, 0, 0]], 5, 6), ([[0, 0, 1], [1, 1, 0], [0, 0, 0]], -1, 2),
+                                       ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 7, 3)])],
+        ("8e78762219b81adc78221ca7f2bf241e1bd883eab8dfb68646084ad352699814", 188),
+    ),
+    "udot-mul-n2": (
+        ["udot", "mul",
+         "--left", _udot_json(2, [1, 1], [1, 1], [([[0, a], [a, 0]], c) for a, c in enumerate(("1/2", "-2/3", "3/4", "5/6"))]),
+         "--right", _udot_json(2, [1, 1], [1, 1], [([[0, a], [a, 0]], c) for a, c in enumerate(("-1/3", "2/5", "7/4"))])],
+        ("8c9907b9bcc1a10446fccd9265b0f203cc1011c94dea1e3d9f2274ac12b2031b", 349),
+    ),
+    "udot-mul-n3": (
+        ["udot", "mul",
+         "--left", _udot_json(3, [0, 0, 0], [0, 0, 0], [(Z3, "1/2"), ([[0, 1, 0], [1, 0, 0], [0, 0, 0]], "-2/3"),
+                                                          ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], "3/4")]),
+         "--right", _udot_json(3, [0, 0, 0], [0, 0, 0], [([[0, 0, 1], [1, 0, 0], [0, 1, 0]], "5/6"),
+                                                           ([[0, 0, 0], [0, 0, 1], [0, 1, 0]], "-1/5"), (Z3, "2")])],
+        ("21996240011fd61b81034f5a02c6a1196c53b07eea4c9ccf0b3e94d1abd09110", 836),
+    ),
+    "basis-pbw-ef": (
+        ["basis", "--kind", "pbw", "--lambda", "2,1,2", "--mu", "1,2,2", "--form", "ef"],
+        ("dc002c44261579ed73df9e17822721244d1e851a2a92b27732a2df7378b44847", 4032),
+    ),
+    "basis-pbw-fe-middle": (
+        ["basis", "--kind", "pbw", "--lambda", "3,2", "--form", "fe-middle"],
+        ("9cc43466e45f86aeeb35b65ed47540a4f40ee13ce4f0cb1cf3a55444f543b9d2", 671),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ELEMENT_REQUESTS))
+def test_element_json_pinned(capsys, name):
+    argv, digest = ELEMENT_REQUESTS[name]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    data = out.encode()
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == digest
 
 
 # Fuzzing the weight commands: weights of one to four entries in [-3, 6],

@@ -1,9 +1,13 @@
+import itertools
 import random
 from fractions import Fraction
+from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import schuralg
 from schuralg.enveloping import UElement
 from schuralg.exact_linalg import (
     CoordinateSolver,
@@ -13,6 +17,8 @@ from schuralg.exact_linalg import (
     integer_rank,
     unimodular_change,
 )
+from schuralg.schur import SchurElement, TensorEndo
+from schuralg.udot import UdotElement
 
 
 def naive_rank(vectors):
@@ -337,3 +343,87 @@ def test_sparse_combination_linear_structure():
     with pytest.raises(TypeError):
         hash(h)
     assert isinstance(h, SparseCombination)
+
+
+# Each element type with a handful of valid keys: S(2,2) margin matrices,
+# the diagonal gl_2 block at (1,1), U(gl_2) monomials, and tensor-space
+# entries of degree 2 over two letters.
+WORDS = list(itertools.product((1, 2), repeat=2))
+SPACES = {
+    "schur": (
+        lambda terms: SchurElement(2, 2, terms),
+        [((a, b), (c, 2 - a - b - c)) for a, b, c in itertools.product(range(3), repeat=3) if a + b + c <= 2],
+    ),
+    "udot": (lambda terms: UdotElement(2, (1, 1), (1, 1), terms), [(a, a) for a in range(6)]),
+    "u": (
+        lambda terms: UElement(2, terms),
+        [((f,), (h, 1 - h), (e,)) for f, h, e in itertools.product(range(3), range(2), range(2))],
+    ),
+    "endo": (lambda terms: TensorEndo(2, 2, terms), list(itertools.product(WORDS, WORDS))),
+}
+
+
+def _draw_terms(rng, keys):
+    """Coefficients in [-4, 4] over small denominators, zeros included,
+    each given as an int (when integral), a Fraction or a string."""
+    terms = {}
+    for k in rng.sample(keys, rng.randint(0, min(len(keys), 6))):
+        q = Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3, 4, 6)))
+        form = rng.randrange(3)
+        terms[k] = q.numerator if form == 0 and q.denominator == 1 else str(q) if form == 2 else q
+    return terms
+
+
+def _oracle(terms):
+    return {k: Fraction(c) for k, c in terms.items() if Fraction(c)}
+
+
+def _combined(a, b, sign):
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, 0) + sign * c
+    return {k: c for k, c in out.items() if c}
+
+
+def _assert_reduced(x):
+    assert type(x.den) is int and x.den > 0
+    assert all(type(c) is int and c for c in x.num.values())
+    assert gcd(x.den, *x.num.values()) == 1
+
+
+@pytest.mark.parametrize("space", sorted(SPACES))
+def test_coefficients_agree_with_a_fraction_oracle(space):
+    make, keys = SPACES[space]
+    rng = random.Random(2024)
+    for _ in range(150):
+        a, b = _draw_terms(rng, keys), _draw_terms(rng, keys)
+        c = rng.choice((rng.randint(-3, 3), Fraction(rng.randint(-3, 3), rng.randint(1, 6))))
+        x, y = make(a), make(b)
+        fa, fb = _oracle(a), _oracle(b)
+        cases = [
+            (x, fa),
+            (x + y, _combined(fa, fb, 1)),
+            (x - y, _combined(fa, fb, -1)),
+            (x.scale(c), {k: v * c for k, v in fa.items() if c}),
+            (c * y, {k: v * c for k, v in fb.items() if c}),
+        ]
+        for z, expected in cases:
+            _assert_reduced(z)
+            assert z.terms == expected
+            assert z.space == x.space
+            assert z.integral() == all(v.denominator == 1 for v in expected.values())
+            assert z.is_zero == (not expected)
+            assert z == make(expected) == make({k: str(v) for k, v in expected.items()})
+        assert (x == y) == (fa == fb)
+        assert x - x == make({})
+
+
+def test_clear_denominators_lives_in_exact_linalg_only():
+    # elements carry their own numerators and denominator, so no module
+    # of the algebra clears denominators itself
+    offenders = [
+        path.name
+        for path in sorted(Path(schuralg.__file__).parent.glob("*.py"))
+        if path.name != "exact_linalg.py" and "_clear_denominators" in path.read_text()
+    ]
+    assert offenders == []

@@ -610,4 +610,4 @@ def test_psi_ranks_every_image(monkeypatch):
     monkeypatch.setattr(udot, "_block_images", lambda lam, mu: real(lam, mu) + [stray] * (lam == mu == (1, 1)))
     report = run_suite("psi", n_max=2, r_max=2)
     failed = {c.id: c.witness for c in report.checks if not c.passed}
-    assert failed == {"psi-surjective-n2-r2": "rank short at lam=(1, 1) mu=(1, 1)"}
+    assert failed == {"psi-surjective-n2-r2": "rank over at lam=(1, 1) mu=(1, 1): 3 against 2"}
