@@ -193,7 +193,7 @@ class CellDatum:
     def solver(self) -> CoordinateSolver | None:
         """The cells factored once, None when they are linearly dependent."""
         try:
-            return CoordinateSolver([c.value.terms for c in self.cells])
+            return CoordinateSolver([c.value for c in self.cells])
         except ValueError:
             return None
 

@@ -1,6 +1,7 @@
 """Exact linear algebra over the rationals for sparse vectors.
 
-Vectors are mappings from hashable keys to Fractions (or ints).  One
+Vectors are mappings from hashable keys to Fractions (or ints), or
+elements, read as their numerators over their denominator.  One
 fraction-free elimination (Bareiss) serves every operation: each vector
 is scaled to integers by its common denominator, and the elimination
 divides exactly, so no Fraction is built inside it.  Ranks and
@@ -113,9 +114,14 @@ class SparseCombination:
         return self.den == 1
 
 
-def _clear_denominators(v: Mapping[Hashable, Fraction]) -> tuple[dict[Hashable, int], int]:
-    """(w, s) with v == w / s, w integral and s the lcm of the denominators;
-    zero entries are dropped.  Entries may be ints or Fractions."""
+Vector = Mapping[Hashable, Fraction] | SparseCombination
+
+
+def _clear_denominators(v: Vector) -> tuple[dict[Hashable, int], int]:
+    """(w, s) with v == w / s, w integral and s the lcm of the denominators,
+    zero entries dropped; an element is its own (num, den)."""
+    if isinstance(v, SparseCombination):
+        return v.num, v.den
     v = {k: c for k, c in v.items() if c}
     s = lcm(*(c.denominator for c in v.values()))
     return {k: c.numerator * (s // c.denominator) for k, c in v.items()}, s
@@ -156,7 +162,7 @@ def _eliminate(rows: list[list[int]], ncols: int, jordan: bool = False) -> tuple
     return rank, sign * prev
 
 
-def exact_rank(vectors: Sequence[Mapping[Hashable, Fraction]]) -> int:
+def exact_rank(vectors: Sequence[Vector]) -> int:
     """Rank of the span of the given sparse vectors."""
     # scaling a vector by its common denominator preserves the rank
     return integer_rank([_clear_denominators(v)[0] for v in vectors])
@@ -195,7 +201,7 @@ class CoordinateSolver:
     a Fraction only for each returned coordinate.
     """
 
-    def __init__(self, basis: Sequence[Mapping[Hashable, Fraction]]):
+    def __init__(self, basis: Sequence[Vector]):
         nb = len(basis)
         columns = [_clear_denominators(b) for b in basis]
         keys = list(dict.fromkeys(k for w, _ in columns for k in w))
@@ -216,7 +222,7 @@ class CoordinateSolver:
             for m, k in enumerate(keys)
         }
 
-    def coords(self, v: Mapping[Hashable, Fraction]) -> list[Fraction] | None:
+    def coords(self, v: Vector) -> list[Fraction] | None:
         w, t = _clear_denominators(v)
         x = self.solve(w)
         return None if x is None else [Fraction(c, self.den * t) for c in x]
@@ -232,14 +238,11 @@ class CoordinateSolver:
                 out[i] += x * c
         return None if any(out[self._nb:]) else out[: self._nb]
 
-    def in_span(self, v: Mapping[Hashable, Fraction]) -> bool:
+    def in_span(self, v: Vector) -> bool:
         return self.coords(v) is not None
 
 
-def unimodular_change(
-    basis_a: Sequence[Mapping[Hashable, Fraction]],
-    basis_b: Sequence[Mapping[Hashable, Fraction]],
-) -> bool:
+def unimodular_change(basis_a: Sequence[Vector], basis_b: Sequence[Vector]) -> bool:
     """True when basis_a expressed in basis_b coordinates is an integer
     matrix of determinant +-1.  False when the sizes differ, some vector
     falls outside the span, or a coordinate is non-integral."""

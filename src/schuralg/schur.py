@@ -106,7 +106,7 @@ def check_tensor_scale(n: int, r: int) -> None:
 
 class TensorEndo(SparseCombination):
     """Sparse endomorphism of degree-r tensor space over n letters, keyed
-    by (output word, input word); entries is the Fraction view."""
+    by (output word, input word), checked on entry; entries is the Fraction view."""
 
     __slots__ = ("n", "r")
     _space_attrs = ("n", "r")
@@ -114,6 +114,9 @@ class TensorEndo(SparseCombination):
     def __init__(self, n: int, r: int, entries: Mapping[tuple[Word, Word], Fraction]):
         self.n = n
         self.r = r
+        for key in entries:
+            if len(key) != 2 or any(len(w) != r or not all(0 < x <= n for x in w) for w in key):
+                raise ValueError(f"key {key} is not a pair of words of length {r} over 1..{n}")
         super().__init__(entries)
 
     @property
@@ -170,9 +173,8 @@ def orbit_endo(a: Matrix) -> TensorEndo:
     """Endomorphism of the orbit-basis element for margin matrix a."""
     n, r = _validate_margin_matrix(a)
     check_tensor_scale(n, r)
-    return TensorEndo(
-        n, r, {(l, k): 1 for k in words_of_weight(col_sums(a)) for l in _orbit_images(a, k)}
-    )
+    entries = {(l, k): 1 for k in words_of_weight(col_sums(a)) for l in _orbit_images(a, k)}
+    return TensorEndo(n, r, {})._new(entries)
 
 
 class SchurElement(SparseCombination):

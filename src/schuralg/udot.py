@@ -28,7 +28,9 @@ pattern is (y, x) for 1_L f^(x) e^(y) 1_M.  With h = R_1 - R_2 + 2 y2,
           binom(y1 + y2 - t, y2)  1_L f^(x1 + x2 - t) e^(y1 + y2 - t) 1_R,
 
 where binom(m, t) = m(m-1)..(m-t+1)/t! allows negative m, so a product of
-basis elements is integer work linear in min(y1, x2).
+basis elements is integer work linear in min(y1, x2).  One integer kernel
+on pattern -> numerator dicts, _gl2_terms, serves udot_multiply and the
+gl_2 table alike, so the table builds no element or Fraction per product.
 
 For n >= 3 a pattern is lifted once (_lift, cached) to the plain-power
 word of its divided monomial, lowering letters then raising ones, and the
@@ -355,15 +357,15 @@ def _binom(m: int, t: int) -> int:
     return comb(m, t) if m >= 0 else (-1) ** t * comb(t - m - 1, t)
 
 
-def _gl2_multiply(u: UdotElement, v: UdotElement) -> UdotElement:
-    """n = 2 product by the closed form in the module docstring: at the
-    sl_2 weight h right of f^(x2), e^(y1) f^(x2) is
-    sum_t binom(y1 - x2 + h, t) f^(x2-t) e^(y1-t), and adjacent divided
-    powers merge by f^(a) f^(b) = binom(a+b, a) f^(a+b)."""
-    h0 = v.right[0] - v.right[1]
+def _gl2_terms(u: Mapping[Pattern, int], v: Mapping[Pattern, int], h0: int) -> dict[Pattern, int]:
+    """Numerators of the n = 2 product of numerator dicts u and v, h0 =
+    R_1 - R_2, by the closed form in the module docstring: at the sl_2
+    weight h right of f^(x2), e^(y1) f^(x2) is sum_t binom(y1 - x2 + h, t)
+    f^(x2-t) e^(y1-t), and f^(a) f^(b) = binom(a+b, a) f^(a+b).  A sum
+    that cancels stays as a zero; one-term factors give none."""
     out: dict[Pattern, int] = {}
-    for (y1, x1), cu in u.num.items():
-        for (y2, x2), cv in v.num.items():
+    for (y1, x1), cu in u.items():
+        for (y2, x2), cv in v.items():
             c = cu * cv
             top = y1 - x2 + h0 + 2 * y2
             for t in range(min(y1, x2) + 1):
@@ -371,7 +373,14 @@ def _gl2_multiply(u: UdotElement, v: UdotElement) -> UdotElement:
                 if k:
                     key = (y1 + y2 - t, x1 + x2 - t)
                     out[key] = out.get(key, 0) + c * k
-    return UdotElement(2, u.left, v.right)._new(out, u.den * v.den)
+    return out
+
+
+def _gl2_multiply(u: UdotElement, v: UdotElement) -> UdotElement:
+    """n = 2 product through _gl2_terms, in the block (u.left, v.right)."""
+    out = u._new(_gl2_terms(u.num, v.num, v.right[0] - v.right[1]), u.den * v.den)
+    out.right = v.right  # a fresh element: only its block's right weight differs from u's
+    return out
 
 
 def udot_multiply(u: UdotElement, v: UdotElement) -> UdotElement:
@@ -463,11 +472,12 @@ def udot_relabel(u: UdotElement, w: Sequence[int]) -> UdotElement:
 @dataclass
 class Gl2Table:
     """Structure constants of a diagonal gl_2 block in the basis
-    b_a = 1_lam f^(a) e^(a) 1_lam, up to a degree bound."""
+    b_a = 1_lam f^(a) e^(a) 1_lam, up to a degree bound: products[(a, c)]
+    maps d to the integer coefficient of b_d in b_a b_c."""
 
     lam: tuple[int, int]
     degree: int
-    products: dict[tuple[int, int], dict[int, Fraction]]
+    products: dict[tuple[int, int], dict[int, int]]
     commutative: bool
     unit_checks: bool
     single_generator: bool
@@ -481,13 +491,7 @@ class Gl2Table:
             "lambda": list(self.lam),
             "degree": self.degree,
             "products": [
-                {
-                    "a": a,
-                    "c": c,
-                    "coeffs": [
-                        {"d": d, "coeff": str(x)} for d, x in sorted(v.items())
-                    ],
-                }
+                {"a": a, "c": c, "coeffs": [{"d": d, "coeff": str(x)} for d, x in sorted(v.items())]}
                 for (a, c), v in sorted(self.products.items())
             ],
             "commutative": self.commutative,
@@ -512,28 +516,18 @@ def gl2_generic_table(lam: Sequence[int], degree: int) -> Gl2Table:
     # elimination of degree + 1 powers
     check_budget((degree + 1) ** 3, f"a gl_2 table of degree {degree} costs {(degree + 1) ** 3} terms")
     lam = (int(lam[0]), int(lam[1]))
-    # pattern cells for n=2: ((0,1), (1,0))
-    basis = [udot_element(lam, lam, (a, a)) for a in range(degree + 1)]
-    products: dict[tuple[int, int], dict[int, Fraction]] = {}
-    unit_checks = True
-    for a in range(degree + 1):
-        for c in range(degree + 1):
-            prod = udot_multiply(basis[a], basis[c])
-            coeffs = {p[0]: x for p, x in prod.terms.items()}
-            products[(a, c)] = coeffs
-            if a == 0 and prod != basis[c]:
-                unit_checks = False
-            if c == 0 and prod != basis[a]:
-                unit_checks = False
-    commutative = all(
-        products[(a, c)] == products[(c, a)] for a in range(degree + 1) for c in range(a)
-    )
-    # powers of b_1 in basis coordinates, ranked by numerators (scaling keeps the rank)
-    power = basis[0]
-    vectors = [{0: 1}]
+    h0, span = lam[0] - lam[1], range(degree + 1)
+    # numerators of b_a (pattern cells ((0,1), (1,0))); products keep (d, d)
+    basis = [{(a, a): 1} for a in span]
+    products = {
+        (a, c): {d: x for (d, _), x in _gl2_terms(basis[a], basis[c], h0).items()} for a in span for c in span
+    }
+    unit_checks = all(products[0, c] == products[c, 0] == {c: 1} for c in span)
+    commutative = all(products[a, c] == products[c, a] for a in span for c in range(a))
+    # powers of b_1 in basis coordinates, ranked as integer vectors
+    vectors = [basis[0]]
     for _ in range(degree):
-        power = udot_multiply(power, basis[1])
-        vectors.append({p[0]: x for p, x in power.num.items()})
+        vectors.append(_gl2_terms(vectors[-1], basis[1], h0))
     single_generator = integer_rank(vectors) == degree + 1
     return Gl2Table(lam, degree, products, commutative, unit_checks, single_generator)
 

@@ -209,7 +209,7 @@ def suite_zbas(n_max: int = 3, r_max: int = 3) -> VerificationReport:
 
 def _pbw_block(lam: tuple, mu: tuple) -> str | None:
     margins = margin_matrices(lam, mu)
-    xi = [x.terms for x in schur_mod.hom_basis(lam, mu)]
+    xi = schur_mod.hom_basis(lam, mu)
     images = {form: [env.pbw_image(a, form) for a in margins] for form in ("fe", "ef")}
     for form, family in images.items():
         for a, x in zip(margins, family):
@@ -218,7 +218,7 @@ def _pbw_block(lam: tuple, mu: tuple) -> str | None:
     if not all(x.integral() for family in images.values() for x in family):
         return f"non-integer coefficients at lam={lam} mu={mu}"
     for form, family in images.items():
-        if not unimodular_change([x.terms for x in family], xi):
+        if not unimodular_change(family, xi):
             return f"{form} family not unimodular at lam={lam} mu={mu}"
     return None
 

@@ -427,3 +427,28 @@ def test_clear_denominators_lives_in_exact_linalg_only():
         if path.name != "exact_linalg.py" and "_clear_denominators" in path.read_text()
     ]
     assert offenders == []
+
+
+@pytest.mark.parametrize("space", sorted(SPACES))
+def test_elements_read_as_their_fraction_view(space):
+    # an element given to the rank, the solver or the unimodular check is
+    # read from its numerators and denominator, with the same results as
+    # its Fraction view
+    from schuralg.exact_linalg import _clear_denominators
+
+    make, keys = SPACES[space]
+    rng = random.Random(17)
+    for _ in range(60):
+        elements = [make(_draw_terms(rng, keys)) for _ in range(rng.randint(0, 4))]
+        views = [x.terms for x in elements]
+        assert [_clear_denominators(x) for x in elements] == [_clear_denominators(v) for v in views]
+        assert exact_rank(elements) == exact_rank(views)
+        assert unimodular_change(elements, elements[::-1]) == unimodular_change(views, views[::-1])
+        try:
+            expected = CoordinateSolver(views)
+        except ValueError:
+            with pytest.raises(ValueError, match="dependent"):
+                CoordinateSolver(elements)
+            continue
+        solver = CoordinateSolver(elements)
+        assert [solver.coords(x) for x in elements] == [expected.coords(v) for v in views]

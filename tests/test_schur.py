@@ -108,6 +108,25 @@ def test_element_from_endo_rejects_non_equivariant():
             element_from_endo(TensorEndo(2, 3, entries))
 
 
+def test_tensor_endo_rejects_keys_outside_tensor_space():
+    from schuralg.schur import TensorEndo
+
+    for key in (
+        ((1, 2, 3), (1, 1, 1)),  # length 3 and a letter 3 in degree 2 over two letters
+        ((1, 3), (1, 1)),  # a letter outside 1..2
+        ((0, 1), (1, 1)),
+        ((1, 2, 1), (1, 2)),  # words of unequal length
+        ((1, 2),),  # not a pair of words
+        ((1, 2), (1, 2), (2, 1)),
+    ):
+        with pytest.raises(ValueError, match="not a pair of words of length 2 over 1..2"):
+            TensorEndo(2, 2, {key: 1})
+    assert TensorEndo(2, 2, {((1, 2), (2, 1)): 1}).entries == {((1, 2), (2, 1)): 1}
+    # the internal path of orbit_endo and endo_of builds its entries unchecked
+    a = ((1, 1), (0, 1))
+    assert element_from_endo(endo_of(SchurElement(2, 3, {a: 2}))) == SchurElement(2, 3, {a: 2})
+
+
 def test_multiplication_matches_pair_counting():
     n, r = 3, 3
     weights = compositions(n, r)

@@ -258,9 +258,67 @@ def test_gl2_table_refused_before_any_product(monkeypatch):
     def refuse(*args):
         raise AssertionError("no product may run once the cost is over the limit")
 
-    monkeypatch.setattr(udot, "_gl2_multiply", refuse)
+    # the table's products and powers of b_1 all go through the kernel
+    monkeypatch.setattr(udot, "_gl2_terms", refuse)
     with pytest.raises(ResourceLimitError, match="degree 100 costs 1030301"):
         gl2_generic_table((1, -2), 100)
+    with pytest.raises(AssertionError, match="no product may run"):
+        gl2_generic_table((1, -2), 1)
+
+
+def test_gl2_table_builds_no_element_or_fraction_per_product(monkeypatch):
+    from schuralg import exact_linalg
+
+    def refuse(*args):
+        raise AssertionError("the gl_2 table must not build a Fraction")
+
+    inits = []
+    original = UdotElement.__init__
+
+    def counted(self, *args, **kwargs):
+        inits.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(udot, "Fraction", refuse)
+    monkeypatch.setattr(exact_linalg, "Fraction", refuse)
+    monkeypatch.setattr(UdotElement, "__init__", counted)
+    table = gl2_generic_table((1, -2), 13)
+    assert table.passed
+    assert len(inits) <= 1
+    assert all(type(x) is int for coeffs in table.products.values() for x in coeffs.values())
+    assert json.dumps(table.to_json(), sort_keys=True)
+
+
+# SHA-256 of the sorted-key JSON of gl2_generic_table((1, -2), 16),
+# recorded while the table multiplied validated elements with Fraction
+# coefficients
+GL2_TABLE_16_DIGEST = "6b91708ffabfb8a51184c9ae1bbca521405f13119f905917e03e567785a285e6"
+
+
+def test_gl2_table_above_the_default_is_pinned():
+    payload = json.dumps(gl2_generic_table((1, -2), 16).to_json(), sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == GL2_TABLE_16_DIGEST
+
+
+def test_gl2_table_matches_both_product_paths():
+    # every product of the table, at every weight in [-3,3]^2 and every
+    # degree up to 6, against the element product (the closed form behind
+    # udot_multiply) and the straightening oracle (_word_multiply)
+    top = 6
+    for lam in itertools.product(range(-3, 4), repeat=2):
+        basis = [udot_element(lam, lam, (a, a)) for a in range(top + 1)]
+        expected = {}
+        for a, c in itertools.product(range(top + 1), repeat=2):
+            u, v = basis[a], basis[c]
+            closed, straightened = udot_multiply(u, v), _word_multiply(u, v)
+            assert closed == straightened, (lam, a, c)
+            expected[a, c] = {p[0]: x for p, x in closed.terms.items()}
+        for degree in range(top + 1):
+            table = gl2_generic_table(lam, degree)
+            assert table.passed
+            assert table.products == {
+                (a, c): expected[a, c] for a, c in itertools.product(range(degree + 1), repeat=2)
+            }, (lam, degree)
 
 
 # The plain-power path, kept as an oracle for the word path: lift a
