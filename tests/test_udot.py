@@ -286,7 +286,7 @@ def test_gl2_table_builds_no_element_or_fraction_per_product(monkeypatch):
     assert table.passed
     assert len(inits) <= 1
     assert all(type(x) is int for coeffs in table.products.values() for x in coeffs.values())
-    assert json.dumps(table.to_json(), sort_keys=True)
+    assert json.dumps(table.to_json(), sort_keys=True)  # the output needs no Fraction either
 
 
 # SHA-256 of the sorted-key JSON of gl2_generic_table((1, -2), 16),
