@@ -14,12 +14,11 @@ normal word: a letter that lands out of order is commuted past the last
 letter, paying the bracket as a lower-degree correction.  The recursion
 is memoized on (normal word, letter) and terminates by induction on word
 length.  Its cache and the one on pairs of normal words are bounded
-(2^17 and 4096 entries); all products in the gl_3 block at (0,0,0) up to
-degree 8 fill 69,642 insert entries, so they evict nothing.  Bracket
-corrections are integers, and an element holds integer numerators over
-one denominator: _straighten, the one straightener of U(gl_n) and udot,
+(2^17 and 4096 entries).  Bracket corrections are integers, and an
+element holds integer numerators over one denominator: _straighten
 sums normal words in integers, and a product's denominator is the
-product of its factors'.
+product of its factors'.  It serves U(gl_n) only; udot rewrites
+divided powers at a weight instead, in the normal order of _unit_key.
 
 Divided powers X^(a) = X^a / a! and binomial diagonals binom(H_i, b) are
 derived views on top of plain-power coordinates; binom(H, b) is kept as
@@ -37,7 +36,7 @@ needs no words of tensor space.  It is a word of divided powers
 element as a row move of schur (two rows change, integer coefficients);
 starting from the idempotent of mu, every later weight is forced.
 pbw_image applies the word of each of its four arrangements,
-udot.to_schur the cached word of a lifted pattern, and no product of two
+udot.to_schur the cached word of a pattern, and no product of two
 general orbit elements is formed.  verify_weight_idempotent needs no
 words either: H_i acts on every word of weight nu as nu_i.
 

@@ -32,18 +32,21 @@ basis elements is integer work linear in min(y1, x2).  One integer kernel
 on pattern -> numerator dicts, _gl2_terms, serves udot_multiply and the
 gl_2 table alike, so the table builds no element or Fraction per product.
 
-For n >= 3 a pattern is lifted once (_lift, cached) to the plain-power
-word of its divided monomial, lowering letters then raising ones, and the
-product d of its factorials: the monomial is word / d.  A product (or a
-relabelling, which permutes the letters) straightens the lifted words
-into normal words f^x H^m e^y, sums them, and decodes the sum once: read
-right to left, a raising letter moves the weight from mu, each H_i
-evaluates to entry i of the weight it meets, and the off-diagonal letters
-count into the pattern, whose factorials turn plain powers into divided
-ones.  The lifted words carry integer numerators over the element's
-denominator times the lcm of the d (_lifted).  That path also works for
-n = 2 and the tests keep it as the oracle for the closed form.  Products
-of integer-coefficient elements stay integral.
+For n >= 3 a pattern is one cached word of divided powers E_ab^(m)
+(_lift) in the normal order of enveloping._unit_key.  A product moves
+the letters of the right word into the left one, each at the weight w on
+its right (_rewrite, cached): a letter out of order trades places with
+the last one by Kostant's type-A formulas,
+
+    E_ab^(p) E_ab^(m) = binom(p + m, m) E_ab^(p+m),
+    E_ca^(p) E_ab^(m) = sum_t E_ab^(m-t) E_cb^(t) E_ca^(p-t)          (c != b),
+    E_bd^(p) E_ab^(m) = sum_t (-1)^t E_ab^(m-t) E_ad^(t) E_bd^(p-t)   (a != d),
+    E_cd^(p) E_dc^(m) 1_w = sum_t binom(p - m + w_c - w_d, t) E_dc^(m-t) E_cd^(p-t) 1_w,
+
+the last the sl_2 formula above, and other pairs commute, so no Cartan
+letter or plain power appears.  A relabelling moves its permuted letters
+into the empty word.  This works for n = 2 too; the tests check the
+closed form by it.
 
 to_schur is the degree-r truncation, an algebra map onto the matching
 weight block of the Schur algebra; weights that are not compositions of
@@ -61,13 +64,13 @@ on lambda_1 - lambda_2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm, prod
-from typing import Mapping, Sequence
+from math import comb, factorial
+from typing import Iterable, Mapping, Sequence
 
-from .enveloping import _offdiag_runs, _straighten
+from .enveloping import _offdiag_runs, _unit_key
 from .errors import SYMMETRIC_GROUP_MAX_R, ResourceLimitError, check_budget
 from .exact_linalg import SparseCombination, integer_rank
 from .schur import Run, SchurElement, _apply_runs, _json_int
@@ -95,8 +98,8 @@ __all__ = [
 ]
 
 Pattern = tuple[int, ...]
-# a word of matrix-unit letters (a, b) of the enveloping algebra
-Letters = tuple[tuple[int, int], ...]
+# a word of divided powers (a, b, m), E_ab^(m) with 0-based indices
+Word = tuple[Run, ...]
 
 
 @lru_cache(maxsize=64)
@@ -184,17 +187,11 @@ class UdotElement(SparseCombination):
         return udot_multiply(self, other)
 
     def __repr__(self) -> str:
-        return (
-            f"UdotElement(n={self.n}, left={self.left}, right={self.right}, "
-            f"{len(self.num)} terms)"
-        )
+        return f"UdotElement(n={self.n}, left={self.left}, right={self.right}, {len(self.num)} terms)"
 
     def to_json(self) -> dict:
         terms = [
-            {
-                "pattern": [list(row) for row in pattern_matrix(p, self.n)],
-                "coeff": str(c),
-            }
+            {"pattern": [list(row) for row in pattern_matrix(p, self.n)], "coeff": str(c)}
             for p, c in sorted(self.terms.items())
         ]
         return {
@@ -257,7 +254,7 @@ def _block_images(lam: Sequence[int], mu: Sequence[int]) -> list[dict[Matrix, in
     """The integer images in S(n, |mu|) of udot_basis_upto(lam, mu, |mu|),
     mu a composition, in its order and refused as it is: the rows that
     to_schur sums, and that psi ranks as they are with integer_rank."""
-    return [_apply_runs(_runs(len(lam), p), tuple(mu)) for p in _basis_patterns(lam, mu, sum(mu))]
+    return [_apply_runs(_lift(len(lam), p)[::-1], tuple(mu)) for p in _basis_patterns(lam, mu, sum(mu))]
 
 
 @lru_cache(maxsize=1024)
@@ -300,54 +297,66 @@ def _block_patterns(n: int, delta: Weight, degree: int) -> tuple[Pattern, ...]:
 
 
 @lru_cache(maxsize=4096)
-def _runs(n: int, p: Pattern) -> tuple[Run, ...]:
-    """The divided powers (a, b, m) of the pattern, rightmost first:
-    raising runs, then lowering ones."""
+def _lift(n: int, p: Pattern) -> Word:
+    """The pattern's word of divided powers, left to right in the normal
+    order of enveloping._unit_key: lowering letters, then raising ones."""
     lower, upper = _offdiag_runs(pattern_matrix(p, n))
-    return upper + lower
+    return tuple(sorted(lower + upper, key=lambda g: _unit_key(g[:2])))
 
 
-@lru_cache(maxsize=4096)
-def _lift(n: int, p: Pattern) -> tuple[Letters, int]:
-    """(word, d): the plain-power word of the pattern's divided monomial,
-    lowering letters then raising ones in root-pair order, and the product
-    d of the pattern's factorials, so the monomial is word / d."""
-    word = tuple(u for a, b, m in reversed(_runs(n, p)) for u in [(a + 1, b + 1)] * m)
-    return word, prod(map(factorial, p))
+@lru_cache(maxsize=1 << 17)
+def _rewrite(word: Word, g: Run, w: Weight) -> dict[Word, int]:
+    """Normal form of word * g * 1_w (word normal, g a letter) as integer
+    coefficients by normal word: g trades places with the last letter by
+    the module docstring's rules, and what that gives moves into the rest."""
+    a, b, m = g
+    if not word or _unit_key(word[-1][:2]) < _unit_key((a, b)):
+        return {word + (g,): 1}
+    rest, (c, d, p) = word[:-1], word[-1]
+    if (c, d) == (a, b):
+        return {rest + ((a, b, p + m),): comb(p + m, m)}
+    ts = range(min(p, m) + 1)
+    if (c, d) == (b, a):
+        terms = [(_binom(p - m + w[c] - w[d], t), (a, b, m - t), (c, d, p - t)) for t in ts]
+    elif d == a or c == b:  # the chaining pairs, with E_cb or -E_ad for the bracket
+        (i, j), s = ((c, b), 1) if d == a else ((a, d), -1)
+        terms = [(s**t, (a, b, m - t), (i, j, t), (c, d, p - t)) for t in ts]
+    else:
+        terms = [(1, g, word[-1])]
+    out: dict[Word, int] = {}
+    for k, *letters in terms:
+        for x, v in _times({rest: k}, [h for h in letters if h[2]], w).items():
+            out[x] = out[x] + v if x in out else v
+    return {x: v for x, v in out.items() if v}
 
 
-def _lifted(u: UdotElement) -> tuple[list[tuple[Letters, int]], int]:
-    """(pairs, den): u as integer numerators of its lifted words over one
-    denominator, den = u.den times the lcm of the factorial products."""
-    lifts = [(_lift(u.n, p), c) for p, c in u.num.items()]
-    s = lcm(*(d for (_, d), _ in lifts))
-    return [(word, c * (s // d)) for (word, d), c in lifts], u.den * s
+def _times(words: Mapping[Word, int], letters: Sequence[Run], w: Sequence[int]) -> dict[Word, int]:
+    """Normal form of sum c * word * letters * 1_w over the normal words
+    {word: c}: the letters move in left to right, each by _rewrite at the
+    weight that the letters to its right reach from w."""
+    w = list(w)
+    for a, b, m in letters:
+        w[a], w[b] = w[a] + m, w[b] - m
+    for a, b, m in letters:
+        w[a], w[b] = w[a] - m, w[b] + m
+        nxt: dict[Word, int] = {}
+        for word, c in words.items():
+            for x, k in _rewrite(word, (a, b, m), tuple(w)).items():
+                nxt[x] = nxt[x] + c * k if x in nxt else c * k
+        words = nxt
+    return words
 
 
-def _from_words(
-    n: int, products: Mapping[tuple[Letters, Letters], int], den: int, left: Weight, right: Weight
-) -> UdotElement:
-    """The (left, right) block element of {(w1, w2): numerator} over den,
-    products of words of weight left - right, straightened by _straighten
-    and decoded one normal word at a time as the module docstring says."""
-    words = _straighten(products)
-    cell_index = {(i + 1, j + 1): k for k, (i, j) in enumerate(offdiag_cells(n))}
+def _block_element(n: int, left: Weight, right: Weight, parts: Iterable[Mapping[Word, int]], den: int) -> UdotElement:
+    """The (left, right) block element of the normal words of all parts,
+    integer numerators over den, each word read as a pattern."""
     out: dict[Pattern, int] = {}
-    for word, c in words.items():
-        w = list(right)
-        p = [0] * len(cell_index)
-        h = 1
-        for a, b in reversed(word):
-            if a == b:
-                h *= w[a - 1]
-            else:
-                if a < b:
-                    w[a - 1] += 1
-                    w[b - 1] -= 1
-                p[cell_index[a, b]] += 1
-        if h:
+    for words in parts:
+        for word, c in words.items():
+            p = [0] * (n * n - n)
+            for a, b, m in word:
+                p[a * (n - 1) + b - (b > a)] = m  # the index of (a, b) in offdiag_cells(n)
             key = tuple(p)
-            c *= h * prod(map(factorial, key))
             out[key] = out[key] + c if key in out else c
     return UdotElement(n, left, right)._new(out, den)
 
@@ -393,17 +402,16 @@ def udot_multiply(u: UdotElement, v: UdotElement) -> UdotElement:
 
 
 def _word_multiply(u: UdotElement, v: UdotElement) -> UdotElement:
-    """Product through the enveloping algebra, for any n: the lifted words
-    of all pairs of patterns are straightened and decoded at once.  Each
-    pair's normal words are patterns of degree at most deg u + deg v, so
-    their count, C(d + n(n-1), n(n-1)), times both term counts is held to
-    the budget first."""
+    """Product by rewriting divided powers, for any n (_times).  A pair of
+    patterns gives patterns of degree at most d = deg u + deg v; their
+    count, C(d + n(n-1), n(n-1)), times both term counts is held to the
+    budget first."""
     degree = max(map(sum, u.num), default=0) + max(map(sum, v.num), default=0)
     work = composition_count(u.n * (u.n - 1) + 1, degree) * len(u.num) * len(v.num)
     check_budget(work, f"a product of degree {degree} in U̇(gl_{u.n}) may straighten {work} patterns")
-    (left, du), (right, dv) = _lifted(u), _lifted(v)
-    products = {(wu, wv): cu * cv for wu, cu in left for wv, cv in right}
-    return _from_words(u.n, products, du * dv, u.left, v.right)
+    left = {_lift(u.n, p): c for p, c in u.num.items()}
+    parts = (_times({x: k * c for x, k in left.items()}, _lift(u.n, q), v.right) for q, c in v.num.items())
+    return _block_element(u.n, u.left, v.right, parts, u.den * v.den)
 
 
 def divided_generators(i: int, a: int, lam: Sequence[int], side: str) -> UdotElement:
@@ -426,17 +434,18 @@ def to_schur(u: UdotElement, r: int) -> SchurElement:
     """Truncate to the Schur algebra of degree r; zero when either weight
     is not a composition of r.
 
-    Each pattern's image is its cached runs applied to the idempotent of
-    the right weight by schur._apply_runs, which gives zero when a weight
-    on the way, the left weight last, is not a composition; the images
-    are summed in integers over the denominator of u.
+    Each pattern's image is its cached word, read right to left, applied
+    to the idempotent of the right weight by schur._apply_runs, which
+    gives zero when a weight on the way, the left weight last, is not a
+    composition; the images are summed in integers over the denominator
+    of u.
     """
     out = SchurElement(u.n, r)
     if sum(u.right) != r:
         return out
     total: dict[Matrix, int] = {}
     for p, c in u.num.items():
-        for m, v in _apply_runs(_runs(u.n, p), u.right).items():
+        for m, v in _apply_runs(_lift(u.n, p)[::-1], u.right).items():
             total[m] = total[m] + c * v if m in total else c * v
     return out._new(total, u.den)
 
@@ -455,18 +464,17 @@ def shift(u: UdotElement, k: int) -> UdotElement:
 def udot_relabel(u: UdotElement, w: Sequence[int]) -> UdotElement:
     """Apply the index-permutation isomorphism between weight blocks.
 
-    Both weights move by w and each lifted word moves by the enveloping
-    automorphism unit(a,b) -> unit(w(a),w(b)).  The automorphism breaks
-    normal order, so the moved words are straightened and pick up bracket
-    corrections: a plain exponent relabel of the patterns would not be
-    multiplicative.
+    Both weights move by w and each letter E_ab^(m) of a pattern's word
+    becomes E_w(a)w(b)^(m).  That breaks normal order, so the letters are
+    rewritten into the empty word (_times) with correction terms: a plain
+    relabel of the patterns would not be multiplicative.
     """
     n = u.n
     if sorted(w) != list(range(1, n + 1)):
         raise ValueError(f"need a permutation of 1..{n}")
-    words, den = _lifted(u)
-    products = {((), tuple((w[a - 1], w[b - 1]) for a, b in word)): c for word, c in words}
-    return _from_words(n, products, den, permute_weight(u.left, w), permute_weight(u.right, w))
+    right = permute_weight(u.right, w)
+    parts = (_times({(): c}, [(w[a] - 1, w[b] - 1, m) for a, b, m in _lift(n, p)], right) for p, c in u.num.items())
+    return _block_element(n, permute_weight(u.left, w), right, parts, u.den)
 
 
 @dataclass
@@ -546,20 +554,10 @@ class SymQuotientReport:
 
     @property
     def passed(self) -> bool:
-        return (
-            self.rank == self.expected_rank and self.integral and self.multiplicative
-        )
+        return self.rank == self.expected_rank and self.integral and self.multiplicative
 
     def to_json(self) -> dict:
-        return {
-            "r": self.r,
-            "basis_size": self.basis_size,
-            "rank": self.rank,
-            "expected_rank": self.expected_rank,
-            "integral": self.integral,
-            "multiplicative": self.multiplicative,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def symmetric_group_quotient(r: int) -> SymQuotientReport:

@@ -586,7 +586,7 @@ def test_truncations_form_no_pair_products(monkeypatch):
         [pbw_image(a, form) for form in FORMS],
         run_suite("psi", n_max=3, r_max=4).to_json(),
     )
-    udot._runs.cache_clear()
+    udot._rewrite.cache_clear()
     schur._row_move.cache_clear()
     monkeypatch.setattr(schur, "_pair_product", raise_on_pair_product)
     assert to_schur(u, 5) == expected[0]
@@ -634,7 +634,7 @@ def test_caches_are_bounded():
         enveloping._word_product: 4096,
         _block_patterns: 1024,
         schur._row_move: 4096,
-        udot._runs: 4096,
+        udot._rewrite: 1 << 17,
         enveloping.root_pairs: 64,
         udot.offdiag_cells: 64,
     }

@@ -8,7 +8,7 @@ from math import comb, factorial
 
 import pytest
 
-from schuralg import enveloping, udot
+from schuralg import enveloping, schur, udot
 from schuralg.enveloping import (
     UElement,
     divided_monomial,
@@ -202,8 +202,8 @@ def test_inner_weight_mismatch_gives_zero():
 
 def test_gl2_closed_form_matches_straightening():
     # every n = 2 product of basis elements with exponents at most 4, at
-    # every right weight in [-3,3]^2, against the generic path: straighten
-    # the lifted words in U(gl_2), then decode them into the block
+    # every right weight in [-3,3]^2, against the generic path: rewrite
+    # the divided powers of both words at their weights
     patterns = list(itertools.product(range(5), repeat=2))
     weights = list(itertools.product(range(-3, 4), repeat=2))
     for p in patterns:
@@ -226,32 +226,12 @@ def test_gl2_table_does_not_straighten(monkeypatch):
     def refuse(*args):
         raise AssertionError("n = 2 products must not straighten in U(gl_2)")
 
-    # udot binds _straighten by name, so both modules are patched
+    # neither U(gl_2)'s straightener nor the divided-power rewriting of
+    # the generic path
     monkeypatch.setattr(enveloping, "_insert", refuse)
     monkeypatch.setattr(enveloping, "_word_product", refuse)
-    monkeypatch.setattr(udot, "_straighten", refuse)
+    monkeypatch.setattr(udot, "_rewrite", refuse)
     assert gl2_generic_table((1, -2), 13).passed
-
-
-def test_one_straightener_for_enveloping_and_udot(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("straightened")
-
-    assert udot._straighten is enveloping._straighten
-    monkeypatch.setattr(enveloping, "_straighten", refuse)
-    monkeypatch.setattr(udot, "_straighten", refuse)
-    x = enveloping.matrix_unit(3, 1, 2)
-    u = udot_element((1, 0, 0), (0, 1, 0), (1, 0, 0, 0, 0, 0))
-    v = udot_element((0, 1, 0), (0, 0, 1), (0, 0, 0, 1, 0, 0))
-    for call in (
-        lambda: u_multiply(x, x),
-        lambda: u_relabel(x, (2, 1, 3)),
-        lambda: udot_multiply(u, v),
-        lambda: udot_relabel(u, (2, 1, 3)),
-    ):
-        with pytest.raises(AssertionError, match="straightened"):
-            call()
-    assert gl2_generic_table((1, -2), 3).passed
 
 
 def test_gl2_table_refused_before_any_product(monkeypatch):
@@ -303,7 +283,7 @@ def test_gl2_table_above_the_default_is_pinned():
 def test_gl2_table_matches_both_product_paths():
     # every product of the table, at every weight in [-3,3]^2 and every
     # degree up to 6, against the element product (the closed form behind
-    # udot_multiply) and the straightening oracle (_word_multiply)
+    # udot_multiply) and the divided-power rewriting (_word_multiply)
     top = 6
     for lam in itertools.product(range(-3, 4), repeat=2):
         basis = [udot_element(lam, lam, (a, a)) for a in range(top + 1)]
@@ -379,19 +359,20 @@ def oracle_relabel(u, w):
     return oracle_project(acc, permute_weight(u.left, w), permute_weight(u.right, w))
 
 
-@pytest.mark.parametrize(
-    "weights, degree",
-    [
-        (((0, 0, 0), (0, 0, 0), (0, 0, 0)), 4),
-        (((1, -2, 2), (0, 0, 1), (2, -1, 0)), 4),
-        (((-2, 2, 0), (2, -2, 0), (1, 1, -2)), 4),
-        (((2, 1, -1), (-1, 2, 1), (0, 0, 2)), 4),
-        (((0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)), 2),
-        (((1, 0, 0, 1), (0, 1, 0, 1), (0, 1, 1, 0)), 2),
-        (((2, 0, -2, 1), (1, 1, -1, 0), (1, 0, -1, 1)), 2),
-    ],
-)
-def test_word_path_matches_plain_power_oracle(weights, degree):
+# adjacent blocks (lam, mu), (mu, nu) with weights in [-2,2]^n, and the
+# degree up to which all their basis products are checked
+ADJACENT_BLOCKS = [
+    (((0, 0, 0), (0, 0, 0), (0, 0, 0)), 4),
+    (((1, -2, 2), (0, 0, 1), (2, -1, 0)), 4),
+    (((-2, 2, 0), (2, -2, 0), (1, 1, -2)), 4),
+    (((2, 1, -1), (-1, 2, 1), (0, 0, 2)), 4),
+    (((0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)), 2),
+    (((1, 0, 0, 1), (0, 1, 0, 1), (0, 1, 1, 0)), 2),
+    (((2, 0, -2, 1), (1, 1, -1, 0), (1, 0, -1, 1)), 2),
+]
+
+
+def check_block_products(weights, degree, oracle):
     # every product of basis elements of two adjacent blocks, and one
     # product of combinations with fractional coefficients
     lam, mu, nu = weights
@@ -399,10 +380,100 @@ def test_word_path_matches_plain_power_oracle(weights, degree):
     assert us and vs
     for u in us:
         for v in vs:
-            assert udot_multiply(u, v) == oracle_multiply(u, v), (u.terms, v.terms)
+            assert udot_multiply(u, v) == oracle(u, v), (u.terms, v.terms)
     x = sum(us[1:], us[0].scale(Fraction(-2, 3)))
     y = vs[-1].scale(Fraction(5, 2)) + vs[0]
-    assert udot_multiply(x, y) == oracle_multiply(x, y)
+    assert udot_multiply(x, y) == oracle(x, y)
+
+
+@pytest.mark.parametrize("weights, degree", ADJACENT_BLOCKS)
+def test_word_path_matches_plain_power_oracle(weights, degree):
+    check_block_products(weights, degree, oracle_multiply)
+
+
+# The paper's descent, as a word-free oracle: shift the weights so far that
+# psi_r is injective on the patterns of the product's degree, multiply the
+# truncations by row moves, and read the patterns back off the result.
+
+
+def act(runs, vec):
+    """The runs (a, b, m), rightmost first, acting on an integer
+    combination of orbit matrices by row moves."""
+    for a, b, m in runs:
+        nxt = {}
+        for rows, c in vec.items():
+            new = list(rows)
+            for new[a], new[b], k in schur._row_move(m, rows[a], rows[b]):
+                key = tuple(new)
+                nxt[key] = nxt.get(key, 0) + c * k
+        vec = {key: c for key, c in nxt.items() if c}
+    return vec
+
+
+def descent_multiply(u, v):
+    """u * v from psi_r(u) psi_r(v) at weights shifted by k, where mu + k
+    and nu + k are at least d = deg u + deg v entrywise and lam + k is
+    nonnegative, r = |nu| + nk.  There the image of pattern p has the one
+    term xi_(diag + p) of top off-diagonal degree, with coefficient 1, so
+    the product is peeled top degree first."""
+    if u.right != v.left:
+        return udot_zero(u.n, u.left, v.right)
+    n, lam, mu, nu = u.n, u.left, u.right, v.right
+    d = max(map(sum, u.num)) + max(map(sum, v.num))
+    k = max(d - min(mu + nu), -min(lam))
+    right = tuple(x + k for x in nu)
+
+    def runs(p):
+        lower, upper = enveloping._offdiag_runs(pattern_matrix(p, n))
+        return upper + lower
+
+    def offdiag(a):
+        return sum(map(sum, a)) - sum(a[i][i] for i in range(n))
+
+    psi_v = {}
+    for q, c in v.num.items():
+        for a, x in act(runs(q), {schur._diagonal(right): 1}).items():
+            psi_v[a] = psi_v.get(a, 0) + c * x
+    vec = {}
+    for p, c in u.num.items():
+        for a, x in act(runs(p), psi_v).items():
+            vec[a] = vec.get(a, 0) + c * x
+    vec = {a: x for a, x in vec.items() if x}
+    out = {}
+    while vec:
+        top = max(vec, key=lambda a: (offdiag(a), a))
+        p, c = matrix_pattern(top), vec[top]
+        assert sum(p) <= d
+        image = act(runs(p), {schur._diagonal(right): 1})
+        assert image[top] == 1 and all(offdiag(a) < offdiag(top) for a in image if a != top)
+        out[p] = Fraction(c, u.den * v.den)
+        for a, x in image.items():
+            vec[a] = vec.get(a, 0) - c * x
+            if not vec[a]:
+                del vec[a]
+    return UdotElement(n, lam, nu, out)
+
+
+@pytest.mark.parametrize("weights, degree", ADJACENT_BLOCKS)
+def test_word_path_matches_descent_oracle(weights, degree):
+    check_block_products(weights, degree, descent_multiply)
+
+
+# SHA-256 of the sorted-key JSON list of every product u * v, u and v in
+# udot_basis_upto(lam, lam, 6) in basis order, recorded while products
+# straightened plain powers in U(gl_3)
+GL3_BLOCK_PRODUCT_DIGESTS = {
+    (0, 0, 0): "fcf3193a2126136cdd77850e317316e66daeff058b589b039e9b1ccb356817fe",
+    (1, -2, 0): "3acb952bf1db47870aeee7bedbf1815b314107419cc92e6467a0e4d4894963d0",
+}
+
+
+@pytest.mark.parametrize("lam", list(GL3_BLOCK_PRODUCT_DIGESTS))
+def test_gl3_block_products_are_pinned(lam):
+    # degree 6 reaches rule terms with t >= 3, which the oracle ranges do not
+    basis = udot_basis_upto(lam, lam, 6)
+    payload = json.dumps([udot_multiply(u, v).to_json() for u in basis for v in basis], sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == GL3_BLOCK_PRODUCT_DIGESTS[lam]
 
 
 @pytest.mark.parametrize("lam, mu", [((0, 0, 0), (0, 0, 0)), ((1, -2, 2), (0, 0, 1)), ((2, 1, -1), (-1, 2, 1))])
@@ -411,6 +482,29 @@ def test_relabel_matches_plain_power_oracle(lam, mu):
     for w in itertools.permutations((1, 2, 3)):
         for u in basis:
             assert udot_relabel(u, w) == oracle_relabel(u, w), (w, u.terms)
+
+
+def test_udot_needs_no_enveloping_straightener(monkeypatch):
+    # n >= 3 products and relabellings rewrite divided powers at a weight:
+    # with U(gl_n)'s straightener patched to raise, every product and
+    # relabelling in the gl_3 (0,0,0) block at degree 4 still equals the
+    # plain-power oracle, computed before the patch
+    basis = udot_basis_upto((0, 0, 0), (0, 0, 0), 4)
+    perms = list(itertools.permutations((1, 2, 3)))
+    products = [oracle_multiply(u, v) for u in basis for v in basis]
+    relabels = [oracle_relabel(u, w) for u in basis for w in perms]
+
+    def refuse(*args):
+        raise AssertionError("straightened in U(gl_n)")
+
+    for name in ("_insert", "_word_product", "_straighten"):
+        monkeypatch.setattr(enveloping, name, refuse)
+    udot._rewrite.cache_clear()
+    assert [udot_multiply(u, v) for u in basis for v in basis] == products
+    assert [udot_relabel(u, w) for u in basis for w in perms] == relabels
+    x = enveloping.matrix_unit(3, 1, 2)
+    with pytest.raises(AssertionError, match="straightened in U"):
+        u_multiply(x, x)
 
 
 def test_udot_builds_no_enveloping_element(monkeypatch):
