@@ -505,6 +505,8 @@ def test_udot_needs_no_enveloping_straightener(monkeypatch):
     x = enveloping.matrix_unit(3, 1, 2)
     with pytest.raises(AssertionError, match="straightened in U"):
         u_multiply(x, x)
+    with pytest.raises(AssertionError, match="straightened in U"):
+        u_relabel(x, (2, 1, 3))
 
 
 def test_udot_builds_no_enveloping_element(monkeypatch):
