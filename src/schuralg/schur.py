@@ -39,8 +39,8 @@ Tensor space itself enters only as an oracle, behind one guard
 writes the orbit element of one margin matrix as a full tensor-space
 endomorphism (TensorEndo), endo_of sums those, and element_from_endo
 reads an endomorphism back in the orbit basis.  The tests compare the
-products against them, and the gbasis and gl2 suites take exact ranks of
-their entries.
+products against them; the gbasis and gl2 suites rank, under the same
+guard, only the images of e_k for one word k of a block's right weight.
 
 Weight idempotents are the diagonal matrices: they project onto the span
 of words of one fixed weight.  All arithmetic is exact and in integers

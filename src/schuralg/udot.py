@@ -228,9 +228,10 @@ def udot_basis_upto(lam: Sequence[int], mu: Sequence[int], degree: int) -> list[
     the bound, ordered by (degree, pattern lexicographic).
 
     The patterns come from _block_patterns, which builds only those that
-    move lam - mu.  The input is refused when all patterns of degree at
-    most the bound (compositions of it into one part per cell and a slack
-    part) number more than TENSOR_SPACE_LIMIT, whatever the block."""
+    move lam - mu.  A pattern of one block is fixed by its entries off the
+    cells (i, n), i < n, so at most C(d + (n-1)^2, (n-1)^2) have degree at
+    most d (compositions of d into one part per free cell and a slack
+    part); the input is refused when that is over TENSOR_SPACE_LIMIT."""
     patterns = _basis_patterns(lam, mu, degree)
     zero = UdotElement(len(lam), lam, mu, {})
     return [zero._new({p: 1}) for p in patterns]
@@ -246,7 +247,7 @@ def _basis_patterns(lam: Sequence[int], mu: Sequence[int], degree: int) -> tuple
     delta = tuple(l - r for l, r in zip(lam, mu))
     if sum(delta) != 0:
         return ()
-    _check_composition_count(len(offdiag_cells(n)) + 1, degree)
+    _check_composition_count((n - 1) ** 2 + 1, degree)
     return _block_patterns(n, delta, degree)
 
 
@@ -403,11 +404,11 @@ def udot_multiply(u: UdotElement, v: UdotElement) -> UdotElement:
 
 def _word_multiply(u: UdotElement, v: UdotElement) -> UdotElement:
     """Product by rewriting divided powers, for any n (_times).  A pair of
-    patterns gives patterns of degree at most d = deg u + deg v; their
-    count, C(d + n(n-1), n(n-1)), times both term counts is held to the
-    budget first."""
+    patterns gives patterns of the one block (u.left, v.right) of degree at
+    most d = deg u + deg v; their count, at most C(d + (n-1)^2, (n-1)^2) as
+    in udot_basis_upto, times both term counts is held to the budget first."""
     degree = max(map(sum, u.num), default=0) + max(map(sum, v.num), default=0)
-    work = composition_count(u.n * (u.n - 1) + 1, degree) * len(u.num) * len(v.num)
+    work = composition_count((u.n - 1) ** 2 + 1, degree) * len(u.num) * len(v.num)
     check_budget(work, f"a product of degree {degree} in U̇(gl_{u.n}) may straighten {work} patterns")
     left = {_lift(u.n, p): c for p, c in u.num.items()}
     parts = (_times({x: k * c for x, k in left.items()}, _lift(u.n, q), v.right) for q, c in v.num.items())

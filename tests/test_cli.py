@@ -626,9 +626,8 @@ def weight_requests(draw):
     return draw(st.sampled_from(([], ["--format", "csv"]))) + command.split() + args
 
 
-@settings(max_examples=120, deadline=None)
-@given(weight_requests())
-def test_weight_commands_fuzz(argv):
+def assert_exits_cleanly(argv):
+    """Exit 0, 1 or 2, no output on a refusal, and no escaped exception."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
@@ -636,6 +635,33 @@ def test_weight_commands_fuzz(argv):
     if code == 2:
         assert out.getvalue() == ""
     assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=120, deadline=None)
+@given(weight_requests())
+def test_weight_commands_fuzz(argv):
+    assert_exits_cleanly(argv)
+
+
+# Fuzzing the block-dimension suites with their range flags, from below
+# the least allowed values (n_max 1, r_max 0) up to gbasis at n <= 3,
+# r <= 5 and gl2 at r <= 14, each run well under a second.
+@st.composite
+def block_suite_requests(draw):
+    def maybe(name, lo, hi):
+        return [name, str(draw(st.integers(lo, hi)))] if draw(st.booleans()) else []
+
+    if draw(st.booleans()):
+        args = ["gbasis"] + maybe("--n-max", -1, 3) + maybe("--r-max", -2, 5)
+    else:
+        args = ["gl2"] + maybe("--r-max", -2, 14)
+    return draw(st.sampled_from(([], ["--format", "csv"]))) + ["verify"] + args
+
+
+@settings(max_examples=40, deadline=None)
+@given(block_suite_requests())
+def test_block_suites_fuzz(argv):
+    assert_exits_cleanly(argv)
 
 
 def _cyclic_pattern_pair(k):
@@ -648,11 +674,16 @@ def _cyclic_pattern_pair(k):
 
 
 # SHA-256 and length of the stdout of the k = 2, 3, 4 products, recorded
-# before the guard existed
+# before the guard existed, and of the k = 5, 8 and 11 products (36, 81
+# and 144 terms; 11 is the last one the guard admits), recorded on the
+# earlier rewriting with the guard lifted
 UDOT_CYCLIC_DIGESTS = {
     2: ("d9dd26488310a45e4f35d094d13dc133263fdf321b0e0134248f98a76635aebd", 617),
     3: ("fff8ab5469e37962003eef4ddd72e8e645d21938983631d2a2fd9a37359c637b", 1051),
     4: ("a5ce93229ce2bfc824b0d4cbbd4468ec866fa9fa677c9b9ad3b4d3151a3fd483", 1618),
+    5: ("5a389769cb926fbde973053e54082cd5b1c795716e1d8d63b7778ed57cebc85b", 2319),
+    8: ("d4b86cde967ced7d46eb8adda0ecdc1ef17cc82d479c9640d9fbe19f5f57422e", 5216),
+    11: ("a1a58fa663b7490e951cd954fe44b6b4273a65ec793bd1096d1a06b54b005a90", 9791),
 }
 
 
@@ -664,10 +695,11 @@ def test_udot_mul_gl3_under_the_bound_is_unchanged(capsys, k):
     assert (hashlib.sha256(out.encode()).hexdigest(), len(out)) == UDOT_CYCLIC_DIGESTS[k]
 
 
-@pytest.mark.parametrize("k", [5, 8, 12])
+@pytest.mark.parametrize("k", [12, 20])
 def test_udot_mul_gl3_refused_before_straightening(capsys, k):
-    # C(6k + 6, 6) patterns of degree at most 6k in the six root cells:
-    # 593,775 at k = 4, 1,947,792 at k = 5
+    # the product lies in the block 1_0 .. 1_0, whose patterns are fixed by
+    # their four entries off column 3: C(6k + 4, 4) patterns of degree at
+    # most 6k, 916,895 at k = 11 and 1,282,975 at k = 12
     left, right = _cyclic_pattern_pair(k)
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "udot", "mul", "--left", left, "--right", right)

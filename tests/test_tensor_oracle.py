@@ -8,21 +8,25 @@ of them writes a word.  Tensor space survives only as the oracle
 the guard n^r <= TENSOR_SPACE_LIMIT.  The helpers here keep the earlier
 bodies of the library functions, built from whole tensor-space
 endomorphisms, and the tests compare the two paths on seeded random
-inputs.  A structural test pins that the library paths never build a
-TensorEndo, and the tests beyond the limit pin word-free values at
+inputs.  The gbasis and gl2 suites read a block off one word of its
+right weight; the earlier oracles they replace, built from whole
+endomorphisms and pairs of words, are kept here and compared with them.
+Structural tests pin that the library paths and those suites never build
+a TensorEndo, and the tests beyond the limit pin word-free values at
 weights with far more than TENSOR_SPACE_LIMIT words.
 """
 
 import random
 import time
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
 
 from test_schur import counting_product_coeff
 
-from schuralg import codet
+from schuralg import codet, schur, verify
 from schuralg.codet import cell_datum_check, codet_basis, codeterminant
 from schuralg.enveloping import (
     divided_monomial,
@@ -33,11 +37,13 @@ from schuralg.enveloping import (
     verify_weight_idempotent,
 )
 from schuralg.errors import ResourceLimitError
+from schuralg.exact_linalg import integer_rank
 from schuralg.schur import (
     SchurElement,
     TensorEndo,
     element_from_endo,
     endo_of,
+    hom_basis,
     idempotent,
     schur_multiply,
 )
@@ -50,7 +56,7 @@ from schuralg.udot import (
     udot_element,
     udot_multiply,
 )
-from schuralg.weights import col_sums, compositions, margin_matrices, row_sums
+from schuralg.weights import col_sums, compositions, margin_matrices, row_sums, words_of_weight
 
 FORMS = ("fe", "ef", "fe-middle", "ef-middle")
 SIZES = [(2, r) for r in range(5)] + [(3, r) for r in range(4)]
@@ -101,6 +107,48 @@ def to_schur_on_tensor_space(u, r):
     for p, c in u.terms.items():
         total = total + tensor_rep(divided_monomial(n, pattern_matrix(p, n), (), "fe"), r).scale(c)
     return element_from_endo(block(total, u.left, u.right))
+
+
+def block_oracles_on_tensor_space(lam, mu):
+    """The earlier verify oracles of a block: the exact rank of the
+    entries of the basis endomorphisms, and the number of diagonal
+    place-permutation orbits on pairs of words of the two weights, by
+    union-find over adjacent transpositions."""
+    rank = integer_rank([endo_of(x).num for x in hom_basis(lam, mu)])
+    # a pair of words as one word of letter pairs
+    index = {tuple(zip(l, k)): i for i, (l, k) in enumerate(product(words_of_weight(lam), words_of_weight(mu)))}
+    parent = list(range(len(index)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for p, i in index.items():
+        for t in range(len(p) - 1):
+            if p[t] != p[t + 1]:
+                parent[find(i)] = find(index[p[:t] + (p[t + 1], p[t]) + p[t + 2:]])
+    return rank, len({find(i) for i in range(len(parent))})
+
+
+def block_oracles(lam, mu):
+    """The oracles of verify's gbasis and gl2 rows, read off one word."""
+    return verify._column_rank(lam, mu, margin_matrices(lam, mu)), verify._orbit_count(lam, mu)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_block_oracles_match_tensor_space(n):
+    for r in range(5):
+        for lam in compositions(n, r):
+            for mu in compositions(n, r):
+                assert block_oracles(lam, mu) == block_oracles_on_tensor_space(lam, mu), (lam, mu)
+
+
+def test_gl2_diagonal_oracles_match_tensor_space():
+    for r in range(11):
+        for lam in compositions(2, r):
+            assert block_oracles(lam, lam) == block_oracles_on_tensor_space(lam, lam) == (1 + min(lam),) * 2
 
 
 @pytest.mark.parametrize("n,r", SIZES)
@@ -245,3 +293,16 @@ def test_library_paths_never_build_tensor_space(monkeypatch):
     assert not to_schur(u, 3).is_zero
     assert verify_weight_idempotent((2, 1, 1))
     assert symmetric_group_quotient(3).passed
+
+
+def test_block_dimension_suites_build_no_tensor_space(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("tensor-space endomorphism built")
+
+    for owner, name in [(schur, "endo_of"), (schur, "orbit_endo"), (TensorEndo, "__init__"), (TensorEndo, "_new")]:
+        monkeypatch.setattr(owner, name, refuse)
+    assert verify.run_suite("gbasis").passed
+    assert verify.run_suite("gl2", r_max=10).passed
+    # the refusal keeps the tensor-space guard's message
+    with pytest.raises(ResourceLimitError, match=r"tensor space has 2\^20 basis words"):
+        verify._gl2_dim((10, 10))

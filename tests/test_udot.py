@@ -168,14 +168,18 @@ def test_udot_basis_enumerates_only_block_patterns(monkeypatch):
 
 
 def test_udot_basis_refusal_is_unchanged():
-    # refused when all patterns of degree at most the bound, one part per
-    # cell plus a slack part, number more than the limit: 7 parts for n = 3
-    assert composition_count(7, 26) <= TENSOR_SPACE_LIMIT < composition_count(7, 27)
-    for degree in (27, 30):
-        with pytest.raises(ResourceLimitError, match=f"compositions of {degree} into 7 parts"):
+    # a pattern of one block is fixed by its entries off the cells (1, 3)
+    # and (2, 3), so it is refused when the compositions of the bound into
+    # one part per free cell plus a slack part, 5 parts for n = 3, number
+    # more than the limit
+    assert composition_count(5, 67) <= TENSOR_SPACE_LIMIT < composition_count(5, 68)
+    # moving 67 from index 3 to index 1 within degree 67 takes E_13^(67) alone
+    assert [u.num for u in udot_basis_upto((67, 0, 0), (0, 0, 67), 67)] == [{(0, 67, 0, 0, 0, 0): 1}]
+    for degree in (68, 80):
+        with pytest.raises(ResourceLimitError, match=f"compositions of {degree} into 5 parts"):
             udot_basis_upto((1, 2, 1), (2, 1, 1), degree)
     # a block whose weights differ in total is empty at any degree
-    assert udot_basis_upto((1, 0, 0), (0, 0, 0), 30) == []
+    assert udot_basis_upto((1, 0, 0), (0, 0, 0), 80) == []
 
 
 def test_negative_degree_is_rejected():
@@ -660,7 +664,10 @@ def test_block_images_are_the_truncated_basis(n, r):
 def test_block_images_are_refused_as_the_basis():
     assert udot._block_images((1, 0), (0, 2)) == []
     assert udot._block_images((2, -1), (1, 0)) == [{}]
-    for lam, mu in [((9, 9, 9), (9, 9, 9)), ((-1, 0), (0, -1)), ((1, 0), (1,))]:
+    # the last admitted degree, 67, and the first refused one; a block that
+    # moves all of mu from index 3 to index 1 has the one pattern E_13^(mu_3)
+    assert udot._block_images((67, 0, 0), (0, 0, 67)) == [{((0, 0, 67), (0, 0, 0), (0, 0, 0)): 1}]
+    for lam, mu in [((68, 0, 0), (0, 0, 68)), ((-1, 0), (0, -1)), ((1, 0), (1,))]:
         with pytest.raises(Exception) as basis:
             udot_basis_upto(lam, mu, sum(mu))
         with pytest.raises(type(basis.value), match=re.escape(str(basis.value))):
