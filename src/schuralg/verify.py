@@ -1,9 +1,9 @@
 """Named verification suites with deterministic, witness-carrying reports.
 
 Each suite cross-checks one structural claim at desk scale against an
-independent oracle: orbit counting by union-find for dimensions, Kostka
-sums for codeterminant counts, exact ranks for spanning, elementwise
-comparisons for identities.
+independent oracle: union-find orbit counts for dimensions, Kostka sums
+for codeterminant counts, exact ranks for spanning, integer determinants
+in the orbit basis for Z-bases, elementwise comparisons for identities.
 
 The suites form a table: SUITES maps names to suite functions, whose
 keyword parameters and defaults are the suite parameters (and the CLI's
@@ -30,7 +30,7 @@ from . import enveloping as env
 from . import schur as schur_mod
 from . import udot as udot_mod
 from .errors import check_budget
-from .exact_linalg import integer_rank, unimodular_change
+from .exact_linalg import integer_det, integer_rank
 from .weights import (
     col_sums,
     composition_count,
@@ -168,6 +168,8 @@ def _orbit_count(lam: Sequence[int], mu: Sequence[int]) -> int:
 def suite_gbasis(n_max: int = 3, r_max: int = 3) -> VerificationReport:
     """Orbit-basis blocks: count, independence, and spanning, with the
     dimension confirmed by union-find orbit counting, both read off one word."""
+    for n, r in itertools.product(range(1, n_max + 1), range(r_max + 1)):
+        schur_mod.check_tensor_scale(n, r)
     rows = _slice_rows("block-dims", n_max, r_max, _weight_pairs, _orbit_block)
     return _run("gbasis", {"n_max": n_max, "r_max": r_max}, rows)
 
@@ -199,16 +201,15 @@ def _codet_block(lam: tuple, mu: tuple) -> str | None:
 
 
 def suite_zbas(n_max: int = 3, r_max: int = 3) -> VerificationReport:
-    """Divided-monomial images: both arrangements give bases related to
-    the orbit basis by unimodular integer matrices, and the middle-
-    idempotent arrangements agree with the outer-truncated ones."""
+    """Divided-monomial images: the middle-idempotent arrangements agree
+    with the outer-truncated ones, and each arrangement is a Z-basis of
+    the block: integral, inside it, of determinant +-1 in the orbit basis."""
     rows = _slice_rows("pbw-images", n_max, r_max, _weight_pairs, _pbw_block)
     return _run("zbas", {"n_max": n_max, "r_max": r_max}, rows)
 
 
 def _pbw_block(lam: tuple, mu: tuple) -> str | None:
-    margins = margin_matrices(lam, mu)
-    xi = schur_mod.hom_basis(lam, mu)
+    margins = dict.fromkeys(margin_matrices(lam, mu))  # in order, with set-like keys
     images = {form: [env.pbw_image(a, form) for a in margins] for form in ("fe", "ef")}
     for form, family in images.items():
         for a, x in zip(margins, family):
@@ -217,7 +218,8 @@ def _pbw_block(lam: tuple, mu: tuple) -> str | None:
     if not all(x.integral() for family in images.values() for x in family):
         return f"non-integer coefficients at lam={lam} mu={mu}"
     for form, family in images.items():
-        if not unimodular_change(family, xi):
+        square = [[x.num.get(a, 0) for a in margins] for x in family]
+        if not all(x.num.keys() <= margins.keys() for x in family) or abs(integer_det(square)) != 1:
             return f"{form} family not unimodular at lam={lam} mu={mu}"
     return None
 
@@ -365,10 +367,11 @@ def _psi_multiplicative(u: udot_mod.UdotElement, v: udot_mod.UdotElement, r: int
 def suite_gl2(r_max: int = 8) -> VerificationReport:
     """Diagonal gl_2 blocks: dimension equals 1 + min(lam) by margin
     count, Kostka sum, and exact rank; one generic table spot check."""
-    rows = itertools.chain(
-        ((f"gl2-dim-r{r}", [(lam,) for lam in compositions(2, r)], _gl2_dim) for r in range(r_max + 1)),
-        [("gl2-generic-table", [((1, -2), 4)], _gl2_table)],
-    )
+    rows = []
+    for r in range(r_max + 1):
+        schur_mod.check_tensor_scale(2, r)
+        rows.append((f"gl2-dim-r{r}", [(lam,) for lam in compositions(2, r)], _gl2_dim))
+    rows.append(("gl2-generic-table", [((1, -2), 4)], _gl2_table))
     return _run("gl2", {"r_max": r_max}, rows)
 
 

@@ -643,25 +643,37 @@ def test_weight_commands_fuzz(argv):
     assert_exits_cleanly(argv)
 
 
-# Fuzzing the block-dimension suites with their range flags, from below
-# the least allowed values (n_max 1, r_max 0) up to gbasis at n <= 3,
-# r <= 5 and gl2 at r <= 14, each run well under a second.
+# Fuzzing the block suites with their range flags, from below the least
+# allowed values (n_max 1, r_max 0) up to gbasis at n <= 3, r <= 5, gl2
+# at r <= 14 and zbas and codet at n <= 3, r <= 4, each run well under a
+# second.
 @st.composite
 def block_suite_requests(draw):
     def maybe(name, lo, hi):
         return [name, str(draw(st.integers(lo, hi)))] if draw(st.booleans()) else []
 
-    if draw(st.booleans()):
-        args = ["gbasis"] + maybe("--n-max", -1, 3) + maybe("--r-max", -2, 5)
+    suite = draw(st.sampled_from(["gbasis", "gl2", "zbas", "codet"]))
+    if suite == "gbasis":
+        args = maybe("--n-max", -1, 3) + maybe("--r-max", -2, 5)
+    elif suite == "gl2":
+        args = maybe("--r-max", -2, 14)
     else:
-        args = ["gl2"] + maybe("--r-max", -2, 14)
-    return draw(st.sampled_from(([], ["--format", "csv"]))) + ["verify"] + args
+        args = maybe("--n-max", -1, 3) + maybe("--r-max", -2, 4)
+    return draw(st.sampled_from(([], ["--format", "csv"]))) + ["verify", suite] + args
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(block_suite_requests())
 def test_block_suites_fuzz(argv):
     assert_exits_cleanly(argv)
+
+
+def test_verify_gl2_refuses_its_range_at_once(capsys):
+    # the rows up to r = 19 used to run for seconds before this refusal
+    code, out, err = run_cli(capsys, "verify", "gl2", "--r-max", "20")
+    assert code == 2
+    assert out == ""
+    assert "tensor space has 2^20 basis words" in err
 
 
 def _cyclic_pattern_pair(k):

@@ -8,7 +8,7 @@ from math import comb
 
 import pytest
 
-from schuralg import enveloping, verify
+from schuralg import enveloping, exact_linalg, schur, verify
 from schuralg.enveloping import (
     UElement,
     divided_monomial,
@@ -28,7 +28,7 @@ from schuralg.enveloping import (
 )
 from schuralg.errors import ResourceLimitError
 from schuralg.exact_linalg import unimodular_change
-from schuralg.schur import hom_basis
+from schuralg.schur import SchurElement, hom_basis
 from schuralg.weights import compositions, margin_matrices
 
 
@@ -251,6 +251,84 @@ def test_pbw_images_unimodular():
             ef = [pbw_image(a, "ef").terms for a in margins]
             assert unimodular_change(fe, xi)
             assert unimodular_change(ef, xi)
+
+
+def pbw_block_reference(lam, mu):
+    """The zbas row as it stood when it solved for coordinates: the same
+    middle-form and integrality checks, then each family put through
+    unimodular_change against the orbit basis hom_basis(lam, mu)."""
+    margins = margin_matrices(lam, mu)
+    xi = hom_basis(lam, mu)
+    images = {form: [enveloping.pbw_image(a, form) for a in margins] for form in ("fe", "ef")}
+    for form, family in images.items():
+        for a, x in zip(margins, family):
+            if enveloping.pbw_image(a, f"{form}-middle") != x:
+                return f"{form}-middle mismatch at {a}"
+    if not all(x.integral() for family in images.values() for x in family):
+        return f"non-integer coefficients at lam={lam} mu={mu}"
+    for form, family in images.items():
+        if not unimodular_change(family, xi):
+            return f"{form} family not unimodular at lam={lam} mu={mu}"
+    return None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_zbas_row_matches_coordinate_reference(n):
+    for r in range(5):
+        for lam in compositions(n, r):
+            for mu in compositions(n, r):
+                assert verify._pbw_block(lam, mu) is None
+                assert pbw_block_reference(lam, mu) is None
+
+
+# Changes of the images x0, x1 of the first two margin matrices of one
+# block, given a term z of another block, and the witness each must give
+# (None: the family stays a Z-basis; swapping has determinant -1).
+PERTURBATIONS = {
+    "doubled": (lambda x0, x1, z: (x0.scale(2), x1), "{form} family not unimodular"),
+    "swapped": (lambda x0, x1, z: (x1, x0), None),
+    "plus-another": (lambda x0, x1, z: (x0 + x1, x1), None),
+    "term-outside": (lambda x0, x1, z: (x0 + z, x1), "{form} family not unimodular"),
+    "halved": (lambda x0, x1, z: (x0.scale(Fraction(1, 2)), x1), "non-integer coefficients"),
+}
+
+
+@pytest.mark.parametrize("form", ["fe", "ef"])
+@pytest.mark.parametrize("kind", sorted(PERTURBATIONS))
+def test_zbas_row_matches_reference_on_perturbed_families(monkeypatch, kind, form):
+    lam, mu = (2, 1, 1), (1, 2, 1)
+    a0, a1 = margin_matrices(lam, mu)[:2]
+    z = SchurElement(3, 4, {margin_matrices(mu, lam)[0]: 1})
+    change, expected = PERTURBATIONS[kind]
+    original = enveloping.pbw_image
+    changed = dict(zip((a0, a1), change(original(a0, form), original(a1, form), z)))
+
+    def perturbed(a, f="fe"):
+        # the middle form follows its outer form, so only the family changes
+        if f.removesuffix("-middle") == form and a in changed:
+            return changed[a]
+        return original(a, f)
+
+    monkeypatch.setattr(enveloping, "pbw_image", perturbed)
+    witness = verify._pbw_block(lam, mu)
+    assert witness == pbw_block_reference(lam, mu)
+    assert witness == (expected and f"{expected.format(form=form)} at lam={lam} mu={mu}")
+
+
+def test_zbas_solves_for_no_coordinates(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("coordinates solved against the orbit basis")
+
+    monkeypatch.setattr(exact_linalg.CoordinateSolver, "__init__", refuse)
+    monkeypatch.setattr(exact_linalg, "unimodular_change", refuse)
+    monkeypatch.setattr(schur, "hom_basis", refuse)
+    report = verify.run_suite("zbas", n_max=3, r_max=4)
+    data = (json.dumps(report.to_json(), sort_keys=True) + "\n").encode()
+    # SHA-256 and length of `schuralg verify zbas --n-max 3 --r-max 4`
+    # stdout, recorded while the row still solved for coordinates
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == (
+        "47a36f0bf0b51a3148fc2171dec3b3d2fc4252dec9263a8c202ca692fc2e8b77", 997
+    )
 
 
 def test_pbw_image_rejects_bad_form():

@@ -276,6 +276,16 @@ def test_codeterminant_blocks_are_bounded(monkeypatch):
         cell_datum_check((1,) * 20)
 
 
+def test_block_dimension_suites_refuse_their_range_before_the_first_row(monkeypatch):
+    # the refusal is the one the rows would reach, at the first slice
+    # over the budget in row order
+    monkeypatch.setattr(verify, "_column_rank", refuse_work)
+    with pytest.raises(ResourceLimitError, match=r"tensor space has 2\^20 basis words"):
+        verify.run_suite("gl2", r_max=20)
+    with pytest.raises(ResourceLimitError, match=r"tensor space has 4\^10 basis words"):
+        verify.run_suite("gbasis", n_max=4, r_max=10)
+
+
 def test_library_paths_never_build_tensor_space(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("tensor-space endomorphism built")
