@@ -12,28 +12,27 @@ cell_datum_check verifies the cellular axioms for the algebra of a single
 weight lam, with cells ordered by dominance of shapes and the cell ideal
 for nu spanned by the codeterminants of shapes strictly dominating nu:
 
-  (a) the codeterminants form a basis (count and exact rank);
+  (a) the codeterminants form a Z-basis of the block: integral, inside
+      it, as many as its orbit basis, and of determinant +-1 over it;
   (b) the transpose involution swaps the two tableaux of each cell;
   (c) left multiplication fixes the right tableau modulo more dominant
       shapes, with structure coefficients independent of it.
 
 Checking (c) on a spanning set of left multipliers suffices because the
 condition is linear in the multiplier.  It runs as the block's integer
-action: once (a) has shown that the cells are a basis of the block, each
-of Green's integer pair products xi_A xi_B lies in their span and is
-solved on its own, once, in integers over the solver's one denominator;
-the coordinates of xi_A times a cell are integer multiply-adds of those
-solutions, weighted by the cell's integer (B, v) pairs.  A Fraction is
-built only for a stored structure coefficient or a witness.  CellDatum
-holds one weight's cells and action; its filtration check (the cells of
-shapes dominating a shape span a two-sided ideal) reads the left
-products that axiom (c) solved and solves only the right ones.
+action on that Z-basis: the one Gauss-Jordan factoring of the cells that
+decides (a) also solves each of Green's integer pair products xi_A xi_B
+on its own, once, in integer coordinates; the coordinates of xi_A times
+a cell are integer multiply-adds of those solutions, weighted by the
+cell's integer (B, v) pairs, and no Fraction is built.  CellDatum holds
+one weight's cells and action; its filtration check (the cells of shapes
+dominating a shape span a two-sided ideal) reads the left products that
+axiom (c) solved and solves only the right ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
@@ -46,7 +45,6 @@ from .weights import (
     Weight,
     Word,
     _shapes_below,
-    col_sums,
     dominance_leq,
     dominance_lt,
     dominant_shapes,
@@ -55,7 +53,6 @@ from .weights import (
     kostka,
     margin_matrices,
     pair_to_matrix,
-    row_sums,
     ssyt,
     weight_word,
 )
@@ -167,11 +164,6 @@ class CellReport:
         }
 
 
-def _product(x: Matrix, y: Matrix) -> tuple[tuple[Matrix, int], ...]:
-    """xi_x xi_y, zero when the inner weights differ."""
-    return _pair_product(x, y) if col_sums(x) == row_sums(y) else ()
-
-
 def _cell_json(shape: Weight, *words: Word) -> dict:
     return dict(zip(("shape", "left", "right"), map(list, (shape, *words))))
 
@@ -186,41 +178,39 @@ class CellDatum:
         self.cells = codet_basis(self.lam, self.lam)
         self.keys = [(c.shape, c.left.row_word, c.right.row_word) for c in self.cells]
         self.multipliers = margin_matrices(self.lam, self.lam)
-        self._solved: dict[tuple[Matrix, Matrix], list[int] | None] = {}
-        self._coords: dict[tuple[Matrix, int, bool], tuple[list[int], int] | None] = {}
+        self._solved: dict[tuple[Matrix, Matrix], list[int]] = {}
+        self._coords: dict[tuple[Matrix, int, bool], list[int]] = {}
 
     @cached_property
     def solver(self) -> CoordinateSolver | None:
-        """The cells factored once, None when they are linearly dependent."""
+        """The cells factored once when they are a Z-basis of the block,
+        else None.  They are integral, inside the block and as many as its
+        orbit basis before they are factored; the factoring's one
+        denominator is then their determinant over that basis, up to sign."""
+        values = [c.value for c in self.cells]
+        block = set(self.multipliers)
+        if len(values) != len(block) or not all(v.integral() and v.num.keys() <= block for v in values):
+            return None
         try:
-            return CoordinateSolver([c.value for c in self.cells])
+            solver = CoordinateSolver(values)
         except ValueError:
             return None
+        return solver if abs(solver.den) == 1 else None
 
-    def coords(self, a: Matrix, k: int, right: bool = False) -> tuple[list[int], int] | None:
-        """(numerators, denominator) of the coordinates of xi_a times cell
-        k (cell k times xi_a when right), or None outside the span of the
-        cells, which must be independent."""
-        if (a, k, right) in self._coords:
-            return self._coords[a, k, right]
-        value = self.cells[k].value
-        pairs = [((b, a) if right else (a, b), v) for b, v in value.num.items()]
-        out: list[int] | None = [0] * len(self.cells)
-        for xy, v in pairs:
-            if xy not in self._solved:
-                self._solved[xy] = self.solver.solve(dict(_product(*xy)))
-            if self._solved[xy] is None:
-                # the cells do not span the block: solve the whole product
-                total: dict[Matrix, int] = {}
-                for pq, u in pairs:
-                    for m, c in _product(*pq):
-                        total[m] = total.get(m, 0) + u * c
-                out = self.solver.solve(total)
-                break
-            for i, c in enumerate(self._solved[xy]):
-                if c:
-                    out[i] += v * c
-        self._coords[a, k, right] = None if out is None else (out, self.solver.den * value.den)
+    def coords(self, a: Matrix, k: int, right: bool = False) -> list[int]:
+        """Integer coordinates of xi_a times cell k (cell k times xi_a when
+        right); the cells must be a Z-basis of the block."""
+        if (a, k, right) not in self._coords:
+            solver, out = self.solver, [0] * len(self.cells)
+            for b, v in self.cells[k].value.num.items():
+                xy = (b, a) if right else (a, b)
+                if xy not in self._solved:
+                    self._solved[xy] = solver.solve(dict(_pair_product(*xy)))
+                v *= solver.den  # +-1, the cells' determinant
+                for i, c in enumerate(self._solved[xy]):
+                    if c:
+                        out[i] += v * c
+            self._coords[a, k, right] = out
         return self._coords[a, k, right]
 
     def axioms(self) -> CellReport:
@@ -229,9 +219,7 @@ class CellDatum:
         dim = len(self.multipliers)
         witnesses: list[dict] = []
 
-        # the cells form a basis exactly when there are dim of them and they
-        # are independent; the solver's one elimination decides the latter
-        axiom_a = len(cells) == dim and self.solver is not None
+        axiom_a = self.solver is not None
         if not axiom_a:
             rank = integer_rank([c.value.num for c in cells])
             witnesses.append({"axiom": "a", "cell_count": len(cells), "dim": dim, "rank": rank})
@@ -245,7 +233,7 @@ class CellDatum:
                 witnesses.append({"axiom": "b", **_cell_json(c.shape, c.left.row_word, c.right.row_word)})
 
         if not axiom_a:
-            # coordinates are not well defined without a basis
+            # coordinates are not integral, or not defined, off a Z-basis
             return CellReport(self.lam, dim, len(cells), axiom_a, axiom_b, False, witnesses)
 
         axiom_c = True
@@ -255,14 +243,8 @@ class CellDatum:
             # per shape and left-output tableau, coefficients seen for each T
             per_t: dict[tuple, dict[Word, dict]] = {}
             for k, (shape, left, right) in enumerate(keys):
-                coords = self.coords(a, k)
-                if coords is None:
-                    axiom_c = False
-                    witnesses.append({"axiom": "c", "reason": "product outside basis span"})
-                    continue
-                x, den = coords
-                row: dict[Word, Fraction] = {}
-                for j, v in enumerate(x):
+                row: dict[Word, int] = {}
+                for j, v in enumerate(self.coords(a, k)):
                     if not v or above[shape, keys[j][0]]:
                         continue  # strictly more dominant shapes are free
                     d_shape, d_left, d_right = keys[j]
@@ -270,10 +252,10 @@ class CellDatum:
                         axiom_c = False
                         witnesses.append({
                             "axiom": "c", "multiplier": a_idx, **_cell_json(shape, left, right),
-                            "hits_shape": list(d_shape), "hits_right": list(d_right), "coeff": str(Fraction(v, den)),
+                            "hits_shape": list(d_shape), "hits_right": list(d_right), "coeff": str(v),
                         })
                         continue
-                    row[d_left] = Fraction(v, den)
+                    row[d_left] = v
                 per_t.setdefault((shape, left), {})[right] = row
             for (shape, left_word), by_t in per_t.items():
                 rows = list(by_t.values())
@@ -288,9 +270,9 @@ class CellDatum:
     def filtration(self) -> str | None:
         """Witness when the span of the cells whose shapes dominate some
         shape is not closed under multiplication by the block on either
-        side, or when the cells are linearly dependent."""
+        side, or when the cells are not a Z-basis of the block."""
         if self.solver is None:
-            return f"lambda={list(self.lam)}: the cells are linearly dependent"
+            return f"lambda={list(self.lam)}: the cells are not a Z-basis of the block"
         shapes = [shape for shape, _, _ in self.keys]
         leq = {(s, t): dominance_leq(s, t) for s in set(shapes) for t in set(shapes)}
         # the cells dominating nu span an ideal for every shape nu exactly when
@@ -299,8 +281,7 @@ class CellDatum:
         for k, shape in enumerate(shapes):
             for a in self.multipliers:
                 for right in (False, True):
-                    coords = self.coords(a, k, right)
-                    if coords is None or any(x and not leq[shape, shapes[i]] for i, x in enumerate(coords[0])):
+                    if any(x and not leq[shape, shapes[i]] for i, x in enumerate(self.coords(a, k, right))):
                         return f"shape={shape}: a product with cell {k} leaves the ideal"
         return None
 

@@ -160,12 +160,18 @@ def _orbit_images(a: Matrix, k: Word) -> list[Word]:
         return []
     out = []
     l = list(k)
-    for fills in itertools.product(*map(words_of_weight, columns)):
+    for fills in itertools.product(*map(_column_words, columns)):
         for ps, fill in zip(positions, fills):
             for p, v in zip(ps, fill):
                 l[p] = v
         out.append(tuple(l))
     return out
+
+
+@lru_cache(maxsize=4096)
+def _column_words(column: Weight) -> tuple[Word, ...]:
+    """The words of weight column, listed once for every _orbit_images call."""
+    return tuple(words_of_weight(column))
 
 
 @lru_cache(maxsize=512)

@@ -2,8 +2,8 @@
 
 Each suite cross-checks one structural claim at desk scale against an
 independent oracle: union-find orbit counts for dimensions, Kostka sums
-for codeterminant counts, exact ranks for spanning, integer determinants
-in the orbit basis for Z-bases, elementwise comparisons for identities.
+for codeterminant counts, exact ranks for spanning, one Z-basis test for
+every explicit basis (_orbit_det), elementwise comparisons for identities.
 
 The suites form a table: SUITES maps names to suite functions, whose
 keyword parameters and defaults are the suite parameters (and the CLI's
@@ -29,7 +29,7 @@ from . import codet as codet_mod
 from . import enveloping as env
 from . import schur as schur_mod
 from . import udot as udot_mod
-from .errors import check_budget
+from .errors import SYMMETRIC_GROUP_MAX_R, check_budget
 from .exact_linalg import integer_det, integer_rank
 from .weights import (
     col_sums,
@@ -194,32 +194,42 @@ def _codet_block(lam: tuple, mu: tuple) -> str | None:
     cells = codet_mod.codet_basis(lam, mu)
     dim = margin_count(lam, mu)
     ksum = codet_mod.codet_count(lam, mu)
-    rank = integer_rank([c.value.num for c in cells])
-    if len(cells) == dim == ksum == rank:
+    det = _orbit_det([c.value for c in cells], margin_matrices(lam, mu))
+    if len(cells) == dim == ksum and abs(det) == 1:
         return None
-    return f"lam={lam} mu={mu}: cells={len(cells)} dim={dim} kostka-sum={ksum} rank={rank}"
+    return f"lam={lam} mu={mu}: cells={len(cells)} dim={dim} kostka-sum={ksum} det={det}"
+
+
+def _orbit_det(family: Sequence[schur_mod.SchurElement], margins: Sequence[tuple]) -> int:
+    """Determinant of the family's numerators over the block's margin
+    matrices; 0 unless the family is integral, inside the block and
+    square.  It is +-1 exactly when the family is a Z-basis of the block."""
+    block = set(margins)
+    if len(family) != len(block) or not all(x.integral() and x.num.keys() <= block for x in family):
+        return 0
+    return integer_det([[x.num.get(a, 0) for a in margins] for x in family])
 
 
 def suite_zbas(n_max: int = 3, r_max: int = 3) -> VerificationReport:
-    """Divided-monomial images: the middle-idempotent arrangements agree
-    with the outer-truncated ones, and each arrangement is a Z-basis of
-    the block: integral, inside it, of determinant +-1 in the orbit basis."""
+    """Divided-monomial images: the first half of each arrangement reaches
+    the middle weight its split forces, or nothing, and each arrangement
+    is a Z-basis of the block (_orbit_det is +-1)."""
     rows = _slice_rows("pbw-images", n_max, r_max, _weight_pairs, _pbw_block)
     return _run("zbas", {"n_max": n_max, "r_max": r_max}, rows)
 
 
 def _pbw_block(lam: tuple, mu: tuple) -> str | None:
-    margins = dict.fromkeys(margin_matrices(lam, mu))  # in order, with set-like keys
-    images = {form: [env.pbw_image(a, form) for a in margins] for form in ("fe", "ef")}
-    for form, family in images.items():
-        for a, x in zip(margins, family):
-            if env.pbw_image(a, f"{form}-middle") != x:
+    margins = margin_matrices(lam, mu)
+    # fe's first half is its raising runs, ef's its lowering runs
+    for form, half, forced in (("fe", 1, env.minus_weight), ("ef", 0, env.plus_weight)):
+        for a in margins:
+            if schur_mod._runs_weight(env._offdiag_runs(a)[half], mu) not in (forced(a), None):
                 return f"{form}-middle mismatch at {a}"
+    images = {form: [env.pbw_image(a, form) for a in margins] for form in ("fe", "ef")}
     if not all(x.integral() for family in images.values() for x in family):
         return f"non-integer coefficients at lam={lam} mu={mu}"
     for form, family in images.items():
-        square = [[x.num.get(a, 0) for a in margins] for x in family]
-        if not all(x.num.keys() <= margins.keys() for x in family) or abs(integer_det(square)) != 1:
+        if abs(_orbit_det(family, margins)) != 1:
             return f"{form} family not unimodular at lam={lam} mu={mu}"
     return None
 
@@ -391,9 +401,11 @@ def _gl2_table(lam: tuple, degree: int) -> str | None:
 
 
 def suite_sym_quotient(r_max: int = 3) -> VerificationReport:
-    """Permutation blocks: the group multiplication table is reproduced by
-    Schur products, and the weight-zero modified algebra maps onto the
-    integral group algebra with full rank."""
+    """Permutation blocks: Schur products reproduce the group table, and
+    the weight-zero modified algebra maps onto the integral group algebra
+    with full rank.  r_max past the table bound is refused before any row."""
+    if r_max > SYMMETRIC_GROUP_MAX_R:
+        schur_mod.symmetric_group_iso(SYMMETRIC_GROUP_MAX_R + 1)
     rows = (
         row
         for r in range(1, r_max + 1)

@@ -8,7 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schuralg import weights
+from schuralg import verify, weights
 from schuralg.cli import PBW_FORMS, main
 from schuralg.errors import ResourceLimitError
 
@@ -645,24 +645,31 @@ def test_weight_commands_fuzz(argv):
 
 # Fuzzing the block suites with their range flags, from below the least
 # allowed values (n_max 1, r_max 0) up to gbasis at n <= 3, r <= 5, gl2
-# at r <= 14 and zbas and codet at n <= 3, r <= 4, each run well under a
-# second.
+# at r <= 14, zbas and codet at n <= 3, r <= 4, sym-quotient past its
+# bound r <= 4 and cellular in S(3, 4), each run well under a second.
 @st.composite
 def block_suite_requests(draw):
     def maybe(name, lo, hi):
         return [name, str(draw(st.integers(lo, hi)))] if draw(st.booleans()) else []
 
-    suite = draw(st.sampled_from(["gbasis", "gl2", "zbas", "codet"]))
+    suite = draw(st.sampled_from(["gbasis", "gl2", "zbas", "codet", "sym-quotient", "cellular"]))
     if suite == "gbasis":
         args = maybe("--n-max", -1, 3) + maybe("--r-max", -2, 5)
     elif suite == "gl2":
         args = maybe("--r-max", -2, 14)
+    elif suite == "sym-quotient":
+        args = maybe("--r-max", -2, 6)
+    elif suite == "cellular":
+        args = maybe("--n", 0, 3) + maybe("--r", -1, 4)
+        if draw(st.booleans()):
+            entries = draw(st.lists(st.integers(-1, 3), min_size=1, max_size=3))
+            args.append("--lambda=" + ",".join(map(str, entries)))
     else:
         args = maybe("--n-max", -1, 3) + maybe("--r-max", -2, 4)
     return draw(st.sampled_from(([], ["--format", "csv"]))) + ["verify", suite] + args
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(block_suite_requests())
 def test_block_suites_fuzz(argv):
     assert_exits_cleanly(argv)
@@ -674,6 +681,20 @@ def test_verify_gl2_refuses_its_range_at_once(capsys):
     assert code == 2
     assert out == ""
     assert "tensor space has 2^20 basis words" in err
+
+
+def test_verify_sym_quotient_refuses_its_range_at_once(monkeypatch, capsys):
+    # the rows up to r = 4 used to run before the refusal of r = 5
+    def refuse(r):
+        raise AssertionError(f"row r={r} ran")
+
+    monkeypatch.setattr(verify, "_cayley_table", refuse)
+    with pytest.raises(ResourceLimitError, match=r"full table check is bounded at r <= 4 \(got r=5\)"):
+        verify.run_suite("sym-quotient", r_max=5)
+    code, out, err = run_cli(capsys, "verify", "sym-quotient", "--r-max", "5")
+    assert code == 2
+    assert out == ""
+    assert "full table check is bounded at r <= 4 (got r=5)" in err
 
 
 def _cyclic_pattern_pair(k):

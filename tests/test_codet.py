@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from schuralg import codet, exact_linalg, schur
+from schuralg import codet, exact_linalg, schur, verify
 from schuralg.cli import main
 from schuralg.codet import (
     CellDatum,
@@ -17,7 +17,7 @@ from schuralg.codet import (
     dominant_shapes,
     weight_word,
 )
-from schuralg.exact_linalg import CoordinateSolver, exact_rank
+from schuralg.exact_linalg import CoordinateSolver, exact_rank, unimodular_change
 from schuralg.schur import SchurElement, hom_basis, involution, schur_multiply
 from schuralg.verify import run_suite, suite_cellular
 from schuralg.weights import (
@@ -187,7 +187,7 @@ def test_cellular_suite_reports_dependent_cells(monkeypatch, capsys):
     report = suite_cellular(3, 3, lam)
     assert [c.passed for c in report.checks] == [False, False]
     assert all(c.witness for c in report.checks)
-    assert "linearly dependent" in report.checks[1].witness
+    assert "not a Z-basis of the block" in report.checks[1].witness
     assert main(["verify", "cellular", "--n", "3", "--r", "3", "--lambda", "2,1,0"]) == 1
     assert json.loads(capsys.readouterr().out)["passed"] is False
 
@@ -218,19 +218,22 @@ def test_cell_report_digests_are_pinned(lam):
 
 
 # The per-product path the integer cell action replaced, kept as the
-# oracle: one schur_multiply and one Fraction solve per (multiplier, cell)
+# oracle: axiom (a) decided by unimodular_change against the orbit basis,
+# then one schur_multiply and one Fraction solve per (multiplier, cell)
 # pair for axiom (c), and per product on either side for the filtration.
+def oracle_z_basis_solver(lam, cells):
+    """A solver for the cells when they are a Z-basis of the block, else None."""
+    if not unimodular_change([c.value.terms for c in cells], hom_basis(lam, lam)):
+        return None
+    return CoordinateSolver([c.value.terms for c in cells])
+
+
 def oracle_cell_datum_check(lam):
     lam = tuple(lam)
     cells = codet_basis(lam, lam)
     dim = len(margin_matrices(lam, lam))
     witnesses = []
-    solver = None
-    if len(cells) == dim:
-        try:
-            solver = CoordinateSolver([c.value.terms for c in cells])
-        except ValueError:
-            pass
+    solver = oracle_z_basis_solver(lam, cells)
     axiom_a = solver is not None
     if not axiom_a:
         rank = exact_rank([c.value.terms for c in cells])
@@ -285,12 +288,9 @@ def oracle_cell_datum_check(lam):
 
 def oracle_filtration_ideal(lam):
     cells = codet_basis(lam, lam)
-    if not cells:
-        return None
-    try:
-        solver = CoordinateSolver([c.value.terms for c in cells])
-    except ValueError:
-        return f"lambda={list(lam)}: the cells are linearly dependent"
+    solver = oracle_z_basis_solver(lam, cells)
+    if solver is None:
+        return f"lambda={list(lam)}: the cells are not a Z-basis of the block"
     for k, cell in enumerate(cells):
         for a in hom_basis(lam, lam):
             for prod in (schur_multiply(a, cell.value), schur_multiply(cell.value, a)):
@@ -342,7 +342,7 @@ def _perturbed(kind, cells):
     """(shape, i, j) of the cell to change and its new value."""
     first, last = cells[0], cells[-1]
     # a cell with two different tableaux, so that its transpose is another cell
-    target = next(c for c in cells if c.left != c.right) if kind == "scaled" else first
+    target = next(c for c in cells if c.left != c.right) if kind in ("scaled", "doubled") else first
     value = {
         # a copy of another cell: the cells are dependent
         "dependent": lambda: cells[1].value,
@@ -350,13 +350,15 @@ def _perturbed(kind, cells):
         "mixed": lambda: first.value + last.value,
         # a fractional multiple: Fraction coordinates, and no involution
         "scaled": lambda: target.value.scale(Fraction(2, 3)),
+        # an integer multiple: still independent, of determinant 2
+        "doubled": lambda: target.value.scale(2),
         # a term outside the block: independent cells that do not span it
         "outside": lambda: first.value + hom_basis((first.value.r, 0, 0), first.right.weight(3))[0],
     }[kind]()
     return (target.shape, target.left.row_word, target.right.row_word), value
 
 
-@pytest.mark.parametrize("kind", ["dependent", "mixed", "scaled", "outside"])
+@pytest.mark.parametrize("kind", ["dependent", "mixed", "scaled", "doubled", "outside"])
 @pytest.mark.parametrize("lam", [(2, 1, 1), (2, 2, 1)])
 def test_integer_action_matches_the_oracle_on_perturbed_cells(monkeypatch, kind, lam):
     target, value = _perturbed(kind, codet_basis(lam, lam))
@@ -374,10 +376,11 @@ def test_integer_action_matches_the_oracle_on_perturbed_cells(monkeypatch, kind,
     assert filtration == oracle_filtration_ideal(lam)
     # the right products first, on a datum that checked no axiom
     assert CellDatum(lam).filtration() == filtration
-    if kind == "dependent":
-        assert not report.axiom_a and "linearly dependent" in filtration
-    if kind in ("mixed", "outside"):
+    # only the mixed cells are still a Z-basis of the block
+    if kind == "mixed":
         assert report.axiom_a and not report.axiom_c and filtration is not None
+    else:
+        assert not report.axiom_a and "not a Z-basis of the block" in filtration
 
 
 def test_solver_integer_entry_point_agrees_with_coords():
@@ -412,3 +415,44 @@ def test_cell_datum_check_multiplies_only_the_codeterminants(monkeypatch):
     report = cell_datum_check((2, 2, 2))
     assert report.passed
     assert len(calls) == report.cell_count
+
+
+def test_codet_row_is_a_z_basis_test(monkeypatch):
+    lam = (2, 1, 1)
+    cells = codet_basis(lam, lam)
+    # the codeterminants have determinant -1 over the orbit basis of this block
+    for k, c in enumerate(cells):
+        doubled = cells[:k] + [replace(c, value=c.value.scale(2))] + cells[k + 1:]
+        monkeypatch.setattr(codet, "codet_basis", lambda *_, cells=doubled: cells)
+        # count, Kostka sum and rank all still agree; only the determinant does not
+        assert exact_rank([d.value for d in doubled]) == len(cells)
+        assert verify._codet_block(lam, lam) == f"lam={lam} mu={lam}: cells=7 dim=7 kostka-sum=7 det=-2"
+    swapped = [cells[1], cells[0]] + cells[2:]
+    monkeypatch.setattr(codet, "codet_basis", lambda *_: swapped)
+    assert verify._codet_block(lam, lam) is None
+
+
+def test_codet_suite_ranks_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the codet row ranked its cells")
+
+    for module in (exact_linalg, verify, codet):
+        monkeypatch.setattr(module, "integer_rank", refuse)
+    assert run_suite("codet", n_max=3, r_max=4).passed
+
+
+@pytest.mark.parametrize("lam", [(2, 1, 1), (1, 2, 1)])
+def test_integer_coordinates_rebuild_the_products(lam):
+    # the codeterminants of (1,2,1) have determinant -1, those of (2,1,1) +1
+    datum = CellDatum(lam)
+    assert datum.solver.den == (-1 if lam == (1, 2, 1) else 1)
+    for a in datum.multipliers:
+        xi_a = SchurElement(3, sum(lam), {a: 1})
+        for k, cell in enumerate(datum.cells):
+            for right in (False, True):
+                coords = datum.coords(a, k, right)
+                assert all(type(x) is int for x in coords)
+                rebuilt = SchurElement(3, sum(lam), {})
+                for x, c in zip(coords, datum.cells):
+                    rebuilt = rebuilt + c.value.scale(x)
+                assert rebuilt == (schur_multiply(cell.value, xi_a) if right else schur_multiply(xi_a, cell.value))

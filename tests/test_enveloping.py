@@ -331,6 +331,27 @@ def test_zbas_solves_for_no_coordinates(monkeypatch):
     )
 
 
+def test_zbas_reads_the_forced_weights_not_the_middle_forms(monkeypatch):
+    calls = Counter()
+    original = enveloping.pbw_image
+
+    def outer_only(a, form="fe"):
+        if form.endswith("-middle"):
+            raise AssertionError("middle form built")
+        calls[form] += 1
+        return original(a, form)
+
+    monkeypatch.setattr(enveloping, "pbw_image", outer_only)
+    report = verify.run_suite("zbas", n_max=3, r_max=4)
+    data = (json.dumps(report.to_json(), sort_keys=True) + "\n").encode()
+    # the digest of test_zbas_solves_for_no_coordinates
+    assert hashlib.sha256(data).hexdigest() == "47a36f0bf0b51a3148fc2171dec3b3d2fc4252dec9263a8c202ca692fc2e8b77"
+    # one image per form and margin matrix
+    matrices = sum(len(margin_matrices(lam, mu)) for n in (1, 2, 3) for r in range(5)
+                   for lam in compositions(n, r) for mu in compositions(n, r))
+    assert calls == {"fe": matrices, "ef": matrices}
+
+
 def test_pbw_image_rejects_bad_form():
     with pytest.raises(ValueError):
         pbw_image(((1, 0), (0, 1)), "middle")

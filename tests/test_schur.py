@@ -627,6 +627,7 @@ def test_caches_are_bounded():
         schur._pair_product: 4096,
         schur._slices: 4096,
         schur.orbit_endo: 512,
+        schur._column_words: 4096,
         _lift: 4096,
         enveloping._binom_poly: 256,
         enveloping._h_binom_terms: 4096,
