@@ -296,9 +296,16 @@ COMMANDS = {
 }
 
 
+# subcommands whose output is not tabular, refused before they run
+NO_CSV = ("basis", "mul", "udot")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_negative_weights(sys.argv[1:] if argv is None else argv))
+    if args.format == "csv" and args.command in NO_CSV:
+        print("error: csv output is not available for this subcommand", file=sys.stderr)
+        return 2
     start = time.perf_counter()
     try:
         payload, csv, code = COMMANDS[args.command](args)
@@ -309,9 +316,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 2
     if args.format == "csv":
-        if not csv:
-            print("error: csv output is not available for this subcommand", file=sys.stderr)
-            return 2
         sys.stdout.write(csv)
     else:
         print(json.dumps(payload, sort_keys=True))

@@ -1,12 +1,13 @@
 """Codeterminant bases and the cellular-structure check.
 
-A codeterminant for a partition shape nu and words i, j is the product of
-the two orbit-basis elements pairing i with the sorted word of weight nu
-and that sorted word with j.  Ranging over pairs of semistandard tableaux
-of shape nu (with the word of a tableau its row-reading word) and all
-dominant shapes nu of the right degree, codeterminants form a basis of
-each weight block: the count matches the margin-matrix count through the
-identity  sum_nu K(nu, lam) K(nu, mu) = #{margin matrices (lam, mu)}.
+A codeterminant for a partition shape nu and words i, j is Green's
+product xi_L xi_U of the orbit elements pairing i with the sorted word ell
+of weight nu and ell with j.  For the row words of semistandard tableaux,
+L is lower and U upper triangular and xi_L xi_U is one word of divided
+powers, F^(L) 1_nu E^(U) 1_mu (schur._apply_runs; Green's rule is the
+tests' oracle).  Over the shapes nu dominating both weights they form a
+basis of each weight block, as many as its margin matrices:
+sum_nu K(nu, lam) K(nu, mu) = #{margin matrices (lam, mu)}.
 
 cell_datum_check verifies the cellular axioms for the algebra of a single
 weight lam, with cells ordered by dominance of shapes and the cell ideal
@@ -38,16 +39,16 @@ from typing import Sequence
 
 from .errors import check_budget
 from .exact_linalg import CoordinateSolver, integer_rank
-from .schur import SchurElement, _pair_product, involution, schur_multiply
+from .schur import SchurElement, _apply_runs, _pair_product, involution
 from .weights import (
     Matrix,
     Tableau,
     Weight,
     Word,
-    _shapes_below,
+    _shapes_above,
+    col_sums,
     dominance_leq,
     dominance_lt,
-    dominant_shapes,
     is_composition,
     is_dominant,
     kostka,
@@ -69,17 +70,21 @@ __all__ = [
 
 
 def codeterminant(nu: Sequence[int], i: Sequence[int], j: Sequence[int]) -> SchurElement:
-    """Product of the orbit elements pairing i against the sorted word of
-    weight nu, and that word against j.  nu must be dominant."""
+    """xi_L xi_U for L = pair_to_matrix(i, ell), U = pair_to_matrix(ell, j),
+    ell the sorted word of weight nu (dominant), as one word of divided
+    powers; every letter of i and j is at least ell's at its place (as in
+    semistandard row words), so each run takes from a diagonal-only row."""
     if not is_dominant(nu) or not is_composition(nu):
         raise ValueError("shape must be a partition")
-    n = len(nu)
-    ell = weight_word(nu)
+    n, ell = len(nu), weight_word(nu)
     if len(i) != len(ell) or len(j) != len(ell):
         raise ValueError("words must have the degree of the shape")
-    left = SchurElement(n, len(ell), {pair_to_matrix(tuple(i), ell, n): 1})
-    right = SchurElement(n, len(ell), {pair_to_matrix(ell, tuple(j), n): 1})
-    return schur_multiply(left, right)
+    if any(x < e for x, e in zip((*i, *j), ell + ell)):
+        raise ValueError("each letter must be at least the letter of the sorted word at its place")
+    lower, upper = pair_to_matrix(tuple(i), ell, n), pair_to_matrix(ell, tuple(j), n)
+    runs = [(a, b, upper[a][b]) for b in range(n) for a in range(b) if upper[a][b]]
+    runs += [(a, b, lower[a][b]) for b in reversed(range(n)) for a in range(b + 1, n) if lower[a][b]]
+    return SchurElement(n, len(ell))._new(_apply_runs(runs, col_sums(upper)))
 
 
 @dataclass(frozen=True)
@@ -96,27 +101,17 @@ def codet_basis(lam: Sequence[int], mu: Sequence[int]) -> list[Codeterminant]:
     """Codeterminant basis of the (lam, mu) weight block, ordered by shape
     (most dominant first), then left tableau, then right tableau (both in
     row-word lexicographic order)."""
-    if len(lam) != len(mu) or sum(lam) != sum(mu):
-        raise ValueError("weights must have equal length and degree")
-    if not (is_composition(lam) and is_composition(mu)):
-        raise ValueError("weights must be compositions")
-    n = len(lam)
-    r = sum(lam)
-    # count the cells by Kostka numbers, shape by shape (the shapes come
-    # lazily), before any tableau is built: the cells are a basis of the
-    # block, so each value has at most that many terms, and the cellular
-    # check multiplies all pairs
-    shapes: list[Weight] = []
+    # count the cells by Kostka numbers, shape by shape, before any tableau
+    # is built: the cells are a basis of the block, so each value has at
+    # most that many terms, and the cellular check multiplies all pairs
+    shapes = _shapes_above(lam, mu)
     count = 0
-    for nu in _shapes_below(n, r, r):
-        k = kostka(nu, lam) * kostka(nu, mu)
-        if k:
-            count += k
-            check_budget(
-                count ** 2,
-                f"block ({tuple(lam)}, {tuple(mu)}) has at least {count} codeterminants ({count ** 2} pairs)",
-            )
-            shapes.append(nu)
+    for nu in shapes:
+        count += kostka(nu, lam) * kostka(nu, mu)
+        check_budget(
+            count ** 2, "block ({}, {}) has at least {} codeterminants ({} pairs)",
+            tuple(lam), tuple(mu), count, count ** 2,
+        )
     cells: list[tuple[Weight, Tableau, Tableau]] = []
     for nu in shapes:
         rights = ssyt(nu, mu)
@@ -130,9 +125,7 @@ def codet_basis(lam: Sequence[int], mu: Sequence[int]) -> list[Codeterminant]:
 def codet_count(lam: Sequence[int], mu: Sequence[int]) -> int:
     """Predicted size of the codeterminant basis: sum over shapes of the
     product of Kostka numbers."""
-    n = len(lam)
-    r = sum(lam)
-    return sum(kostka(nu, lam) * kostka(nu, mu) for nu in dominant_shapes(n, r))
+    return sum(kostka(nu, lam) * kostka(nu, mu) for nu in _shapes_above(lam, mu))
 
 
 @dataclass
@@ -182,20 +175,26 @@ class CellDatum:
         self._coords: dict[tuple[Matrix, int, bool], list[int]] = {}
 
     @cached_property
-    def solver(self) -> CoordinateSolver | None:
-        """The cells factored once when they are a Z-basis of the block,
-        else None.  They are integral, inside the block and as many as its
-        orbit basis before they are factored; the factoring's one
-        denominator is then their determinant over that basis, up to sign."""
+    def _factored(self) -> tuple[int, CoordinateSolver | None]:
+        """(det, solver): the cells' determinant over the multipliers, in
+        their order, and the cells factored once over them when det is +-1,
+        else None.  det is 0 unless the cells are integral, inside the
+        block and as many as its orbit basis; the factoring's one
+        denominator is then det itself."""
         values = [c.value for c in self.cells]
         block = set(self.multipliers)
         if len(values) != len(block) or not all(v.integral() and v.num.keys() <= block for v in values):
-            return None
+            return 0, None
         try:
-            solver = CoordinateSolver(values)
+            solver = CoordinateSolver(values, self.multipliers)
         except ValueError:
-            return None
-        return solver if abs(solver.den) == 1 else None
+            return 0, None
+        return solver.den, solver if abs(solver.den) == 1 else None
+
+    @property
+    def solver(self) -> CoordinateSolver | None:
+        """The cells factored once when they are a Z-basis of the block, else None."""
+        return self._factored[1]
 
     def coords(self, a: Matrix, k: int, right: bool = False) -> list[int]:
         """Integer coordinates of xi_a times cell k (cell k times xi_a when
@@ -222,7 +221,9 @@ class CellDatum:
         axiom_a = self.solver is not None
         if not axiom_a:
             rank = integer_rank([c.value.num for c in cells])
-            witnesses.append({"axiom": "a", "cell_count": len(cells), "dim": dim, "rank": rank})
+            witnesses.append({
+                "axiom": "a", "cell_count": len(cells), "dim": dim, "rank": rank, "det": self._factored[0],
+            })
 
         axiom_b = True
         index = {key: k for k, key in enumerate(keys)}

@@ -194,28 +194,36 @@ class CoordinateSolver:
     determinants use: on [basis columns | identity], each column scaled to
     integers, it leaves d times the identity on top of zero rows and turns
     the identity block into an integer matrix E.  The first len(basis)
-    rows of E, rescaled by the column scales, map v to d times its
-    coordinates; the other rows vanish on v exactly when v is in the span.
-    Each solve is one sparse integer product: solve takes and returns
-    integers (coordinates times the one denominator den), and coords builds
-    a Fraction only for each returned coordinate.
+    rows of E, rescaled by the column scales and by the sign of the row
+    swaps, map v to den times its coordinates, den = +-d the value the
+    elimination returns; the other rows vanish on v exactly when v is in
+    the span.  The rows are the keys in order of first appearance, or keys
+    when given (which must hold every key of the basis); for as many
+    integral vectors as keys, den is their determinant over the keys in
+    that order.  Each solve is one sparse integer product: solve takes and
+    returns integers (coordinates times den), and coords builds a Fraction
+    only for each returned coordinate.
     """
 
-    def __init__(self, basis: Sequence[Vector]):
+    def __init__(self, basis: Sequence[Vector], keys: Sequence[Hashable] | None = None):
         nb = len(basis)
         columns = [_clear_denominators(b) for b in basis]
-        keys = list(dict.fromkeys(k for w, _ in columns for k in w))
+        if keys is None:
+            keys = list(dict.fromkeys(k for w, _ in columns for k in w))
         # row i holds the scaled basis entries at keys[i] in columns 0..nb-1
         # and the identity in column nb + i
         rows = [[w.get(k, 0) for w, _ in columns] + [0] * len(keys) for k in keys]
         for i, row in enumerate(rows):
             row[nb + i] = 1
-        if _eliminate(rows, nb, jordan=True)[0] < nb:
+        rank, self.den = _eliminate(rows, nb, jordan=True)
+        if rank < nb:
             raise ValueError("basis vectors are linearly dependent")
         self._nb = nb
         self._nrows = len(rows)
-        self.den = rows[0][0] if nb else 1
-        scales = [s for _, s in columns] + [1] * (len(rows) - nb)
+        # the pivots are d = +-den (the sign of the row swaps); so E maps v
+        # to den times its coordinates
+        sign = self.den // rows[0][0] if nb else 1
+        scales = [s * sign for _, s in columns] + [1] * (len(rows) - nb)
         # the columns of E, by key: (row, entry) pairs
         self._columns: dict[Hashable, list[tuple[int, int]]] = {
             k: [(i, row[nb + m] * scales[i]) for i, row in enumerate(rows) if row[nb + m]]

@@ -66,6 +66,7 @@ from .weights import (
     Weight,
     Word,
     _bounded_rows,
+    _margin_fillings,
     _slice_bound,
     col_sums,
     compositions,
@@ -269,7 +270,7 @@ def _slices(rows: Weight, cols: Weight) -> tuple[tuple[tuple[int, int, int], ...
     margin_matrices order, each as its nonzero entries (i, k, value)."""
     return tuple(
         tuple((i, k, v) for i, row in enumerate(m) for k, v in enumerate(row) if v)
-        for m in margin_matrices(rows, cols)
+        for m in _margin_fillings(rows, cols)
     )
 
 
@@ -282,9 +283,9 @@ def _pair_product(a: Matrix, b: Matrix) -> tuple[tuple[Matrix, int], ...]:
     bound on the number of tables exceeds TENSOR_SPACE_LIMIT.
     """
     n = len(a)
-    margins = [(tuple(row[j] for row in a), b[j]) for j in range(n)]
+    margins = list(zip(zip(*a), b))
     tables = prod(_slice_bound(rows, cols) for rows, cols in margins)
-    check_budget(tables, f"a product of two {n}x{n} orbit elements may sum over {tables} tables")
+    check_budget(tables, "a product of two {0}x{0} orbit elements may sum over {1} tables", n, tables)
     # partial sums C of the slices so far -> summed weight of the tables
     states: dict[tuple[int, ...], int] = {(0,) * (n * n): 1}
     for rows, cols in margins:
@@ -299,9 +300,7 @@ def _pair_product(a: Matrix, b: Matrix) -> tuple[tuple[Matrix, int], ...]:
                 key = tuple(c2)
                 nxt[key] = nxt.get(key, 0) + w2
         states = nxt
-    return tuple(
-        (tuple(c[i * n:(i + 1) * n] for i in range(n)), weight) for c, weight in states.items()
-    )
+    return tuple((tuple(zip(*[iter(c)] * n)), weight) for c, weight in states.items())
 
 
 def schur_multiply(x: SchurElement, y: SchurElement) -> SchurElement:
@@ -331,8 +330,7 @@ def _row_move(m: int, row_a: Weight, row_b: Weight) -> tuple[tuple[Weight, Weigh
     triples; refused like _pair_product on the orbit element of e_ab^(m),
     whose one two-row slice has margins (sum(row_b) - m, m) and row_b."""
     tables = _slice_bound((sum(row_b) - m, m), row_b)
-    n = len(row_b)
-    check_budget(tables, f"a product of two {n}x{n} orbit elements may sum over {tables} tables")
+    check_budget(tables, "a product of two {0}x{0} orbit elements may sum over {1} tables", len(row_b), tables)
     return tuple(
         (tuple(map(add, row_a, t)), tuple(map(sub, row_b, t)), prod(map(comb, map(add, row_a, t), t)))
         for t in _bounded_rows(m, row_b)

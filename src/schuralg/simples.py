@@ -23,8 +23,8 @@ from typing import Sequence
 
 from .weights import (
     Weight,
+    _shapes_above,
     _shapes_below,
-    dominant_shapes,
     is_composition,
     is_dominant,
     kostka,
@@ -99,14 +99,9 @@ def simple_index_set(lam: Sequence[int]) -> SimpleIndexReport:
     if not is_composition(lam):
         raise ValueError("composition mode needs nonnegative entries; "
                          "use simple_index_set_window for integer weights")
-    n = len(lam)
-    r = sum(lam)
-    entries = []
-    for mu in dominant_shapes(n, r):
-        k = kostka(mu, lam)
-        if k:
-            entries.append((mu, k))
-    return SimpleIndexReport(lam, tuple(entries), "composition")
+    # the shapes with a nonzero Kostka number are the dominance up-set
+    entries = tuple((mu, kostka(mu, lam)) for mu in _shapes_above(lam))
+    return SimpleIndexReport(lam, entries, "composition")
 
 
 def simple_index_set_window(lam: Sequence[int], window: int) -> SimpleIndexReport:

@@ -123,6 +123,37 @@ def _shapes_below(n: int, r: int, cap: int) -> Iterator[Weight]:
             yield (v,) + rest
 
 
+def _shapes_above(*weights: Sequence[int]) -> list[Weight]:
+    """The partitions of r into n parts (stored as n-tuples) that dominate
+    the sorted rearrangement of every given weight, most dominant first,
+    as dominant_shapes lists them: the shapes nu with kostka(nu, w) != 0
+    for every w.  The weights are compositions of one length n and one
+    degree r."""
+    if len({(len(w), sum(w)) for w in weights}) > 1:
+        raise ValueError("weights must have equal length and degree")
+    if not all(map(is_composition, weights)):
+        raise ValueError("weights must be compositions")
+    n, r = len(weights[0]), sum(weights[0])
+    # floor[k]: the least value of nu_1 + .. + nu_{k+1}
+    floor = [max(p) for p in zip(*(itertools.accumulate(sorted(w, reverse=True)) for w in weights))]
+    out: list[Weight] = []
+
+    def rec(prefix: Weight, total: int, cap: int) -> None:
+        k = len(prefix)
+        if k == n:
+            out.append(prefix)
+            return
+        # parts after prefix + (v,) are at most v, so they reach the partial
+        # sums of v, v, .., then what is left, and no more; fewer for smaller v
+        for v in range(min(cap, r - total), -1, -1):
+            if any(total + min(v * (j - k + 1), r - total) < floor[j] for j in range(k, n)):
+                break
+            rec(prefix + (v,), total + v, v)
+
+    rec((), 0, r)
+    return out
+
+
 def weight_of(word: Sequence[int], n: int) -> Weight:
     """Letter-count vector of a word over {1, .., n}."""
     w = [0] * n
@@ -198,7 +229,8 @@ def _bounded_rows(total: int, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
             yield (v,) + rest
 
 
-def _slice_bound(rows: Sequence[int], cols: Sequence[int]) -> int:
+@lru_cache(maxsize=4096)
+def _slice_bound(rows: Weight, cols: Weight) -> int:
     # matrices with these margins are fixed by all rows but the largest,
     # each a composition of its sum into one part per nonzero column (and
     # likewise with rows and columns swapped); zero rows and columns drop
@@ -241,8 +273,8 @@ def _checked_margins(lam: Sequence[int], mu: Sequence[int]) -> tuple[Weight, Wei
         raise ValueError("margins must have the same number of parts")
     if sum(lam) != sum(mu):
         raise ValueError("margins must have equal degree")
-    bound = _slice_bound(lam, mu)
-    check_budget(bound, f"margins {tuple(lam)} and {tuple(mu)} may have {bound} matrices")
+    bound = _slice_bound(tuple(lam), tuple(mu))
+    check_budget(bound, "margins {} and {} may have {} matrices", tuple(lam), tuple(mu), bound)
     return tuple(lam), tuple(mu)
 
 

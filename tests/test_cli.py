@@ -8,7 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schuralg import verify, weights
+from schuralg import cli, verify, weights
 from schuralg.cli import PBW_FORMS, main
 from schuralg.errors import ResourceLimitError
 
@@ -307,6 +307,22 @@ def test_csv_unavailable(capsys):
     code, _, err = run_cli(capsys, "--format", "csv", "basis", "--kind", "xi", "--lambda", "1,1")
     assert code == 2
     assert "csv" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["basis", "--kind", "pbw", "--lambda", "3,3,3,3"],
+    ["mul", "--left", "{}", "--right", "{}"],
+    ["udot", "gl2-table", "--lambda", "1,0"],
+])
+def test_csv_refused_before_the_command_runs(monkeypatch, capsys, argv):
+    def refuse(args):
+        raise AssertionError(f"{args.command} ran")
+
+    monkeypatch.setitem(cli.COMMANDS, argv[0], refuse)
+    code, out, err = run_cli(capsys, "--format", "csv", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: csv output is not available for this subcommand\n"
 
 
 def test_bad_weight_string(capsys):

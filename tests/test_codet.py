@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from schuralg import codet, exact_linalg, schur, verify
+from schuralg import codet, exact_linalg, schur, verify, weights
 from schuralg.cli import main
 from schuralg.codet import (
     CellDatum,
@@ -14,17 +14,19 @@ from schuralg.codet import (
     codet_basis,
     codet_count,
     codeterminant,
-    dominant_shapes,
     weight_word,
 )
 from schuralg.exact_linalg import CoordinateSolver, exact_rank, unimodular_change
 from schuralg.schur import SchurElement, hom_basis, involution, schur_multiply
+from schuralg.simples import simple_index_set
 from schuralg.verify import run_suite, suite_cellular
 from schuralg.weights import (
     compositions,
     dominance_leq,
     dominance_lt,
+    dominant_shapes,
     kostka,
+    margin_count,
     margin_matrices,
     pair_to_matrix,
 )
@@ -68,6 +70,9 @@ def test_codeterminant_rejects_bad_shape():
         codeterminant((1, 2), (1, 2, 2), (1, 2, 2))
     with pytest.raises(ValueError):
         codeterminant((2, 0), (1,), (1, 2))
+    # a letter below the sorted word's letter at its place: L is not lower triangular
+    with pytest.raises(ValueError, match="at least the letter of the sorted word"):
+        codeterminant((1, 1), (2, 1), (1, 2))
 
 
 def test_codet_basis_counts():
@@ -77,6 +82,62 @@ def test_codet_basis_counts():
                 cells = codet_basis(lam, mu)
                 assert len(cells) == codet_count(lam, mu)
                 assert len(cells) == len(margin_matrices(lam, mu))
+
+
+def green_codeterminant(nu, i, j):
+    """The codeterminant as Green's product xi_L xi_U of two orbit elements."""
+    n, r, ell = len(nu), sum(nu), weight_word(nu)
+    left = SchurElement(n, r, {pair_to_matrix(i, ell, n): 1})
+    return schur_multiply(left, SchurElement(n, r, {pair_to_matrix(ell, j, n): 1}))
+
+
+def test_codeterminants_match_green_products():
+    count = 0
+    for n in (1, 2, 3):
+        for r in range(6):
+            for lam in compositions(n, r):
+                for mu in compositions(n, r):
+                    for c in codet_basis(lam, mu):
+                        assert c.value == green_codeterminant(c.shape, c.left.row_word, c.right.row_word), c
+                        count += 1
+    assert count == 2134
+
+
+def test_codet_basis_multiplies_no_orbit_elements(monkeypatch):
+    expected = codet_basis((2, 2, 1), (1, 2, 2))
+
+    def refuse(*args):
+        raise AssertionError("two orbit elements were multiplied")
+
+    monkeypatch.setattr(schur, "_pair_product", refuse)
+    monkeypatch.setattr(schur, "schur_multiply", refuse)
+    monkeypatch.setattr(codet, "_pair_product", refuse)
+    assert codet_basis((2, 2, 1), (1, 2, 2)) == expected
+
+
+def test_shapes_above_match_the_kostka_filtered_shapes():
+    # the loops codet_count, codet_basis and simple_index_set ran over all shapes
+    for n in range(1, 5):
+        for r in range(7):
+            shapes = dominant_shapes(n, r)
+            for lam in compositions(n, r):
+                single = [nu for nu in shapes if kostka(nu, lam)]
+                assert weights._shapes_above(lam) == single
+                assert simple_index_set(lam).entries == tuple((nu, kostka(nu, lam)) for nu in single)
+                for mu in compositions(n, r):
+                    both = [nu for nu in shapes if kostka(nu, lam) * kostka(nu, mu)]
+                    assert weights._shapes_above(lam, mu) == both
+                    assert codet_count(lam, mu) == sum(kostka(nu, lam) * kostka(nu, mu) for nu in both)
+    with pytest.raises(ValueError, match="equal length and degree"):
+        weights._shapes_above((2, 1), (1, 1))
+    with pytest.raises(ValueError, match="compositions"):
+        codet_count((3, -1), (1, 1))
+
+
+def test_codet_count_lists_only_the_shapes_above_both_weights():
+    # of the 59,823 partitions of 200 into at most 4 parts
+    assert len(weights._shapes_above((50, 50, 50, 50), (100, 100, 0, 0))) == 101
+    assert codet_count((50, 50, 50, 50), (100, 100, 0, 0)) == margin_count((50, 50, 50, 50), (100, 100, 0, 0))
 
 
 def test_codet_basis_is_a_basis():
@@ -174,7 +235,7 @@ def test_cell_datum_check_ranks_only_for_the_witness(monkeypatch):
         calls = count_eliminations(monkeypatch)
         report = cell_datum_check(lam)
         assert not report.axiom_a and not report.axiom_c
-        assert report.witnesses[0] == {"axiom": "a", "cell_count": len(broken), "dim": dim, "rank": rank}
+        assert report.witnesses[0] == {"axiom": "a", "cell_count": len(broken), "dim": dim, "rank": rank, "det": 0}
         # a wrong count is ranked at once; a dependent set fails its factoring first
         assert calls == ([False] if len(broken) != dim else [True, False])
         monkeypatch.undo()
@@ -228,6 +289,31 @@ def oracle_z_basis_solver(lam, cells):
     return CoordinateSolver([c.value.terms for c in cells])
 
 
+def oracle_det(lam, cells):
+    """The cells' determinant over the orbit basis in margin-matrix order, by
+    Fraction elimination; 0 when a cell is not integral or leaves the block,
+    or when there are not as many cells as orbit elements."""
+    margins = margin_matrices(lam, lam)
+    rows = [[c.value.terms.get(a, Fraction(0)) for a in margins] for c in cells]
+    if len(cells) != len(margins) or any(
+        set(c.value.terms) - set(margins) or any(x.denominator != 1 for x in c.value.terms.values()) for c in cells
+    ):
+        return 0
+    det = Fraction(1)
+    for k in range(len(rows)):
+        pivot = next((i for i in range(k, len(rows)) if rows[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            det = -det
+        det *= rows[k][k]
+        for i in range(k + 1, len(rows)):
+            f = rows[i][k] / rows[k][k]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[k])]
+    return int(det)
+
+
 def oracle_cell_datum_check(lam):
     lam = tuple(lam)
     cells = codet_basis(lam, lam)
@@ -237,7 +323,8 @@ def oracle_cell_datum_check(lam):
     axiom_a = solver is not None
     if not axiom_a:
         rank = exact_rank([c.value.terms for c in cells])
-        witnesses.append({"axiom": "a", "cell_count": len(cells), "dim": dim, "rank": rank})
+        det = oracle_det(lam, cells)
+        witnesses.append({"axiom": "a", "cell_count": len(cells), "dim": dim, "rank": rank, "det": det})
     axiom_b = True
     index = {(c.shape, c.left.row_word, c.right.row_word): k for k, c in enumerate(cells)}
     for c in cells:
@@ -403,6 +490,8 @@ def test_solver_integer_entry_point_agrees_with_coords():
 
 
 def test_cell_datum_check_multiplies_only_the_codeterminants(monkeypatch):
+    # the codeterminants are words of divided powers, so no element is
+    # multiplied at all: only the pair products xi_A xi_B of axiom (c)
     calls = []
     multiply = schur.schur_multiply
 
@@ -410,11 +499,10 @@ def test_cell_datum_check_multiplies_only_the_codeterminants(monkeypatch):
         calls.append(1)
         return multiply(x, y)
 
-    monkeypatch.setattr(codet, "schur_multiply", counted)
     monkeypatch.setattr(schur, "schur_multiply", counted)
     report = cell_datum_check((2, 2, 2))
     assert report.passed
-    assert len(calls) == report.cell_count
+    assert calls == []
 
 
 def test_codet_row_is_a_z_basis_test(monkeypatch):
@@ -443,9 +531,12 @@ def test_codet_suite_ranks_nothing(monkeypatch):
 
 @pytest.mark.parametrize("lam", [(2, 1, 1), (1, 2, 1)])
 def test_integer_coordinates_rebuild_the_products(lam):
-    # the codeterminants of (1,2,1) have determinant -1, those of (2,1,1) +1
+    # over the orbit basis in margin-matrix order the codeterminants of
+    # (2,1,1) have determinant -1, those of (1,2,1) +1; the solver factors
+    # them in that order, so its denominator is that determinant
     datum = CellDatum(lam)
-    assert datum.solver.den == (-1 if lam == (1, 2, 1) else 1)
+    assert datum.solver.den == verify._orbit_det([c.value for c in datum.cells], datum.multipliers)
+    assert datum.solver.den == (-1 if lam == (2, 1, 1) else 1)
     for a in datum.multipliers:
         xi_a = SchurElement(3, sum(lam), {a: 1})
         for k, cell in enumerate(datum.cells):

@@ -480,6 +480,12 @@ def test_word_free_images_match_column_path(n, r):
             assert to_schur(u, r) == column_to_schur(u, r)
 
 
+def column_codeterminant(nu, i, j):
+    """Green's codeterminant xi_L xi_U, multiplied on one word per right weight."""
+    n, ell = len(nu), weight_word(nu)
+    return column_multiply(xi(pair_to_matrix(i, ell, n)), xi(pair_to_matrix(ell, j, n)))
+
+
 def raise_on_words(*args, **kwargs):
     raise AssertionError("a word-based path was entered")
 
@@ -488,19 +494,15 @@ def test_library_paths_write_no_words(monkeypatch):
     x = SchurElement(3, 4, {((1, 0, 0), (1, 1, 0), (0, 0, 1)): 2, ((1, 0, 1), (0, 1, 0), (1, 0, 0)): -1})
     y = SchurElement(3, 4, {((1, 0, 0), (0, 1, 0), (1, 1, 0)): Fraction(1, 2)})
     shape, i, j = (2, 1, 0), (1, 1, 2), (1, 2, 3)
-    ell = weight_word(shape)
     a = ((1, 2, 0), (0, 1, 1), (1, 0, 0))
     u = udot_basis_upto((2, 1, 2), (1, 2, 2), 3)[-1]
     expected = {
         "product": column_multiply(x, y),
-        "codet": column_multiply(
-            SchurElement(3, 3, {weights.pair_to_matrix(i, ell, 3): 1}),
-            SchurElement(3, 3, {weights.pair_to_matrix(ell, j, 3): 1}),
-        ),
+        "codet": column_codeterminant(shape, i, j),
         "pbw": [column_pbw_image(a, form) for form in FORMS],
         "to_schur": column_to_schur(u, 5),
     }
-    monkeypatch.setattr(codet, "schur_multiply", column_multiply)
+    monkeypatch.setattr(codet, "codeterminant", column_codeterminant)
     cellular = cell_datum_check((2, 2, 1)).to_json()
     monkeypatch.undo()
     for module, name in ((schur, "_orbit_images"), (enveloping, "_apply_unit")):
@@ -514,7 +516,7 @@ def test_library_paths_write_no_words(monkeypatch):
 
 def test_cell_datum_check_matches_column_path(monkeypatch):
     tables = cell_datum_check((2, 2, 2)).to_json()
-    monkeypatch.setattr(codet, "schur_multiply", column_multiply)
+    monkeypatch.setattr(codet, "codeterminant", column_codeterminant)
     assert cell_datum_check((2, 2, 2)).to_json() == tables
 
 
@@ -635,6 +637,7 @@ def test_caches_are_bounded():
         enveloping._word_product: 4096,
         _block_patterns: 1024,
         schur._row_move: 4096,
+        weights._slice_bound: 4096,
         udot._rewrite: 1 << 17,
         enveloping.root_pairs: 64,
         udot.offdiag_cells: 64,
@@ -660,5 +663,7 @@ def test_caches_are_bounded():
     block[-1] * block[-1]
     to_schur(block[-1], 3)
     cell_datum_check((1, 1))
+    # one U(gl_n) product, which straightens through _insert
+    enveloping.u_multiply(enveloping.matrix_unit(2, 1, 2), enveloping.matrix_unit(2, 2, 1))
     for fn, maxsize in caches.items():
         assert 0 < fn.cache_info().currsize <= maxsize
