@@ -170,7 +170,7 @@ def _cmd_dim(args) -> tuple[dict, str, int]:
     return payload, csv, 0
 
 
-def _cmd_basis(args) -> tuple[dict, str, int]:
+def _cmd_basis(args) -> tuple[dict, int]:
     lam = _parse_weight(args.lam)
     mu = _parse_weight(args.mu) if args.mu else lam
     payload: dict = {"kind": args.kind, "lambda": list(lam), "mu": list(mu)}
@@ -194,13 +194,13 @@ def _cmd_basis(args) -> tuple[dict, str, int]:
             payload["form"] = args.form
             for a, element in zip(margins, payload["elements"]):
                 element["image"] = pbw_image(a, args.form).to_json()
-    return payload, "", 0
+    return payload, 0
 
 
-def _cmd_mul(args) -> tuple[dict, str, int]:
+def _cmd_mul(args) -> tuple[dict, int]:
     left = _parse_element(SchurElement, args.left)
     right = _parse_element(SchurElement, args.right)
-    return schur_multiply(left, right).to_json(), "", 0
+    return schur_multiply(left, right).to_json(), 0
 
 
 def _cmd_kostka(args) -> tuple[dict, str, int]:
@@ -231,11 +231,11 @@ def _cmd_sym_iso(args) -> tuple[dict, str, int]:
     return payload, csv, 0 if match else 1
 
 
-def _cmd_udot(args) -> tuple[dict, str, int]:
+def _cmd_udot(args) -> tuple[dict, int]:
     if args.udot_command == "mul":
         left = _parse_element(UdotElement, args.left)
         right = _parse_element(UdotElement, args.right)
-        return udot_multiply(left, right).to_json(), "", 0
+        return udot_multiply(left, right).to_json(), 0
     if args.udot_command == "basis":
         lam = _parse_weight(args.lam)
         mu = _parse_weight(args.mu)
@@ -247,12 +247,12 @@ def _cmd_udot(args) -> tuple[dict, str, int]:
             "count": len(basis),
             "elements": [b.to_json() for b in basis],
         }
-        return payload, "", 0
+        return payload, 0
     # gl2-table
     lam = _parse_weight(args.lam)
     degree = args.degree if args.degree is not None else 4
     table = gl2_generic_table(lam, degree)
-    return table.to_json(), "", 0 if table.passed else 1
+    return table.to_json(), 0 if table.passed else 1
 
 
 def _cmd_verify(args) -> tuple[dict, str, int]:
@@ -283,32 +283,34 @@ def _cmd_verify(args) -> tuple[dict, str, int]:
     return report.to_json(), report.to_csv(), 0 if report.passed else 1
 
 
+# subcommands with a table: each returns (payload, csv, exit code)
 COMMANDS = {
     "compositions": _cmd_compositions,
     "dim": _cmd_dim,
-    "basis": _cmd_basis,
-    "mul": _cmd_mul,
     "kostka": _cmd_kostka,
     "simples": _cmd_simples,
     "sym-iso": _cmd_sym_iso,
-    "udot": _cmd_udot,
     "verify": _cmd_verify,
 }
 
-
-# subcommands whose output is not tabular, refused before they run
-NO_CSV = ("basis", "mul", "udot")
+# subcommands without one: each returns (payload, exit code), and --format
+# csv is refused before it runs
+JSON_COMMANDS = {"basis": _cmd_basis, "mul": _cmd_mul, "udot": _cmd_udot}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_negative_weights(sys.argv[1:] if argv is None else argv))
-    if args.format == "csv" and args.command in NO_CSV:
+    tabular = args.command in COMMANDS
+    if args.format == "csv" and not tabular:
         print("error: csv output is not available for this subcommand", file=sys.stderr)
         return 2
     start = time.perf_counter()
     try:
-        payload, csv, code = COMMANDS[args.command](args)
+        if tabular:
+            payload, csv, code = COMMANDS[args.command](args)
+        else:
+            payload, code = JSON_COMMANDS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

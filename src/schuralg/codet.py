@@ -2,12 +2,11 @@
 
 A codeterminant for a partition shape nu and words i, j is Green's
 product xi_L xi_U of the orbit elements pairing i with the sorted word ell
-of weight nu and ell with j.  For the row words of semistandard tableaux,
-L is lower and U upper triangular and xi_L xi_U is one word of divided
-powers, F^(L) 1_nu E^(U) 1_mu (schur._apply_runs; Green's rule is the
-tests' oracle).  Over the shapes nu dominating both weights they form a
-basis of each weight block, as many as its margin matrices:
-sum_nu K(nu, lam) K(nu, mu) = #{margin matrices (lam, mu)}.
+of weight nu and ell with j.  For semistandard row words, L is lower and
+U upper triangular, and xi_L xi_U is one word of divided powers,
+F^(L) 1_nu E^(U) 1_mu (schur._apply_runs; Green's rule is the tests'
+oracle).  Over the shapes nu dominating both weights they form a basis of
+each weight block: sum_nu K(nu, lam) K(nu, mu) = #{margin matrices (lam, mu)}.
 
 cell_datum_check verifies the cellular axioms for the algebra of a single
 weight lam, with cells ordered by dominance of shapes and the cell ideal
@@ -101,17 +100,19 @@ def codet_basis(lam: Sequence[int], mu: Sequence[int]) -> list[Codeterminant]:
     """Codeterminant basis of the (lam, mu) weight block, ordered by shape
     (most dominant first), then left tableau, then right tableau (both in
     row-word lexicographic order)."""
-    # count the cells by Kostka numbers, shape by shape, before any tableau
-    # is built: the cells are a basis of the block, so each value has at
-    # most that many terms, and the cellular check multiplies all pairs
-    shapes = _shapes_above(lam, mu)
+    # count the cells by Kostka numbers, shape by shape (the shapes come
+    # lazily), before any tableau is built: the cells are a basis of the
+    # block, so each value has at most that many terms, and the cellular
+    # check multiplies all pairs
+    shapes: list[Weight] = []
     count = 0
-    for nu in shapes:
+    for nu in _shapes_above(lam, mu):
         count += kostka(nu, lam) * kostka(nu, mu)
         check_budget(
-            count ** 2, "block ({}, {}) has at least {} codeterminants ({} pairs)",
-            tuple(lam), tuple(mu), count, count ** 2,
+            count ** 2,
+            f"block ({tuple(lam)}, {tuple(mu)}) has at least {count} codeterminants ({count ** 2} pairs)",
         )
+        shapes.append(nu)
     cells: list[tuple[Weight, Tableau, Tableau]] = []
     for nu in shapes:
         rights = ssyt(nu, mu)
@@ -180,10 +181,10 @@ class CellDatum:
         their order, and the cells factored once over them when det is +-1,
         else None.  det is 0 unless the cells are integral, inside the
         block and as many as its orbit basis; the factoring's one
-        denominator is then det itself."""
+        denominator is then det itself (the solver refuses cells with
+        terms outside the block)."""
         values = [c.value for c in self.cells]
-        block = set(self.multipliers)
-        if len(values) != len(block) or not all(v.integral() and v.num.keys() <= block for v in values):
+        if len(values) != len(self.multipliers) or not all(v.integral() for v in values):
             return 0, None
         try:
             solver = CoordinateSolver(values, self.multipliers)

@@ -16,8 +16,8 @@ class ResourceLimitError(RuntimeError):
     """
 
 
-def check_budget(work: int, what: str, *args: object) -> None:
+def check_budget(work: int, what: str) -> None:
     """Refuse work above the budget before it starts: what names the
-    predicted work (str.format with args, on a refusal only), plus the limit."""
+    predicted work, and the message adds the limit."""
     if work > TENSOR_SPACE_LIMIT:
-        raise ResourceLimitError(f"{what.format(*args) if args else what}, above the limit {TENSOR_SPACE_LIMIT}")
+        raise ResourceLimitError(f"{what}, above the limit {TENSOR_SPACE_LIMIT}")

@@ -198,7 +198,7 @@ class CoordinateSolver:
     swaps, map v to den times its coordinates, den = +-d the value the
     elimination returns; the other rows vanish on v exactly when v is in
     the span.  The rows are the keys in order of first appearance, or keys
-    when given (which must hold every key of the basis); for as many
+    when given (which must hold every key of the basis, checked); for as many
     integral vectors as keys, den is their determinant over the keys in
     that order.  Each solve is one sparse integer product: solve takes and
     returns integers (coordinates times den), and coords builds a Fraction
@@ -210,6 +210,8 @@ class CoordinateSolver:
         columns = [_clear_denominators(b) for b in basis]
         if keys is None:
             keys = list(dict.fromkeys(k for w, _ in columns for k in w))
+        elif not {k for w, _ in columns for k in w}.issubset(keys):
+            raise ValueError("basis vectors have entries outside the given keys")
         # row i holds the scaled basis entries at keys[i] in columns 0..nb-1
         # and the identity in column nb + i
         rows = [[w.get(k, 0) for w, _ in columns] + [0] * len(keys) for k in keys]

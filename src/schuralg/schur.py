@@ -285,7 +285,7 @@ def _pair_product(a: Matrix, b: Matrix) -> tuple[tuple[Matrix, int], ...]:
     n = len(a)
     margins = list(zip(zip(*a), b))
     tables = prod(_slice_bound(rows, cols) for rows, cols in margins)
-    check_budget(tables, "a product of two {0}x{0} orbit elements may sum over {1} tables", n, tables)
+    check_budget(tables, f"a product of two {n}x{n} orbit elements may sum over {tables} tables")
     # partial sums C of the slices so far -> summed weight of the tables
     states: dict[tuple[int, ...], int] = {(0,) * (n * n): 1}
     for rows, cols in margins:
@@ -330,7 +330,8 @@ def _row_move(m: int, row_a: Weight, row_b: Weight) -> tuple[tuple[Weight, Weigh
     triples; refused like _pair_product on the orbit element of e_ab^(m),
     whose one two-row slice has margins (sum(row_b) - m, m) and row_b."""
     tables = _slice_bound((sum(row_b) - m, m), row_b)
-    check_budget(tables, "a product of two {0}x{0} orbit elements may sum over {1} tables", len(row_b), tables)
+    n = len(row_b)
+    check_budget(tables, f"a product of two {n}x{n} orbit elements may sum over {tables} tables")
     return tuple(
         (tuple(map(add, row_a, t)), tuple(map(sub, row_b, t)), prod(map(comb, map(add, row_a, t), t)))
         for t in _bounded_rows(m, row_b)

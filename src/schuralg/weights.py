@@ -112,46 +112,38 @@ def dominant_shapes(n: int, r: int) -> list[Weight]:
     return list(_shapes_below(n, r, r))
 
 
-def _shapes_below(n: int, r: int, cap: int) -> Iterator[Weight]:
+def _shapes_below(n: int, r: int, cap: int, floor: Sequence[int] = ()) -> Iterator[Weight]:
     # weakly decreasing n-tuples summing to r with entries at most cap, for
-    # r <= n * cap, generated lazily; the first entry is at least the mean
+    # r <= n * cap, generated lazily; given a floor (n lower bounds on the
+    # partial sums, the last r), only those whose k-th partial sum is at
+    # least floor[k - 1].  Parts v, v, .., then what is left reach every
+    # partial sum that a tail below v reaches, so the first entry v is at
+    # least floor[k - 1] / k for each k (without a floor, the mean)
     if n == 1:
         yield (r,)
         return
-    for v in range(min(cap, r), -(-r // n) - 1, -1):
-        for rest in _shapes_below(n - 1, r - v, v):
+    least = max(-(-f // k) for k, f in enumerate(floor, 1)) if floor else -(-r // n)
+    for v in range(min(cap, r), least - 1, -1):
+        for rest in _shapes_below(n - 1, r - v, v, [f - v for f in floor[1:]] if floor else ()):
             yield (v,) + rest
 
 
-def _shapes_above(*weights: Sequence[int]) -> list[Weight]:
+def _shapes_above(*weights: Sequence[int]) -> Iterator[Weight]:
     """The partitions of r into n parts (stored as n-tuples) that dominate
     the sorted rearrangement of every given weight, most dominant first,
     as dominant_shapes lists them: the shapes nu with kostka(nu, w) != 0
-    for every w.  The weights are compositions of one length n and one
-    degree r."""
+    for every w, generated lazily.  The weights are compositions of one
+    length n and one degree r."""
     if len({(len(w), sum(w)) for w in weights}) > 1:
         raise ValueError("weights must have equal length and degree")
     if not all(map(is_composition, weights)):
         raise ValueError("weights must be compositions")
     n, r = len(weights[0]), sum(weights[0])
-    # floor[k]: the least value of nu_1 + .. + nu_{k+1}
+    if n < 1:
+        raise ValueError("need n >= 1 and r >= 0")
+    # the least partial sums: those of the most dominant sorted weight
     floor = [max(p) for p in zip(*(itertools.accumulate(sorted(w, reverse=True)) for w in weights))]
-    out: list[Weight] = []
-
-    def rec(prefix: Weight, total: int, cap: int) -> None:
-        k = len(prefix)
-        if k == n:
-            out.append(prefix)
-            return
-        # parts after prefix + (v,) are at most v, so they reach the partial
-        # sums of v, v, .., then what is left, and no more; fewer for smaller v
-        for v in range(min(cap, r - total), -1, -1):
-            if any(total + min(v * (j - k + 1), r - total) < floor[j] for j in range(k, n)):
-                break
-            rec(prefix + (v,), total + v, v)
-
-    rec((), 0, r)
-    return out
+    return _shapes_below(n, r, r, floor)
 
 
 def weight_of(word: Sequence[int], n: int) -> Weight:
@@ -274,7 +266,7 @@ def _checked_margins(lam: Sequence[int], mu: Sequence[int]) -> tuple[Weight, Wei
     if sum(lam) != sum(mu):
         raise ValueError("margins must have equal degree")
     bound = _slice_bound(tuple(lam), tuple(mu))
-    check_budget(bound, "margins {} and {} may have {} matrices", tuple(lam), tuple(mu), bound)
+    check_budget(bound, f"margins {tuple(lam)} and {tuple(mu)} may have {bound} matrices")
     return tuple(lam), tuple(mu)
 
 

@@ -318,7 +318,7 @@ def test_csv_refused_before_the_command_runs(monkeypatch, capsys, argv):
     def refuse(args):
         raise AssertionError(f"{args.command} ran")
 
-    monkeypatch.setitem(cli.COMMANDS, argv[0], refuse)
+    monkeypatch.setitem(cli.JSON_COMMANDS, argv[0], refuse)
     code, out, err = run_cli(capsys, "--format", "csv", *argv)
     assert code == 2
     assert out == ""

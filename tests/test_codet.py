@@ -16,6 +16,7 @@ from schuralg.codet import (
     codeterminant,
     weight_word,
 )
+from schuralg.errors import ResourceLimitError
 from schuralg.exact_linalg import CoordinateSolver, exact_rank, unimodular_change
 from schuralg.schur import SchurElement, hom_basis, involution, schur_multiply
 from schuralg.simples import simple_index_set
@@ -122,11 +123,11 @@ def test_shapes_above_match_the_kostka_filtered_shapes():
             shapes = dominant_shapes(n, r)
             for lam in compositions(n, r):
                 single = [nu for nu in shapes if kostka(nu, lam)]
-                assert weights._shapes_above(lam) == single
+                assert list(weights._shapes_above(lam)) == single
                 assert simple_index_set(lam).entries == tuple((nu, kostka(nu, lam)) for nu in single)
                 for mu in compositions(n, r):
                     both = [nu for nu in shapes if kostka(nu, lam) * kostka(nu, mu)]
-                    assert weights._shapes_above(lam, mu) == both
+                    assert list(weights._shapes_above(lam, mu)) == both
                     assert codet_count(lam, mu) == sum(kostka(nu, lam) * kostka(nu, mu) for nu in both)
     with pytest.raises(ValueError, match="equal length and degree"):
         weights._shapes_above((2, 1), (1, 1))
@@ -136,8 +137,30 @@ def test_shapes_above_match_the_kostka_filtered_shapes():
 
 def test_codet_count_lists_only_the_shapes_above_both_weights():
     # of the 59,823 partitions of 200 into at most 4 parts
-    assert len(weights._shapes_above((50, 50, 50, 50), (100, 100, 0, 0))) == 101
+    assert len(list(weights._shapes_above((50, 50, 50, 50), (100, 100, 0, 0)))) == 101
     assert codet_count((50, 50, 50, 50), (100, 100, 0, 0)) == margin_count((50, 50, 50, 50), (100, 100, 0, 0))
+
+
+def test_codet_basis_refuses_a_large_block_after_its_first_shapes(monkeypatch):
+    # every partition of 200 into at most 8 parts dominates (25,)*8; the
+    # shapes come lazily, so the budget refuses after a few of them
+    calls, levels = [], []
+    shapes_below = weights._shapes_below
+
+    def counted(nu, w):
+        calls.append(nu)
+        return kostka(nu, w)
+
+    def counted_levels(*args):
+        levels.append(args)
+        assert len(levels) < 100, "the shapes were listed before the budget was checked"
+        return shapes_below(*args)
+
+    monkeypatch.setattr(codet, "kostka", counted)
+    monkeypatch.setattr(weights, "_shapes_below", counted_levels)
+    with pytest.raises(ResourceLimitError, match="has at least 1275 codeterminants"):
+        codet_basis((25,) * 8, (25,) * 8)
+    assert len(calls) < 20
 
 
 def test_codet_basis_is_a_basis():

@@ -278,6 +278,15 @@ def test_coordinate_solver_rejects_dependent():
         CoordinateSolver([{"a": Fraction(1)}, {"a": Fraction(2)}])
 
 
+def test_coordinate_solver_refuses_basis_entries_outside_the_keys():
+    with pytest.raises(ValueError, match="outside the given keys"):
+        CoordinateSolver([{"a": Fraction(1), "b": Fraction(1)}], keys=["a"])
+    # the rows follow the given keys, so den is the signed determinant
+    basis = [{"a": Fraction(1)}, {"b": Fraction(1)}]
+    assert CoordinateSolver(basis, keys=["a", "b"]).den == 1
+    assert CoordinateSolver(basis, keys=["b", "a"]).den == -1
+
+
 def test_coordinate_solver_zero_vector():
     solver = CoordinateSolver([{"a": Fraction(1)}])
     assert solver.coords({}) == [Fraction(0)]
