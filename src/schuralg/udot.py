@@ -53,7 +53,8 @@ weight block of the Schur algebra; weights that are not compositions of
 r give zero.  A pattern's divided powers, read right to left, act on
 the idempotent of the right weight as integer row moves (schur), each
 e_ab^(m) changing rows a and b of every orbit element, so no product of
-two general orbit elements is formed.
+two general orbit elements is formed.  psi walks all patterns on 1_mu at
+once (_images_by_left), cells in the words' order, sharing common prefixes.
 
 Shifting both weights by a constant vector (tensoring by a power of the
 determinant character) leaves all structure constants unchanged; the gl_2
@@ -73,7 +74,7 @@ from typing import Iterable, Mapping, Sequence
 from .enveloping import _offdiag_runs, _unit_key
 from .errors import SYMMETRIC_GROUP_MAX_R, ResourceLimitError, check_budget
 from .exact_linalg import SparseCombination, integer_rank
-from .schur import Run, SchurElement, _apply_runs, _json_int
+from .schur import Run, SchurElement, _apply_runs, _diagonal, _json_int, _row_move
 from .weights import Matrix, Weight, _check_composition_count, composition_count, permute_weight
 
 __all__ = [
@@ -251,11 +252,30 @@ def _basis_patterns(lam: Sequence[int], mu: Sequence[int], degree: int) -> tuple
     return _block_patterns(n, delta, degree)
 
 
-def _block_images(lam: Sequence[int], mu: Sequence[int]) -> list[dict[Matrix, int]]:
-    """The integer images in S(n, |mu|) of udot_basis_upto(lam, mu, |mu|),
-    mu a composition, in its order and refused as it is: the rows that
-    to_schur sums, and that psi ranks as they are with integer_rank."""
-    return [_apply_runs(_lift(len(lam), p)[::-1], tuple(mu)) for p in _basis_patterns(lam, mu, sum(mu))]
+def _images_by_left(mu: Weight, degree: int) -> dict[Weight, list[dict[Matrix, int]]]:
+    """The nonzero images on 1_mu of the patterns of degree at most the
+    bound, each _apply_runs of its reversed _lift, by left weight;
+    refused first when over TENSOR_SPACE_LIMIT such patterns may exist."""
+    n, w, out = len(mu), list(mu), {}
+    _check_composition_count(n * (n - 1) + 1, degree)
+    cells = sorted(offdiag_cells(n), key=_unit_key, reverse=True)
+
+    def walk(start: int, vec: dict[Matrix, int], left: int) -> None:
+        for c, (a, b) in enumerate(cells[start:], start):
+            for m in range(1, min(left, w[b]) + 1):  # e_ab^(m) kills a row b below m
+                nxt: dict[Matrix, int] = {}
+                for rows, v in vec.items():
+                    new = list(rows)
+                    for new[a], new[b], k in _row_move(m, rows[a], rows[b]):
+                        key = tuple(new)
+                        nxt[key] = nxt[key] + v * k if key in nxt else v * k
+                w[a], w[b] = w[a] + m, w[b] - m
+                walk(c + 1, nxt, left - m)
+                w[a], w[b] = w[a] - m, w[b] + m
+        out.setdefault(tuple(w), []).append(vec)  # no unit in the cells after start
+
+    walk(0, {_diagonal(mu): 1}, degree)
+    return out
 
 
 @lru_cache(maxsize=1024)

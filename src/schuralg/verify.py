@@ -21,7 +21,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import partial, reduce
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -32,6 +32,7 @@ from . import udot as udot_mod
 from .errors import SYMMETRIC_GROUP_MAX_R, check_budget
 from .exact_linalg import integer_det, integer_rank
 from .weights import (
+    _check_composition_count,
     col_sums,
     composition_count,
     compositions,
@@ -320,11 +321,11 @@ def _commutator(lam: tuple, i: int, j: int) -> str | None:
 
 
 def suite_psi(n_max: int = 3, r_max: int = 3, seed: int = 2024) -> VerificationReport:
-    """Degree truncation: unit compatibility, surjectivity (the integer
-    images of a block's whole basis up to degree r have integer_rank equal
-    to its margin count, so an image outside the block shows as excess
-    rank), zero off the composition cone, and multiplicativity on random
-    block pairs, drawn as one pattern of each block."""
+    """Degree truncation: unit compatibility, surjectivity (one walk per
+    right weight gives a block's integer images up to degree r, whose
+    integer_rank must equal its margin count, so a stray image shows as
+    excess rank; every slice's walk is held to the budget before any row),
+    zero off the cone, and multiplicativity on random block pairs."""
     rng = random.Random(seed)
 
     def random_pairs() -> Iterator[tuple]:
@@ -340,8 +341,10 @@ def suite_psi(n_max: int = 3, r_max: int = 3, seed: int = 2024) -> VerificationR
                 v = udot_mod.udot_element(mu, nu, rng.choice(right)).scale(rng.randint(-2, 3))
                 yield u, v, r
 
+    for n, r in itertools.product(range(1, n_max + 1), range(r_max + 1)):
+        _check_composition_count(n * (n - 1) + 1, r)  # the guard of udot._images_by_left
     rows = itertools.chain(
-        _slice_rows("psi-surjective", n_max, r_max, _weights, _psi_unit_and_rank),
+        _slice_rows("psi-surjective", n_max, r_max, _weights, partial(_psi_unit_and_rank, ranks={})),
         [
             # negative entries truncate to zero
             ("psi-off-cone-zero", [((2, -1), (1, 0), (1, 0))], _psi_off_cone),
@@ -351,13 +354,15 @@ def suite_psi(n_max: int = 3, r_max: int = 3, seed: int = 2024) -> VerificationR
     return _run("psi", {"n_max": n_max, "r_max": r_max, "seed": seed}, rows)
 
 
-def _psi_unit_and_rank(lam: tuple, r: int) -> str | None:
+def _psi_unit_and_rank(lam: tuple, r: int, ranks: dict) -> str | None:
     n = len(lam)
     u = udot_mod.udot_element(lam, lam, (0,) * n * (n - 1))
     if udot_mod.to_schur(u, r) != schur_mod.idempotent(lam):
         return f"unit image at lam={lam}"
     for mu in compositions(n, r):
-        rank, count = integer_rank(udot_mod._block_images(lam, mu)), margin_count(lam, mu)
+        if mu not in ranks:
+            ranks[mu] = {left: integer_rank(x) for left, x in udot_mod._images_by_left(mu, r).items()}
+        rank, count = ranks[mu].get(lam, 0), margin_count(lam, mu)
         if rank != count:
             return f"rank {'over' if rank > count else 'short'} at lam={lam} mu={mu}: {rank} against {count}"
     return None

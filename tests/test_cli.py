@@ -2,13 +2,14 @@ import hashlib
 import io
 import itertools
 import json
+import re
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schuralg import cli, verify, weights
+from schuralg import cli, udot, verify, weights
 from schuralg.cli import PBW_FORMS, main
 from schuralg.errors import ResourceLimitError
 
@@ -661,14 +662,14 @@ def test_weight_commands_fuzz(argv):
 
 # Fuzzing the block suites with their range flags, from below the least
 # allowed values (n_max 1, r_max 0) up to gbasis at n <= 3, r <= 5, gl2
-# at r <= 14, zbas and codet at n <= 3, r <= 4, sym-quotient past its
-# bound r <= 4 and cellular in S(3, 4), each run well under a second.
+# at r <= 14, zbas, codet and psi at n <= 3, r <= 4, sym-quotient past
+# its bound r <= 4 and cellular in S(3, 4), each run well under a second.
 @st.composite
 def block_suite_requests(draw):
     def maybe(name, lo, hi):
         return [name, str(draw(st.integers(lo, hi)))] if draw(st.booleans()) else []
 
-    suite = draw(st.sampled_from(["gbasis", "gl2", "zbas", "codet", "sym-quotient", "cellular"]))
+    suite = draw(st.sampled_from(["gbasis", "gl2", "zbas", "codet", "psi", "sym-quotient", "cellular"]))
     if suite == "gbasis":
         args = maybe("--n-max", -1, 3) + maybe("--r-max", -2, 5)
     elif suite == "gl2":
@@ -682,10 +683,12 @@ def block_suite_requests(draw):
             args.append("--lambda=" + ",".join(map(str, entries)))
     else:
         args = maybe("--n-max", -1, 3) + maybe("--r-max", -2, 4)
+        if suite == "psi":
+            args += maybe("--seed", 0, 2**31)
     return draw(st.sampled_from(([], ["--format", "csv"]))) + ["verify", suite] + args
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(block_suite_requests())
 def test_block_suites_fuzz(argv):
     assert_exits_cleanly(argv)
@@ -697,6 +700,25 @@ def test_verify_gl2_refuses_its_range_at_once(capsys):
     assert code == 2
     assert out == ""
     assert "tensor space has 2^20 basis words" in err
+
+
+def test_verify_psi_refuses_its_range_at_once(monkeypatch, capsys):
+    # the walk of a slice (n, r) counts C(r + n(n-1), n(n-1)) patterns: at
+    # n = 3 that is 906,192 at r = 26 and 1,107,568 at r = 27
+    def refuse(lam, r, ranks):
+        raise AssertionError(f"row lam={lam} ran")
+
+    monkeypatch.setattr(verify, "_psi_unit_and_rank", refuse)
+    with pytest.raises(AssertionError, match=r"row lam=\(0,\) ran"):
+        verify.run_suite("psi", n_max=3, r_max=26)
+    with pytest.raises(ResourceLimitError) as walk:
+        udot._images_by_left((0, 0, 0), 27)
+    with pytest.raises(ResourceLimitError, match=re.escape(str(walk.value))):
+        verify.run_suite("psi", n_max=3, r_max=27)
+    code, out, err = run_cli(capsys, "verify", "psi", "--n-max", "3", "--r-max", "27")
+    assert code == 2
+    assert out == ""
+    assert str(walk.value) in err
 
 
 def test_verify_sym_quotient_refuses_its_range_at_once(monkeypatch, capsys):

@@ -652,26 +652,62 @@ def test_to_schur_surjective_rank():
     assert exact_rank(images) == len(margin_matrices(lam, mu))
 
 
+def _block_images(lam, mu):
+    """The per-pattern oracle of udot._images_by_left: the integer images
+    in S(n, |mu|) of udot_basis_upto(lam, mu, |mu|), in its order and
+    refused as it is, each the pattern's reversed word applied to 1_mu."""
+    return [schur._apply_runs(udot._lift(len(lam), p)[::-1], tuple(mu)) for p in udot._basis_patterns(lam, mu, sum(mu))]
+
+
 @pytest.mark.parametrize("n,r", [(2, 4), (3, 3), (3, 4)])
 def test_block_images_are_the_truncated_basis(n, r):
     for lam in compositions(n, r):
         for mu in compositions(n, r):
-            images = udot._block_images(lam, mu)
+            images = _block_images(lam, mu)
             assert images == [to_schur(x, r).terms for x in udot_basis_upto(lam, mu, r)]
             assert all(type(v) is int for image in images for v in image.values())
 
 
 def test_block_images_are_refused_as_the_basis():
-    assert udot._block_images((1, 0), (0, 2)) == []
-    assert udot._block_images((2, -1), (1, 0)) == [{}]
-    # the last admitted degree, 67, and the first refused one; a block that
-    # moves all of mu from index 3 to index 1 has the one pattern E_13^(mu_3)
-    assert udot._block_images((67, 0, 0), (0, 0, 67)) == [{((0, 0, 67), (0, 0, 0), (0, 0, 0)): 1}]
+    assert _block_images((1, 0), (0, 2)) == []
+    assert _block_images((2, -1), (1, 0)) == [{}]
+    # the last degree the basis admits, 67, and the first refused one; a
+    # block that moves all of mu from index 3 to index 1 has the one
+    # pattern E_13^(mu_3)
+    assert _block_images((67, 0, 0), (0, 0, 67)) == [{((0, 0, 67), (0, 0, 0), (0, 0, 0)): 1}]
     for lam, mu in [((68, 0, 0), (0, 0, 68)), ((-1, 0), (0, -1)), ((1, 0), (1,))]:
         with pytest.raises(Exception) as basis:
             udot_basis_upto(lam, mu, sum(mu))
         with pytest.raises(type(basis.value), match=re.escape(str(basis.value))):
-            udot._block_images(lam, mu)
+            _block_images(lam, mu)
+
+
+@pytest.mark.parametrize("n,r_max", [(1, 6), (2, 6), (3, 6), (4, 4)])
+def test_images_by_left_match_the_pattern_oracle(n, r_max):
+    # each left weight's nonzero images, as a multiset, are the nonzero
+    # per-pattern images of its block, in integers
+    def multiset(images):
+        return sorted(sorted(x.items()) for x in images if x)
+
+    for r in range(r_max + 1):
+        weights = compositions(n, r)
+        for mu in weights:
+            tables = udot._images_by_left(mu, r)
+            assert tables.keys() <= set(weights)
+            for lam in weights:
+                images = tables.get(lam, [])
+                assert all(x and all(type(v) is int for v in x.values()) for x in images)
+                assert multiset(images) == multiset(_block_images(lam, mu))
+
+
+def test_images_by_left_are_refused_at_their_edge():
+    # n = 3 has six cells, so C(d + 6, 6) patterns of degree at most d:
+    # 906,192 at d = 26, 1,107,568 at d = 27.  A zero weight makes no move,
+    # so the admitted side returns at once.
+    zero = ((0, 0, 0),) * 3
+    assert udot._images_by_left((0, 0, 0), 26) == {(0, 0, 0): [{zero: 1}]}
+    with pytest.raises(ResourceLimitError, match=re.escape("1107568 compositions of 27 into 7 parts")):
+        udot._images_by_left((0, 0, 0), 27)
 
 
 def test_shift_invariance_seeded():
@@ -766,9 +802,16 @@ def test_psi_report_above_the_default_is_pinned():
 def test_psi_ranks_every_image(monkeypatch):
     # an image outside its block, after the block's full rank is reached,
     # must still fail the row
-    real = udot._block_images
+    real = udot._images_by_left
     stray = {((1, 1), (1, 0)): 1}
-    monkeypatch.setattr(udot, "_block_images", lambda lam, mu: real(lam, mu) + [stray] * (lam == mu == (1, 1)))
+
+    def walk(mu, degree):
+        tables = real(mu, degree)
+        if mu == (1, 1):
+            tables[mu] = tables[mu] + [stray]
+        return tables
+
+    monkeypatch.setattr(udot, "_images_by_left", walk)
     report = run_suite("psi", n_max=2, r_max=2)
     failed = {c.id: c.witness for c in report.checks if not c.passed}
     assert failed == {"psi-surjective-n2-r2": "rank over at lam=(1, 1) mu=(1, 1): 3 against 2"}
