@@ -317,6 +317,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        limit = sys.getrecursionlimit()
+        print(f"resource limit: the input nests deeper than the recursion limit {limit}", file=sys.stderr)
+        return 2
     if args.format == "csv":
         sys.stdout.write(csv)
     else:

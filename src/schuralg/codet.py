@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .errors import check_budget
+from .errors import check_budget, count_text
 from .exact_linalg import CoordinateSolver, integer_rank
 from .schur import SchurElement, _apply_runs, _pair_product, involution
 from .weights import (
@@ -110,7 +110,8 @@ def codet_basis(lam: Sequence[int], mu: Sequence[int]) -> list[Codeterminant]:
         count += kostka(nu, lam) * kostka(nu, mu)
         check_budget(
             count ** 2,
-            f"block ({tuple(lam)}, {tuple(mu)}) has at least {count} codeterminants ({count ** 2} pairs)",
+            f"block ({tuple(lam)}, {tuple(mu)}) has at least {count_text(count)} codeterminants"
+            f" ({count_text(count ** 2)} pairs)",
         )
         shapes.append(nu)
     cells: list[tuple[Weight, Tableau, Tableau]] = []

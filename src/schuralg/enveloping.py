@@ -53,7 +53,7 @@ from functools import lru_cache
 from math import factorial, prod
 from typing import Mapping, Sequence
 
-from .errors import check_budget
+from .errors import check_budget, count_text
 from .exact_linalg import SparseCombination
 from .schur import (
     Run,
@@ -262,7 +262,8 @@ def u_multiply(x: UElement, y: UElement) -> UElement:
     d = sum(max(map(monomial_degree, z.num), default=0) for z in (x, y))
     pairs = len(x.num) * len(y.num)
     words = prod(len({monomial_weight(n, m) for m in z.num}) for z in (x, y)) * composition_count(n * n - n + 2, d)
-    what = f"a product of degree {d} in U(gl_{n}) straightens {pairs} term pairs into up to {words} words"
+    what = (f"a product of degree {d} in U(gl_{n}) straightens {count_text(pairs)} term pairs"
+            f" into up to {count_text(words)} words")
     check_budget(pairs + words, what)
     products = {
         (_monomial_word(n, m1), _monomial_word(n, m2)): c1 * c2

@@ -1,4 +1,4 @@
-"""Shared exception type and the one work budget."""
+"""Shared exception type, the one work budget, and how a refusal prints counts."""
 
 # the one budget: tensor-space words, product tables and enumerated
 # compositions are each refused above it before any work starts
@@ -21,3 +21,14 @@ def check_budget(work: int, what: str) -> None:
     predicted work, and the message adds the limit."""
     if work > TENSOR_SPACE_LIMIT:
         raise ResourceLimitError(f"{what}, above the limit {TENSOR_SPACE_LIMIT}")
+
+
+def count_text(x: int) -> str:
+    """x, or "a d-digit number of" from 10^100 on: a refusal never builds
+    a decimal string past the interpreter's limit."""
+    if x < 10 ** 100:
+        return str(x)
+    d = int(x.bit_length() * 0.30102)  # below log10(2), so d <= the digit count
+    while 10 ** d <= x:
+        d += 1
+    return f"a {d}-digit number of"

@@ -1,15 +1,16 @@
 """Exact linear algebra over the rationals for sparse vectors.
 
 Vectors are mappings from hashable keys to Fractions (or ints), or
-elements, read as their numerators over their denominator.  One
-fraction-free elimination (Bareiss) serves every operation: each vector
-is scaled to integers by its common denominator, and the elimination
-divides exactly, so no Fraction is built inside it.  Ranks and
-determinants stop at echelon form; CoordinateSolver takes the
-Gauss-Jordan form of [basis | identity] once and keeps an integer matrix
-with one common denominator, so a coordinate becomes a Fraction only when
-it is returned.  Sizes here are desk scale (hundreds of rows at most);
-nothing is tuned beyond that.
+elements, read as their numerators over their denominator.  Each vector
+is scaled to integers by its common denominator, and no Fraction is built
+inside an elimination.  Ranks come from a sparse echelon that takes one
+vector at a time (echelon_add), reducing it by gcd-scaled row operations and
+dividing out its content.  Determinants and CoordinateSolver use one
+dense fraction-free elimination (Bareiss), which divides exactly;
+CoordinateSolver takes the Gauss-Jordan form of [basis | identity] once
+and keeps an integer matrix with one common denominator, so a coordinate
+becomes a Fraction only when it is returned.  Sizes here are desk scale
+(hundreds of rows at most); nothing is tuned beyond that.
 
 SparseCombination is the one coefficient format of the algebra elements:
 integer numerators over one denominator in one fixed space, with the
@@ -24,6 +25,7 @@ from typing import Hashable, Mapping, Sequence
 
 __all__ = [
     "SparseCombination",
+    "echelon_add",
     "exact_rank",
     "integer_rank",
     "unimodular_change",
@@ -128,7 +130,8 @@ def _clear_denominators(v: Vector) -> tuple[dict[Hashable, int], int]:
 
 
 def _eliminate(rows: list[list[int]], ncols: int, jordan: bool = False) -> tuple[int, int]:
-    """Fraction-free elimination of integer rows, in place (Bareiss 1968).
+    """Fraction-free elimination of integer rows, in place (Bareiss 1968),
+    for determinants and CoordinateSolver.
 
     Works through the first ncols columns; each pivot is the first nonzero
     entry at or below the current row.  The update
@@ -168,11 +171,37 @@ def exact_rank(vectors: Sequence[Vector]) -> int:
     return integer_rank([_clear_denominators(v)[0] for v in vectors])
 
 
+def echelon_add(echelon: dict[Hashable, dict[Hashable, int]], v: Mapping[Hashable, int]) -> bool:
+    """Feed an integer vector to a sparse echelon form, primitive rows keyed
+    by pivots that no later row holds, so len(echelon) is the rank fed so
+    far.  Oldest first, each row whose pivot v holds turns v into (p/g) v -
+    (c/g) row, p its pivot entry, c v's there, g = gcd(p, c); a nonzero
+    rest, over its content, is stored under its first key.  True if the
+    rank rose."""
+    v = {k: c for k, c in v.items() if c}
+    for key, row in echelon.items():
+        if c := v.get(key):
+            g = gcd(row[key], c)
+            p, c = row[key] // g, c // g
+            if p != 1:
+                v = {k: p * x for k, x in v.items()}
+            for k, x in row.items():
+                if y := v.get(k, 0) - c * x:
+                    v[k] = y
+                else:
+                    del v[k]
+    if v:
+        g = gcd(*v.values())
+        echelon[next(iter(v))] = {k: x // g for k, x in v.items()}
+    return bool(v)
+
+
 def integer_rank(rows: Sequence[Mapping[Hashable, int]]) -> int:
     """Rank of the span of sparse integer vectors (no denominators)."""
-    keys = list(dict.fromkeys(k for w in rows for k in w))
-    rank, _ = _eliminate([[w.get(k, 0) for k in keys] for w in rows], len(keys))
-    return rank
+    echelon: dict = {}
+    for w in rows:
+        echelon_add(echelon, w)
+    return len(echelon)
 
 
 def integer_det(rows: Sequence[Sequence[int]]) -> int:

@@ -58,7 +58,7 @@ from math import comb, prod
 from operator import add, sub
 from typing import Mapping, Sequence
 
-from .errors import SYMMETRIC_GROUP_MAX_R, TENSOR_SPACE_LIMIT, ResourceLimitError, check_budget
+from .errors import SYMMETRIC_GROUP_MAX_R, TENSOR_SPACE_LIMIT, ResourceLimitError, check_budget, count_text
 from .exact_linalg import SparseCombination
 from .weights import (
     Matrix,
@@ -285,7 +285,7 @@ def _pair_product(a: Matrix, b: Matrix) -> tuple[tuple[Matrix, int], ...]:
     n = len(a)
     margins = list(zip(zip(*a), b))
     tables = prod(_slice_bound(rows, cols) for rows, cols in margins)
-    check_budget(tables, f"a product of two {n}x{n} orbit elements may sum over {tables} tables")
+    check_budget(tables, f"a product of two {n}x{n} orbit elements may sum over {count_text(tables)} tables")
     # partial sums C of the slices so far -> summed weight of the tables
     states: dict[tuple[int, ...], int] = {(0,) * (n * n): 1}
     for rows, cols in margins:
@@ -331,7 +331,7 @@ def _row_move(m: int, row_a: Weight, row_b: Weight) -> tuple[tuple[Weight, Weigh
     whose one two-row slice has margins (sum(row_b) - m, m) and row_b."""
     tables = _slice_bound((sum(row_b) - m, m), row_b)
     n = len(row_b)
-    check_budget(tables, f"a product of two {n}x{n} orbit elements may sum over {tables} tables")
+    check_budget(tables, f"a product of two {n}x{n} orbit elements may sum over {count_text(tables)} tables")
     return tuple(
         (tuple(map(add, row_a, t)), tuple(map(sub, row_b, t)), prod(map(comb, map(add, row_a, t), t)))
         for t in _bounded_rows(m, row_b)

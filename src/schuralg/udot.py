@@ -54,7 +54,7 @@ r give zero.  A pattern's divided powers, read right to left, act on
 the idempotent of the right weight as integer row moves (schur), each
 e_ab^(m) changing rows a and b of every orbit element, so no product of
 two general orbit elements is formed.  psi walks all patterns on 1_mu at
-once (_images_by_left), cells in the words' order, sharing common prefixes.
+once (_walk_images), cells in the words' order, sharing common prefixes.
 
 Shifting both weights by a constant vector (tensoring by a power of the
 determinant character) leaves all structure constants unchanged; the gl_2
@@ -69,10 +69,10 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .enveloping import _offdiag_runs, _unit_key
-from .errors import SYMMETRIC_GROUP_MAX_R, ResourceLimitError, check_budget
+from .errors import SYMMETRIC_GROUP_MAX_R, ResourceLimitError, check_budget, count_text
 from .exact_linalg import SparseCombination, integer_rank
 from .schur import Run, SchurElement, _apply_runs, _diagonal, _json_int, _row_move
 from .weights import Matrix, Weight, _check_composition_count, composition_count, permute_weight
@@ -252,11 +252,12 @@ def _basis_patterns(lam: Sequence[int], mu: Sequence[int], degree: int) -> tuple
     return _block_patterns(n, delta, degree)
 
 
-def _images_by_left(mu: Weight, degree: int) -> dict[Weight, list[dict[Matrix, int]]]:
-    """The nonzero images on 1_mu of the patterns of degree at most the
-    bound, each _apply_runs of its reversed _lift, by left weight;
-    refused first when over TENSOR_SPACE_LIMIT such patterns may exist."""
-    n, w, out = len(mu), list(mu), {}
+def _walk_images(mu: Weight, degree: int, emit: Callable[[Weight, dict[Matrix, int]], object]) -> None:
+    """Calls emit(left weight, image) for the nonzero image on 1_mu of each
+    pattern of degree at most the bound, _apply_runs of its reversed
+    _lift, keeping no image; refused first when over TENSOR_SPACE_LIMIT
+    such patterns may exist."""
+    n, w = len(mu), list(mu)
     _check_composition_count(n * (n - 1) + 1, degree)
     cells = sorted(offdiag_cells(n), key=_unit_key, reverse=True)
 
@@ -272,10 +273,9 @@ def _images_by_left(mu: Weight, degree: int) -> dict[Weight, list[dict[Matrix, i
                 w[a], w[b] = w[a] + m, w[b] - m
                 walk(c + 1, nxt, left - m)
                 w[a], w[b] = w[a] - m, w[b] + m
-        out.setdefault(tuple(w), []).append(vec)  # no unit in the cells after start
+        emit(tuple(w), vec)  # no unit in the cells after start
 
     walk(0, {_diagonal(mu): 1}, degree)
-    return out
 
 
 @lru_cache(maxsize=1024)
@@ -429,7 +429,7 @@ def _word_multiply(u: UdotElement, v: UdotElement) -> UdotElement:
     in udot_basis_upto, times both term counts is held to the budget first."""
     degree = max(map(sum, u.num), default=0) + max(map(sum, v.num), default=0)
     work = composition_count((u.n - 1) ** 2 + 1, degree) * len(u.num) * len(v.num)
-    check_budget(work, f"a product of degree {degree} in U̇(gl_{u.n}) may straighten {work} patterns")
+    check_budget(work, f"a product of degree {degree} in U̇(gl_{u.n}) may straighten {count_text(work)} patterns")
     left = {_lift(u.n, p): c for p, c in u.num.items()}
     parts = (_times({x: k * c for x, k in left.items()}, _lift(u.n, q), v.right) for q, c in v.num.items())
     return _block_element(u.n, u.left, v.right, parts, u.den * v.den)
@@ -543,7 +543,7 @@ def gl2_generic_table(lam: Sequence[int], degree: int) -> Gl2Table:
         raise ValueError("degree must be nonnegative")
     # (degree + 1)^2 products of at most degree + 1 terms, and the
     # elimination of degree + 1 powers
-    check_budget((degree + 1) ** 3, f"a gl_2 table of degree {degree} costs {(degree + 1) ** 3} terms")
+    check_budget((degree + 1) ** 3, f"a gl_2 table of degree {degree} costs {count_text((degree + 1) ** 3)} terms")
     lam = (int(lam[0]), int(lam[1]))
     h0, span = lam[0] - lam[1], range(degree + 1)
     # numerators of b_a (pattern cells ((0,1), (1,0))); products keep (d, d)

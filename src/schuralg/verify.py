@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import partial, reduce
 from math import comb
@@ -29,10 +30,11 @@ from . import codet as codet_mod
 from . import enveloping as env
 from . import schur as schur_mod
 from . import udot as udot_mod
-from .errors import SYMMETRIC_GROUP_MAX_R, check_budget
-from .exact_linalg import integer_det, integer_rank
+from .errors import SYMMETRIC_GROUP_MAX_R, TENSOR_SPACE_LIMIT, check_budget, count_text
+from .exact_linalg import echelon_add, integer_det, integer_rank
 from .weights import (
     _check_composition_count,
+    block_sizes,
     col_sums,
     composition_count,
     compositions,
@@ -123,10 +125,18 @@ def _run(suite: str, params: dict, rows: Iterable[Row], least: dict | None = Non
     return report
 
 
+def _slices(n_max: int, r_max: int) -> Iterator[tuple[int, int]]:
+    """The slices (n, r) with 1 <= n <= n_max and 0 <= r <= r_max in row
+    order, refused before any is made when they are over the budget (and
+    none at once when a range is empty: product lists both ranges first)."""
+    count = max(n_max, 0) * max(r_max + 1, 0)
+    check_budget(count, f"{count_text(count)} slices (n, r)")
+    return itertools.product(range(1, n_max + 1), range(r_max + 1)) if count else iter(())
+
+
 def _slice_rows(prefix: str, n_max: int, r_max: int, cases: Callable, predicate: Callable) -> Iterator[Row]:
-    """One row per slice (n, r) with 1 <= n <= n_max and 0 <= r <= r_max."""
-    for n, r in itertools.product(range(1, n_max + 1), range(0, r_max + 1)):
-        yield f"{prefix}-n{n}-r{r}", cases(n, r), predicate
+    """One row per slice (n, r) of _slices."""
+    return ((f"{prefix}-n{n}-r{r}", cases(n, r), predicate) for n, r in _slices(n_max, r_max))
 
 
 def _weight_pairs(n: int, r: int) -> Iterator[tuple]:
@@ -169,7 +179,7 @@ def _orbit_count(lam: Sequence[int], mu: Sequence[int]) -> int:
 def suite_gbasis(n_max: int = 3, r_max: int = 3) -> VerificationReport:
     """Orbit-basis blocks: count, independence, and spanning, with the
     dimension confirmed by union-find orbit counting, both read off one word."""
-    for n, r in itertools.product(range(1, n_max + 1), range(r_max + 1)):
+    for n, r in _slices(n_max, r_max):
         schur_mod.check_tensor_scale(n, r)
     rows = _slice_rows("block-dims", n_max, r_max, _weight_pairs, _orbit_block)
     return _run("gbasis", {"n_max": n_max, "r_max": r_max}, rows)
@@ -238,11 +248,12 @@ def _pbw_block(lam: tuple, mu: tuple) -> str | None:
 def suite_idem_lemma(n_max: int = 3, r_max: int = 3) -> VerificationReport:
     """Binomial diagonal products act as weight idempotents.  Refused
     before any check runs when the predicted work is over the budget."""
-    work = sum(
-        composition_count(n, r) * _binom_term_sum(n, r)
-        for n, r in itertools.product(range(1, n_max + 1), range(0, r_max + 1))
-    )
-    check_budget(work, f"idem-lemma up to n={n_max}, r={r_max} sums {work} terms")
+    work = n = r = 0
+    for n, r in _slices(n_max, r_max):
+        work += composition_count(n, r) * _binom_term_sum(n, r)
+        if work > TENSOR_SPACE_LIMIT:  # the later slices only add to it
+            break
+    check_budget(work, f"idem-lemma up to n={n_max}, r={r_max} sums {count_text(work)} terms by n={n}, r={r}")
     rows = _slice_rows(
         "binomial-idempotent", n_max, r_max, _weights,
         lambda lam, r: None if env.verify_weight_idempotent(lam) else f"lam={lam}",
@@ -322,10 +333,11 @@ def _commutator(lam: tuple, i: int, j: int) -> str | None:
 
 def suite_psi(n_max: int = 3, r_max: int = 3, seed: int = 2024) -> VerificationReport:
     """Degree truncation: unit compatibility, surjectivity (one walk per
-    right weight gives a block's integer images up to degree r, whose
-    integer_rank must equal its margin count, so a stray image shows as
-    excess rank; every slice's walk is held to the budget before any row),
-    zero off the cone, and multiplicativity on random block pairs."""
+    right weight feeds each integer image up to degree r into the echelon
+    of its block, whose rank must equal the block's margin count from one
+    column count per right weight, so a stray image shows as excess rank;
+    every slice's walk is held to the budget before any row), zero off the
+    cone, and multiplicativity on random block pairs."""
     rng = random.Random(seed)
 
     def random_pairs() -> Iterator[tuple]:
@@ -341,8 +353,8 @@ def suite_psi(n_max: int = 3, r_max: int = 3, seed: int = 2024) -> VerificationR
                 v = udot_mod.udot_element(mu, nu, rng.choice(right)).scale(rng.randint(-2, 3))
                 yield u, v, r
 
-    for n, r in itertools.product(range(1, n_max + 1), range(r_max + 1)):
-        _check_composition_count(n * (n - 1) + 1, r)  # the guard of udot._images_by_left
+    for n, r in _slices(n_max, r_max):
+        _check_composition_count(n * (n - 1) + 1, r)  # the guard of udot._walk_images
     rows = itertools.chain(
         _slice_rows("psi-surjective", n_max, r_max, _weights, partial(_psi_unit_and_rank, ranks={})),
         [
@@ -361,8 +373,10 @@ def _psi_unit_and_rank(lam: tuple, r: int, ranks: dict) -> str | None:
         return f"unit image at lam={lam}"
     for mu in compositions(n, r):
         if mu not in ranks:
-            ranks[mu] = {left: integer_rank(x) for left, x in udot_mod._images_by_left(mu, r).items()}
-        rank, count = ranks[mu].get(lam, 0), margin_count(lam, mu)
+            echelons: dict[tuple, dict] = defaultdict(dict)
+            udot_mod._walk_images(mu, r, lambda left, image: echelon_add(echelons[left], image))
+            ranks[mu] = {left: (len(echelons.get(left, ())), count) for left, count in block_sizes(mu).items()}
+        rank, count = ranks[mu][lam]
         if rank != count:
             return f"rank {'over' if rank > count else 'short'} at lam={lam} mu={mu}: {rank} against {count}"
     return None

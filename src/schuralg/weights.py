@@ -21,10 +21,10 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
-from operator import sub
+from operator import add, sub
 from typing import Iterator, Sequence
 
-from .errors import check_budget
+from .errors import check_budget, count_text
 
 Weight = tuple[int, ...]
 Word = tuple[int, ...]
@@ -45,6 +45,7 @@ __all__ = [
     "all_words",
     "margin_matrices",
     "margin_count",
+    "block_sizes",
     "row_sums",
     "col_sums",
     "transpose",
@@ -100,7 +101,7 @@ def _check_composition_count(n: int, r: int) -> None:
     """Refuse work that lists the compositions of r into n parts when
     there are more than TENSOR_SPACE_LIMIT of them."""
     count = composition_count(n, r)
-    check_budget(count, f"{count} compositions of {r} into {n} parts")
+    check_budget(count, f"{count_text(count)} compositions of {r} into {n} parts")
 
 
 def dominant_shapes(n: int, r: int) -> list[Weight]:
@@ -266,7 +267,7 @@ def _checked_margins(lam: Sequence[int], mu: Sequence[int]) -> tuple[Weight, Wei
     if sum(lam) != sum(mu):
         raise ValueError("margins must have equal degree")
     bound = _slice_bound(tuple(lam), tuple(mu))
-    check_budget(bound, f"margins {tuple(lam)} and {tuple(mu)} may have {bound} matrices")
+    check_budget(bound, f"margins {tuple(lam)} and {tuple(mu)} may have {count_text(bound)} matrices")
     return tuple(lam), tuple(mu)
 
 
@@ -282,6 +283,28 @@ def _margin_count(rows: Weight, cols: Weight) -> int:
     if len(rows) <= 1:
         return 1
     return sum(_margin_count(rows[1:], tuple(map(sub, cols, row))) for row in _bounded_rows(rows[0], cols))
+
+
+def block_sizes(mu: Sequence[int]) -> dict[Weight, int]:
+    """{lam: margin_count(lam, mu)} for all lam at once, counted column by
+    column: the row sums so far, each with its number of fillings, take
+    every composition of the next column sum.  Refused first when those
+    steps are over the budget."""
+    if not is_composition(mu):
+        raise ValueError("margins must be compositions")
+    n, mu = len(mu), tuple(mu)
+    starts = itertools.accumulate(mu, initial=0)  # zip drops the last, sum(mu)
+    work = sum(composition_count(n, s) * composition_count(n, m) for s, m in zip(starts, mu))
+    check_budget(work, f"counting the blocks of right weight {mu} takes {count_text(work)} steps")
+    sizes = {(0,) * n: 1}
+    for m in mu:
+        step: dict[Weight, int] = {}
+        for column in compositions(n, m):
+            for rows, c in sizes.items():
+                key = tuple(map(add, rows, column))
+                step[key] = step.get(key, 0) + c
+        sizes = step
+    return sizes
 
 
 def pair_to_matrix(i: Sequence[int], j: Sequence[int], n: int) -> Matrix:

@@ -3,13 +3,14 @@ import io
 import itertools
 import json
 import re
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schuralg import cli, udot, verify, weights
+from schuralg import cli, errors, udot, verify, weights
 from schuralg.cli import PBW_FORMS, main
 from schuralg.errors import ResourceLimitError
 
@@ -694,6 +695,119 @@ def test_block_suites_fuzz(argv):
     assert_exits_cleanly(argv)
 
 
+# Fuzzing the extremes: weights of 1,100 to 1,600 parts and blocks of 32
+# to 40 parts (deeper than CPython's default recursion limit, 1,000), and
+# --r-max or --degree values of up to 4,300 digits (the most argparse
+# reads); each is refused at once, and no refusal prints Python's own
+# digit-limit error.
+@st.composite
+def extreme_requests(draw):
+    def nines(lo):
+        return "9" * draw(st.integers(lo, 4300))
+
+    kind = draw(st.sampled_from(["long-weight", "wide-block", "suite-range", "degree"]))
+    if kind == "long-weight":
+        n = draw(st.integers(1100, 1600))
+        w = ",".join(["0"] * (n - 1) + [str(draw(st.integers(0, 2)))])
+        return draw(st.sampled_from([
+            ["dim", "--lambda", w],
+            ["simples", "--lambda", w],
+            ["basis", "--kind", draw(st.sampled_from(["xi", "codet"])), "--lambda", w],
+            ["compositions", "--n", str(n), "--r", str(draw(st.integers(0, 2)))],
+        ]))
+    if kind == "wide-block":
+        zeros = ",".join(["0"] * draw(st.integers(32, 40)))
+        return ["udot", "basis", "--lambda", zeros, "--mu", zeros, "--degree", "0"]
+    if kind == "suite-range":
+        suite = draw(st.sampled_from(["gbasis", "codet", "zbas", "psi", "idem-lemma"]))
+        n_max = [] if draw(st.booleans()) else ["--n-max", str(draw(st.integers(-1, 3)))]
+        return ["verify", suite, "--r-max", nines(7)] + n_max
+    if draw(st.booleans()):
+        return ["udot", "gl2-table", "--lambda", "1,2", "--degree", nines(3)]
+    return ["udot", "basis", "--lambda", "0,0", "--mu", "0,0", "--degree", nines(7)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(extreme_requests())
+def test_extreme_requests_fuzz(argv):
+    # Hypothesis raises the recursion limit while a test runs, and under
+    # that limit the long inputs run for minutes and fill memory; a CLI
+    # process has the default
+    out, err = io.StringIO(), io.StringIO()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 2
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith(("resource limit: ", "error: --n-max must be at least 1"))
+    assert "Traceback" not in err.getvalue() and "Exceeds the limit" not in err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ["udot", "basis", "--lambda", ",".join(["0"] * 32), "--mu", ",".join(["0"] * 32), "--degree", "0"],
+    ["verify", "psi", "--n-max", "40", "--r-max", "0"],
+    ["compositions", "--n", "1500", "--r", "1"],
+    ["dim", "--lambda", ",".join(["0"] * 1499 + ["1"])],
+    ["simples", "--lambda", ",".join(["0"] * 1499 + ["1"])],
+    ["basis", "--kind", "xi", "--lambda", ",".join(["0"] * 1499 + ["1"])],
+    ["basis", "--kind", "codet", "--lambda", ",".join(["0"] * 1499 + ["1"])],
+])
+def test_recursion_depth_is_a_resource_limit(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("resource limit: the input nests deeper than the recursion limit")
+
+
+@pytest.mark.parametrize("suite", ["gbasis", "codet", "zbas", "psi", "idem-lemma"])
+def test_slices_are_refused_before_any_is_made(capsys, suite):
+    code, out, err = run_cli(capsys, "verify", suite, "--r-max", "9" * 30)
+    assert code == 2
+    assert out == ""
+    assert err == f"resource limit: 3{'0' * 30} slices (n, r), above the limit 1000000\n"
+
+
+def test_slice_cap_edge():
+    assert next(verify._slices(1, 999999)) == (1, 0)
+    assert list(verify._slices(0, 10 ** 40)) == list(verify._slices(10 ** 40, -1)) == []
+    with pytest.raises(ResourceLimitError, match=re.escape("1000001 slices (n, r), above the limit")):
+        verify._slices(1, 10 ** 6)
+    with pytest.raises(ResourceLimitError, match=re.escape("1000002 slices (n, r), above the limit")):
+        verify._slices(1000002, 0)
+
+
+def test_idem_lemma_work_stops_at_the_budget():
+    # n = 1 adds 1 term at r = 0 and r terms at r > 0: 1 + 1414 * 1415 / 2
+    # passes the budget at r = 1414, long before the last of 10^6 slices
+    with pytest.raises(ResourceLimitError, match=re.escape("sums 1000406 terms by n=1, r=1414,")):
+        verify.suite_idem_lemma(1, 999999)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["compositions", "--n", "100000", "--r", "100000"],
+     "a 60203-digit number of compositions of 100000 into 100000 parts, above the limit 1000000"),
+    (["udot", "gl2-table", "--lambda", "1,2", "--degree", "9" * 2000],
+     f"a gl_2 table of degree {'9' * 2000} costs a 6001-digit number of terms, above the limit 1000000"),
+    (["verify", "gbasis", "--n-max", "9" * 2200, "--r-max", "9" * 2200],
+     "a 4400-digit number of slices (n, r), above the limit 1000000"),
+])
+def test_refusals_print_huge_counts_by_their_digits(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"resource limit: {message}\n"
+
+
+def test_count_text():
+    assert errors.count_text(10 ** 100 - 1) == "9" * 100
+    for x, digits in [(10 ** 100, 101), (10 ** 101 - 1, 101), (2 ** 100000, 30103), (10 ** 60000, 60001)]:
+        assert errors.count_text(x) == f"a {digits}-digit number of"
+
+
 def test_verify_gl2_refuses_its_range_at_once(capsys):
     # the rows up to r = 19 used to run for seconds before this refusal
     code, out, err = run_cli(capsys, "verify", "gl2", "--r-max", "20")
@@ -712,7 +826,7 @@ def test_verify_psi_refuses_its_range_at_once(monkeypatch, capsys):
     with pytest.raises(AssertionError, match=r"row lam=\(0,\) ran"):
         verify.run_suite("psi", n_max=3, r_max=26)
     with pytest.raises(ResourceLimitError) as walk:
-        udot._images_by_left((0, 0, 0), 27)
+        udot._walk_images((0, 0, 0), 27, print)
     with pytest.raises(ResourceLimitError, match=re.escape(str(walk.value))):
         verify.run_suite("psi", n_max=3, r_max=27)
     code, out, err = run_cli(capsys, "verify", "psi", "--n-max", "3", "--r-max", "27")

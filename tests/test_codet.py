@@ -232,14 +232,21 @@ def test_cell_report_json():
 
 
 def count_eliminations(monkeypatch):
+    # in order: True for a Gauss-Jordan factoring (the dense elimination),
+    # False for a rank (the sparse echelon) or a determinant
     calls = []
-    eliminate = exact_linalg._eliminate
+    eliminate, rank = exact_linalg._eliminate, codet.integer_rank
 
     def counted(rows, ncols, jordan=False):
         calls.append(jordan)
         return eliminate(rows, ncols, jordan)
 
+    def ranked(rows):
+        calls.append(False)
+        return rank(rows)
+
     monkeypatch.setattr(exact_linalg, "_eliminate", counted)
+    monkeypatch.setattr(codet, "integer_rank", ranked)
     return calls
 
 

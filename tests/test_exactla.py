@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import schuralg
+from schuralg import exact_linalg
 from schuralg.enveloping import UElement
 from schuralg.exact_linalg import (
     CoordinateSolver,
     SparseCombination,
+    echelon_add,
     exact_rank,
     integer_det,
     integer_rank,
@@ -227,6 +229,49 @@ def test_integer_rank_matches_exact_rank():
         assert rank <= len(base)
     assert integer_rank([]) == 0
     assert integer_rank([{"a": 0}, {}]) == 0
+
+
+def test_echelon_rank_matches_bareiss_on_dense_matrices():
+    # seeded dense matrices up to 30 x 30 with entries in [-9, 9]: random
+    # ones, and rank-deficient ones whose extra rows are sums, differences,
+    # negations or copies of rows with entries in [-4, 4]; each is fed to
+    # the echelon row by row and to the dense Bareiss elimination
+    rng = random.Random(24)
+    for trial in range(120):
+        nrows, ncols = rng.randint(1, 30), rng.randint(1, 30)
+        if trial % 2:
+            base = [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(rng.randint(0, nrows))]
+            rows = [list(v) for v in base]
+            while len(rows) < nrows:
+                a, b = (rng.choice(base) if base else [0] * ncols for _ in range(2))
+                sign = rng.choice((1, -1, 0))
+                rows.append([x + sign * y for x, y in zip(a, b)])
+            rng.shuffle(rows)
+        else:
+            base = rows = [[rng.randint(-9, 9) for _ in range(ncols)] for _ in range(nrows)]
+        assert all(abs(x) <= 9 for row in rows for x in row)
+        echelon = {}
+        grew = [echelon_add(echelon, dict(enumerate(row))) for row in rows]
+        rank, _ = exact_linalg._eliminate([list(row) for row in rows], ncols)
+        assert len(echelon) == sum(grew) == rank == integer_rank([dict(enumerate(row)) for row in rows])
+        assert rank <= min(len(base), ncols)
+        # primitive rows, each free of the pivots stored before it
+        pivots = list(echelon)
+        for i, (pivot, row) in enumerate(echelon.items()):
+            assert row[pivot] and gcd(*row.values()) == 1 and 0 not in row.values()
+            assert not set(pivots[:i]) & row.keys()
+
+
+def test_echelon_keeps_its_input():
+    v = {"a": 2, "b": 4, "c": 0}
+    echelon = {}
+    assert echelon_add(echelon, v) is True
+    assert echelon == {"a": {"a": 1, "b": 2}}
+    assert echelon_add(echelon, {"a": -3, "b": -6}) is False
+    assert echelon_add(echelon, {"a": 0}) is False
+    assert echelon_add(echelon, {"b": 3, "a": 6}) is True
+    assert v == {"a": 2, "b": 4, "c": 0}
+    assert len(echelon) == 2
 
 
 def test_integer_det():

@@ -653,7 +653,7 @@ def test_to_schur_surjective_rank():
 
 
 def _block_images(lam, mu):
-    """The per-pattern oracle of udot._images_by_left: the integer images
+    """The per-pattern oracle of udot._walk_images: the integer images
     in S(n, |mu|) of udot_basis_upto(lam, mu, |mu|), in its order and
     refused as it is, each the pattern's reversed word applied to 1_mu."""
     return [schur._apply_runs(udot._lift(len(lam), p)[::-1], tuple(mu)) for p in udot._basis_patterns(lam, mu, sum(mu))]
@@ -692,7 +692,7 @@ def test_images_by_left_match_the_pattern_oracle(n, r_max):
     for r in range(r_max + 1):
         weights = compositions(n, r)
         for mu in weights:
-            tables = udot._images_by_left(mu, r)
+            tables = _walked_images(mu, r)
             assert tables.keys() <= set(weights)
             for lam in weights:
                 images = tables.get(lam, [])
@@ -700,14 +700,21 @@ def test_images_by_left_match_the_pattern_oracle(n, r_max):
                 assert multiset(images) == multiset(_block_images(lam, mu))
 
 
+def _walked_images(mu, degree):
+    """The images the walk reports for 1_mu, collected by left weight."""
+    tables = {}
+    udot._walk_images(mu, degree, lambda left, image: tables.setdefault(left, []).append(image))
+    return tables
+
+
 def test_images_by_left_are_refused_at_their_edge():
     # n = 3 has six cells, so C(d + 6, 6) patterns of degree at most d:
     # 906,192 at d = 26, 1,107,568 at d = 27.  A zero weight makes no move,
     # so the admitted side returns at once.
     zero = ((0, 0, 0),) * 3
-    assert udot._images_by_left((0, 0, 0), 26) == {(0, 0, 0): [{zero: 1}]}
+    assert _walked_images((0, 0, 0), 26) == {(0, 0, 0): [{zero: 1}]}
     with pytest.raises(ResourceLimitError, match=re.escape("1107568 compositions of 27 into 7 parts")):
-        udot._images_by_left((0, 0, 0), 27)
+        _walked_images((0, 0, 0), 27)
 
 
 def test_shift_invariance_seeded():
@@ -802,16 +809,15 @@ def test_psi_report_above_the_default_is_pinned():
 def test_psi_ranks_every_image(monkeypatch):
     # an image outside its block, after the block's full rank is reached,
     # must still fail the row
-    real = udot._images_by_left
+    real = udot._walk_images
     stray = {((1, 1), (1, 0)): 1}
 
-    def walk(mu, degree):
-        tables = real(mu, degree)
+    def walk(mu, degree, emit):
+        real(mu, degree, emit)
         if mu == (1, 1):
-            tables[mu] = tables[mu] + [stray]
-        return tables
+            emit(mu, stray)
 
-    monkeypatch.setattr(udot, "_images_by_left", walk)
+    monkeypatch.setattr(udot, "_walk_images", walk)
     report = run_suite("psi", n_max=2, r_max=2)
     failed = {c.id: c.witness for c in report.checks if not c.passed}
     assert failed == {"psi-surjective-n2-r2": "rank over at lam=(1, 1) mu=(1, 1): 3 against 2"}

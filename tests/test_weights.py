@@ -1,4 +1,5 @@
 import itertools
+import re
 import time
 from collections import Counter
 from math import comb
@@ -6,10 +7,12 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from schuralg import weights
 from schuralg.errors import TENSOR_SPACE_LIMIT, ResourceLimitError
 from schuralg.weights import (
     Tableau,
     all_words,
+    block_sizes,
     canonical_pair,
     col_sums,
     composition_count,
@@ -201,6 +204,33 @@ def test_margin_count_refuses_as_listing(lam, mu):
     with pytest.raises(listed.type) as counted:
         margin_count(lam, mu)
     assert str(counted.value) == str(listed.value)
+
+
+def test_block_sizes_match_margin_count():
+    for n in range(1, 5):
+        for r in range(6):
+            lams = compositions(n, r)
+            for mu in lams:
+                assert block_sizes(mu) == {lam: margin_count(lam, mu) for lam in lams}, mu
+    assert block_sizes(()) == {(): 1}
+
+
+def test_block_sizes_refused_before_counting(monkeypatch):
+    # one step per (row sums so far, column): for mu = (999, 999, 0) that is
+    # C(1001, 2) for the first column, C(1001, 2)^2 for the second and
+    # C(2000, 2) for the zero column
+    with pytest.raises(ValueError, match="margins must be compositions"):
+        block_sizes((1, -1))
+
+    def refuse(*args):
+        raise AssertionError("no column may be listed once the count is refused")
+
+    monkeypatch.setattr(weights, "compositions", refuse)
+    with pytest.raises(
+        ResourceLimitError,
+        match=re.escape("counting the blocks of right weight (999, 999, 0) takes 250502749500 steps"),
+    ):
+        block_sizes((999, 999, 0))
 
 
 def test_pair_to_matrix():
