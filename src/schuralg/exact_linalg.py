@@ -219,8 +219,8 @@ class CoordinateSolver:
     Basis vectors must be linearly independent (checked).  coords(v)
     returns the Fraction list with v == sum coords[i] * basis[i], or None
     when v lies outside the span.  The basis is factored once, by the
-    Gauss-Jordan form of the same fraction-free elimination that ranks and
-    determinants use: on [basis columns | identity], each column scaled to
+    Gauss-Jordan form of the fraction-free elimination that determinants
+    use: on [basis columns | identity], each column scaled to
     integers, it leaves d times the identity on top of zero rows and turns
     the identity block into an integer matrix E.  The first len(basis)
     rows of E, rescaled by the column scales and by the sign of the row

@@ -32,7 +32,7 @@ diag(w) + m (E_ab - E_bb), w the row weight of B, and there the rule is
 a move of rows a and b alone: the sum over compositions t of m with
 t <= B_b of prod_k binom(B_ak + t_k, t_k) xi_{B + t (E_a - E_b)}.  PBW
 images and truncations are words of divided powers applied this way to
-an idempotent, in integers (_apply_runs).
+an idempotent, in integers (_move per letter, _apply_runs per word).
 
 Tensor space itself enters only as an oracle, behind one guard
 (check_tensor_scale: at most TENSOR_SPACE_LIMIT words): orbit_endo
@@ -352,21 +352,26 @@ def _runs_weight(runs: Sequence[Run], w: Sequence[int]) -> Weight | None:
     return tuple(w)
 
 
+def _move(vec: Mapping[Matrix, int], a: int, b: int, m: int) -> dict[Matrix, int]:
+    """e_ab^(m) on an integer orbit vector: a _row_move on every term."""
+    out: dict[Matrix, int] = {}
+    for rows, v in vec.items():
+        new = list(rows)
+        for new[a], new[b], k in _row_move(m, rows[a], rows[b]):
+            key = tuple(new)
+            out[key] = out[key] + v * k if key in out else v * k
+    return out
+
+
 def _apply_runs(runs: Sequence[Run], w: Weight) -> dict[Matrix, int]:
-    """The integer image of the runs acting on 1_w, rightmost first, each
-    a _row_move on every term of xi_diag(w); zero, before any move, when
+    """The integer image of the runs acting on 1_w, rightmost first: one
+    _move per run, from xi_diag(w); zero, before any move, when
     _runs_weight refuses."""
     if _runs_weight(runs, w) is None:
         return {}
     vec = {_diagonal(w): 1}
     for a, b, m in runs:
-        nxt: dict[Matrix, int] = {}
-        for rows, v in vec.items():
-            new = list(rows)
-            for new[a], new[b], k in _row_move(m, rows[a], rows[b]):
-                key = tuple(new)
-                nxt[key] = nxt[key] + v * k if key in nxt else v * k
-        vec = nxt
+        vec = _move(vec, a, b, m)
     return vec
 
 

@@ -74,7 +74,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .enveloping import _offdiag_runs, _unit_key
 from .errors import SYMMETRIC_GROUP_MAX_R, ResourceLimitError, check_budget, count_text
 from .exact_linalg import SparseCombination, integer_rank
-from .schur import Run, SchurElement, _apply_runs, _diagonal, _json_int, _row_move
+from .schur import Run, SchurElement, _apply_runs, _diagonal, _json_int, _move
 from .weights import Matrix, Weight, _check_composition_count, composition_count, permute_weight
 
 __all__ = [
@@ -264,14 +264,8 @@ def _walk_images(mu: Weight, degree: int, emit: Callable[[Weight, dict[Matrix, i
     def walk(start: int, vec: dict[Matrix, int], left: int) -> None:
         for c, (a, b) in enumerate(cells[start:], start):
             for m in range(1, min(left, w[b]) + 1):  # e_ab^(m) kills a row b below m
-                nxt: dict[Matrix, int] = {}
-                for rows, v in vec.items():
-                    new = list(rows)
-                    for new[a], new[b], k in _row_move(m, rows[a], rows[b]):
-                        key = tuple(new)
-                        nxt[key] = nxt[key] + v * k if key in nxt else v * k
                 w[a], w[b] = w[a] + m, w[b] - m
-                walk(c + 1, nxt, left - m)
+                walk(c + 1, _move(vec, a, b, m), left - m)
                 w[a], w[b] = w[a] - m, w[b] + m
         emit(tuple(w), vec)  # no unit in the cells after start
 
@@ -319,10 +313,10 @@ def _block_patterns(n: int, delta: Weight, degree: int) -> tuple[Pattern, ...]:
 
 @lru_cache(maxsize=4096)
 def _lift(n: int, p: Pattern) -> Word:
-    """The pattern's word of divided powers, left to right in the normal
-    order of enveloping._unit_key: lowering letters, then raising ones."""
+    """The pattern's word of divided powers in enveloping._unit_key order:
+    the lowering, then the raising runs of _offdiag_runs, each reversed."""
     lower, upper = _offdiag_runs(pattern_matrix(p, n))
-    return tuple(sorted(lower + upper, key=lambda g: _unit_key(g[:2])))
+    return lower[::-1] + upper[::-1]
 
 
 @lru_cache(maxsize=1 << 17)

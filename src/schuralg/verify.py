@@ -22,7 +22,7 @@ import random
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import partial, reduce
+from functools import reduce
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -305,16 +305,15 @@ def _cell_axioms(datum: codet_mod.CellDatum) -> str | None:
 
 def suite_relations(n_max: int = 3, window: int = 3) -> VerificationReport:
     """Chevalley commutator against the Cartan pairing on all integer
-    weights with entries in [-window, window]."""
+    weights in [-window, window]^n; too many cases are refused at once."""
     span = range(-window, window + 1)
-    rows = (
-        (
-            f"commutator-n{n}",
-            itertools.product(itertools.product(span, repeat=n), range(1, n), range(1, n)),
-            _commutator,
-        )
-        for n in range(2, n_max + 1)
-    )
+    rows: list[Row] = []
+    cases = 0
+    for n in range(2, n_max + 1) if window >= 0 else ():  # _run refuses a negative window
+        cases += (2 * window + 1) ** n * (n - 1) ** 2
+        check_budget(cases, f"relations up to n={n_max}, window={window} check {count_text(cases)} cases by n={n}")
+        product = itertools.product(itertools.product(span, repeat=n), range(1, n), range(1, n))
+        rows.append((f"commutator-n{n}", product, _commutator))
     return _run("relations", {"n_max": n_max, "window": window}, rows, {"n_max": 2})
 
 
@@ -332,10 +331,10 @@ def _commutator(lam: tuple, i: int, j: int) -> str | None:
 
 
 def suite_psi(n_max: int = 3, r_max: int = 3, seed: int = 2024) -> VerificationReport:
-    """Degree truncation: unit compatibility, surjectivity (one walk per
-    right weight feeds each integer image up to degree r into the echelon
-    of its block, whose rank must equal the block's margin count from one
-    column count per right weight, so a stray image shows as excess rank;
+    """Degree truncation: unit compatibility, surjectivity (per right weight
+    mu, one walk feeds each integer image on 1_mu up to degree r into the
+    echelon of its block, whose rank must equal the block's margin count
+    from one column count of mu, so a stray image shows as excess rank;
     every slice's walk is held to the budget before any row), zero off the
     cone, and multiplicativity on random block pairs."""
     rng = random.Random(seed)
@@ -356,7 +355,7 @@ def suite_psi(n_max: int = 3, r_max: int = 3, seed: int = 2024) -> VerificationR
     for n, r in _slices(n_max, r_max):
         _check_composition_count(n * (n - 1) + 1, r)  # the guard of udot._walk_images
     rows = itertools.chain(
-        _slice_rows("psi-surjective", n_max, r_max, _weights, partial(_psi_unit_and_rank, ranks={})),
+        _slice_rows("psi-surjective", n_max, r_max, _weights, _psi_unit_and_rank),
         [
             # negative entries truncate to zero
             ("psi-off-cone-zero", [((2, -1), (1, 0), (1, 0))], _psi_off_cone),
@@ -366,17 +365,16 @@ def suite_psi(n_max: int = 3, r_max: int = 3, seed: int = 2024) -> VerificationR
     return _run("psi", {"n_max": n_max, "r_max": r_max, "seed": seed}, rows)
 
 
-def _psi_unit_and_rank(lam: tuple, r: int, ranks: dict) -> str | None:
-    n = len(lam)
-    u = udot_mod.udot_element(lam, lam, (0,) * n * (n - 1))
-    if udot_mod.to_schur(u, r) != schur_mod.idempotent(lam):
-        return f"unit image at lam={lam}"
-    for mu in compositions(n, r):
-        if mu not in ranks:
-            echelons: dict[tuple, dict] = defaultdict(dict)
-            udot_mod._walk_images(mu, r, lambda left, image: echelon_add(echelons[left], image))
-            ranks[mu] = {left: (len(echelons.get(left, ())), count) for left, count in block_sizes(mu).items()}
-        rank, count = ranks[mu][lam]
+def _psi_unit_and_rank(mu: tuple, r: int) -> str | None:
+    n = len(mu)
+    u = udot_mod.udot_element(mu, mu, (0,) * n * (n - 1))
+    if udot_mod.to_schur(u, r) != schur_mod.idempotent(mu):
+        return f"unit image at lam={mu}"
+    echelons: dict[tuple, dict] = defaultdict(dict)
+    udot_mod._walk_images(mu, r, lambda left, image: echelon_add(echelons[left], image))
+    sizes = block_sizes(mu)
+    for lam in compositions(n, r):
+        rank, count = len(echelons.get(lam, ())), sizes[lam]
         if rank != count:
             return f"rank {'over' if rank > count else 'short'} at lam={lam} mu={mu}: {rank} against {count}"
     return None

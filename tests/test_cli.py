@@ -819,11 +819,11 @@ def test_verify_gl2_refuses_its_range_at_once(capsys):
 def test_verify_psi_refuses_its_range_at_once(monkeypatch, capsys):
     # the walk of a slice (n, r) counts C(r + n(n-1), n(n-1)) patterns: at
     # n = 3 that is 906,192 at r = 26 and 1,107,568 at r = 27
-    def refuse(lam, r, ranks):
-        raise AssertionError(f"row lam={lam} ran")
+    def refuse(mu, r):
+        raise AssertionError(f"row mu={mu} ran")
 
     monkeypatch.setattr(verify, "_psi_unit_and_rank", refuse)
-    with pytest.raises(AssertionError, match=r"row lam=\(0,\) ran"):
+    with pytest.raises(AssertionError, match=r"row mu=\(0,\) ran"):
         verify.run_suite("psi", n_max=3, r_max=26)
     with pytest.raises(ResourceLimitError) as walk:
         udot._walk_images((0, 0, 0), 27, print)
@@ -833,6 +833,28 @@ def test_verify_psi_refuses_its_range_at_once(monkeypatch, capsys):
     assert code == 2
     assert out == ""
     assert str(walk.value) in err
+
+
+def test_verify_relations_refuses_its_window_at_once(monkeypatch, capsys):
+    # sum over n of (2 window + 1)^n (n - 1)^2 commutator cases: at the
+    # default n_max = 3, 911,645 at window 30 and 1,004,157 at window 31;
+    # 62,046 at n_max = 4, window 4
+    def refuse(lam, i, j):
+        raise AssertionError(f"row lam={lam} ran")
+
+    monkeypatch.setattr(verify, "_commutator", refuse)
+    for n_max, window in [(3, 30), (4, 4)]:
+        with pytest.raises(AssertionError, match=re.escape(f"row lam={(-window,) * 2} ran")):
+            verify.run_suite("relations", n_max=n_max, window=window)
+    message = "relations up to n=3, window=31 check 1004157 cases by n=3, above the limit 1000000"
+    with pytest.raises(ResourceLimitError, match=re.escape(message)):
+        verify.run_suite("relations", n_max=3, window=31)
+    # listing the range of a window this wide raised OverflowError (exit 1)
+    code, out, err = run_cli(capsys, "verify", "relations", "--window", "9" * 30)
+    assert code == 2
+    assert out == ""
+    cases = (2 * 10 ** 30 - 1) ** 2
+    assert err == f"resource limit: relations up to n=3, window={'9' * 30} check {cases} cases by n=2, above the limit 1000000\n"
 
 
 def test_verify_sym_quotient_refuses_its_range_at_once(monkeypatch, capsys):

@@ -575,6 +575,23 @@ def test_row_move_matches_pair_product(n, r_max):
     assert count > 0
 
 
+@pytest.mark.parametrize("n,r_max", [(2, 4), (3, 3)])
+def test_move_is_the_row_move_on_every_term(n, r_max):
+    # a combination of the margin matrices of one row weight w, with
+    # distinct coefficients, under every e_ab^(m) with m <= w[b]
+    for r in range(r_max + 1):
+        for w in compositions(n, r):
+            matrices = [rows for cols in compositions(n, r) for rows in margin_matrices(w, cols)]
+            vec = {rows: k for k, rows in enumerate(matrices, 1)}
+            for a, b in itertools.permutations(range(n), 2):
+                for m in range(1, w[b] + 1):
+                    expected = {}
+                    for rows, c in vec.items():
+                        for key, k in row_move_product(a, b, m, rows).items():
+                            expected[key] = expected.get(key, 0) + c * k
+                    assert schur._move(vec, a, b, m) == expected
+
+
 def raise_on_pair_product(*args, **kwargs):
     raise AssertionError("a product of two general orbit elements was formed")
 

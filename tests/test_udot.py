@@ -717,6 +717,28 @@ def test_images_by_left_are_refused_at_their_edge():
         _walked_images((0, 0, 0), 27)
 
 
+def test_lift_reverses_the_runs_into_unit_key_order():
+    # the word _lift once sorted by enveloping._unit_key
+    for n in (1, 2, 3):
+        for p in itertools.product(range(3), repeat=n * (n - 1)):
+            lower, upper = enveloping._offdiag_runs(pattern_matrix(p, n))
+            assert udot._lift(n, p) == tuple(sorted(lower + upper, key=lambda g: enveloping._unit_key(g[:2])))
+
+
+def test_psi_walks_each_right_weight_once(monkeypatch):
+    # the surjectivity rows of n <= 3, r <= 4 have 5 + 15 + 35 right weights
+    real, walked = udot._walk_images, []
+
+    def walk(mu, degree, emit):
+        walked.append((mu, degree))
+        real(mu, degree, emit)
+
+    monkeypatch.setattr(udot, "_walk_images", walk)
+    assert run_suite("psi", n_max=3, r_max=4).passed
+    assert len(walked) == 55
+    assert walked == [(mu, r) for n in (1, 2, 3) for r in range(5) for mu in compositions(n, r)]
+
+
 def test_shift_invariance_seeded():
     rng = random.Random(17)
     for _ in range(60):
