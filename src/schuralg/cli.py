@@ -57,8 +57,11 @@ def _parse_element(cls, text: str):
         raise ValueError(f"bad element JSON: {exc}")
 
 
-def _weight_csv(w: Sequence[int]) -> str:
-    return " ".join(str(x) for x in w)
+def _row_csv(payload: dict) -> str:
+    """The payload's keys as a header and its values as one row: a list
+    joins with spaces, and a bool or an int prints as str, lower case."""
+    row = (" ".join(map(str, v)) if isinstance(v, list) else str(v).lower() for v in payload.values())
+    return ",".join(payload) + "\n" + ",".join(row) + "\n"
 
 
 # suite parameter -> verify flag, read once from the suite table, in its order
@@ -164,10 +167,7 @@ def _cmd_dim(args) -> tuple[dict, str, int]:
         "dim": dim,
         "kostka_sum": ksum,
     }
-    csv = "lambda,mu,dim,kostka_sum\n" + ",".join(
-        [_weight_csv(lam), _weight_csv(mu), str(dim), str(ksum)]
-    ) + "\n"
-    return payload, csv, 0
+    return payload, _row_csv(payload), 0
 
 
 def _cmd_basis(args) -> tuple[dict, int]:
@@ -208,10 +208,7 @@ def _cmd_kostka(args) -> tuple[dict, str, int]:
     lam = _parse_weight(args.lam)
     value = kostka(mu, lam)
     payload = {"shape": list(mu), "weight": list(lam), "kostka": value}
-    csv = "shape,weight,kostka\n" + ",".join(
-        [_weight_csv(mu), _weight_csv(lam), str(value)]
-    ) + "\n"
-    return payload, csv, 0
+    return payload, _row_csv(payload), 0
 
 
 def _cmd_simples(args) -> tuple[dict, str, int]:
@@ -227,8 +224,7 @@ def _cmd_sym_iso(args) -> tuple[dict, str, int]:
     match = symmetric_group_iso(args.r).cayley_mismatch() is None
     order = factorial(args.r)
     payload = {"r": args.r, "group_order": order, "table_match": match}
-    csv = f"r,group_order,table_match\n{args.r},{order},{str(match).lower()}\n"
-    return payload, csv, 0 if match else 1
+    return payload, _row_csv(payload), 0 if match else 1
 
 
 def _cmd_udot(args) -> tuple[dict, int]:

@@ -75,6 +75,8 @@ def codeterminant(nu: Sequence[int], i: Sequence[int], j: Sequence[int]) -> Schu
     semistandard row words), so each run takes from a diagonal-only row."""
     if not is_dominant(nu) or not is_composition(nu):
         raise ValueError("shape must be a partition")
+    if not nu:
+        raise ValueError("need n >= 1 and r >= 0")
     n, ell = len(nu), weight_word(nu)
     if len(i) != len(ell) or len(j) != len(ell):
         raise ValueError("words must have the degree of the shape")
@@ -83,7 +85,7 @@ def codeterminant(nu: Sequence[int], i: Sequence[int], j: Sequence[int]) -> Schu
     lower, upper = pair_to_matrix(tuple(i), ell, n), pair_to_matrix(ell, tuple(j), n)
     runs = [(a, b, upper[a][b]) for b in range(n) for a in range(b) if upper[a][b]]
     runs += [(a, b, lower[a][b]) for b in reversed(range(n)) for a in range(b + 1, n) if lower[a][b]]
-    return SchurElement(n, len(ell))._new(_apply_runs(runs, col_sums(upper)))
+    return SchurElement._build((n, len(ell)), _apply_runs(runs, col_sums(upper)))
 
 
 @dataclass(frozen=True)

@@ -100,7 +100,9 @@ PBWMonomial = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
 @lru_cache(maxsize=64)
 def root_pairs(n: int) -> tuple[tuple[int, int], ...]:
-    """Ordered pairs i < j in {1, .., n}, lexicographic."""
+    """Ordered pairs i < j in {1, .., n}, lexicographic; U(gl_n) checks n >= 1 here."""
+    if n < 1:
+        raise ValueError("need n >= 1")
     return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
 
 
@@ -216,10 +218,8 @@ class UElement(SparseCombination):
     _space_attrs = ("n",)
 
     def __init__(self, n: int, terms: Mapping[PBWMonomial, Fraction] | None = None):
-        if n < 1:
-            raise ValueError("need n >= 1")
-        self.n = n
         npairs = len(root_pairs(n))
+        self.n = n
         for m in terms or ():
             if len(m[0]) != npairs or len(m[1]) != n or len(m[2]) != npairs:
                 raise ValueError(f"malformed monomial {m} for n={n}")
@@ -237,14 +237,14 @@ class UElement(SparseCombination):
 def u_one(n: int) -> UElement:
     npairs = len(root_pairs(n))
     unit_mono: PBWMonomial = ((0,) * npairs, (0,) * n, (0,) * npairs)
-    return UElement(n, {unit_mono: 1})
+    return UElement._build((n,), {unit_mono: 1})
 
 
 def matrix_unit(n: int, a: int, b: int) -> UElement:
     """The generator for matrix unit (a, b) as a one-letter element."""
     if not (1 <= a <= n and 1 <= b <= n):
         raise ValueError("unit indices out of range")
-    return UElement(n, {_word_monomial(n, ((a, b),)): 1})
+    return UElement._build((n,), {_word_monomial(n, ((a, b),)): 1})
 
 
 def u_multiply(x: UElement, y: UElement) -> UElement:
@@ -343,11 +343,11 @@ def divided_monomial(
     zero_h = (0,) * n
     hterms = _h_binom_terms(n, b)
     if side == "fe":
-        return UElement(n)._new({(fexp, h, eexp): c for h, c in hterms}, den)
+        return UElement._build((n,), {(fexp, h, eexp): c for h, c in hterms}, den)
     if side == "ef":
-        epart = UElement(n)._new({(zero_pair, zero_h, eexp): 1}, den)
-        hpart = UElement(n, {(zero_pair, h, zero_pair): c for h, c in hterms})
-        fpart = UElement(n, {(fexp, zero_h, zero_pair): 1})
+        epart = UElement._build((n,), {(zero_pair, zero_h, eexp): 1}, den)
+        hpart = UElement._build((n,), {(zero_pair, h, zero_pair): c for h, c in hterms})
+        fpart = UElement._build((n,), {(fexp, zero_h, zero_pair): 1})
         return u_multiply(epart, u_multiply(hpart, fpart))
     raise ValueError("side must be 'fe' or 'ef'")
 
@@ -396,7 +396,7 @@ def tensor_rep(x: UElement, r: int) -> TensorEndo:
                 v = _apply_unit(unit, v)
             for l, c in v.items():
                 out[l, k] = out[l, k] + c if (l, k) in out else c
-    return TensorEndo(x.n, r, {})._new(out, x.den)
+    return TensorEndo._build((x.n, r), out, x.den)
 
 
 def _apply_unit(unit: Unit, vec: Mapping[tuple[int, ...], int]) -> dict:
@@ -481,9 +481,8 @@ def pbw_image(a: Matrix, form: str = "fe") -> SchurElement:
         raise ValueError("form must be one of fe, ef, fe-middle, ef-middle")
     lower, upper = _offdiag_runs(a)
     first, second = (upper, lower) if form.startswith("fe") else (lower, upper)
-    out = SchurElement(n, r)
     if form.endswith("middle"):
         mid = minus_weight(a) if form == "fe-middle" else plus_weight(a)
         if _runs_weight(first, mu) != mid:
-            return out
-    return out._new(_apply_runs(first + second, mu))
+            return SchurElement._build((n, r), {})
+    return SchurElement._build((n, r), _apply_runs(first + second, mu))

@@ -15,6 +15,7 @@ becomes a Fraction only when it is returned.  Sizes here are desk scale
 SparseCombination is the one coefficient format of the algebra elements:
 integer numerators over one denominator in one fixed space, with the
 linear structure defined once here.  Only this module clears denominators.
+Constructors check outside input; _build makes what the library computes.
 """
 
 from __future__ import annotations
@@ -40,9 +41,9 @@ class SparseCombination:
     Key k has coefficient num[k] / den: nonzero integer numerators over one
     positive denominator, with gcd 1, so equality is plain comparison and
     `terms` is a read-only Fraction view.  A subclass lists the attributes
-    that fix its space in `_space_attrs`, validates keys where terms enter
-    from outside (its own constructor), and adds its type-specific
-    operations.  Elements are values, but not hashable.
+    that fix its space in `_space_attrs`, checks input from outside in its
+    own constructor, and adds its type-specific operations; `_build` is the
+    one unchecked way to make an element.  Elements are values, not hashable.
     """
 
     __slots__ = ("num", "den")
@@ -70,14 +71,19 @@ class SparseCombination:
     def space(self) -> tuple:
         return tuple(getattr(self, name) for name in self._space_attrs)
 
-    def _new(self, num: Mapping[Hashable, int], den: int = 1) -> "SparseCombination":
-        """Element of the same space with coefficients num / den, from
-        integers computed internally (keys already valid, den > 0)."""
-        out = object.__new__(type(self))
-        for name in self._space_attrs:
-            setattr(out, name, getattr(self, name))
+    @classmethod
+    def _build(cls, space: tuple, num: Mapping[Hashable, int], den: int = 1) -> "SparseCombination":
+        """The element of space (values of `_space_attrs`, in order) with
+        coefficients num / den, unchecked: the keys are valid in that space
+        and den > 0, since the library made them."""
+        out = object.__new__(cls)
+        for name, value in zip(cls._space_attrs, space):
+            setattr(out, name, value)
         out._set(num, den)
         return out
+
+    def _new(self, num: Mapping[Hashable, int], den: int = 1) -> "SparseCombination":
+        return type(self)._build(self.space, num, den)
 
     def _check_space(self, other: "SparseCombination") -> None:
         if type(other) is not type(self) or self.space != other.space:

@@ -181,7 +181,7 @@ def orbit_endo(a: Matrix) -> TensorEndo:
     n, r = _validate_margin_matrix(a)
     check_tensor_scale(n, r)
     entries = {(l, k): 1 for k in words_of_weight(col_sums(a)) for l in _orbit_images(a, k)}
-    return TensorEndo(n, r, {})._new(entries)
+    return TensorEndo._build((n, r), entries)
 
 
 class SchurElement(SparseCombination):
@@ -242,7 +242,7 @@ def endo_of(x: SchurElement) -> TensorEndo:
     """Faithful action of an element on tensor space (orbits are disjoint)."""
     check_tensor_scale(x.n, x.r)
     entries = {key: c for a, c in x.num.items() for key in orbit_endo(a).num}
-    return TensorEndo(x.n, x.r, {})._new(entries, x.den)
+    return TensorEndo._build((x.n, x.r), entries, x.den)
 
 
 def element_from_endo(endo: TensorEndo) -> SchurElement:
@@ -258,7 +258,7 @@ def element_from_endo(endo: TensorEndo) -> SchurElement:
     terms: dict[Matrix, int] = {}
     for (l, k), c in endo.num.items():
         terms.setdefault(pair_to_matrix(l, k, endo.n), c)
-    out = SchurElement(endo.n, endo.r, terms).scale(Fraction(1, endo.den))
+    out = SchurElement._build((endo.n, endo.r), terms, endo.den)
     if endo_of(out) != endo:
         raise ValueError("endomorphism is not in the orbit-basis span")
     return out
@@ -390,20 +390,16 @@ def idempotent(lam: Sequence[int]) -> SchurElement:
 
 def identity_element(n: int, r: int) -> SchurElement:
     """Sum of all weight idempotents: the unit of S(n, r)."""
-    out = SchurElement(n, r, {})
-    for lam in compositions(n, r):
-        out = out + idempotent(lam)
-    return out
+    return SchurElement._build((n, r), {_diagonal(lam): 1 for lam in compositions(n, r)})
 
 
 def hom_basis(lam: Sequence[int], mu: Sequence[int]) -> list[SchurElement]:
     """Orbit-basis elements spanning the (lam, mu) weight block, one per
     margin matrix, in margin-matrix enumeration order."""
-    r = sum(lam)
-    n = len(lam)
-    return [
-        SchurElement(n, r, {a: 1}) for a in margin_matrices(lam, mu)
-    ]
+    matrices = margin_matrices(lam, mu)
+    if not lam:
+        raise ValueError("need n >= 1 and r >= 0")
+    return [SchurElement._build((len(lam), sum(lam)), {a: 1}) for a in matrices]
 
 
 def involution(x: SchurElement) -> SchurElement:

@@ -106,7 +106,9 @@ Word = tuple[Run, ...]
 @lru_cache(maxsize=64)
 def offdiag_cells(n: int) -> tuple[tuple[int, int], ...]:
     """Off-diagonal cells (0-based), row-major; the pattern coordinate
-    order used everywhere in this module."""
+    order used everywhere in this module.  U̇(gl_n) checks n >= 1 here."""
+    if n < 1:
+        raise ValueError("need n >= 1")
     return tuple((i, j) for i in range(n) for j in range(n) if i != j)
 
 
@@ -148,15 +150,13 @@ class UdotElement(SparseCombination):
         right: Sequence[int],
         terms: Mapping[Pattern, Fraction] | None = None,
     ):
-        if n < 1:
-            raise ValueError("need n >= 1")
+        ncells = len(offdiag_cells(n))
         if len(left) != n or len(right) != n:
             raise ValueError("weights must have length n")
         self.n = n
         self.left = tuple(int(x) for x in left)
         self.right = tuple(int(x) for x in right)
         delta = tuple(l - r for l, r in zip(self.left, self.right))
-        ncells = len(offdiag_cells(n))
         for p in terms or ():
             if len(p) != ncells or any(x < 0 for x in p):
                 raise ValueError(f"malformed pattern {p}")
@@ -234,8 +234,8 @@ def udot_basis_upto(lam: Sequence[int], mu: Sequence[int], degree: int) -> list[
     most d (compositions of d into one part per free cell and a slack
     part); the input is refused when that is over TENSOR_SPACE_LIMIT."""
     patterns = _basis_patterns(lam, mu, degree)
-    zero = UdotElement(len(lam), lam, mu, {})
-    return [zero._new({p: 1}) for p in patterns]
+    space = (len(lam), tuple(map(int, lam)), tuple(map(int, mu)))
+    return [UdotElement._build(space, {p: 1}) for p in patterns]
 
 
 def _basis_patterns(lam: Sequence[int], mu: Sequence[int], degree: int) -> tuple[Pattern, ...]:
@@ -373,7 +373,7 @@ def _block_element(n: int, left: Weight, right: Weight, parts: Iterable[Mapping[
                 p[a * (n - 1) + b - (b > a)] = m  # the index of (a, b) in offdiag_cells(n)
             key = tuple(p)
             out[key] = out[key] + c if key in out else c
-    return UdotElement(n, left, right)._new(out, den)
+    return UdotElement._build((n, left, right), out, den)
 
 
 def _binom(m: int, t: int) -> int:
@@ -402,9 +402,8 @@ def _gl2_terms(u: Mapping[Pattern, int], v: Mapping[Pattern, int], h0: int) -> d
 
 def _gl2_multiply(u: UdotElement, v: UdotElement) -> UdotElement:
     """n = 2 product through _gl2_terms, in the block (u.left, v.right)."""
-    out = u._new(_gl2_terms(u.num, v.num, v.right[0] - v.right[1]), u.den * v.den)
-    out.right = v.right  # a fresh element: only its block's right weight differs from u's
-    return out
+    num = _gl2_terms(u.num, v.num, v.right[0] - v.right[1])
+    return UdotElement._build((u.n, u.left, v.right), num, u.den * v.den)
 
 
 def udot_multiply(u: UdotElement, v: UdotElement) -> UdotElement:
@@ -412,7 +411,7 @@ def udot_multiply(u: UdotElement, v: UdotElement) -> UdotElement:
     if u.n != v.n:
         raise ValueError("different n")
     if u.right != v.left:
-        return udot_zero(u.n, u.left, v.right)
+        return UdotElement._build((u.n, u.left, v.right), {})
     return (_gl2_multiply if u.n == 2 else _word_multiply)(u, v)
 
 
@@ -441,8 +440,9 @@ def divided_generators(i: int, a: int, lam: Sequence[int], side: str) -> UdotEle
     if cell is None:
         raise ValueError("side must be 'e' or 'f'")
     p = tuple(a if c == cell else 0 for c in offdiag_cells(n))
-    left = tuple(x + d for x, d in zip(lam, pattern_delta(p, n)))
-    return UdotElement(n, left, lam, {p: 1})
+    right = tuple(map(int, lam))
+    left = tuple(x + d for x, d in zip(right, pattern_delta(p, n)))
+    return UdotElement._build((n, left, right), {p: 1})
 
 
 def to_schur(u: UdotElement, r: int) -> SchurElement:
@@ -455,14 +455,13 @@ def to_schur(u: UdotElement, r: int) -> SchurElement:
     composition; the images are summed in integers over the denominator
     of u.
     """
-    out = SchurElement(u.n, r)
-    if sum(u.right) != r:
-        return out
+    if r < 0:
+        raise ValueError("need n >= 1 and r >= 0")
     total: dict[Matrix, int] = {}
-    for p, c in u.num.items():
+    for p, c in u.num.items() if sum(u.right) == r else ():
         for m, v in _apply_runs(_lift(u.n, p)[::-1], u.right).items():
             total[m] = total[m] + c * v if m in total else c * v
-    return out._new(total, u.den)
+    return SchurElement._build((u.n, r), total, u.den)
 
 
 def sl_weight(lam: Sequence[int]) -> tuple[int, ...]:

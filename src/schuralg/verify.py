@@ -305,13 +305,17 @@ def _cell_axioms(datum: codet_mod.CellDatum) -> str | None:
 
 def suite_relations(n_max: int = 3, window: int = 3) -> VerificationReport:
     """Chevalley commutator against the Cartan pairing on all integer
-    weights in [-window, window]^n; too many cases are refused at once."""
+    weights in [-window, window]^n; too many cases, or an n whose products
+    udot_multiply would refuse, are refused at once."""
     span = range(-window, window + 1)
     rows: list[Row] = []
     cases = 0
     for n in range(2, n_max + 1) if window >= 0 else ():  # _run refuses a negative window
         cases += (2 * window + 1) ** n * (n - 1) ** 2
         check_budget(cases, f"relations up to n={n_max}, window={window} check {count_text(cases)} cases by n={n}")
+        if n >= 3:  # each case makes two degree-2 products, held to udot._word_multiply's budget
+            work = composition_count((n - 1) ** 2 + 1, 2)
+            check_budget(work, f"a product of degree 2 in U̇(gl_{n}) may straighten {count_text(work)} patterns")
         product = itertools.product(itertools.product(span, repeat=n), range(1, n), range(1, n))
         rows.append((f"commutator-n{n}", product, _commutator))
     return _run("relations", {"n_max": n_max, "window": window}, rows, {"n_max": 2})
@@ -326,7 +330,7 @@ def _commutator(lam: tuple, i: int, j: int) -> str | None:
     fj_after = udot_mod.divided_generators(j, 1, ei.left, "f")
     t2 = udot_mod.udot_multiply(fj_after, ei)
     expected = {(0,) * len(udot_mod.offdiag_cells(n)): lam[i - 1] - lam[i]} if i == j else {}
-    holds = t1 - t2 == udot_mod.UdotElement(n, lam, lam, expected)
+    holds = t1 - t2 == udot_mod.UdotElement._build((n, lam, lam), expected)
     return None if holds else f"lam={lam} i={i} j={j}"
 
 
@@ -459,10 +463,8 @@ def _property_rows(rng: random.Random) -> Iterator[Row]:
     def random_schur(n: int, r: int) -> schur_mod.SchurElement:
         lams = compositions(n, r)
         matrices = [a for lam in lams for mu in lams for a in margin_matrices(lam, mu)]
-        terms = {}
-        for a in rng.sample(matrices, k=min(3, len(matrices))):
-            terms[a] = rng.randint(-3, 3)
-        return schur_mod.SchurElement(n, r, terms)
+        terms = {a: rng.randint(-3, 3) for a in rng.sample(matrices, k=min(3, len(matrices)))}
+        return schur_mod.SchurElement._build((n, r), terms)
 
     def schur_draws(count: int, k: int) -> Iterator[tuple]:
         for _ in range(count):
@@ -485,7 +487,7 @@ def _property_rows(rng: random.Random) -> Iterator[Row]:
                 if part:
                     part[rng.randrange(len(part))] += 1
             terms[tuple(map(tuple, exponents))] = rng.randint(-2, 3)
-        return env.UElement(n, terms)
+        return env.UElement._build((n,), terms)
 
     def divided_draws() -> Iterator[tuple]:
         # gl_2 letters as (raising?, divided power)

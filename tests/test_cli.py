@@ -292,6 +292,49 @@ def test_verify_idem_lemma_refused_before_checking(capsys):
     assert "Traceback" not in err
 
 
+# SHA-256 and length of the CSV of the one-row commands, recorded before
+# they shared one writer
+ONE_ROW_CSV_DIGESTS = {
+    "dim": (
+        ("dim", "--lambda", "3,1,2", "--mu", "2,2,2"),
+        ("a60ea578820183c6b9f6720df79a3424ec0964121aa3a7695fb615d0b79ad9e5", 43),
+    ),
+    "kostka": (
+        ("kostka", "--mu", "3,2", "--lambda", "2,1,1,1"),
+        ("9b0817e6a963e74e34d35dd2f672ad3ed8a732f88e566d2ae8f5be9a8b9162f4", 34),
+    ),
+    "sym-iso": (
+        ("sym-iso", "--r", "3"),
+        ("753a1b438e4393948d143344d7a01cd6b6adf9c06fe5d3c76268450cfedac032", 35),
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ONE_ROW_CSV_DIGESTS))
+def test_one_row_csv_pinned(capsys, command):
+    argv, digest = ONE_ROW_CSV_DIGESTS[command]
+    code, out, _ = run_cli(capsys, "--format", "csv", *argv)
+    assert code == 0
+    data = out.encode()
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == digest
+
+
+def test_main_carries_nothing_into_the_next_call(capsys):
+    # one process, two calls each: the second sees only its own arguments
+    _, out, _ = run_cli(capsys, "basis", "--kind", "pbw", "--lambda", "1,1", "--form", "ef")
+    assert json.loads(out)["form"] == "ef"
+    _, out, _ = run_cli(capsys, "basis", "--kind", "pbw", "--lambda", "1,1")
+    assert json.loads(out)["form"] == "fe"
+    _, out, _ = run_cli(capsys, "--format", "csv", "dim", "--lambda", "2,1")
+    assert out.startswith("lambda,mu,dim,kostka_sum\n")
+    _, out, _ = run_cli(capsys, "dim", "--lambda", "2,1")
+    assert json.loads(out)["dim"] == 2
+    _, out, _ = run_cli(capsys, "verify", "psi", "--seed", "7")
+    assert json.loads(out)["params"]["seed"] == 7
+    _, out, _ = run_cli(capsys, "verify", "psi")
+    assert json.loads(out)["params"]["seed"] == 2024
+
+
 def test_verify_rejects_wrong_flag(capsys):
     code, _, err = run_cli(capsys, "verify", "gl2", "--n-max", "2")
     assert code == 2
@@ -855,6 +898,24 @@ def test_verify_relations_refuses_its_window_at_once(monkeypatch, capsys):
     assert out == ""
     cases = (2 * 10 ** 30 - 1) ** 2
     assert err == f"resource limit: relations up to n=3, window={'9' * 30} check {cases} cases by n=2, above the limit 1000000\n"
+
+
+def test_verify_relations_refuses_an_n_its_products_would_refuse(monkeypatch, capsys):
+    # a commutator case makes degree-2 products, which udot_multiply holds
+    # to C((n-1)^2 + 2, 2) patterns from n = 3 on: 939,135 at n = 38 and
+    # 1,044,735 at n = 39
+    monkeypatch.setattr(verify, "_commutator", lambda lam, i, j: None)
+    assert verify.run_suite("relations", n_max=38, window=0).passed
+    lam = (0,) * 39
+    f = udot.divided_generators(1, 1, lam, "f")
+    with pytest.raises(ResourceLimitError) as product:
+        udot.udot_multiply(udot.divided_generators(1, 1, f.left, "e"), f)
+    monkeypatch.setattr(verify, "_commutator", lambda lam, i, j: pytest.fail("a case ran"))
+    with pytest.raises(ResourceLimitError, match=re.escape(str(product.value))):
+        verify.run_suite("relations", n_max=39, window=0)
+    code, out, err = run_cli(capsys, "verify", "relations", "--n-max", "39", "--window", "0")
+    assert (code, out) == (2, "")
+    assert err == f"resource limit: {product.value}\n"
 
 
 def test_verify_sym_quotient_refuses_its_range_at_once(monkeypatch, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import schuralg
-from schuralg import exact_linalg
+from schuralg import codet, enveloping, exact_linalg, schur, udot, verify
 from schuralg.enveloping import UElement
 from schuralg.exact_linalg import (
     CoordinateSolver,
@@ -506,3 +507,63 @@ def test_elements_read_as_their_fraction_view(space):
             continue
         solver = CoordinateSolver(elements)
         assert [solver.coords(x) for x in elements] == [expected.coords(v) for v in views]
+
+
+def test_library_builds_its_elements_without_the_checked_constructors(monkeypatch):
+    # the constructors are for input from outside: every element the
+    # library computes is made by SparseCombination._build
+    b = udot.udot_basis_upto((2, 1, 0), (1, 1, 1), 3)
+    expected = (
+        [x.num for x in b],
+        udot.to_schur(b[-1], 3),
+        enveloping.pbw_image(((1, 1), (0, 1)), "ef"),
+        schur.identity_element(3, 2),
+        schur.hom_basis((2, 1), (1, 2)),
+    )
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"checked {type(self).__name__} constructor")
+
+    for cls in (SchurElement, UdotElement, UElement):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    assert verify.run_suite("relations", n_max=3, window=1).passed
+    assert verify.run_suite("zbas", n_max=3, r_max=3).passed
+    assert verify.run_suite("cellular").passed
+    b = udot.udot_basis_upto((2, 1, 0), (1, 1, 1), 3)
+    assert expected == (
+        [x.num for x in b],
+        udot.to_schur(b[-1], 3),
+        enveloping.pbw_image(((1, 1), (0, 1)), "ef"),
+        schur.identity_element(3, 2),
+        schur.hom_basis((2, 1), (1, 2)),
+    )
+    assert codet.codeterminant((2, 1), (1, 1, 2), (1, 2, 2)).num == {((1, 1), (0, 1)): 1}
+
+
+def _refusals():
+    u = udot.udot_element((1, 0), (0, 1), (1, 0))
+    return {
+        "identity_element(0, 1)": (lambda: schur.identity_element(0, 1), "need at least one part"),
+        "identity_element(1, -1)": (lambda: schur.identity_element(1, -1), "degree must be nonnegative"),
+        "hom_basis((), ())": (lambda: schur.hom_basis((), ()), "need n >= 1"),
+        "element_from_endo(n=0)": (lambda: schur.element_from_endo(TensorEndo(0, 0, {((), ()): 1})), "need n >= 1"),
+        "divided_generators(i=0)": (lambda: udot.divided_generators(0, 1, (1, 0), "e"), "simple root index"),
+        "divided_generators(i=n)": (lambda: udot.divided_generators(2, 1, (1, 0), "e"), "simple root index"),
+        "divided_generators(a=-1)": (lambda: udot.divided_generators(1, -1, (1, 0), "f"), "need a >= 0"),
+        "divided_generators(side)": (lambda: udot.divided_generators(1, 1, (1, 0), "h"), "side must be"),
+        "udot_basis_upto((), (), 0)": (lambda: udot.udot_basis_upto((), (), 0), "need n >= 1"),
+        "to_schur(r=-1)": (lambda: udot.to_schur(u, -1), "need n >= 1 and r >= 0"),
+        "matrix_unit(2, 0, 1)": (lambda: enveloping.matrix_unit(2, 0, 1), "out of range"),
+        "matrix_unit(2, 1, 3)": (lambda: enveloping.matrix_unit(2, 1, 3), "out of range"),
+        "u_one(0)": (lambda: enveloping.u_one(0), "need n >= 1"),
+        "divided_monomial(0)": (lambda: enveloping.divided_monomial(0, ()), "need n >= 1"),
+        "codeterminant((), (), ())": (lambda: codet.codeterminant((), (), ()), "need n >= 1"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_refusals()))
+def test_entry_points_refuse_outside_input_themselves(case):
+    # each of these once refused through a checked constructor
+    call, message = _refusals()[case]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
