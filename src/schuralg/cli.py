@@ -18,7 +18,7 @@ from math import factorial
 from typing import Sequence
 
 from .codet import codet_basis, codet_count
-from .enveloping import pbw_image
+from .enveloping import _pbw_image
 from .errors import ResourceLimitError
 from .schur import SchurElement, schur_multiply, symmetric_group_iso
 from .simples import simple_index_set, simple_index_set_window
@@ -193,7 +193,7 @@ def _cmd_basis(args) -> tuple[dict, int]:
         if args.kind == "pbw":
             payload["form"] = args.form
             for a, element in zip(margins, payload["elements"]):
-                element["image"] = pbw_image(a, args.form).to_json()
+                element["image"] = _pbw_image(a, args.form).to_json()
     return payload, 0
 
 

@@ -110,11 +110,10 @@ def codet_basis(lam: Sequence[int], mu: Sequence[int]) -> list[Codeterminant]:
     count = 0
     for nu in _shapes_above(lam, mu):
         count += kostka(nu, lam) * kostka(nu, mu)
-        check_budget(
-            count ** 2,
+        check_budget(count ** 2, lambda: (
             f"block ({tuple(lam)}, {tuple(mu)}) has at least {count_text(count)} codeterminants"
-            f" ({count_text(count ** 2)} pairs)",
-        )
+            f" ({count_text(count ** 2)} pairs)"
+        ))
         shapes.append(nu)
     cells: list[tuple[Weight, Tableau, Tableau]] = []
     for nu in shapes:

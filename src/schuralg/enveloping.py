@@ -72,6 +72,7 @@ from .weights import (
     col_sums,
     composition_count,
     compositions,
+    matrix_degree,
 )
 
 __all__ = [
@@ -262,9 +263,10 @@ def u_multiply(x: UElement, y: UElement) -> UElement:
     d = sum(max(map(monomial_degree, z.num), default=0) for z in (x, y))
     pairs = len(x.num) * len(y.num)
     words = prod(len({monomial_weight(n, m) for m in z.num}) for z in (x, y)) * composition_count(n * n - n + 2, d)
-    what = (f"a product of degree {d} in U(gl_{n}) straightens {count_text(pairs)} term pairs"
-            f" into up to {count_text(words)} words")
-    check_budget(pairs + words, what)
+    check_budget(pairs + words, lambda: (
+        f"a product of degree {d} in U(gl_{n}) straightens {count_text(pairs)} term pairs"
+        f" into up to {count_text(words)} words"
+    ))
     products = {
         (_monomial_word(n, m1), _monomial_word(n, m2)): c1 * c2
         for m1, c1 in x.num.items()
@@ -475,8 +477,14 @@ def pbw_image(a: Matrix, form: str = "fe") -> SchurElement:
     col_sums(a) by schur._apply_runs; the middle idempotent is a test that
     the first half reaches its weight (else the image is zero).
     """
-    n, r = _validate_margin_matrix(a)
-    mu = col_sums(a)
+    _validate_margin_matrix(a)
+    return _pbw_image(a, form)
+
+
+def _pbw_image(a: Matrix, form: str) -> SchurElement:
+    """pbw_image of a margin matrix that margin_matrices made, without
+    checking the matrix again; the form is still checked."""
+    n, r, mu = len(a), matrix_degree(a), col_sums(a)
     if form not in ("fe", "ef", "fe-middle", "ef-middle"):
         raise ValueError("form must be one of fe, ef, fe-middle, ef-middle")
     lower, upper = _offdiag_runs(a)

@@ -1,5 +1,7 @@
 """Shared exception type, the one work budget, and how a refusal prints counts."""
 
+from typing import Callable
+
 # the one budget: tensor-space words, product tables and enumerated
 # compositions are each refused above it before any work starts
 TENSOR_SPACE_LIMIT = 10 ** 6
@@ -16,11 +18,12 @@ class ResourceLimitError(RuntimeError):
     """
 
 
-def check_budget(work: int, what: str) -> None:
-    """Refuse work above the budget before it starts: what names the
-    predicted work, and the message adds the limit."""
+def check_budget(work: int, what: Callable[[], str]) -> None:
+    """Refuse work above the budget before it starts: what() names the
+    predicted work, and the message adds the limit.  what is called only
+    on a refusal, so a guard formats its message only when it refuses."""
     if work > TENSOR_SPACE_LIMIT:
-        raise ResourceLimitError(f"{what}, above the limit {TENSOR_SPACE_LIMIT}")
+        raise ResourceLimitError(f"{what()}, above the limit {TENSOR_SPACE_LIMIT}")
 
 
 def count_text(x: int) -> str:

@@ -42,14 +42,17 @@ class SparseCombination:
     positive denominator, with gcd 1, so equality is plain comparison and
     `terms` is a read-only Fraction view.  A subclass lists the attributes
     that fix its space in `_space_attrs`, checks input from outside in its
-    own constructor, and adds its type-specific operations; `_build` is the
-    one unchecked way to make an element.  Elements are values, not hashable.
+    own constructor, sets those attributes before calling this one, and
+    adds its type-specific operations; `_build` is the one unchecked way to
+    make an element.  Either way `space`, the tuple of those attributes'
+    values, is fixed once per element.  Elements are values, not hashable.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "space")
     _space_attrs: tuple[str, ...] = ()
 
     def __init__(self, terms: Mapping[Hashable, object] | None = None):
+        self.space = tuple(getattr(self, name) for name in self._space_attrs)
         terms = terms or {}
         if all(type(c) is int for c in terms.values()):
             self._set(terms, 1)
@@ -67,16 +70,13 @@ class SparseCombination:
     def terms(self) -> dict[Hashable, Fraction]:
         return {k: Fraction(c, self.den) for k, c in self.num.items()}
 
-    @property
-    def space(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._space_attrs)
-
     @classmethod
     def _build(cls, space: tuple, num: Mapping[Hashable, int], den: int = 1) -> "SparseCombination":
         """The element of space (values of `_space_attrs`, in order) with
         coefficients num / den, unchecked: the keys are valid in that space
         and den > 0, since the library made them."""
         out = object.__new__(cls)
+        out.space = space
         for name, value in zip(cls._space_attrs, space):
             setattr(out, name, value)
         out._set(num, den)

@@ -102,7 +102,7 @@ __all__ = [
 def check_tensor_scale(n: int, r: int) -> None:
     if n < 1 or r < 0:
         raise ValueError("need n >= 1 and r >= 0")
-    check_budget(n ** r, f"tensor space has {n}^{r} basis words")
+    check_budget(n ** r, lambda: f"tensor space has {n}^{r} basis words")
 
 
 class TensorEndo(SparseCombination):
@@ -285,7 +285,7 @@ def _pair_product(a: Matrix, b: Matrix) -> tuple[tuple[Matrix, int], ...]:
     n = len(a)
     margins = list(zip(zip(*a), b))
     tables = prod(_slice_bound(rows, cols) for rows, cols in margins)
-    check_budget(tables, f"a product of two {n}x{n} orbit elements may sum over {count_text(tables)} tables")
+    check_budget(tables, lambda: f"a product of two {n}x{n} orbit elements may sum over {count_text(tables)} tables")
     # partial sums C of the slices so far -> summed weight of the tables
     states: dict[tuple[int, ...], int] = {(0,) * (n * n): 1}
     for rows, cols in margins:
@@ -331,7 +331,7 @@ def _row_move(m: int, row_a: Weight, row_b: Weight) -> tuple[tuple[Weight, Weigh
     whose one two-row slice has margins (sum(row_b) - m, m) and row_b."""
     tables = _slice_bound((sum(row_b) - m, m), row_b)
     n = len(row_b)
-    check_budget(tables, f"a product of two {n}x{n} orbit elements may sum over {count_text(tables)} tables")
+    check_budget(tables, lambda: f"a product of two {n}x{n} orbit elements may sum over {count_text(tables)} tables")
     return tuple(
         (tuple(map(add, row_a, t)), tuple(map(sub, row_b, t)), prod(map(comb, map(add, row_a, t), t)))
         for t in _bounded_rows(m, row_b)

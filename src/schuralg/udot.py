@@ -422,7 +422,9 @@ def _word_multiply(u: UdotElement, v: UdotElement) -> UdotElement:
     in udot_basis_upto, times both term counts is held to the budget first."""
     degree = max(map(sum, u.num), default=0) + max(map(sum, v.num), default=0)
     work = composition_count((u.n - 1) ** 2 + 1, degree) * len(u.num) * len(v.num)
-    check_budget(work, f"a product of degree {degree} in U̇(gl_{u.n}) may straighten {count_text(work)} patterns")
+    check_budget(
+        work, lambda: f"a product of degree {degree} in U̇(gl_{u.n}) may straighten {count_text(work)} patterns"
+    )
     left = {_lift(u.n, p): c for p, c in u.num.items()}
     parts = (_times({x: k * c for x, k in left.items()}, _lift(u.n, q), v.right) for q, c in v.num.items())
     return _block_element(u.n, u.left, v.right, parts, u.den * v.den)
@@ -439,10 +441,13 @@ def divided_generators(i: int, a: int, lam: Sequence[int], side: str) -> UdotEle
     cell = {"e": (i - 1, i), "f": (i, i - 1)}.get(side)
     if cell is None:
         raise ValueError("side must be 'e' or 'f'")
-    p = tuple(a if c == cell else 0 for c in offdiag_cells(n))
+    s, t = cell  # the one unit cell moves a from entry t of lam to entry s
+    p = [0] * (n * n - n)
+    p[s * (n - 1) + t - (t > s)] = a  # the index of (s, t) in offdiag_cells(n)
     right = tuple(map(int, lam))
-    left = tuple(x + d for x, d in zip(right, pattern_delta(p, n)))
-    return UdotElement._build((n, left, right), {p: 1})
+    left = list(right)
+    left[s], left[t] = left[s] + a, left[t] - a
+    return UdotElement._build((n, tuple(left), right), {tuple(p): 1})
 
 
 def to_schur(u: UdotElement, r: int) -> SchurElement:
@@ -536,7 +541,8 @@ def gl2_generic_table(lam: Sequence[int], degree: int) -> Gl2Table:
         raise ValueError("degree must be nonnegative")
     # (degree + 1)^2 products of at most degree + 1 terms, and the
     # elimination of degree + 1 powers
-    check_budget((degree + 1) ** 3, f"a gl_2 table of degree {degree} costs {count_text((degree + 1) ** 3)} terms")
+    work = (degree + 1) ** 3
+    check_budget(work, lambda: f"a gl_2 table of degree {degree} costs {count_text(work)} terms")
     lam = (int(lam[0]), int(lam[1]))
     h0, span = lam[0] - lam[1], range(degree + 1)
     # numerators of b_a (pattern cells ((0,1), (1,0))); products keep (d, d)

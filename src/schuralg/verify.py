@@ -34,6 +34,7 @@ from .errors import SYMMETRIC_GROUP_MAX_R, TENSOR_SPACE_LIMIT, check_budget, cou
 from .exact_linalg import echelon_add, integer_det, integer_rank
 from .weights import (
     _check_composition_count,
+    _compositions,
     block_sizes,
     col_sums,
     composition_count,
@@ -130,7 +131,7 @@ def _slices(n_max: int, r_max: int) -> Iterator[tuple[int, int]]:
     order, refused before any is made when they are over the budget (and
     none at once when a range is empty: product lists both ranges first)."""
     count = max(n_max, 0) * max(r_max + 1, 0)
-    check_budget(count, f"{count_text(count)} slices (n, r)")
+    check_budget(count, lambda: f"{count_text(count)} slices (n, r)")
     return itertools.product(range(1, n_max + 1), range(r_max + 1)) if count else iter(())
 
 
@@ -140,12 +141,12 @@ def _slice_rows(prefix: str, n_max: int, r_max: int, cases: Callable, predicate:
 
 
 def _weight_pairs(n: int, r: int) -> Iterator[tuple]:
-    lams = compositions(n, r)
+    lams = _compositions(n, r)
     return itertools.product(lams, lams)
 
 
 def _weights(n: int, r: int) -> Iterator[tuple]:
-    return ((lam, r) for lam in compositions(n, r))
+    return ((lam, r) for lam in _compositions(n, r))
 
 
 def _column_rank(lam: tuple, mu: tuple, matrices: Sequence[tuple]) -> int:
@@ -236,7 +237,7 @@ def _pbw_block(lam: tuple, mu: tuple) -> str | None:
         for a in margins:
             if schur_mod._runs_weight(env._offdiag_runs(a)[half], mu) not in (forced(a), None):
                 return f"{form}-middle mismatch at {a}"
-    images = {form: [env.pbw_image(a, form) for a in margins] for form in ("fe", "ef")}
+    images = {form: [env._pbw_image(a, form) for a in margins] for form in ("fe", "ef")}
     if not all(x.integral() for family in images.values() for x in family):
         return f"non-integer coefficients at lam={lam} mu={mu}"
     for form, family in images.items():
@@ -253,7 +254,7 @@ def suite_idem_lemma(n_max: int = 3, r_max: int = 3) -> VerificationReport:
         work += composition_count(n, r) * _binom_term_sum(n, r)
         if work > TENSOR_SPACE_LIMIT:  # the later slices only add to it
             break
-    check_budget(work, f"idem-lemma up to n={n_max}, r={r_max} sums {count_text(work)} terms by n={n}, r={r}")
+    check_budget(work, lambda: f"idem-lemma up to n={n_max}, r={r_max} sums {count_text(work)} terms by n={n}, r={r}")
     rows = _slice_rows(
         "binomial-idempotent", n_max, r_max, _weights,
         lambda lam, r: None if env.verify_weight_idempotent(lam) else f"lam={lam}",
@@ -312,10 +313,14 @@ def suite_relations(n_max: int = 3, window: int = 3) -> VerificationReport:
     cases = 0
     for n in range(2, n_max + 1) if window >= 0 else ():  # _run refuses a negative window
         cases += (2 * window + 1) ** n * (n - 1) ** 2
-        check_budget(cases, f"relations up to n={n_max}, window={window} check {count_text(cases)} cases by n={n}")
+        check_budget(
+            cases, lambda: f"relations up to n={n_max}, window={window} check {count_text(cases)} cases by n={n}"
+        )
         if n >= 3:  # each case makes two degree-2 products, held to udot._word_multiply's budget
             work = composition_count((n - 1) ** 2 + 1, 2)
-            check_budget(work, f"a product of degree 2 in U̇(gl_{n}) may straighten {count_text(work)} patterns")
+            check_budget(
+                work, lambda: f"a product of degree 2 in U̇(gl_{n}) may straighten {count_text(work)} patterns"
+            )
         product = itertools.product(itertools.product(span, repeat=n), range(1, n), range(1, n))
         rows.append((f"commutator-n{n}", product, _commutator))
     return _run("relations", {"n_max": n_max, "window": window}, rows, {"n_max": 2})
@@ -347,13 +352,13 @@ def suite_psi(n_max: int = 3, r_max: int = 3, seed: int = 2024) -> VerificationR
         for _ in range(60):
             n = rng.randint(1, n_max)
             r = rng.randint(0, r_max)
-            lams = compositions(n, r)
+            lams = _compositions(n, r)
             lam, mu, nu = (rng.choice(lams) for _ in range(3))
             left = udot_mod._basis_patterns(lam, mu, r)
             right = udot_mod._basis_patterns(mu, nu, r)
             if left and right:
-                u = udot_mod.udot_element(lam, mu, rng.choice(left)).scale(rng.randint(-2, 3))
-                v = udot_mod.udot_element(mu, nu, rng.choice(right)).scale(rng.randint(-2, 3))
+                u = udot_mod.UdotElement._build((n, lam, mu), {rng.choice(left): rng.randint(-2, 3)})
+                v = udot_mod.UdotElement._build((n, mu, nu), {rng.choice(right): rng.randint(-2, 3)})
                 yield u, v, r
 
     for n, r in _slices(n_max, r_max):
@@ -371,13 +376,13 @@ def suite_psi(n_max: int = 3, r_max: int = 3, seed: int = 2024) -> VerificationR
 
 def _psi_unit_and_rank(mu: tuple, r: int) -> str | None:
     n = len(mu)
-    u = udot_mod.udot_element(mu, mu, (0,) * n * (n - 1))
-    if udot_mod.to_schur(u, r) != schur_mod.idempotent(mu):
+    u = udot_mod.UdotElement._build((n, mu, mu), {(0,) * n * (n - 1): 1})
+    if udot_mod.to_schur(u, r) != schur_mod.SchurElement._build((n, r), {schur_mod._diagonal(mu): 1}):
         return f"unit image at lam={mu}"
     echelons: dict[tuple, dict] = defaultdict(dict)
     udot_mod._walk_images(mu, r, lambda left, image: echelon_add(echelons[left], image))
     sizes = block_sizes(mu)
-    for lam in compositions(n, r):
+    for lam in _compositions(n, r):
         rank, count = len(echelons.get(lam, ())), sizes[lam]
         if rank != count:
             return f"rank {'over' if rank > count else 'short'} at lam={lam} mu={mu}: {rank} against {count}"
@@ -385,7 +390,7 @@ def _psi_unit_and_rank(mu: tuple, r: int) -> str | None:
 
 
 def _psi_off_cone(left: tuple, right: tuple, pattern: tuple) -> str | None:
-    u = udot_mod.udot_element(left, right, pattern)
+    u = udot_mod.UdotElement._build((len(left), left, right), {pattern: 1})
     return None if udot_mod.to_schur(u, sum(right)).is_zero else f"{u} truncates to nonzero"
 
 

@@ -8,6 +8,12 @@ compositions are reverse-lexicographic, margin matrices are row-major
 lexicographic, words are lexicographic, tableaux are lexicographic by
 row-reading word.  Callers may rely on these orders.
 
+Two enumerators are cached, each as a tuple in a bounded lru_cache:
+_compositions (compositions(n, r), 256 entries; compositions itself
+returns a fresh list) and _bounded_rows (the rows of one total under
+per-entry caps, 4096 entries), the inner loop of margin matrices,
+margin counts, tableaux, Kostka numbers and schur's row moves.
+
 Conventions.  A weight is a tuple of integers of length n; a composition
 is a weight with nonnegative entries; trailing zeros are significant
 ((2,1,0) and (2,1) are different weights).  Words use the alphabet
@@ -79,6 +85,13 @@ def compositions(n: int, r: int) -> list[Weight]:
     Reverse-lexicographic means larger first entries come first, so for
     (n, r) = (2, 2) the order is (2,0), (1,1), (0,2).
     """
+    return list(_compositions(n, r))
+
+
+@lru_cache(maxsize=256)
+def _compositions(n: int, r: int) -> tuple[Weight, ...]:
+    """compositions(n, r) as a cached tuple, checked and refused as it is
+    (a refusal is not cached); callers that only read it skip the copy."""
     if n < 1:
         raise ValueError("need at least one part")
     if r < 0:
@@ -94,14 +107,14 @@ def compositions(n: int, r: int) -> list[Weight]:
             rec(prefix + (v,), remaining - v, parts - 1)
 
     rec((), r, n)
-    return out
+    return tuple(out)
 
 
 def _check_composition_count(n: int, r: int) -> None:
     """Refuse work that lists the compositions of r into n parts when
     there are more than TENSOR_SPACE_LIMIT of them."""
     count = composition_count(n, r)
-    check_budget(count, f"{count_text(count)} compositions of {r} into {n} parts")
+    check_budget(count, lambda: f"{count_text(count)} compositions of {r} into {n} parts")
 
 
 def dominant_shapes(n: int, r: int) -> list[Weight]:
@@ -210,15 +223,23 @@ def matrix_degree(a: Matrix) -> int:
     return sum(sum(row) for row in a)
 
 
-def _bounded_rows(total: int, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    # rows in ascending lexicographic order, entry j capped by caps[j]
+@lru_cache(maxsize=4096)
+def _bounded_rows(total: int, caps: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The rows of nonnegative integers summing to total, entry j at most
+    caps[j], in ascending lexicographic order, as a cached tuple."""
+    return tuple(_capped_rows(total, caps))
+
+
+def _capped_rows(total: int, caps: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    # _bounded_rows, generated: one generator per entry, as deep as the
+    # row is long, and no cache lookup below the top
     if len(caps) == 1:
         if 0 <= total <= caps[0]:
             yield (total,)
         return
     tail_cap = sum(caps[1:])
     for v in range(max(0, total - tail_cap), min(caps[0], total) + 1):
-        for rest in _bounded_rows(total - v, caps[1:]):
+        for rest in _capped_rows(total - v, caps[1:]):
             yield (v,) + rest
 
 
@@ -267,7 +288,7 @@ def _checked_margins(lam: Sequence[int], mu: Sequence[int]) -> tuple[Weight, Wei
     if sum(lam) != sum(mu):
         raise ValueError("margins must have equal degree")
     bound = _slice_bound(tuple(lam), tuple(mu))
-    check_budget(bound, f"margins {tuple(lam)} and {tuple(mu)} may have {count_text(bound)} matrices")
+    check_budget(bound, lambda: f"margins {tuple(lam)} and {tuple(mu)} may have {count_text(bound)} matrices")
     return tuple(lam), tuple(mu)
 
 
@@ -295,11 +316,11 @@ def block_sizes(mu: Sequence[int]) -> dict[Weight, int]:
     n, mu = len(mu), tuple(mu)
     starts = itertools.accumulate(mu, initial=0)  # zip drops the last, sum(mu)
     work = sum(composition_count(n, s) * composition_count(n, m) for s, m in zip(starts, mu))
-    check_budget(work, f"counting the blocks of right weight {mu} takes {count_text(work)} steps")
+    check_budget(work, lambda: f"counting the blocks of right weight {mu} takes {count_text(work)} steps")
     sizes = {(0,) * n: 1}
     for m in mu:
         step: dict[Weight, int] = {}
-        for column in compositions(n, m):
+        for column in _compositions(n, m):
             for rows, c in sizes.items():
                 key = tuple(map(add, rows, column))
                 step[key] = step.get(key, 0) + c
@@ -436,7 +457,7 @@ def _strip_fillings(shape: tuple[int, ...], weight: tuple[int, ...]) -> Iterator
         yield ()
         return
     letter = len(weight)
-    caps = [a - b for a, b in zip(shape, shape[1:] + (0,))]
+    caps = tuple(a - b for a, b in zip(shape, shape[1:] + (0,)))
     for strip in _bounded_rows(weight[-1], caps):
         rest = tuple(a - s for a, s in zip(shape, strip))
         for inner in _strip_fillings(rest if rest[-1] else rest[:-1], weight[:-1]):
@@ -453,7 +474,7 @@ def _kostka_cached(shape: tuple[int, ...], weight: tuple[int, ...]) -> int:
         return 0
     if not shape:
         return 1
-    caps = [a - b for a, b in zip(shape, shape[1:] + (0,))]
+    caps = tuple(a - b for a, b in zip(shape, shape[1:] + (0,)))
     total = 0
     for strip in _bounded_rows(weight[-1], caps):
         rest = tuple(a - s for a, s in zip(shape, strip))

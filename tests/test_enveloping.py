@@ -300,16 +300,17 @@ def test_zbas_row_matches_reference_on_perturbed_families(monkeypatch, kind, for
     a0, a1 = margin_matrices(lam, mu)[:2]
     z = SchurElement(3, 4, {margin_matrices(mu, lam)[0]: 1})
     change, expected = PERTURBATIONS[kind]
-    original = enveloping.pbw_image
+    original = enveloping._pbw_image
     changed = dict(zip((a0, a1), change(original(a0, form), original(a1, form), z)))
 
-    def perturbed(a, f="fe"):
+    def perturbed(a, f):
         # the middle form follows its outer form, so only the family changes
         if f.removesuffix("-middle") == form and a in changed:
             return changed[a]
         return original(a, f)
 
-    monkeypatch.setattr(enveloping, "pbw_image", perturbed)
+    # the zbas row and pbw_image both read margin matrices through _pbw_image
+    monkeypatch.setattr(enveloping, "_pbw_image", perturbed)
     witness = verify._pbw_block(lam, mu)
     assert witness == pbw_block_reference(lam, mu)
     assert witness == (expected and f"{expected.format(form=form)} at lam={lam} mu={mu}")
@@ -333,15 +334,15 @@ def test_zbas_solves_for_no_coordinates(monkeypatch):
 
 def test_zbas_reads_the_forced_weights_not_the_middle_forms(monkeypatch):
     calls = Counter()
-    original = enveloping.pbw_image
+    original = enveloping._pbw_image
 
-    def outer_only(a, form="fe"):
+    def outer_only(a, form):
         if form.endswith("-middle"):
             raise AssertionError("middle form built")
         calls[form] += 1
         return original(a, form)
 
-    monkeypatch.setattr(enveloping, "pbw_image", outer_only)
+    monkeypatch.setattr(enveloping, "_pbw_image", outer_only)
     report = verify.run_suite("zbas", n_max=3, r_max=4)
     data = (json.dumps(report.to_json(), sort_keys=True) + "\n").encode()
     # the digest of test_zbas_solves_for_no_coordinates

@@ -529,6 +529,7 @@ def test_library_builds_its_elements_without_the_checked_constructors(monkeypatc
     assert verify.run_suite("relations", n_max=3, window=1).passed
     assert verify.run_suite("zbas", n_max=3, r_max=3).passed
     assert verify.run_suite("cellular").passed
+    assert verify.run_suite("psi", n_max=3, r_max=3).passed
     b = udot.udot_basis_upto((2, 1, 0), (1, 1, 1), 3)
     assert expected == (
         [x.num for x in b],

@@ -655,6 +655,8 @@ def test_caches_are_bounded():
         _block_patterns: 1024,
         schur._row_move: 4096,
         weights._slice_bound: 4096,
+        weights._bounded_rows: 4096,
+        weights._compositions: 256,
         udot._rewrite: 1 << 17,
         enveloping.root_pairs: 64,
         udot.offdiag_cells: 64,
@@ -684,3 +686,28 @@ def test_caches_are_bounded():
     enveloping.u_multiply(enveloping.matrix_unit(2, 1, 2), enveloping.matrix_unit(2, 2, 1))
     for fn, maxsize in caches.items():
         assert 0 < fn.cache_info().currsize <= maxsize
+
+
+def test_budget_guards_build_no_text_for_admitted_work(monkeypatch):
+    # a guard formats its refusal only when it refuses: with count_text
+    # raising in every module, and every cache emptied so that each guard
+    # runs again, admitted work gives its unpatched results
+    def results():
+        return (
+            run_suite("psi", n_max=3, r_max=4).to_json(),
+            cell_datum_check((2, 2, 1)).to_json(),
+            udot.gl2_generic_table((0, 0), 13).to_json(),
+        )
+
+    def refuse(x):
+        raise AssertionError("refusal text built for admitted work")
+
+    expected = results()
+    modules = [importlib.import_module(f"schuralg.{info.name}") for info in pkgutil.iter_modules(schuralg.__path__)]
+    for module in modules:
+        for obj in vars(module).values():
+            if callable(obj) and hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+        if hasattr(module, "count_text"):
+            monkeypatch.setattr(module, "count_text", refuse)
+    assert results() == expected
