@@ -24,7 +24,7 @@ from .schur import SchurElement, schur_multiply, symmetric_group_iso
 from .simples import simple_index_set, simple_index_set_window
 from .udot import UdotElement, gl2_generic_table, udot_basis_upto, udot_multiply
 from .verify import SUITES, run_suite
-from .weights import compositions, dominant_shapes, kostka, margin_count, margin_matrices
+from .weights import compositions, dominant_shapes, kostka, margin_count, margin_matrices, tableau_rows
 
 __all__ = ["main", "build_parser"]
 
@@ -180,8 +180,8 @@ def _cmd_basis(args) -> tuple[dict, int]:
         payload["elements"] = [
             {
                 "shape": list(c.shape),
-                "left": [list(row) for row in c.left.rows],
-                "right": [list(row) for row in c.right.rows],
+                "left": [list(row) for row in tableau_rows(c.left)],
+                "right": [list(row) for row in tableau_rows(c.right)],
                 "value": c.value.to_json(),
             }
             for c in cells

@@ -1,12 +1,12 @@
 """Codeterminant bases and the cellular-structure check.
 
-A codeterminant for a partition shape nu and words i, j is Green's
-product xi_L xi_U of the orbit elements pairing i with the sorted word ell
-of weight nu and ell with j.  For semistandard row words, L is lower and
-U upper triangular, and xi_L xi_U is one word of divided powers,
-F^(L) 1_nu E^(U) 1_mu (schur._apply_runs; Green's rule is the tests'
-oracle).  Over the shapes nu dominating both weights they form a basis of
-each weight block: sum_nu K(nu, lam) K(nu, mu) = #{margin matrices (lam, mu)}.
+A cell is a pair of semistandard tableaux S, T of one partition shape nu,
+held as their letter matrices L = L_S and L_T (see weights).  Its
+codeterminant is Green's product xi_L xi_U, U = L_T transposed, and it
+is one word of divided powers, F^(L) 1_nu E^(U) 1_mu (schur._apply_runs;
+Green's rule is the tests' oracle).  Over the shapes nu dominating both
+weights they form a basis of each weight block:
+sum_nu K(nu, lam) K(nu, mu) = #{margin matrices (lam, mu)}.
 
 cell_datum_check verifies the cellular axioms for the algebra of a single
 weight lam, with cells ordered by dominance of shapes and the cell ideal
@@ -41,20 +41,17 @@ from .exact_linalg import CoordinateSolver, integer_rank
 from .schur import SchurElement, _apply_runs, _pair_product, involution
 from .weights import (
     Matrix,
-    Tableau,
     Weight,
-    Word,
     _shapes_above,
     col_sums,
     dominance_leq,
     dominance_lt,
-    is_composition,
     is_dominant,
     kostka,
     margin_matrices,
-    pair_to_matrix,
+    row_sums,
     ssyt,
-    weight_word,
+    tableau_rows,
 )
 
 __all__ = [
@@ -68,40 +65,40 @@ __all__ = [
 ]
 
 
-def codeterminant(nu: Sequence[int], i: Sequence[int], j: Sequence[int]) -> SchurElement:
-    """xi_L xi_U for L = pair_to_matrix(i, ell), U = pair_to_matrix(ell, j),
-    ell the sorted word of weight nu (dominant), as one word of divided
-    powers; every letter of i and j is at least ell's at its place (as in
-    semistandard row words), so each run takes from a diagonal-only row."""
-    if not is_dominant(nu) or not is_composition(nu):
-        raise ValueError("shape must be a partition")
-    if not nu:
-        raise ValueError("need n >= 1 and r >= 0")
-    n, ell = len(nu), weight_word(nu)
-    if len(i) != len(ell) or len(j) != len(ell):
-        raise ValueError("words must have the degree of the shape")
-    if any(x < e for x, e in zip((*i, *j), ell + ell)):
-        raise ValueError("each letter must be at least the letter of the sorted word at its place")
-    lower, upper = pair_to_matrix(tuple(i), ell, n), pair_to_matrix(ell, tuple(j), n)
-    runs = [(a, b, upper[a][b]) for b in range(n) for a in range(b) if upper[a][b]]
-    runs += [(a, b, lower[a][b]) for b in reversed(range(n)) for a in range(b + 1, n) if lower[a][b]]
-    return SchurElement._build((n, len(ell)), _apply_runs(runs, col_sums(upper)))
+def codeterminant(left: Matrix, right: Matrix) -> SchurElement:
+    """xi_L xi_U for the letter matrices L = left and right = U transposed
+    of two semistandard tableaux of one shape, as one word of divided
+    powers; U is upper triangular, so each run takes from a diagonal-only
+    row."""
+    n = len(left)
+    if not n or len(right) != n or any(len(row) != n for row in (*left, *right)):
+        raise ValueError("need n >= 1 and two n x n letter matrices")
+    if any(x < 0 for row in (*left, *right) for x in row):
+        raise ValueError("letter matrices must be nonnegative")
+    if any(m[a][b] for m in (left, right) for a in range(n) for b in range(a + 1, n)):
+        raise ValueError("letter matrices must be lower triangular")
+    shape = col_sums(left)
+    if col_sums(right) != shape or not is_dominant(shape):
+        raise ValueError("the column sums of both letter matrices must be one partition")
+    runs = [(a, b, right[b][a]) for b in range(n) for a in range(b) if right[b][a]]
+    runs += [(a, b, left[a][b]) for b in reversed(range(n)) for a in range(b + 1, n) if left[a][b]]
+    return SchurElement._build((n, sum(shape)), _apply_runs(runs, row_sums(right)))
 
 
 @dataclass(frozen=True)
 class Codeterminant:
-    """A basis cell: shape, the two semistandard tableaux, and the value."""
+    """A basis cell: shape, the letter matrices of its two tableaux, and the value."""
 
     shape: Weight
-    left: Tableau
-    right: Tableau
+    left: Matrix
+    right: Matrix
     value: SchurElement
 
 
 def codet_basis(lam: Sequence[int], mu: Sequence[int]) -> list[Codeterminant]:
     """Codeterminant basis of the (lam, mu) weight block, ordered by shape
     (most dominant first), then left tableau, then right tableau (both in
-    row-word lexicographic order)."""
+    ssyt's row-word order)."""
     # count the cells by Kostka numbers, shape by shape (the shapes come
     # lazily), before any tableau is built: the cells are a basis of the
     # block, so each value has at most that many terms, and the cellular
@@ -115,14 +112,11 @@ def codet_basis(lam: Sequence[int], mu: Sequence[int]) -> list[Codeterminant]:
             f" ({count_text(count ** 2)} pairs)"
         ))
         shapes.append(nu)
-    cells: list[tuple[Weight, Tableau, Tableau]] = []
+    cells: list[Codeterminant] = []
     for nu in shapes:
         rights = ssyt(nu, mu)
-        cells.extend((nu, s, t) for s in ssyt(nu, lam) for t in rights)
-    return [
-        Codeterminant(nu, s, t, codeterminant(nu, s.row_word, t.row_word))
-        for nu, s, t in cells
-    ]
+        cells.extend(Codeterminant(nu, s, t, codeterminant(s, t)) for s in ssyt(nu, lam) for t in rights)
+    return cells
 
 
 def codet_count(lam: Sequence[int], mu: Sequence[int]) -> int:
@@ -160,8 +154,13 @@ class CellReport:
         }
 
 
-def _cell_json(shape: Weight, *words: Word) -> dict:
-    return dict(zip(("shape", "left", "right"), map(list, (shape, *words))))
+def _word(a: Matrix) -> list[int]:
+    """The row-reading word of the tableau with letter matrix a."""
+    return [x for row in tableau_rows(a) for x in row]
+
+
+def _cell_json(shape: Weight, *tableaux: Matrix) -> dict:
+    return {"shape": list(shape), **dict(zip(("left", "right"), map(_word, tableaux)))}
 
 
 class CellDatum:
@@ -172,7 +171,7 @@ class CellDatum:
     def __init__(self, lam: Sequence[int]) -> None:
         self.lam = tuple(lam)
         self.cells = codet_basis(self.lam, self.lam)
-        self.keys = [(c.shape, c.left.row_word, c.right.row_word) for c in self.cells]
+        self.keys = [(c.shape, c.left, c.right) for c in self.cells]
         self.multipliers = margin_matrices(self.lam, self.lam)
         self._solved: dict[tuple[Matrix, Matrix], list[int]] = {}
         self._coords: dict[tuple[Matrix, int, bool], list[int]] = {}
@@ -231,10 +230,10 @@ class CellDatum:
         axiom_b = True
         index = {key: k for k, key in enumerate(keys)}
         for c in cells:
-            flipped = cells[index[(c.shape, c.right.row_word, c.left.row_word)]]
+            flipped = cells[index[(c.shape, c.right, c.left)]]
             if involution(c.value) != flipped.value:
                 axiom_b = False
-                witnesses.append({"axiom": "b", **_cell_json(c.shape, c.left.row_word, c.right.row_word)})
+                witnesses.append({"axiom": "b", **_cell_json(c.shape, c.left, c.right)})
 
         if not axiom_a:
             # coordinates are not integral, or not defined, off a Z-basis
@@ -245,9 +244,9 @@ class CellDatum:
         above = {(s, t): dominance_lt(s, t) for s in shapes for t in shapes}
         for a_idx, a in enumerate(self.multipliers):
             # per shape and left-output tableau, coefficients seen for each T
-            per_t: dict[tuple, dict[Word, dict]] = {}
+            per_t: dict[tuple, dict[Matrix, dict]] = {}
             for k, (shape, left, right) in enumerate(keys):
-                row: dict[Word, int] = {}
+                row: dict[Matrix, int] = {}
                 for j, v in enumerate(self.coords(a, k)):
                     if not v or above[shape, keys[j][0]]:
                         continue  # strictly more dominant shapes are free
@@ -256,17 +255,17 @@ class CellDatum:
                         axiom_c = False
                         witnesses.append({
                             "axiom": "c", "multiplier": a_idx, **_cell_json(shape, left, right),
-                            "hits_shape": list(d_shape), "hits_right": list(d_right), "coeff": str(v),
+                            "hits_shape": list(d_shape), "hits_right": _word(d_right), "coeff": str(v),
                         })
                         continue
                     row[d_left] = v
                 per_t.setdefault((shape, left), {})[right] = row
-            for (shape, left_word), by_t in per_t.items():
+            for (shape, left), by_t in per_t.items():
                 rows = list(by_t.values())
                 if any(row != rows[0] for row in rows[1:]):
                     axiom_c = False
                     witnesses.append({
-                        "axiom": "c", "multiplier": a_idx, **_cell_json(shape, left_word),
+                        "axiom": "c", "multiplier": a_idx, **_cell_json(shape, left),
                         "reason": "structure coefficients depend on the right tableau",
                     })
         return CellReport(self.lam, dim, len(cells), axiom_a, axiom_b, axiom_c, witnesses)

@@ -129,10 +129,13 @@ def _run(suite: str, params: dict, rows: Iterable[Row], least: dict | None = Non
 def _slices(n_max: int, r_max: int) -> Iterator[tuple[int, int]]:
     """The slices (n, r) with 1 <= n <= n_max and 0 <= r <= r_max in row
     order, refused before any is made when they are over the budget (and
-    none at once when a range is empty: product lists both ranges first)."""
-    count = max(n_max, 0) * max(r_max + 1, 0)
-    check_budget(count, lambda: f"{count_text(count)} slices (n, r)")
-    return itertools.product(range(1, n_max + 1), range(r_max + 1)) if count else iter(())
+    none at once when a range is empty: product lists both ranges first).
+    Slice (n, r) weighs n^2, the entries of an n x n matrix, so the total
+    is (r_max + 1) n_max (n_max + 1) (2 n_max + 1) / 6."""
+    n, r = max(n_max, 0), max(r_max + 1, 0)
+    work = r * n * (n + 1) * (2 * n + 1) // 6
+    check_budget(work, lambda: f"{count_text(work)} matrix entries in the slices (n, r), n^2 per slice")
+    return itertools.product(range(1, n_max + 1), range(r_max + 1)) if work else iter(())
 
 
 def _slice_rows(prefix: str, n_max: int, r_max: int, cases: Callable, predicate: Callable) -> Iterator[Row]:

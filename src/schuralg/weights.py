@@ -8,6 +8,12 @@ compositions are reverse-lexicographic, margin matrices are row-major
 lexicographic, words are lexicographic, tableaux are lexicographic by
 row-reading word.  Callers may rely on these orders.
 
+A semistandard tableau is held as its n x n letter matrix L: L[a][b]
+counts the letters a + 1 in row b + 1 (tableau_rows reads the rows back),
+so L is lower triangular, with the weight as row sums and the shape as
+column sums.  For one shape, the row-reading word increases exactly as
+L, read column by column, decreases.
+
 Two enumerators are cached, each as a tuple in a bounded lru_cache:
 _compositions (compositions(n, r), 256 entries; compositions itself
 returns a fresh list) and _bounded_rows (the rows of one total under
@@ -24,7 +30,6 @@ Permutations of {1, .., n} are tuples w with w[k-1] = w(k).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
 from operator import add, sub
@@ -59,9 +64,8 @@ __all__ = [
     "pair_to_matrix",
     "canonical_pair",
     "orbit_size",
-    "Tableau",
-    "tableau_from_word",
     "ssyt",
+    "tableau_rows",
     "kostka",
     "dominance_leq",
     "dominance_lt",
@@ -365,73 +369,20 @@ def orbit_size(a: Matrix) -> int:
     return size
 
 
-@dataclass(frozen=True)
-class Tableau:
-    """Filling of a Young diagram, stored as row tuples.
-
-    Row lengths must be weakly decreasing and positive; the shape is the
-    tuple of row lengths.  Entries are letters >= 1.  Arbitrary fillings
-    are allowed (word relabelings need them); semistandardness is a
-    property, not an invariant.
-    """
-
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        lengths = [len(r) for r in self.rows]
-        if any(l == 0 for l in lengths):
-            raise ValueError("empty rows are not stored")
-        if any(lengths[k] < lengths[k + 1] for k in range(len(lengths) - 1)):
-            raise ValueError("row lengths must weakly decrease")
-        if any(e < 1 for row in self.rows for e in row):
-            raise ValueError("entries must be positive letters")
-
-    @property
-    def shape(self) -> Weight:
-        return tuple(len(r) for r in self.rows)
-
-    @property
-    def row_word(self) -> Word:
-        return tuple(e for row in self.rows for e in row)
-
-    def weight(self, n: int) -> Weight:
-        return weight_of(self.row_word, n)
-
-    @property
-    def semistandard(self) -> bool:
-        for row in self.rows:
-            if any(row[k] > row[k + 1] for k in range(len(row) - 1)):
-                return False
-        for up, down in zip(self.rows, self.rows[1:]):
-            if any(up[c] >= down[c] for c in range(len(down))):
-                return False
-        return True
-
-    def to_json(self) -> dict:
-        return {"shape": list(self.shape), "rows": [list(r) for r in self.rows]}
-
-
-def _strip_shape(shape: Sequence[int]) -> tuple[int, ...]:
+def _strip_shape(shape: Sequence[int], weight: Sequence[int]) -> tuple[int, ...]:
+    """The nonzero parts of a partition shape, checked against a weight of its size."""
     if not is_dominant(shape) or any(x < 0 for x in shape):
         raise ValueError("shape must be a partition (weakly decreasing, nonnegative)")
+    if not is_composition(weight):
+        raise ValueError("weight must be a composition")
+    if sum(shape) != sum(weight):
+        raise ValueError("shape size must equal weight degree")
     return tuple(x for x in shape if x > 0)
 
 
-def tableau_from_word(shape: Sequence[int], word: Sequence[int]) -> Tableau:
-    """Cut a word into rows of the given partition shape."""
-    rows = _strip_shape(shape)
-    if sum(rows) != len(word):
-        raise ValueError("word length must match shape size")
-    out = []
-    pos = 0
-    for l in rows:
-        out.append(tuple(word[pos:pos + l]))
-        pos += l
-    return Tableau(tuple(out))
-
-
-def ssyt(shape: Sequence[int], weight: Sequence[int]) -> list[Tableau]:
-    """Semistandard tableaux of the given partition shape and letter counts.
+def ssyt(shape: Sequence[int], weight: Sequence[int]) -> list[Matrix]:
+    """Semistandard tableaux of the given partition shape and letter counts,
+    as letter matrices over the letters 1, .., len(weight).
 
     Rows weakly increase, columns strictly increase, entry multiplicities
     are exactly `weight`.  Results are in lexicographic order of the
@@ -439,30 +390,32 @@ def ssyt(shape: Sequence[int], weight: Sequence[int]) -> list[Tableau]:
     the recursion kostka counts with: the cells of the last letter form a
     horizontal strip, peeled off one letter at a time.
     """
-    rows = _strip_shape(shape)
-    if not is_composition(weight):
-        raise ValueError("weight must be a composition")
-    if sum(rows) != sum(weight):
-        raise ValueError("shape size must equal weight degree")
-    tableaux = (Tableau(t) for t in _strip_fillings(rows, tuple(weight)))
-    return sorted(tableaux, key=lambda t: t.row_word)
+    fillings = _strip_fillings(_strip_shape(shape, weight), tuple(weight), len(weight))
+    # the row words increase as the matrices, read column by column, decrease
+    return sorted(fillings, key=transpose, reverse=True)
 
 
-def _strip_fillings(shape: tuple[int, ...], weight: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
-    # the rows of every tableau counted by _kostka_cached(shape, weight):
-    # the same recursion, one horizontal strip of the last letter per level
+def _strip_fillings(shape: tuple[int, ...], weight: tuple[int, ...], n: int) -> Iterator[Matrix]:
+    # the letter matrices, n columns wide, of every tableau counted by
+    # _kostka_cached(shape, weight): the same recursion, and the strip of
+    # the last letter is the last row
     if len(shape) > len(weight):
         return
     if not shape:
-        yield ()
+        yield ((0,) * n,) * len(weight)
         return
-    letter = len(weight)
     caps = tuple(a - b for a, b in zip(shape, shape[1:] + (0,)))
     for strip in _bounded_rows(weight[-1], caps):
         rest = tuple(a - s for a, s in zip(shape, strip))
-        for inner in _strip_fillings(rest if rest[-1] else rest[:-1], weight[:-1]):
-            inner += ((),) * (len(shape) - len(inner))
-            yield tuple(row + (letter,) * s for row, s in zip(inner, strip))
+        row = strip + (0,) * (n - len(strip))
+        for inner in _strip_fillings(rest if rest[-1] else rest[:-1], weight[:-1], n):
+            yield inner + (row,)
+
+
+def tableau_rows(a: Matrix) -> tuple[Word, ...]:
+    """The nonempty rows of the tableau with letter matrix a."""
+    rows = (tuple(k for k, e in enumerate(col, 1) for _ in range(e)) for col in transpose(a))
+    return tuple(row for row in rows if row)
 
 
 @lru_cache(maxsize=1 << 16)
@@ -486,12 +439,7 @@ def _kostka_cached(shape: tuple[int, ...], weight: tuple[int, ...]) -> int:
 def kostka(mu: Sequence[int], lam: Sequence[int]) -> int:
     """Number of semistandard tableaux of shape mu and weight lam, counted
     by removing one horizontal strip per letter (no tableau is built)."""
-    shape = _strip_shape(mu)
-    if not is_composition(lam):
-        raise ValueError("weight must be a composition")
-    if sum(shape) != sum(lam):
-        raise ValueError("shape size must equal weight degree")
-    return _kostka_cached(shape, tuple(lam))
+    return _kostka_cached(_strip_shape(mu, lam), tuple(lam))
 
 
 def dominance_leq(a: Sequence[int], b: Sequence[int]) -> bool:

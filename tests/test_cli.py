@@ -441,6 +441,33 @@ def test_verify_all_stdout_pinned(capsys, fmt):
     assert (hashlib.sha256(data).hexdigest(), len(data)) == VERIFY_ALL_DIGESTS[fmt]
 
 
+# (SHA-256, length) of stdout, recorded while the codeterminant cells were
+# still built from Tableau row words
+CODET_DIGESTS = {
+    "basis-2222": (
+        ("basis", "--kind", "codet", "--lambda", "2,2,2,2"),
+        ("4791088622f177225b7d3156bf2c18aeb106ca623ccd7feb6a50e3a5e37a3f4e", 829600),
+    ),
+    "basis-211-112": (
+        ("basis", "--kind", "codet", "--lambda", "2,1,1", "--mu", "1,1,2"),
+        ("78c3cc19aa29aadccf835cab1dbff61fa8e38ad3fc63f288f62e2dca253e0e8c", 2374),
+    ),
+    "verify-codet-n3-r4": (
+        ("verify", "codet", "--n-max", "3", "--r-max", "4"),
+        ("1dd6315ffed494fe99c52af87f7d5696fce8afd83554cb3b05e475c9dd1744dc", 1013),
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CODET_DIGESTS))
+def test_codet_stdout_pinned(capsys, command):
+    argv, digest = CODET_DIGESTS[command]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    data = out.encode()
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == digest
+
+
 def test_verify_cellular_above_the_default_is_pinned(capsys):
     # SHA-256 of `schuralg verify cellular --n 3 --r 5` stdout, recorded
     # before the cellular rows shared one cell datum per weight
@@ -811,15 +838,30 @@ def test_slices_are_refused_before_any_is_made(capsys, suite):
     code, out, err = run_cli(capsys, "verify", suite, "--r-max", "9" * 30)
     assert code == 2
     assert out == ""
-    assert err == f"resource limit: 3{'0' * 30} slices (n, r), above the limit 1000000\n"
+    # the default n_max = 3 weighs 1 + 4 + 9 per value of r
+    assert err == f"resource limit: 14{'0' * 30} matrix entries in the slices (n, r), n^2 per slice, above the limit 1000000\n"
+
+
+@pytest.mark.parametrize("suite", ["gbasis", "codet", "zbas", "psi"])
+def test_slices_weigh_their_letters(capsys, suite):
+    # 10^6 slices of one degree each: counted as slices, codet ran 70 s and psi did not finish
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", suite, "--n-max", "1000000", "--r-max", "0")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == "resource limit: 333333833333500000 matrix entries in the slices (n, r), n^2 per slice, above the limit 1000000\n"
 
 
 def test_slice_cap_edge():
     assert next(verify._slices(1, 999999)) == (1, 0)
+    # 143 * 144 * 287 / 6 = 984984 and 144 * 145 * 289 / 6 = 1005720
+    assert next(verify._slices(143, 0)) == (1, 0)
     assert list(verify._slices(0, 10 ** 40)) == list(verify._slices(10 ** 40, -1)) == []
-    with pytest.raises(ResourceLimitError, match=re.escape("1000001 slices (n, r), above the limit")):
+    with pytest.raises(ResourceLimitError, match=re.escape("1000001 matrix entries in the slices (n, r)")):
         verify._slices(1, 10 ** 6)
-    with pytest.raises(ResourceLimitError, match=re.escape("1000002 slices (n, r), above the limit")):
+    with pytest.raises(ResourceLimitError, match=re.escape("1005720 matrix entries in the slices (n, r)")):
+        verify._slices(144, 0)
+    with pytest.raises(ResourceLimitError, match=re.escape("333335833339500005 matrix entries in the slices (n, r)")):
         verify._slices(1000002, 0)
 
 
@@ -836,7 +878,7 @@ def test_idem_lemma_work_stops_at_the_budget():
     (["udot", "gl2-table", "--lambda", "1,2", "--degree", "9" * 2000],
      f"a gl_2 table of degree {'9' * 2000} costs a 6001-digit number of terms, above the limit 1000000"),
     (["verify", "gbasis", "--n-max", "9" * 2200, "--r-max", "9" * 2200],
-     "a 4400-digit number of slices (n, r), above the limit 1000000"),
+     "a 8800-digit number of matrix entries in the slices (n, r), n^2 per slice, above the limit 1000000"),
 ])
 def test_refusals_print_huge_counts_by_their_digits(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

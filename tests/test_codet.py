@@ -14,7 +14,6 @@ from schuralg.codet import (
     codet_basis,
     codet_count,
     codeterminant,
-    weight_word,
 )
 from schuralg.errors import ResourceLimitError
 from schuralg.exact_linalg import CoordinateSolver, exact_rank, unimodular_change
@@ -22,6 +21,7 @@ from schuralg.schur import SchurElement, hom_basis, involution, schur_multiply
 from schuralg.simples import simple_index_set
 from schuralg.verify import run_suite, suite_cellular
 from schuralg.weights import (
+    col_sums,
     compositions,
     dominance_leq,
     dominance_lt,
@@ -30,7 +30,19 @@ from schuralg.weights import (
     margin_count,
     margin_matrices,
     pair_to_matrix,
+    row_sums,
+    tableau_rows,
+    weight_word,
 )
+
+
+def letters(nu, word):
+    """The letter matrix of the tableau of shape nu with this row word."""
+    return pair_to_matrix(word, weight_word(nu), len(nu))
+
+
+def row_word(m):
+    return tuple(x for row in tableau_rows(m) for x in row)
 
 
 def test_weight_word():
@@ -51,7 +63,7 @@ def test_dominant_shapes():
 
 def test_codeterminant_hand_value():
     # shape (2,0), both words (1,2): xi_{ptm((1,2),(1,1))} * xi_{ptm((1,1),(1,2))}
-    val = codeterminant((2, 0), (1, 2), (1, 2))
+    val = codeterminant(letters((2, 0), (1, 2)), letters((2, 0), (1, 2)))
     a = pair_to_matrix((1, 2), (1, 1), 2)
     b = pair_to_matrix((1, 1), (1, 2), 2)
     direct = schur_multiply(
@@ -67,13 +79,21 @@ def test_codeterminant_hand_value():
 
 
 def test_codeterminant_rejects_bad_shape():
-    with pytest.raises(ValueError):
-        codeterminant((1, 2), (1, 2, 2), (1, 2, 2))
-    with pytest.raises(ValueError):
-        codeterminant((2, 0), (1,), (1, 2))
-    # a letter below the sorted word's letter at its place: L is not lower triangular
-    with pytest.raises(ValueError, match="at least the letter of the sorted word"):
-        codeterminant((1, 1), (2, 1), (1, 2))
+    s = letters((2, 0), (1, 2))  # ((1, 0), (1, 0))
+    t = letters((1, 1), (1, 2))  # ((1, 0), (0, 1))
+    for left, right in [((), ()), (s, s[:1]), (s, ((1, 0), (1,))), (((1, 0, 0),) * 3, s)]:
+        with pytest.raises(ValueError, match="need n >= 1 and two n x n letter matrices"):
+            codeterminant(left, right)
+    with pytest.raises(ValueError, match="nonnegative"):
+        codeterminant(((2, 0), (1, -1)), t)
+    # the word (2, 1) of shape (1, 1) puts a 2 in the first row, above a 1
+    for left, right in [(letters((1, 1), (2, 1)), t), (t, ((1, 1), (0, 0)))]:
+        with pytest.raises(ValueError, match="lower triangular"):
+            codeterminant(left, right)
+    # column sums (1, 1) against (2, 0), and (1, 2), which is not a partition
+    for left, right in [(t, s), (((1, 0), (0, 2)),) * 2]:
+        with pytest.raises(ValueError, match="one partition"):
+            codeterminant(left, right)
 
 
 def test_codet_basis_counts():
@@ -99,7 +119,7 @@ def test_codeterminants_match_green_products():
             for lam in compositions(n, r):
                 for mu in compositions(n, r):
                     for c in codet_basis(lam, mu):
-                        assert c.value == green_codeterminant(c.shape, c.left.row_word, c.right.row_word), c
+                        assert c.value == green_codeterminant(c.shape, row_word(c.left), row_word(c.right)), c
                         count += 1
     assert count == 2134
 
@@ -188,12 +208,13 @@ def test_codet_basis_ordering():
 
 
 def test_codet_tableaux_are_semistandard():
-    for c in codet_basis((2, 1), (2, 1)):
-        assert c.left.semistandard
-        assert c.right.semistandard
-        assert c.left.weight(2) == (2, 1)
-        assert c.right.weight(2) == (2, 1)
-        assert c.left.shape == c.shape[: len(c.left.rows)]
+    cells = codet_basis((2, 1), (2, 1))
+    assert [(tableau_rows(c.left), tableau_rows(c.right)) for c in cells] == [
+        (((1, 1, 2),), ((1, 1, 2),)), (((1, 1), (2,)), ((1, 1), (2,)))
+    ]
+    for c in cells:
+        for m in (c.left, c.right):
+            assert row_sums(m) == (2, 1) and col_sums(m) == c.shape
 
 
 def test_kostka_vanishing_matches_empty_cells():
@@ -217,9 +238,9 @@ def test_cell_datum_diag_blocks():
 
 def test_cell_involution_swaps_tableaux():
     cells = codet_basis((1, 1), (1, 1))
-    by_key = {(c.shape, c.left.row_word, c.right.row_word): c for c in cells}
+    by_key = {(c.shape, c.left, c.right): c for c in cells}
     for c in cells:
-        flipped = by_key[(c.shape, c.right.row_word, c.left.row_word)]
+        flipped = by_key[(c.shape, c.right, c.left)]
         assert involution(c.value) == flipped.value
 
 
@@ -356,13 +377,13 @@ def oracle_cell_datum_check(lam):
         det = oracle_det(lam, cells)
         witnesses.append({"axiom": "a", "cell_count": len(cells), "dim": dim, "rank": rank, "det": det})
     axiom_b = True
-    index = {(c.shape, c.left.row_word, c.right.row_word): k for k, c in enumerate(cells)}
+    index = {(c.shape, row_word(c.left), row_word(c.right)): k for k, c in enumerate(cells)}
     for c in cells:
-        flipped = cells[index[(c.shape, c.right.row_word, c.left.row_word)]]
+        flipped = cells[index[(c.shape, row_word(c.right), row_word(c.left))]]
         if involution(c.value) != flipped.value:
             axiom_b = False
             witnesses.append(
-                {"axiom": "b", "shape": list(c.shape), "left": list(c.left.row_word), "right": list(c.right.row_word)}
+                {"axiom": "b", "shape": list(c.shape), "left": list(row_word(c.left)), "right": list(row_word(c.right))}
             )
     if not axiom_a:
         return codet.CellReport(lam, dim, len(cells), axiom_a, axiom_b, False, witnesses)
@@ -382,16 +403,16 @@ def oracle_cell_datum_check(lam):
                 d = cells[k]
                 if dominance_lt(c.shape, d.shape):
                     continue
-                if d.shape != c.shape or d.right.row_word != c.right.row_word:
+                if d.shape != c.shape or row_word(d.right) != row_word(c.right):
                     axiom_c = False
                     witnesses.append({
                         "axiom": "c", "multiplier": a_idx, "shape": list(c.shape),
-                        "left": list(c.left.row_word), "right": list(c.right.row_word),
-                        "hits_shape": list(d.shape), "hits_right": list(d.right.row_word), "coeff": str(x),
+                        "left": list(row_word(c.left)), "right": list(row_word(c.right)),
+                        "hits_shape": list(d.shape), "hits_right": list(row_word(d.right)), "coeff": str(x),
                     })
                     continue
-                row[d.left.row_word] = x
-            per_t.setdefault((c.shape, c.left.row_word), {})[c.right.row_word] = row
+                row[row_word(d.left)] = x
+            per_t.setdefault((c.shape, row_word(c.left)), {})[row_word(c.right)] = row
         for (shape, left_word), by_t in per_t.items():
             rows = list(by_t.values())
             if any(row != rows[0] for row in rows[1:]):
@@ -446,9 +467,9 @@ def test_cellular_suite_builds_each_cell_once(monkeypatch):
     calls = []
     original = codet.codeterminant
 
-    def counted(nu, i, j):
+    def counted(left, right):
         calls.append(1)
-        return original(nu, i, j)
+        return original(left, right)
 
     monkeypatch.setattr(codet, "codeterminant", counted)
     assert run_suite("cellular", n=3, r=4).passed
@@ -456,7 +477,7 @@ def test_cellular_suite_builds_each_cell_once(monkeypatch):
 
 
 def _perturbed(kind, cells):
-    """(shape, i, j) of the cell to change and its new value."""
+    """The letter matrices (L_S, L_T) of the cell to change and its new value."""
     first, last = cells[0], cells[-1]
     # a cell with two different tableaux, so that its transpose is another cell
     target = next(c for c in cells if c.left != c.right) if kind in ("scaled", "doubled") else first
@@ -470,9 +491,9 @@ def _perturbed(kind, cells):
         # an integer multiple: still independent, of determinant 2
         "doubled": lambda: target.value.scale(2),
         # a term outside the block: independent cells that do not span it
-        "outside": lambda: first.value + hom_basis((first.value.r, 0, 0), first.right.weight(3))[0],
+        "outside": lambda: first.value + hom_basis((first.value.r, 0, 0), row_sums(first.right))[0],
     }[kind]()
-    return (target.shape, target.left.row_word, target.right.row_word), value
+    return (target.left, target.right), value
 
 
 @pytest.mark.parametrize("kind", ["dependent", "mixed", "scaled", "doubled", "outside"])
@@ -481,8 +502,8 @@ def test_integer_action_matches_the_oracle_on_perturbed_cells(monkeypatch, kind,
     target, value = _perturbed(kind, codet_basis(lam, lam))
     original = codet.codeterminant
 
-    def perturbed(nu, i, j):
-        return value if (tuple(nu), tuple(i), tuple(j)) == target else original(nu, i, j)
+    def perturbed(left, right):
+        return value if (left, right) == target else original(left, right)
 
     monkeypatch.setattr(codet, "codeterminant", perturbed)
     datum = CellDatum(lam)

@@ -538,7 +538,8 @@ def test_library_builds_its_elements_without_the_checked_constructors(monkeypatc
         schur.identity_element(3, 2),
         schur.hom_basis((2, 1), (1, 2)),
     )
-    assert codet.codeterminant((2, 1), (1, 1, 2), (1, 2, 2)).num == {((1, 1), (0, 1)): 1}
+    # the rows (1, 1), (2) and (1, 2), (2) of shape (2, 1)
+    assert codet.codeterminant(((2, 0), (0, 1)), ((1, 0), (1, 1))).num == {((1, 1), (0, 1)): 1}
 
 
 def _refusals():
@@ -558,7 +559,7 @@ def _refusals():
         "matrix_unit(2, 1, 3)": (lambda: enveloping.matrix_unit(2, 1, 3), "out of range"),
         "u_one(0)": (lambda: enveloping.u_one(0), "need n >= 1"),
         "divided_monomial(0)": (lambda: enveloping.divided_monomial(0, ()), "need n >= 1"),
-        "codeterminant((), (), ())": (lambda: codet.codeterminant((), (), ()), "need n >= 1"),
+        "codeterminant((), ())": (lambda: codet.codeterminant((), ()), "need n >= 1"),
     }
 
 

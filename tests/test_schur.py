@@ -480,10 +480,10 @@ def test_word_free_images_match_column_path(n, r):
             assert to_schur(u, r) == column_to_schur(u, r)
 
 
-def column_codeterminant(nu, i, j):
-    """Green's codeterminant xi_L xi_U, multiplied on one word per right weight."""
-    n, ell = len(nu), weight_word(nu)
-    return column_multiply(xi(pair_to_matrix(i, ell, n)), xi(pair_to_matrix(ell, j, n)))
+def column_codeterminant(left, right):
+    """Green's codeterminant xi_L xi_U, L = left and U = right transposed,
+    multiplied on one word per right weight."""
+    return column_multiply(xi(left), xi(transpose(right)))
 
 
 def raise_on_words(*args, **kwargs):
@@ -493,12 +493,13 @@ def raise_on_words(*args, **kwargs):
 def test_library_paths_write_no_words(monkeypatch):
     x = SchurElement(3, 4, {((1, 0, 0), (1, 1, 0), (0, 0, 1)): 2, ((1, 0, 1), (0, 1, 0), (1, 0, 0)): -1})
     y = SchurElement(3, 4, {((1, 0, 0), (0, 1, 0), (1, 1, 0)): Fraction(1, 2)})
-    shape, i, j = (2, 1, 0), (1, 1, 2), (1, 2, 3)
+    # the rows (1, 1), (2) and (1, 2), (3) of shape (2, 1, 0)
+    s, t = (pair_to_matrix(word, (1, 1, 2), 3) for word in ((1, 1, 2), (1, 2, 3)))
     a = ((1, 2, 0), (0, 1, 1), (1, 0, 0))
     u = udot_basis_upto((2, 1, 2), (1, 2, 2), 3)[-1]
     expected = {
         "product": column_multiply(x, y),
-        "codet": column_codeterminant(shape, i, j),
+        "codet": column_codeterminant(s, t),
         "pbw": [column_pbw_image(a, form) for form in FORMS],
         "to_schur": column_to_schur(u, 5),
     }
@@ -508,7 +509,7 @@ def test_library_paths_write_no_words(monkeypatch):
     for module, name in ((schur, "_orbit_images"), (enveloping, "_apply_unit")):
         monkeypatch.setattr(module, name, raise_on_words)
     assert schur_multiply(x, y) == expected["product"]
-    assert codeterminant(shape, i, j) == expected["codet"]
+    assert codeterminant(s, t) == expected["codet"]
     assert cell_datum_check((2, 2, 1)).to_json() == cellular
     assert [pbw_image(a, form) for form in FORMS] == expected["pbw"]
     assert to_schur(u, 5) == expected["to_schur"]

@@ -295,7 +295,8 @@ def test_library_paths_never_build_tensor_space(monkeypatch):
     x = SchurElement(3, 3, {((1, 0, 0), (1, 1, 0), (0, 0, 0)): 2})
     y = SchurElement(3, 3, {((1, 0, 1), (0, 1, 0), (0, 0, 0)): -1})
     assert not schur_multiply(x, y).is_zero
-    assert not codeterminant((2, 1, 0), (1, 1, 2), (1, 2, 3)).is_zero
+    # the rows (1, 1), (2) and (1, 2), (3) of shape (2, 1, 0)
+    assert not codeterminant(((2, 0, 0), (0, 1, 0), (0, 0, 0)), ((1, 0, 0), (1, 0, 0), (0, 1, 0))).is_zero
     assert cell_datum_check((2, 1)).passed
     for form in FORMS:
         assert not pbw_image(((1, 1), (0, 1)), form).is_zero

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from schuralg import weights
 from schuralg.errors import TENSOR_SPACE_LIMIT, ResourceLimitError
 from schuralg.weights import (
-    Tableau,
     all_words,
     block_sizes,
     canonical_pair,
@@ -34,7 +33,7 @@ from schuralg.weights import (
     row_sums,
     sort_dominant,
     ssyt,
-    tableau_from_word,
+    tableau_rows,
     transpose,
     weight_of,
     words_of_weight,
@@ -42,8 +41,9 @@ from schuralg.weights import (
 
 
 def fill_ssyt(shape, weight):
-    """Semistandard tableaux filled cell by cell in row-reading order,
-    written independently of the strip recursion of ssyt and kostka."""
+    """Semistandard tableaux, as row tuples, filled cell by cell in
+    row-reading order, written independently of the strip recursion of
+    ssyt and kostka."""
     rows = [l for l in shape if l > 0]
     n = len(weight)
     if len(rows) > n:
@@ -55,7 +55,7 @@ def fill_ssyt(shape, weight):
 
     def fill(idx):
         if idx == len(cells):
-            out.append(Tableau(tuple(tuple(row) for row in grid)))
+            out.append(tuple(tuple(row) for row in grid))
             return
         r, c = cells[idx]
         lo = grid[r][c - 1] if c > 0 else 1
@@ -71,6 +71,22 @@ def fill_ssyt(shape, weight):
 
     fill(0)
     return out
+
+
+def letter_matrix(rows, n):
+    """Count the letters a + 1 of row b + 1 into entry (a, b) of an n x n matrix."""
+    m = [[0] * n for _ in range(n)]
+    for b, row in enumerate(rows):
+        for letter in row:
+            m[letter - 1][b] += 1
+    return tuple(map(tuple, m))
+
+
+def is_semistandard(rows):
+    """Rows weakly increase and columns strictly increase."""
+    return all(list(row) == sorted(row) for row in rows) and all(
+        x < y for up, down in zip(rows, rows[1:]) for x, y in zip(up, down)
+    )
 
 
 @st.composite
@@ -264,33 +280,10 @@ def test_orbit_size():
     assert count == orbit_size(a)
 
 
-def test_tableau_validation():
-    t = Tableau(((1, 1), (2,)))
-    assert t.shape == (2, 1)
-    assert t.row_word == (1, 1, 2)
-    with pytest.raises(ValueError):
-        Tableau(((1,), (2, 2)))
-    with pytest.raises(ValueError):
-        Tableau(((0, 1),))
-
-
-def test_tableau_semistandard():
-    assert Tableau(((1, 1), (2,))).semistandard
-    assert not Tableau(((1, 1), (1,))).semistandard
-    assert not Tableau(((2, 1),)).semistandard
-
-
-def test_tableau_from_word_roundtrip():
-    t = Tableau(((1, 2), (2,)))
-    assert tableau_from_word(t.shape, t.row_word) == t
-
-
 def test_ssyt_hand_values():
     out = ssyt((2, 1), (1, 1, 1))
-    assert len(out) == 2
-    assert all(t.semistandard for t in out)
-    words = [t.row_word for t in out]
-    assert words == sorted(words)
+    assert out == [((1, 0, 0), (1, 0, 0), (0, 1, 0)), ((1, 0, 0), (0, 1, 0), (1, 0, 0))]
+    assert [tableau_rows(m) for m in out] == [((1, 2), (3,)), ((1, 3), (2,))]
     assert ssyt((1, 1, 1), (3, 0, 0)) == []
 
 
@@ -314,17 +307,25 @@ def test_kostka_counts_match_tableaux():
     ]
     assert len(pairs) == 3485
     for shape, lam in pairs:
+        n, rows = len(lam), fill_ssyt(shape, lam)
         tableaux = ssyt(shape, lam)
-        assert tableaux == fill_ssyt(shape, lam), (shape, lam)
+        assert tableaux == [letter_matrix(t, n) for t in rows], (shape, lam)
         assert kostka(shape, lam) == len(tableaux), (shape, lam)
+        for m, t in zip(tableaux, rows):
+            assert all(m[a][b] == 0 for a in range(n) for b in range(a + 1, n))
+            assert row_sums(m) == lam and col_sums(m) == shape
+            assert tableau_rows(m) == tuple(t) and is_semistandard(t)
 
 
 def test_ssyt_edge_shapes():
-    empty = Tableau(())
-    assert ssyt((), ()) == ssyt((0, 0), (0, 0, 0)) == [empty]
+    assert ssyt((), ()) == [()]
+    assert ssyt((0, 0), (0, 0, 0)) == [((0, 0, 0),) * 3]
+    assert tableau_rows(()) == tableau_rows(((0, 0, 0),) * 3) == ()
     # trailing zeros of the shape and of the weight
-    assert ssyt((2, 1, 0), (1, 1, 1, 0)) == ssyt((2, 1), (1, 1, 1, 0)) == fill_ssyt((2, 1), (1, 1, 1, 0))
-    assert [t.rows for t in ssyt((2, 0), (0, 2))] == [((2, 2),)]
+    expected = [letter_matrix(t, 4) for t in fill_ssyt((2, 1), (1, 1, 1, 0))]
+    assert ssyt((2, 1, 0), (1, 1, 1, 0)) == ssyt((2, 1), (1, 1, 1, 0)) == expected
+    assert ssyt((2, 0), (0, 2)) == [((0, 0), (2, 0))]
+    assert [tableau_rows(m) for m in ssyt((2, 0), (0, 2))] == [((2, 2),)]
     # more rows than letters, and rows the weight cannot fill
     assert ssyt((1, 1, 1), (2, 1)) == []
     assert ssyt((2, 2), (0, 4)) == []
@@ -335,7 +336,7 @@ def test_ssyt_builds_no_dead_fillings():
     out = ssyt((19, 1), (1,) * 20)
     assert time.perf_counter() - start < 0.1
     assert len(out) == 19
-    assert [t.rows[1] for t in out] == [(k,) for k in range(20, 1, -1)]
+    assert [tableau_rows(m)[1] for m in out] == [(k,) for k in range(20, 1, -1)]
 
 
 def test_kostka_validates():
