@@ -24,7 +24,8 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import reduce
 from math import comb
-from typing import Callable, Iterable, Iterator, Sequence
+from operator import getitem
+from typing import Callable, Iterable, Iterator, Sequence, Sized
 
 from . import codet as codet_mod
 from . import enveloping as env
@@ -235,10 +236,11 @@ def suite_zbas(n_max: int = 3, r_max: int = 3) -> VerificationReport:
 
 def _pbw_block(lam: tuple, mu: tuple) -> str | None:
     margins = margin_matrices(lam, mu)
+    runs = [env._offdiag_runs(a) for a in margins]
     # fe's first half is its raising runs, ef's its lowering runs
     for form, half, forced in (("fe", 1, env.minus_weight), ("ef", 0, env.plus_weight)):
-        for a in margins:
-            if schur_mod._runs_weight(env._offdiag_runs(a)[half], mu) not in (forced(a), None):
+        for a, parts in zip(margins, runs):
+            if schur_mod._runs_weight(parts[half], mu) not in (forced(a), None):
                 return f"{form}-middle mismatch at {a}"
     images = {form: [env._pbw_image(a, form) for a in margins] for form in ("fe", "ef")}
     if not all(x.integral() for family in images.values() for x in family):
@@ -344,11 +346,11 @@ def _commutator(lam: tuple, i: int, j: int) -> str | None:
 
 def suite_psi(n_max: int = 3, r_max: int = 3, seed: int = 2024) -> VerificationReport:
     """Degree truncation: unit compatibility, surjectivity (per right weight
-    mu, one walk feeds each integer image on 1_mu up to degree r into the
-    echelon of its block, whose rank must equal the block's margin count
-    from one column count of mu, so a stray image shows as excess rank;
-    every slice's walk is held to the budget before any row), zero off the
-    cone, and multiplicativity on random block pairs."""
+    mu, one walk reaches each integer image on 1_mu up to degree r; each
+    block's rank, certified by leading terms or else read off echelons,
+    must equal its margin count from one column count of mu, so a stray
+    image shows as excess rank; every slice's walk is held to the budget
+    before any row), zero off the cone, and multiplicativity on random block pairs."""
     rng = random.Random(seed)
 
     def random_pairs() -> Iterator[tuple]:
@@ -378,18 +380,36 @@ def suite_psi(n_max: int = 3, r_max: int = 3, seed: int = 2024) -> VerificationR
 
 
 def _psi_unit_and_rank(mu: tuple, r: int) -> str | None:
+    """The unit image of 1_mu, then each block's rank against its size: its
+    key count if that equals its count of leads (distinct leads are
+    independent) in every block of mu, else from a second walk's echelons."""
     n = len(mu)
     u = udot_mod.UdotElement._build((n, mu, mu), {(0,) * n * (n - 1): 1})
     if udot_mod.to_schur(u, r) != schur_mod.SchurElement._build((n, r), {schur_mod._diagonal(mu): 1}):
         return f"unit image at lam={mu}"
-    echelons: dict[tuple, dict] = defaultdict(dict)
-    udot_mod._walk_images(mu, r, lambda left, image: echelon_add(echelons[left], image))
+    keys: dict[tuple, set] = defaultdict(set)
+    leads: dict[tuple, set] = defaultdict(set)
+
+    def note(left: tuple, image: dict) -> None:
+        keys[left].update(image)
+        leads[left].add(next(iter(image)) if len(image) == 1 else max(image, key=_lead_order))
+
+    udot_mod._walk_images(mu, r, note)
+    blocks: dict[tuple, Sized] = keys
+    if any(len(leads[lam]) != len(block) for lam, block in keys.items()):
+        blocks = echelons = defaultdict(dict)
+        udot_mod._walk_images(mu, r, lambda left, image: echelon_add(echelons[left], image))
     sizes = block_sizes(mu)
     for lam in _compositions(n, r):
-        rank, count = len(echelons.get(lam, ())), sizes[lam]
+        rank, count = len(blocks.get(lam, ())), sizes[lam]
         if rank != count:
             return f"rank {'over' if rank > count else 'short'} at lam={lam} mu={mu}: {rank} against {count}"
     return None
+
+
+def _lead_order(a: tuple) -> tuple:
+    """(off-diagonal degree, a), less the degree r of the block."""
+    return -sum(map(getitem, a, range(len(a)))), a
 
 
 def _psi_off_cone(left: tuple, right: tuple, pattern: tuple) -> str | None:

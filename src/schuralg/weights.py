@@ -14,9 +14,10 @@ so L is lower triangular, with the weight as row sums and the shape as
 column sums.  For one shape, the row-reading word increases exactly as
 L, read column by column, decreases.
 
-Two enumerators are cached, each as a tuple in a bounded lru_cache:
-_compositions (compositions(n, r), 256 entries; compositions itself
-returns a fresh list) and _bounded_rows (the rows of one total under
+Three enumerators are cached, each as a tuple in a bounded lru_cache:
+_compositions (compositions(n, r), 256 entries), _ssyt (ssyt's checked
+shape and weight, 1024 entries) - their callers return fresh lists and
+cache no refusal - and _bounded_rows (the rows of one total under
 per-entry caps, 4096 entries), the inner loop of margin matrices,
 margin counts, tableaux, Kostka numbers and schur's row moves.
 
@@ -388,11 +389,15 @@ def ssyt(shape: Sequence[int], weight: Sequence[int]) -> list[Matrix]:
     are exactly `weight`.  Results are in lexicographic order of the
     row-reading word.  Trailing zeros in the shape are ignored.  Built by
     the recursion kostka counts with: the cells of the last letter form a
-    horizontal strip, peeled off one letter at a time.
+    horizontal strip, peeled off one letter at a time (cached by _ssyt).
     """
-    fillings = _strip_fillings(_strip_shape(shape, weight), tuple(weight), len(weight))
+    return list(_ssyt(_strip_shape(shape, weight), tuple(weight)))
+
+
+@lru_cache(maxsize=1024)
+def _ssyt(shape: tuple[int, ...], weight: tuple[int, ...]) -> tuple[Matrix, ...]:
     # the row words increase as the matrices, read column by column, decrease
-    return sorted(fillings, key=transpose, reverse=True)
+    return tuple(sorted(_strip_fillings(shape, weight, len(weight)), key=transpose, reverse=True))
 
 
 def _strip_fillings(shape: tuple[int, ...], weight: tuple[int, ...], n: int) -> Iterator[Matrix]:

@@ -353,6 +353,22 @@ def test_zbas_reads_the_forced_weights_not_the_middle_forms(monkeypatch):
     assert calls == {"fe": matrices, "ef": matrices}
 
 
+def test_zbas_splits_each_matrix_once_per_form(monkeypatch):
+    # the middle checks share one split per matrix; _pbw_image makes the other
+    calls = Counter()
+    original = enveloping._offdiag_runs
+
+    def counted(a):
+        calls[a] += 1
+        return original(a)
+
+    monkeypatch.setattr(enveloping, "_offdiag_runs", counted)
+    assert verify.run_suite("zbas", n_max=3, r_max=3).passed
+    matrices = {a for n in (1, 2, 3) for r in range(4) for lam in compositions(n, r)
+                for mu in compositions(n, r) for a in margin_matrices(lam, mu)}
+    assert calls.keys() == matrices and set(calls.values()) == {3}
+
+
 def test_pbw_image_rejects_bad_form():
     with pytest.raises(ValueError):
         pbw_image(((1, 0), (0, 1)), "middle")

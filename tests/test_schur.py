@@ -658,6 +658,7 @@ def test_caches_are_bounded():
         weights._slice_bound: 4096,
         weights._bounded_rows: 4096,
         weights._compositions: 256,
+        weights._ssyt: 1024,
         udot._rewrite: 1 << 17,
         enveloping.root_pairs: 64,
         udot.offdiag_cells: 64,

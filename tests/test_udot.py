@@ -8,7 +8,7 @@ from math import comb, factorial
 
 import pytest
 
-from schuralg import enveloping, schur, udot
+from schuralg import enveloping, schur, udot, verify
 from schuralg.enveloping import (
     UElement,
     divided_monomial,
@@ -843,3 +843,40 @@ def test_psi_ranks_every_image(monkeypatch):
     report = run_suite("psi", n_max=2, r_max=2)
     failed = {c.id: c.witness for c in report.checks if not c.passed}
     assert failed == {"psi-surjective-n2-r2": "rank over at lam=(1, 1) mu=(1, 1): 3 against 2"}
+
+
+def test_psi_certifies_every_block_of_the_benchmark_range(monkeypatch):
+    # distinct leads as many as keys rank every block: no echelon is built
+    def refuse(*args):
+        raise AssertionError("a block fell back to the echelon")
+
+    monkeypatch.setattr(verify, "echelon_add", refuse)
+    assert run_suite("psi", n_max=3, r_max=4).passed
+
+
+S, T = ((2, 0), (0, 0)), ((0, 0), (0, 2))
+
+
+@pytest.mark.parametrize("extra", [
+    # its lead repeats the antidiagonal's, and it adds the stray key S
+    [{((0, 1), (1, 0)): 1, S: 1}],
+    # one new lead (S) and two stray keys, but rank one more: |keys| would read 4
+    [{S: 1, T: 1}, {S: 2, T: 2}],
+])
+def test_psi_ranks_an_uncertified_block_by_its_echelon(monkeypatch, extra):
+    real, walked = udot._walk_images, []
+
+    def walk(mu, degree, emit):
+        walked.append((mu, degree))
+        real(mu, degree, emit)
+        if mu == (1, 1):
+            for image in extra:
+                emit(mu, image)
+
+    monkeypatch.setattr(udot, "_walk_images", walk)
+    report = run_suite("psi", n_max=2, r_max=2)
+    failed = {c.id: c.witness for c in report.checks if not c.passed}
+    assert failed == {"psi-surjective-n2-r2": "rank over at lam=(1, 1) mu=(1, 1): 3 against 2"}
+    # only the uncertified right weight is walked again
+    assert walked.count(((1, 1), 2)) == 2
+    assert len(walked) == len(set(walked)) + 1

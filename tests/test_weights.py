@@ -331,6 +331,20 @@ def test_ssyt_edge_shapes():
     assert ssyt((2, 2), (0, 4)) == []
 
 
+def test_ssyt_lists_each_shape_and_weight_once():
+    weights._ssyt.cache_clear()
+    first = ssyt((2, 1, 0), (1, 1, 1))
+    first.append(None)
+    # trailing zeros of the shape share the entry, and each call gets its own list
+    assert ssyt([2, 1], [1, 1, 1]) == first[:-1] == [letter_matrix(t, 3) for t in fill_ssyt((2, 1), (1, 1, 1))]
+    assert weights._ssyt.cache_info()[:2] == (1, 1)  # hits, misses
+    # a refusal is not cached
+    for shape, weight in (((1, 2), (2, 1)), ((2, 1), (1, -1, 3)), ((2, 1), (1, 1))):
+        with pytest.raises(ValueError):
+            ssyt(shape, weight)
+    assert weights._ssyt.cache_info().currsize == 1
+
+
 def test_ssyt_builds_no_dead_fillings():
     start = time.perf_counter()
     out = ssyt((19, 1), (1,) * 20)
