@@ -80,9 +80,15 @@ def codeterminant(left: Matrix, right: Matrix) -> SchurElement:
     shape = col_sums(left)
     if col_sums(right) != shape or not is_dominant(shape):
         raise ValueError("the column sums of both letter matrices must be one partition")
+    return _codeterminant(left, right)
+
+
+def _codeterminant(left: Matrix, right: Matrix) -> SchurElement:
+    """codeterminant without its checks, for ssyt's letter matrices."""
+    n = len(left)
     runs = [(a, b, right[b][a]) for b in range(n) for a in range(b) if right[b][a]]
     runs += [(a, b, left[a][b]) for b in reversed(range(n)) for a in range(b + 1, n) if left[a][b]]
-    return SchurElement._build((n, sum(shape)), _apply_runs(runs, row_sums(right)))
+    return SchurElement._build((n, sum(map(sum, left))), _apply_runs(runs, row_sums(right)))
 
 
 @dataclass(frozen=True)
@@ -115,7 +121,7 @@ def codet_basis(lam: Sequence[int], mu: Sequence[int]) -> list[Codeterminant]:
     cells: list[Codeterminant] = []
     for nu in shapes:
         rights = ssyt(nu, mu)
-        cells.extend(Codeterminant(nu, s, t, codeterminant(s, t)) for s in ssyt(nu, lam) for t in rights)
+        cells.extend(Codeterminant(nu, s, t, _codeterminant(s, t)) for s in ssyt(nu, lam) for t in rights)
     return cells
 
 

@@ -262,11 +262,13 @@ def _walk_images(mu: Weight, degree: int, emit: Callable[[Weight, dict[Matrix, i
     cells = sorted(offdiag_cells(n), key=_unit_key, reverse=True)
 
     def walk(start: int, vec: dict[Matrix, int], left: int) -> None:
-        for c, (a, b) in enumerate(cells[start:], start):
-            for m in range(1, min(left, w[b]) + 1):  # e_ab^(m) kills a row b below m
-                w[a], w[b] = w[a] + m, w[b] - m
+        for c in range(start, len(cells)) if left else ():
+            a, b = cells[c]
+            wa, wb = w[a], w[b]
+            for m in range(1, min(left, wb) + 1):  # e_ab^(m) kills a row b below m
+                w[a], w[b] = w[a] + 1, w[b] - 1
                 walk(c + 1, _move(vec, a, b, m), left - m)
-                w[a], w[b] = w[a] - m, w[b] + m
+            w[a], w[b] = wa, wb
         emit(tuple(w), vec)  # no unit in the cells after start
 
     walk(0, {_diagonal(mu): 1}, degree)

@@ -348,9 +348,9 @@ def suite_psi(n_max: int = 3, r_max: int = 3, seed: int = 2024) -> VerificationR
     """Degree truncation: unit compatibility, surjectivity (per right weight
     mu, one walk reaches each integer image on 1_mu up to degree r; each
     block's rank, certified by leading terms or else read off echelons,
-    must equal its margin count from one column count of mu, so a stray
-    image shows as excess rank; every slice's walk is held to the budget
-    before any row), zero off the cone, and multiplicativity on random block pairs."""
+    must equal its margin count from one column count per orbit of mu,
+    so a stray image shows as excess rank; every slice's walk is held to
+    the budget before any row), zero off the cone, and multiplicativity on random block pairs."""
     rng = random.Random(seed)
 
     def random_pairs() -> Iterator[tuple]:
@@ -382,17 +382,29 @@ def suite_psi(n_max: int = 3, r_max: int = 3, seed: int = 2024) -> VerificationR
 def _psi_unit_and_rank(mu: tuple, r: int) -> str | None:
     """The unit image of 1_mu, then each block's rank against its size: its
     key count if that equals its count of leads (distinct leads are
-    independent) in every block of mu, else from a second walk's echelons."""
+    independent) in every block of mu, else from a second walk's echelons.
+    Leads are picked from the images with key traces memoised for mu."""
     n = len(mu)
     u = udot_mod.UdotElement._build((n, mu, mu), {(0,) * n * (n - 1): 1})
     if udot_mod.to_schur(u, r) != schur_mod.SchurElement._build((n, r), {schur_mod._diagonal(mu): 1}):
         return f"unit image at lam={mu}"
     keys: dict[tuple, set] = defaultdict(set)
     leads: dict[tuple, set] = defaultdict(set)
+    traces: dict[tuple, int] = {}  # key -> its trace, r less its off-diagonal degree
 
     def note(left: tuple, image: dict) -> None:
         keys[left].update(image)
-        leads[left].add(next(iter(image)) if len(image) == 1 else max(image, key=_lead_order))
+        if len(image) == 1:  # its key is its lead
+            leads[left].update(image)
+            return
+        lead, low = None, r + 1
+        for a in image:  # the lead: least trace, then greatest key
+            t = traces.get(a)
+            if t is None:
+                t = traces[a] = sum(map(getitem, a, range(n)))
+            if t < low or t == low and a > lead:
+                lead, low = a, t
+        leads[left].add(lead)
 
     udot_mod._walk_images(mu, r, note)
     blocks: dict[tuple, Sized] = keys
@@ -405,11 +417,6 @@ def _psi_unit_and_rank(mu: tuple, r: int) -> str | None:
         if rank != count:
             return f"rank {'over' if rank > count else 'short'} at lam={lam} mu={mu}: {rank} against {count}"
     return None
-
-
-def _lead_order(a: tuple) -> tuple:
-    """(off-diagonal degree, a), less the degree r of the block."""
-    return -sum(map(getitem, a, range(len(a)))), a
 
 
 def _psi_off_cone(left: tuple, right: tuple, pattern: tuple) -> str | None:

@@ -315,13 +315,17 @@ def block_sizes(mu: Sequence[int]) -> dict[Weight, int]:
     """{lam: margin_count(lam, mu)} for all lam at once, counted column by
     column: the row sums so far, each with its number of fillings, take
     every composition of the next column sum.  Refused first when those
-    steps are over the budget."""
+    steps are over the budget.  All orders of mu share one count (permuting
+    columns permutes margin matrices), held by sorted mu in _orbit_sizes."""
     if not is_composition(mu):
         raise ValueError("margins must be compositions")
     n, mu = len(mu), tuple(mu)
     starts = itertools.accumulate(mu, initial=0)  # zip drops the last, sum(mu)
     work = sum(composition_count(n, s) * composition_count(n, m) for s, m in zip(starts, mu))
     check_budget(work, lambda: f"counting the blocks of right weight {mu} takes {count_text(work)} steps")
+    held = _orbit_sizes(tuple(sorted(mu)))
+    if held:
+        return dict(held)
     sizes = {(0,) * n: 1}
     for m in mu:
         step: dict[Weight, int] = {}
@@ -330,7 +334,13 @@ def block_sizes(mu: Sequence[int]) -> dict[Weight, int]:
                 key = tuple(map(add, rows, column))
                 step[key] = step.get(key, 0) + c
         sizes = step
-    return sizes
+    held.update(sorted(sizes.items()))
+    return dict(held)
+
+
+@lru_cache(maxsize=256)
+def _orbit_sizes(orbit: Weight) -> dict[Weight, int]:
+    return {}  # for block_sizes to fill once per sorted weight
 
 
 def pair_to_matrix(i: Sequence[int], j: Sequence[int], n: int) -> Matrix:

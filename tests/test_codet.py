@@ -465,15 +465,27 @@ def test_filtration_reads_the_left_products_of_axiom_c():
 
 def test_cellular_suite_builds_each_cell_once(monkeypatch):
     calls = []
-    original = codet.codeterminant
+    original = codet._codeterminant
 
     def counted(left, right):
         calls.append(1)
         return original(left, right)
 
-    monkeypatch.setattr(codet, "codeterminant", counted)
+    monkeypatch.setattr(codet, "_codeterminant", counted)
     assert run_suite("cellular", n=3, r=4).passed
     assert len(calls) == sum(len(margin_matrices(w, w)) for w in compositions(3, 4)) == 45
+
+
+def test_cells_are_built_without_the_public_checks(monkeypatch):
+    # ssyt's letter matrices are valid by construction, so codet_basis
+    # builds its cells unchecked and never reaches codeterminant
+    def refuse(left, right):
+        raise AssertionError("a cell went through the checked codeterminant")
+
+    expected = cell_datum_check((2, 2, 1)).to_json(), run_suite("codet", n_max=3, r_max=4).to_json()
+    monkeypatch.setattr(codet, "codeterminant", refuse)
+    assert cell_datum_check((2, 2, 1)).to_json() == expected[0]
+    assert run_suite("codet", n_max=3, r_max=4).to_json() == expected[1]
 
 
 def _perturbed(kind, cells):
@@ -500,12 +512,12 @@ def _perturbed(kind, cells):
 @pytest.mark.parametrize("lam", [(2, 1, 1), (2, 2, 1)])
 def test_integer_action_matches_the_oracle_on_perturbed_cells(monkeypatch, kind, lam):
     target, value = _perturbed(kind, codet_basis(lam, lam))
-    original = codet.codeterminant
+    original = codet._codeterminant
 
     def perturbed(left, right):
         return value if (left, right) == target else original(left, right)
 
-    monkeypatch.setattr(codet, "codeterminant", perturbed)
+    monkeypatch.setattr(codet, "_codeterminant", perturbed)
     datum = CellDatum(lam)
     report = datum.axioms()
     assert report.to_json() == oracle_cell_datum_check(lam).to_json() == cell_datum_check(lam).to_json()

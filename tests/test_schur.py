@@ -503,7 +503,7 @@ def test_library_paths_write_no_words(monkeypatch):
         "pbw": [column_pbw_image(a, form) for form in FORMS],
         "to_schur": column_to_schur(u, 5),
     }
-    monkeypatch.setattr(codet, "codeterminant", column_codeterminant)
+    monkeypatch.setattr(codet, "_codeterminant", column_codeterminant)
     cellular = cell_datum_check((2, 2, 1)).to_json()
     monkeypatch.undo()
     for module, name in ((schur, "_orbit_images"), (enveloping, "_apply_unit")):
@@ -517,7 +517,7 @@ def test_library_paths_write_no_words(monkeypatch):
 
 def test_cell_datum_check_matches_column_path(monkeypatch):
     tables = cell_datum_check((2, 2, 2)).to_json()
-    monkeypatch.setattr(codet, "codeterminant", column_codeterminant)
+    monkeypatch.setattr(codet, "_codeterminant", column_codeterminant)
     assert cell_datum_check((2, 2, 2)).to_json() == tables
 
 
@@ -659,6 +659,7 @@ def test_caches_are_bounded():
         weights._bounded_rows: 4096,
         weights._compositions: 256,
         weights._ssyt: 1024,
+        weights._orbit_sizes: 256,
         udot._rewrite: 1 << 17,
         enveloping.root_pairs: 64,
         udot.offdiag_cells: 64,
@@ -677,6 +678,7 @@ def test_caches_are_bounded():
     schur_multiply(xi(((1, 1), (1, 1))), xi(((1, 1), (1, 1))))
     weights.kostka((3, 2), (1, 1, 1, 1, 1))
     weights.margin_count((2, 1, 1), (1, 2, 1))
+    weights.block_sizes((1, 2, 1))
     orbit_endo(((1, 1), (1, 1)))
     _lift(3, (1, 0, 0, 0, 0, 1))
     enveloping.verify_weight_idempotent((2, 1))

@@ -267,7 +267,7 @@ def refuse_work(*args, **kwargs):
 
 def test_codeterminant_blocks_are_bounded(monkeypatch):
     # the block of weight (1,)*8 has 8! > 1000 codeterminants
-    monkeypatch.setattr(codet, "codeterminant", refuse_work)
+    monkeypatch.setattr(codet, "_codeterminant", refuse_work)
     with pytest.raises(ResourceLimitError):
         cell_datum_check((1,) * 8)
     with pytest.raises(ResourceLimitError):

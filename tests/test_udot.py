@@ -854,6 +854,15 @@ def test_psi_certifies_every_block_of_the_benchmark_range(monkeypatch):
     assert run_suite("psi", n_max=3, r_max=4).passed
 
 
+def test_psi_certifies_every_block_one_step_above_the_benchmark_range(monkeypatch):
+    # r_max = 6 is above the defaults: its blocks are certified too
+    def refuse(*args):
+        raise AssertionError("a block fell back to the echelon")
+
+    monkeypatch.setattr(verify, "echelon_add", refuse)
+    assert run_suite("psi", n_max=3, r_max=6).passed
+
+
 S, T = ((2, 0), (0, 0)), ((0, 0), (0, 2))
 
 

@@ -7,7 +7,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schuralg import weights
+from schuralg import errors, weights
 from schuralg.errors import TENSOR_SPACE_LIMIT, ResourceLimitError
 from schuralg.weights import (
     all_words,
@@ -223,12 +223,21 @@ def test_margin_count_refuses_as_listing(lam, mu):
 
 
 def test_block_sizes_match_margin_count():
+    # every order of mu is a composition here, so all but the first order of
+    # each orbit read the count that first order made
+    weights._orbit_sizes.cache_clear()
+    orbits = set()
     for n in range(1, 5):
         for r in range(6):
             lams = compositions(n, r)
             for mu in lams:
+                orbits.add(tuple(sorted(mu)))
                 assert block_sizes(mu) == {lam: margin_count(lam, mu) for lam in lams}, mu
+    assert weights._orbit_sizes.cache_info().misses == len(orbits)
     assert block_sizes(()) == {(): 1}
+    # each call returns a fresh dict
+    block_sizes((1, 2))[(3, 0)] = 7
+    assert block_sizes((2, 1))[(3, 0)] == 1
 
 
 def test_block_sizes_refused_before_counting(monkeypatch):
@@ -247,6 +256,22 @@ def test_block_sizes_refused_before_counting(monkeypatch):
         match=re.escape("counting the blocks of right weight (999, 999, 0) takes 250502749500 steps"),
     ):
         block_sizes((999, 999, 0))
+
+
+def test_block_sizes_guard_every_order_of_a_held_orbit(monkeypatch):
+    # (0, 3) takes 1 + 4 = 5 steps and (3, 0) takes 4 + 4 = 8
+    sizes = {(0, 3): 1, (1, 2): 1, (2, 1): 1, (3, 0): 1}
+    refusal = re.escape("counting the blocks of right weight (3, 0) takes 8 steps, above the limit 5")
+    monkeypatch.setattr(errors, "TENSOR_SPACE_LIMIT", 5)
+    weights._orbit_sizes.cache_clear()
+    assert block_sizes((0, 3)) == sizes
+    with pytest.raises(ResourceLimitError, match=refusal):
+        block_sizes((3, 0))
+    # the other way round: the refusal holds nothing, and the admitted order counts
+    weights._orbit_sizes.cache_clear()
+    with pytest.raises(ResourceLimitError, match=refusal):
+        block_sizes((3, 0))
+    assert block_sizes((0, 3)) == sizes
 
 
 def test_pair_to_matrix():
