@@ -285,7 +285,9 @@ def _block_patterns(n: int, delta: Weight, degree: int) -> tuple[Pattern, ...]:
     weight by at most one: a branch whose positive part exceeds the degree
     left is dead, and since positive part plus cell value never falls as
     the value grows, so are all larger values.  Once the last cell that
-    touches an index is placed, that index must have nothing left to move.
+    touches an index is placed, that index must have nothing left to move,
+    so a cell that closes an index takes that one forced value, with the
+    positive part it leaves counted in closed form, and scans no others.
     """
     last = {k: c for c, cell in enumerate(offdiag_cells(n)) for k in cell}
     # (i, j, whether the cell is the last to touch i, and j)
@@ -300,12 +302,22 @@ def _block_patterns(n: int, delta: Weight, degree: int) -> tuple[Pattern, ...]:
             return
         i, j, close_i, close_j = cells[c]
         a, b = need[i], need[j]
+        if close_i or close_j:
+            v = a if close_i else -b
+            # the scan's steps from 0 to v in closed form: need[i] = a - u
+            # loses positive part while u < a, need[j] = b + u gains it
+            # once u >= -b
+            pos += max(0, v - max(0, -b)) - max(0, min(v, a))
+            if v >= 0 and (v == -b or not close_j) and pos + v <= left:
+                need[i], need[j], p[c] = a - v, b + v, v
+                fill(c + 1, left - v, pos)
+                need[i], need[j] = a, b
+            return
         for v in range(left + 1):
             if pos + v > left:
                 break
-            if (v == a or not close_i) and (v == -b or not close_j):
-                need[i], need[j], p[c] = a - v, b + v, v
-                fill(c + 1, left - v, pos)
+            need[i], need[j], p[c] = a - v, b + v, v
+            fill(c + 1, left - v, pos)
             pos += (b + v >= 0) - (a - v > 0)  # need[i] falls from a - v, need[j] rises from b + v
         need[i], need[j] = a, b
 

@@ -1,6 +1,4 @@
-import hashlib
 import io
-import itertools
 import json
 import re
 import sys
@@ -292,33 +290,6 @@ def test_verify_idem_lemma_refused_before_checking(capsys):
     assert "Traceback" not in err
 
 
-# SHA-256 and length of the CSV of the one-row commands, recorded before
-# they shared one writer
-ONE_ROW_CSV_DIGESTS = {
-    "dim": (
-        ("dim", "--lambda", "3,1,2", "--mu", "2,2,2"),
-        ("a60ea578820183c6b9f6720df79a3424ec0964121aa3a7695fb615d0b79ad9e5", 43),
-    ),
-    "kostka": (
-        ("kostka", "--mu", "3,2", "--lambda", "2,1,1,1"),
-        ("9b0817e6a963e74e34d35dd2f672ad3ed8a732f88e566d2ae8f5be9a8b9162f4", 34),
-    ),
-    "sym-iso": (
-        ("sym-iso", "--r", "3"),
-        ("753a1b438e4393948d143344d7a01cd6b6adf9c06fe5d3c76268450cfedac032", 35),
-    ),
-}
-
-
-@pytest.mark.parametrize("command", sorted(ONE_ROW_CSV_DIGESTS))
-def test_one_row_csv_pinned(capsys, command):
-    argv, digest = ONE_ROW_CSV_DIGESTS[command]
-    code, out, _ = run_cli(capsys, "--format", "csv", *argv)
-    assert code == 0
-    data = out.encode()
-    assert (hashlib.sha256(data).hexdigest(), len(data)) == digest
-
-
 def test_main_carries_nothing_into_the_next_call(capsys):
     # one process, two calls each: the second sees only its own arguments
     _, out, _ = run_cli(capsys, "basis", "--kind", "pbw", "--lambda", "1,1", "--form", "ef")
@@ -422,61 +393,6 @@ def test_dim_refused_before_listing_matrices(capsys, monkeypatch):
     assert "may have 1000000000 matrices" in err
     with pytest.raises(ResourceLimitError):
         weights.margin_matrices((1,) * 8, (1,) * 8)
-
-
-# SHA-256 of `schuralg verify all` stdout, JSON and CSV, pinned so that
-# refactors of the suites, the runner or the element types stay
-# byte-identical.
-VERIFY_ALL_DIGESTS = {
-    "json": ("3f1a0f5af1e85187629dd46918174d7c098a11a75a0cc5c775837f6e6f13ffe4", 7759),
-    "csv": ("8b86e61e4ca0875e54f9b0c6356349982a7a15b182920139f06aaff86b5ed769", 3470),
-}
-
-
-@pytest.mark.parametrize("fmt", sorted(VERIFY_ALL_DIGESTS))
-def test_verify_all_stdout_pinned(capsys, fmt):
-    code, out, _ = run_cli(capsys, "--format", fmt, "verify", "all")
-    assert code == 0
-    data = out.encode()
-    assert (hashlib.sha256(data).hexdigest(), len(data)) == VERIFY_ALL_DIGESTS[fmt]
-
-
-# (SHA-256, length) of stdout, recorded while the codeterminant cells were
-# still built from Tableau row words
-CODET_DIGESTS = {
-    "basis-2222": (
-        ("basis", "--kind", "codet", "--lambda", "2,2,2,2"),
-        ("4791088622f177225b7d3156bf2c18aeb106ca623ccd7feb6a50e3a5e37a3f4e", 829600),
-    ),
-    "basis-211-112": (
-        ("basis", "--kind", "codet", "--lambda", "2,1,1", "--mu", "1,1,2"),
-        ("78c3cc19aa29aadccf835cab1dbff61fa8e38ad3fc63f288f62e2dca253e0e8c", 2374),
-    ),
-    "verify-codet-n3-r4": (
-        ("verify", "codet", "--n-max", "3", "--r-max", "4"),
-        ("1dd6315ffed494fe99c52af87f7d5696fce8afd83554cb3b05e475c9dd1744dc", 1013),
-    ),
-}
-
-
-@pytest.mark.parametrize("command", sorted(CODET_DIGESTS))
-def test_codet_stdout_pinned(capsys, command):
-    argv, digest = CODET_DIGESTS[command]
-    code, out, _ = run_cli(capsys, *argv)
-    assert code == 0
-    data = out.encode()
-    assert (hashlib.sha256(data).hexdigest(), len(data)) == digest
-
-
-def test_verify_cellular_above_the_default_is_pinned(capsys):
-    # SHA-256 of `schuralg verify cellular --n 3 --r 5` stdout, recorded
-    # before the cellular rows shared one cell datum per weight
-    code, out, _ = run_cli(capsys, "verify", "cellular", "--n", "3", "--r", "5")
-    assert code == 0
-    data = out.encode()
-    assert (hashlib.sha256(data).hexdigest(), len(data)) == (
-        "cd935cc28c6c07707da609502b82d0558a21e3e7de3141564df90d681dbe91cc", 2782
-    )
 
 
 SCHUR_X = {"n": 2, "r": 2, "terms": [{"matrix": [[0, 1], [1, 0]], "coeff_num": 1, "coeff_den": 1}]}
@@ -615,70 +531,6 @@ def test_element_json_fuzz(argv):
     else:
         json.loads(out.getvalue())
     assert "Traceback" not in err.getvalue()
-
-
-def _schur_json(n, r, terms):
-    return json.dumps({"n": n, "r": r, "terms": [
-        {"matrix": m, "coeff_num": a, "coeff_den": b} for m, a, b in terms]})
-
-
-def _udot_json(n, left, right, terms):
-    return json.dumps({"n": n, "left": left, "right": right, "terms": [
-        {"pattern": p, "coeff": c} for p, c in terms]})
-
-
-S23 = [[[a, b], [c, 3 - a - b - c]] for a, b, c in itertools.product(range(4), repeat=3) if a + b + c <= 3]
-Z3 = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
-
-# Element commands with fractional coefficients, and PBW images: the
-# SHA-256 and length of their stdout, recorded while elements still held
-# one Fraction per term.
-ELEMENT_REQUESTS = {
-    "mul-s2-3": (
-        ["mul", "--left", _schur_json(2, 3, [(m, i % 5 - 2, i % 3 + 1) for i, m in enumerate(S23)]),
-         "--right", _schur_json(2, 3, [(m, 3 - i % 4, i % 5 + 2) for i, m in enumerate(S23)])],
-        ("5147e7f177767d6bffd31d8deea112e38c4e8da06d90737fd2b8d609b0ba25f9", 1305),
-    ),
-    "mul-s3-3": (
-        ["mul",
-         "--left", _schur_json(3, 3, [([[1, 1, 0], [0, 0, 1], [0, 0, 0]], 1, 2), ([[0, 1, 0], [1, 0, 1], [0, 0, 0]], -2, 3),
-                                      ([[2, 0, 0], [0, 0, 0], [0, 0, 1]], 3, 4)]),
-         "--right", _schur_json(3, 3, [([[1, 0, 0], [0, 1, 1], [0, 0, 0]], 5, 6), ([[0, 0, 1], [1, 1, 0], [0, 0, 0]], -1, 2),
-                                       ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 7, 3)])],
-        ("8e78762219b81adc78221ca7f2bf241e1bd883eab8dfb68646084ad352699814", 188),
-    ),
-    "udot-mul-n2": (
-        ["udot", "mul",
-         "--left", _udot_json(2, [1, 1], [1, 1], [([[0, a], [a, 0]], c) for a, c in enumerate(("1/2", "-2/3", "3/4", "5/6"))]),
-         "--right", _udot_json(2, [1, 1], [1, 1], [([[0, a], [a, 0]], c) for a, c in enumerate(("-1/3", "2/5", "7/4"))])],
-        ("8c9907b9bcc1a10446fccd9265b0f203cc1011c94dea1e3d9f2274ac12b2031b", 349),
-    ),
-    "udot-mul-n3": (
-        ["udot", "mul",
-         "--left", _udot_json(3, [0, 0, 0], [0, 0, 0], [(Z3, "1/2"), ([[0, 1, 0], [1, 0, 0], [0, 0, 0]], "-2/3"),
-                                                          ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], "3/4")]),
-         "--right", _udot_json(3, [0, 0, 0], [0, 0, 0], [([[0, 0, 1], [1, 0, 0], [0, 1, 0]], "5/6"),
-                                                           ([[0, 0, 0], [0, 0, 1], [0, 1, 0]], "-1/5"), (Z3, "2")])],
-        ("21996240011fd61b81034f5a02c6a1196c53b07eea4c9ccf0b3e94d1abd09110", 836),
-    ),
-    "basis-pbw-ef": (
-        ["basis", "--kind", "pbw", "--lambda", "2,1,2", "--mu", "1,2,2", "--form", "ef"],
-        ("dc002c44261579ed73df9e17822721244d1e851a2a92b27732a2df7378b44847", 4032),
-    ),
-    "basis-pbw-fe-middle": (
-        ["basis", "--kind", "pbw", "--lambda", "3,2", "--form", "fe-middle"],
-        ("9cc43466e45f86aeeb35b65ed47540a4f40ee13ce4f0cb1cf3a55444f543b9d2", 671),
-    ),
-}
-
-
-@pytest.mark.parametrize("name", sorted(ELEMENT_REQUESTS))
-def test_element_json_pinned(capsys, name):
-    argv, digest = ELEMENT_REQUESTS[name]
-    code, out, _ = run_cli(capsys, *argv)
-    assert code == 0
-    data = out.encode()
-    assert (hashlib.sha256(data).hexdigest(), len(data)) == digest
 
 
 # Fuzzing the weight commands: weights of one to four entries in [-3, 6],
@@ -981,28 +833,6 @@ def _cyclic_pattern_pair(k):
         return json.dumps({"n": 3, "left": [0, 0, 0], "right": [0, 0, 0], "terms": [{"pattern": pattern, "coeff": "1"}]})
 
     return element([[0, k, 0], [0, 0, k], [k, 0, 0]]), element([[0, 0, k], [k, 0, 0], [0, k, 0]])
-
-
-# SHA-256 and length of the stdout of the k = 2, 3, 4 products, recorded
-# before the guard existed, and of the k = 5, 8 and 11 products (36, 81
-# and 144 terms; 11 is the last one the guard admits), recorded on the
-# earlier rewriting with the guard lifted
-UDOT_CYCLIC_DIGESTS = {
-    2: ("d9dd26488310a45e4f35d094d13dc133263fdf321b0e0134248f98a76635aebd", 617),
-    3: ("fff8ab5469e37962003eef4ddd72e8e645d21938983631d2a2fd9a37359c637b", 1051),
-    4: ("a5ce93229ce2bfc824b0d4cbbd4468ec866fa9fa677c9b9ad3b4d3151a3fd483", 1618),
-    5: ("5a389769cb926fbde973053e54082cd5b1c795716e1d8d63b7778ed57cebc85b", 2319),
-    8: ("d4b86cde967ced7d46eb8adda0ecdc1ef17cc82d479c9640d9fbe19f5f57422e", 5216),
-    11: ("a1a58fa663b7490e951cd954fe44b6b4273a65ec793bd1096d1a06b54b005a90", 9791),
-}
-
-
-@pytest.mark.parametrize("k", sorted(UDOT_CYCLIC_DIGESTS))
-def test_udot_mul_gl3_under_the_bound_is_unchanged(capsys, k):
-    left, right = _cyclic_pattern_pair(k)
-    code, out, _ = run_cli(capsys, "udot", "mul", "--left", left, "--right", right)
-    assert code == 0
-    assert (hashlib.sha256(out.encode()).hexdigest(), len(out)) == UDOT_CYCLIC_DIGESTS[k]
 
 
 @pytest.mark.parametrize("k", [12, 20])

@@ -1,4 +1,3 @@
-import hashlib
 import json
 import random
 import time
@@ -30,6 +29,8 @@ from schuralg.errors import ResourceLimitError
 from schuralg.exact_linalg import unimodular_change
 from schuralg.schur import SchurElement, hom_basis
 from schuralg.weights import compositions, margin_matrices
+
+from pins import PINS, mismatch
 
 
 def test_root_pairs():
@@ -325,11 +326,9 @@ def test_zbas_solves_for_no_coordinates(monkeypatch):
     monkeypatch.setattr(schur, "hom_basis", refuse)
     report = verify.run_suite("zbas", n_max=3, r_max=4)
     data = (json.dumps(report.to_json(), sort_keys=True) + "\n").encode()
-    # SHA-256 and length of `schuralg verify zbas --n-max 3 --r-max 4`
-    # stdout, recorded while the row still solved for coordinates
-    assert (hashlib.sha256(data).hexdigest(), len(data)) == (
-        "47a36f0bf0b51a3148fc2171dec3b3d2fc4252dec9263a8c202ca692fc2e8b77", 997
-    )
+    # `schuralg verify zbas --n-max 3 --r-max 4` stdout, pinned while the
+    # row still solved for coordinates
+    assert mismatch(PINS["verify-zbas-n3-r4"], 0, data) is None
 
 
 def test_zbas_reads_the_forced_weights_not_the_middle_forms(monkeypatch):
@@ -345,8 +344,7 @@ def test_zbas_reads_the_forced_weights_not_the_middle_forms(monkeypatch):
     monkeypatch.setattr(enveloping, "_pbw_image", outer_only)
     report = verify.run_suite("zbas", n_max=3, r_max=4)
     data = (json.dumps(report.to_json(), sort_keys=True) + "\n").encode()
-    # the digest of test_zbas_solves_for_no_coordinates
-    assert hashlib.sha256(data).hexdigest() == "47a36f0bf0b51a3148fc2171dec3b3d2fc4252dec9263a8c202ca692fc2e8b77"
+    assert mismatch(PINS["verify-zbas-n3-r4"], 0, data) is None
     # one image per form and margin matrix
     matrices = sum(len(margin_matrices(lam, mu)) for n in (1, 2, 3) for r in range(5)
                    for lam in compositions(n, r) for mu in compositions(n, r))
@@ -432,7 +430,9 @@ def test_resource_guard():
 
 def _pinned_cases():
     """Seeded outputs of the U(gl_n) operations as one JSON-ready list,
-    coefficients written with their type so an int leaking out shows."""
+    coefficients written with their type so an int leaking out shows;
+    pinned as enveloping-cases, as it was with the Fraction straightening
+    loops and the 1/b! Cartan binomials these paths replaced."""
     rng = random.Random(2003)
 
     def coeff():
@@ -477,14 +477,8 @@ def _pinned_cases():
     return out
 
 
-# SHA-256 of json.dumps(_pinned_cases()), recorded with the Fraction
-# straightening loops and the 1/b! Cartan binomials these paths replaced
-ENVELOPING_DIGEST = "05002155b1fd1e87bbb79573b415547b8e19019855e82118accfd2477ff9c14d"
-
-
 def test_enveloping_outputs_are_pinned():
-    payload = json.dumps(_pinned_cases())
-    assert hashlib.sha256(payload.encode()).hexdigest() == ENVELOPING_DIGEST
+    assert mismatch(PINS["enveloping-cases"], 0, json.dumps(_pinned_cases()).encode()) is None
 
 
 def test_u_multiply_refused_before_straightening():

@@ -1,4 +1,3 @@
-import hashlib
 import itertools
 import json
 import random
@@ -48,6 +47,8 @@ from schuralg.weights import (
     perm_inverse,
     permute_weight,
 )
+
+from pins import PINS, mismatch, run_limited
 
 
 def test_offdiag_cells():
@@ -167,6 +168,15 @@ def test_udot_basis_enumerates_only_block_patterns(monkeypatch):
     assert suite_psi(3, 3).passed
 
 
+def test_udot_basis_at_a_high_gl2_degree_stays_linear():
+    # at n = 2 the guard admits every degree up to 999,999, so the listing
+    # must stay linear in the degree: a closing cell takes its forced value
+    # and scans no others
+    entry = PINS["udot-basis-n2-degree-30000"]
+    child = run_limited(entry["argv"], cpu_seconds=10, memory_mb=1024)
+    assert mismatch(entry, child.returncode, child.stdout) is None
+
+
 def test_udot_basis_refusal_is_unchanged():
     # a pattern of one block is fixed by its entries off the cells (1, 3)
     # and (2, 3), so it is refused when the compositions of the bound into
@@ -271,17 +281,6 @@ def test_gl2_table_builds_no_element_or_fraction_per_product(monkeypatch):
     assert len(inits) <= 1
     assert all(type(x) is int for coeffs in table.products.values() for x in coeffs.values())
     assert json.dumps(table.to_json(), sort_keys=True)  # the output needs no Fraction either
-
-
-# SHA-256 of the sorted-key JSON of gl2_generic_table((1, -2), 16),
-# recorded while the table multiplied validated elements with Fraction
-# coefficients
-GL2_TABLE_16_DIGEST = "6b91708ffabfb8a51184c9ae1bbca521405f13119f905917e03e567785a285e6"
-
-
-def test_gl2_table_above_the_default_is_pinned():
-    payload = json.dumps(gl2_generic_table((1, -2), 16).to_json(), sort_keys=True)
-    assert hashlib.sha256(payload.encode()).hexdigest() == GL2_TABLE_16_DIGEST
 
 
 def test_gl2_table_matches_both_product_paths():
@@ -463,21 +462,19 @@ def test_word_path_matches_descent_oracle(weights, degree):
     check_block_products(weights, degree, descent_multiply)
 
 
-# SHA-256 of the sorted-key JSON list of every product u * v, u and v in
-# udot_basis_upto(lam, lam, 6) in basis order, recorded while products
-# straightened plain powers in U(gl_3)
-GL3_BLOCK_PRODUCT_DIGESTS = {
-    (0, 0, 0): "fcf3193a2126136cdd77850e317316e66daeff058b589b039e9b1ccb356817fe",
-    (1, -2, 0): "3acb952bf1db47870aeee7bedbf1815b314107419cc92e6467a0e4d4894963d0",
-}
-
-
-@pytest.mark.parametrize("lam", list(GL3_BLOCK_PRODUCT_DIGESTS))
-def test_gl3_block_products_are_pinned(lam):
-    # degree 6 reaches rule terms with t >= 3, which the oracle ranges do not
+def _gl3_block_products(lam):
+    """Every product u * v, u and v in udot_basis_upto(lam, lam, 6) in basis
+    order, as JSON; pinned as gl3-block-products-<lam>, as it was while
+    products straightened plain powers in U(gl_3).  Degree 6 reaches rule
+    terms with t >= 3, which the oracle ranges do not."""
     basis = udot_basis_upto(lam, lam, 6)
-    payload = json.dumps([udot_multiply(u, v).to_json() for u in basis for v in basis], sort_keys=True)
-    assert hashlib.sha256(payload.encode()).hexdigest() == GL3_BLOCK_PRODUCT_DIGESTS[lam]
+    return [udot_multiply(u, v).to_json() for u in basis for v in basis]
+
+
+@pytest.mark.parametrize("lam", [(0, 0, 0), (1, -2, 0)])
+def test_gl3_block_products_are_pinned(lam):
+    payload = json.dumps(_gl3_block_products(lam), sort_keys=True).encode()
+    assert mismatch(PINS["gl3-block-products-" + ",".join(map(str, lam))], 0, payload) is None
 
 
 @pytest.mark.parametrize("lam, mu", [((0, 0, 0), (0, 0, 0)), ((1, -2, 2), (0, 0, 1)), ((2, 1, -1), (-1, 2, 1))])
@@ -816,16 +813,6 @@ def test_gl2_table_json():
 def test_udot_json_roundtrip():
     u = udot_element((2, -1), (1, 0), (1, 0)).scale(Fraction(5, 3))
     assert UdotElement.from_json(u.to_json()) == u
-
-
-# SHA-256 of the sorted-key JSON of the psi report at n_max = 3, r_max = 6,
-# recorded while psi ranked Fraction images and listed every margin matrix
-PSI_3_6_DIGEST = "7abf5c2812b106546ff0e0ae036e53ec71e0ddbe2e67bc8f5d755fea8b501b81"
-
-
-def test_psi_report_above_the_default_is_pinned():
-    payload = json.dumps(run_suite("psi", n_max=3, r_max=6).to_json(), sort_keys=True)
-    assert hashlib.sha256(payload.encode()).hexdigest() == PSI_3_6_DIGEST
 
 
 def test_psi_ranks_every_image(monkeypatch):
